@@ -4,15 +4,17 @@ Exit codes: 0 success; 1 config/schema/expression error (always before any
 numerical work); 2 hypothesis conditions failed for a task that needs them
 (unless --force); 3 solver failure; 4 verification failure.
 
-Determinism contract: identical config and thread count produce bit-identical
-output files — fixed quadrature reduction order, seeded estimators, no
-timestamps in any artifact, sorted JSON keys, shortest round-trip decimals.
+Determinism contract: identical config produces bit-identical output files
+— fixed quadrature reduction order, seeded estimators, no timestamps in any
+artifact, sorted JSON keys, shortest round-trip decimals.  `--threads` is
+recorded in run_meta.json and changes nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -105,6 +107,23 @@ SCHEMA = {
         },
     },
 }
+
+
+@functools.cache
+def _config_validator():
+    """The validator of SCHEMA, built and meta-checked once per process on
+    first use (jsonschema.validate repeats both on every call)."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
+
+
+def _validate_config(cfg: dict):
+    """jsonschema.validate(cfg, SCHEMA): raises the same best-match error."""
+    error = jsonschema.exceptions.best_match(
+        _config_validator().iter_errors(cfg))
+    if error is not None:
+        raise error
 
 
 class ConfigError(ValueError):
@@ -230,14 +249,14 @@ def _write_trace_csv(path: str, times, l2s):
 # Tasks
 
 
-def _task_check(cfg, out_dir, force, threads):
+def _task_check(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     report = check_conditions(profiles, grid.domain.lengths)
     _write_json(os.path.join(out_dir, "report.json"), report.as_flat_dict())
     return 0 if report.pass_ else 2
 
 
-def _task_spectrum(cfg, out_dir, force, threads):
+def _task_spectrum(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     probe = s_spectrum_probe(profiles, grid)
     _write_json(os.path.join(out_dir, "spectrum.json"), {
@@ -256,7 +275,7 @@ def _gate_conditions(profiles, grid, force: bool):
     return report
 
 
-def _task_palpha(cfg, out_dir, force, threads):
+def _task_palpha(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     alpha = _require_alpha(cfg)
     spec = _build_quadrature(cfg, alpha)
@@ -264,13 +283,13 @@ def _task_palpha(cfg, out_dir, force, threads):
     report = _gate_conditions(profiles, grid, force)
     v0 = _initial_field(cfg, grid)
     result = apply_P_alpha(spec, ops, QuatField.from_real(v0), solver,
-                           report=report, force=force, threads=threads)
+                           report=report, force=force)
     _write_fields_csv(os.path.join(out_dir, "fields.csv"), result.full)
     _write_json(os.path.join(out_dir, "report.json"), report.as_flat_dict())
     return 0
 
 
-def _task_evolve(cfg, out_dir, force, threads):
+def _task_evolve(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     alpha = _require_alpha(cfg)
     tcfg = cfg.get("time", {})
@@ -303,7 +322,7 @@ def _task_evolve(cfg, out_dir, force, threads):
     return 0
 
 
-def _task_verify(cfg, out_dir, force, threads):
+def _task_verify(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     alpha = float(cfg.get("alpha", 0.5))
     spec = _build_quadrature(cfg, alpha)
@@ -323,25 +342,22 @@ def _task_verify(cfg, out_dir, force, threads):
               for nd in quad_nodes(half))
     record("known_integral", abs(acc - math.pi / math.sqrt(2.0)), 1e-10)
 
-    base = apply_P_alpha(spec, ops, v0, solver, report=report, force=force,
-                         threads=threads)
+    base = apply_P_alpha(spec, ops, v0, solver, report=report, force=force)
     left = apply_P_alpha(spec, ops, v0, solver, form="left", report=report,
-                         force=force, threads=threads)
+                         force=force)
     denom = max(base.full.l2(), 1e-300)
     record("left_right_gap", (base.full - left.full).l2() / denom, 1e-10)
 
     worst_j = 0.0
     for other in (J_E2, unit_from_components(1.0, 1.0, 1.0)):
         sp = dataclasses.replace(spec, j=other)
-        r = apply_P_alpha(sp, ops, v0, solver, report=report, force=force,
-                          threads=threads)
+        r = apply_P_alpha(sp, ops, v0, solver, report=report, force=force)
         worst_j = max(worst_j, (r.full - base.full).l2() / denom)
     record("j_independence", worst_j, 1e-10)
 
     doubled = dataclasses.replace(spec, n_sing=2 * spec.n_sing,
                                   n_tail=2 * spec.n_tail)
-    r2 = apply_P_alpha(doubled, ops, v0, solver, report=report, force=force,
-                       threads=threads)
+    r2 = apply_P_alpha(doubled, ops, v0, solver, report=report, force=force)
     record("quadrature_doubling", (r2.full - base.full).l2() / denom, 1e-8)
 
     record("j_leak", base.j_leak, 1e-9)
@@ -380,7 +396,8 @@ def main(argv=None) -> int:
     parser.add_argument("--force", action="store_true",
                         help="proceed despite failed hypothesis conditions")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for quadrature node solves")
+                        help="recorded in run_meta.json; the computation "
+                             "is serial and its results do not depend on it")
     parser.add_argument("--out", default=None,
                         help="output directory (overrides output.dir)")
     args = parser.parse_args(argv)
@@ -391,7 +408,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        jsonschema.validate(cfg, SCHEMA)
+        _validate_config(cfg)
     except (OSError, json.JSONDecodeError,
             jsonschema.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -401,7 +418,7 @@ def main(argv=None) -> int:
 
     try:
         os.makedirs(out_dir, exist_ok=True)
-        code = _TASKS[cfg["task"]](cfg, out_dir, args.force, args.threads)
+        code = _TASKS[cfg["task"]](cfg, out_dir, args.force)
         _write_json(os.path.join(out_dir, "run_meta.json"), {
             "version": __version__,
             "task": cfg["task"],

@@ -149,8 +149,8 @@ def evolve(fp: FracPowerOperator, v0: RealField,
     """Integrate dv/dt = G v from v0 to t_end.
 
     Crank-Nicolson factorizes (I - dt/2 G) once (again for a shorter final
-    step if t_end is not a multiple of dt); RK4 validates dt against the
-    spectral-radius bound first.
+    step if t_end is not a multiple of dt) and solves each step with LAPACK
+    getrs; RK4 validates dt against the spectral-radius bound first.
     """
     G = generator(fp)
     max_re = _max_real_eig(G)
@@ -184,10 +184,15 @@ def evolve(fp: FracPowerOperator, v0: RealField,
     for k, dt in enumerate(steps, start=1):
         if cfg.scheme == "crank-nicolson":
             if lu is None or dt != lu_dt:
-                lu = scipy.linalg.lu_factor(np.eye(grid.N) - 0.5 * dt * G)
+                lu, piv = scipy.linalg.lu_factor(np.eye(grid.N) - 0.5 * dt * G)
+                getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
                 lu_dt = dt
             rhs = x + 0.5 * dt * (G @ x)
-            x = scipy.linalg.lu_solve(lu, rhs)
+            # LAPACK getrs directly: what lu_solve calls, minus its
+            # per-call argument checks
+            x, info = getrs(lu, piv, rhs, overwrite_b=True)
+            if info != 0:  # pragma: no cover - getrs only flags bad args
+                raise ValueError(f"getrs failed (info={info})")
         else:
             k1 = G @ x
             k2 = G @ (x + 0.5 * dt * k1)

@@ -35,16 +35,15 @@ T^2 v are exactly orthogonal to that mode, so this form stays clean).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .coeff import check_conditions
 from .errors import ConditionsFailed, SolverDiverged
-from .grid import (FaceField, Grid, Operators, QuatField, RealField,
-                   StaggeredOperators)
+from .grid import (DENSE_CAP, FaceField, Grid, Operators, QuatField,
+                   RealField, StaggeredOperators)
 from .quat import ImaginaryUnit, J_E1, Quaternion, qmul
 from .resolvent import ResolventWorkspace, SolverOptions
 
@@ -261,35 +260,36 @@ class _NodeEngine:
             - _apply_T_batch(self.ops, _mix(_lmt(self.e_minus), u1))
         return a_p + a_m
 
-    def run(self, v_comps: np.ndarray, form: str, threads: int = 1):
+    def run(self, v_comps: np.ndarray, form: str):
         """Accumulate all nodes for fields v_comps (K,4,*n).  Returns
-        (result (K,4,*n), j_leak float)."""
+        (result (K,4,*n), j_leak float).  Nodes are evaluated serially in
+        ascending t and each is added as soon as it is evaluated, so the
+        result is bitwise reproducible and no node result outlives its turn."""
         ops = self.ops
         tv = _apply_T_batch(ops, v_comps)
         # T^2 acts componentwise as L (cross terms cancel by exact
         # commutation); apply_L is that scalar route directly
         lv = ops.apply_L(v_comps) if form == "right" else None
-        k_near = len(self.t_near)
-
-        def eval_node(idx: int):
-            if idx < k_near:
-                return self.near_contribution(idx, tv, lv, form)
-            return self.tail_contribution(idx - k_near, tv, form)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                slots = list(pool.map(eval_node, range(self.n_nodes)))
-        else:
-            slots = [eval_node(i) for i in range(self.n_nodes)]
-
         acc = np.zeros_like(v_comps)
         leak = np.zeros_like(v_comps)
-        for naive, reduced in slots:  # fixed ascending-t reduction order
+        for idx in range(self.n_nodes):
+            if idx < len(self.t_near):
+                naive, reduced = self.near_contribution(idx, tv, lv, form)
+            else:
+                naive, reduced = self.tail_contribution(
+                    idx - len(self.t_near), tv, form)
             acc += naive
             leak += naive - reduced
         acc *= -1.0 / TWO_PI
         leak *= -1.0 / TWO_PI
         return acc, float(np.max(np.abs(leak)))
+
+
+def _require_collocated(ops, what: str):
+    if isinstance(ops, StaggeredOperators):
+        raise ValueError(f"{what} needs the collocated Operators; the "
+                         "staggered scheme serves apply_P_alpha and the "
+                         "closed form only")
 
 
 def _resolve_report(ops: Operators, report, force: bool):
@@ -308,15 +308,14 @@ def _resolve_report(ops: Operators, report, force: bool):
 def apply_P_alpha(spec: QuadratureSpec,
                   ops: Operators | StaggeredOperators, v: QuatField,
                   solver: SolverOptions | None = None, *, form: str = "right",
-                  report=None, force: bool = False,
-                  threads: int = 1) -> FracApplyResult:
+                  report=None, force: bool = False) -> FracApplyResult:
     """P_alpha(T) v by quadrature of the right (default) or left Balakrishnan
-    form.  Node solves may run on `threads` workers; the reduction order is
-    fixed ascending in t, so results are bitwise reproducible.
+    form.  The reduction order is fixed ascending in t, so results are
+    bitwise reproducible.
 
     With `StaggeredOperators`, v must be real (its vector components zero)
     and the j-free integrand is evaluated through the per-axis factorization
-    of that scheme, where both forms coincide; solver and threads are unused.
+    of that scheme, where both forms coincide; solver is unused.
     """
     if form not in ("right", "left"):
         raise ValueError("form must be 'right' or 'left'")
@@ -324,7 +323,7 @@ def apply_P_alpha(spec: QuadratureSpec,
     if isinstance(ops, StaggeredOperators):
         return _apply_P_alpha_staggered(spec, ops, v)
     engine = _NodeEngine(spec, ops, solver or SolverOptions())
-    acc, leak = engine.run(v.components[None], form, threads)
+    acc, leak = engine.run(v.components[None], form)
     full = QuatField(v.grid, acc[0])
     scal = full.component(0)
     vec = tuple(full.component(i) for i in (1, 2, 3))
@@ -365,6 +364,7 @@ def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
     """Relative gap at one +-t pair between the splitting-identity form and
     the Tv form of the right integrand (they are equal in exact arithmetic;
     the gap scales with solver tolerance)."""
+    _require_collocated(ops, "integrand_form_gap")
     engine = _NodeEngine(spec, ops, solver or SolverOptions())
     s = spec.j.scale(-t)
     ws = ResolventWorkspace(ops, s, solver or SolverOptions())
@@ -409,12 +409,13 @@ def build_matrix(spec: QuadratureSpec, ops: Operators,
     """Columns by applying the quadrature to canonical real basis fields.
 
     The engine is batched across basis columns (chunked to bound memory);
-    every column shares the same per-node factorization.
+    every column shares the same factorization.
     """
+    _require_collocated(ops, "build_matrix")
     _resolve_report(ops, report, force)
     g = ops.grid
-    if g.N > 5000:
-        raise ValueError("dense operator build capped at N <= 5000")
+    if g.N > DENSE_CAP:
+        raise ValueError(f"dense operator build capped at N <= {DENSE_CAP}")
     engine = _NodeEngine(spec, ops, solver or SolverOptions())
     m_scal = np.empty((g.N, g.N))
     m_vec = [np.empty((g.N, g.N)) for _ in range(g.dims)]

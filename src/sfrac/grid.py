@@ -295,8 +295,9 @@ def _axis_profile_samples(grid: Grid, profile: CoefficientProfile,
 
 class Operators:
     """Bundles the per-axis discrete operators for one (grid, coefficients)
-    pair; all applications are matrix-free, with dense materialization for
-    the oracle/LU paths up to N <= DENSE_CAP."""
+    pair; all applications are matrix-free, with a per-axis spectral
+    factorization of L for the resolvent solves and dense materialization
+    for the oracle/LU paths up to N <= DENSE_CAP."""
 
     def __init__(self, grid: Grid, profiles):
         profiles = tuple(profiles)
@@ -338,19 +339,18 @@ class Operators:
         return QuatField(field.grid, acc)
 
     # -- dense materializations ------------------------------------------
-    def dense_D(self, grid_axis: int) -> np.ndarray:
+    def _axis_D(self, grid_axis: int) -> np.ndarray:
+        """The n_l x n_l central difference of one axis."""
         n = self.grid.n[grid_axis]
         h = self.grid.h[grid_axis]
-        d = (np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / (2 * h)
-        return self._kron_embed(d, grid_axis)
+        return (np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / (2 * h)
+
+    def dense_D(self, grid_axis: int) -> np.ndarray:
+        return self._kron_embed(self._axis_D(grid_axis), grid_axis)
 
     def dense_A(self, grid_axis: int) -> np.ndarray:
-        n = self.grid.n[grid_axis]
-        h = self.grid.h[grid_axis]
-        a = np.asarray(self.profiles[grid_axis].a(self.grid.axes[grid_axis]),
-                       dtype=float) + np.zeros(n)
-        d = (np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / (2 * h)
-        return self._kron_embed(a[:, None] * d, grid_axis)
+        a = self.a_samples[grid_axis].reshape(-1)
+        return self._kron_embed(a[:, None] * self._axis_D(grid_axis), grid_axis)
 
     def dense_L(self) -> np.ndarray:
         self._check_dense()
@@ -374,6 +374,53 @@ class Operators:
     def _check_dense(self):
         if self.grid.N > DENSE_CAP:
             raise ValueError(f"dense materialization capped at N <= {DENSE_CAP}")
+
+    # -- per-axis spectral factorization ----------------------------------
+    @cached_property
+    def _factors(self) -> tuple:
+        """Per axis (lambda, fwd, inv) with L = W V diag(Lambda) V^T W^{-1}.
+
+        With r = a_l^{1/2} and W = (x)_l diag(r), W^{-1} A_l W = K_l = r D_l r
+        is skew, so L = -sum A_l^2 is similar to the symmetric Kronecker sum
+        of the K_l^T K_l.  One SVD per axis, K_l = U Sigma V_l^T, gives
+        K_l^T K_l = V_l Sigma^2 V_l^T without squaring the condition number:
+        lambda = sigma^2, fwd = V_l^T diag(1/r), inv = diag(r) V_l.  The
+        kernel of an odd axis (its parity pattern, exact) gets lambda = 0.
+        """
+        if any(np.min(a) <= 0.0 for a in self.a_samples):
+            raise ValueError("the spectral factorization of L needs "
+                             "coefficients positive at every node; use "
+                             "solver method 'dense' or 'krylov'")
+        out = []
+        for ax in range(self.grid.dims):
+            r = np.sqrt(self.a_samples[ax].reshape(-1))
+            _, sigma, vt = np.linalg.svd(r[:, None] * self._axis_D(ax) * r)
+            lam = sigma ** 2
+            if self.grid.n[ax] % 2:
+                lam[-1] = 0.0  # singular values come sorted descending
+            out.append((lam, vt / r, r[:, None] * vt.T))
+        return tuple(out)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues Lambda of L, shape grid.n, laid out as the coefficient
+        array that `apply_symbol` scales.  Exactly 0 only at the parity null
+        mode of all-odd grids."""
+        lam = np.zeros(self.grid.n)
+        for ax, (mu, _, _) in enumerate(self._factors):
+            shape = [1] * self.grid.dims
+            shape[ax] = -1
+            lam = lam + mu.reshape(shape)
+        return lam
+
+    def apply_symbol(self, symbol: np.ndarray, values: np.ndarray,
+                     transpose: bool = False) -> np.ndarray:
+        """f(L) values (or f(L)^T values), with symbol = f(eigenvalues());
+        values shaped (..., *grid.n)."""
+        fwd = [f for _, f, _ in self._factors]
+        inv = [i for _, _, i in self._factors]
+        if transpose:  # (inv S fwd)^T = fwd^T S inv^T
+            fwd, inv = [m.T for m in inv], [m.T for m in fwd]
+        return _tensor_apply(inv, symbol * _tensor_apply(fwd, values))
 
     # -- null-mode data ----------------------------------------------------
     @cached_property

@@ -3,11 +3,19 @@ norm estimation for the resolvent-bound checks.
 
 Q_s = |s|^2 I - sum_l A_l^2 is a real matrix acting componentwise, so a
 quaternion right-hand side is four independent real solves sharing one
-factorization.  On all-odd grids the composed difference operator has the
-exact parity null mode zeta (see grid module); Q_s is then nonsingular but
-has the isolated eigenvalue |s|^2, which for the smallest quadrature nodes
-sits ~1e7 below the rest of the spectrum and would let factorization
-rounding deposit O(eps * cond) garbage in that direction.  Since Q_s zeta =
+factorization.  The default method ("auto") is the per-axis spectral
+factorization of L that `Operators` caches (fast diagonalization, Lynch,
+Rice and Thomas, Numer. Math. 6, 1964): Q_s^{-1} is the diagonal scaling
+1/(|s|^2 + Lambda) between two per-axis tensor transforms, so every
+quadrature node shares one factorization of L and a workspace costs no
+factorization of its own.  "dense" (LU of Q_s) and "krylov" (CG/BiCGStab)
+stay as independent references.
+
+On all-odd grids the composed difference operator has the exact parity null
+mode zeta (see grid module); Q_s is then nonsingular but has the isolated
+eigenvalue |s|^2, which for the smallest quadrature nodes sits ~1e7 below
+the rest of the spectrum and would let factorization rounding deposit
+O(eps * cond) garbage in that direction.  Since Q_s zeta =
 |s|^2 zeta and eta^T Q_s = |s|^2 eta^T are exact identities, the solver
 splits that mode off analytically (deflation below) instead of asking the
 factorization to resolve it.
@@ -33,7 +41,7 @@ _E_TABLES = [left_mult_table(q) for q in
 
 @dataclass
 class SolverOptions:
-    method: str = "auto"  # auto | dense | krylov
+    method: str = "auto"  # auto (= spectral) | dense | krylov
     tol: float = 1e-10
     max_iter: int | None = None  # default 20*N
 
@@ -41,8 +49,8 @@ class SolverOptions:
 class ResolventWorkspace:
     """Everything needed to apply Q_s^{-1}, S_L^{-1} and S_R^{-1} at one s.
 
-    Immutable after construction; concurrent applications only read shared
-    state (the factorization) and allocate private scratch.
+    Immutable after construction; applications only read shared state (the
+    factorization) and allocate private scratch.
     """
 
     def __init__(self, ops: Operators, s: Quaternion,
@@ -57,10 +65,14 @@ class ResolventWorkspace:
         self.t2 = self.system.t2
         method = self.options.method
         if method == "auto":
-            method = "dense" if ops.grid.N <= 5000 else "krylov"
+            method = "spectral"
         self.method = method
         self._lu = None
-        if method == "dense":
+        if method == "spectral":
+            # the parity-null coefficient is exactly 0: _deflate owns that mode
+            lam = ops.eigenvalues()
+            self._symbol = np.where(lam > 0.0, 1.0 / (self.t2 + lam), 0.0)
+        elif method == "dense":
             self._lu = scipy.linalg.lu_factor(self.system.dense())
         elif method == "krylov":
             self._diag = self._assemble_diagonal()
@@ -117,7 +129,9 @@ class ResolventWorkspace:
         else:
             work, beta, right, left, denom = rhs, None, None, None, None
 
-        if self.method == "dense":
+        if self.method == "spectral":
+            sol = self._solve_spectral(work, transpose)
+        elif self.method == "dense":
             sol = scipy.linalg.lu_solve(self._lu, work.T,
                                         trans=1 if transpose else 0).T
         else:
@@ -129,6 +143,16 @@ class ResolventWorkspace:
             sol = sol - np.outer(sol @ left / denom, right)
             sol = sol + np.outer(beta / self.t2, right)
         return sol[0] if squeeze else sol
+
+    def _solve_spectral(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+        # an all-zero row maps to exact zeros, so only the others are
+        # transformed (basis right-hand sides are mostly zero rows)
+        live = rhs.any(axis=1)
+        out = np.zeros_like(rhs)
+        vals = rhs[live].reshape(-1, *self.grid.n)
+        sol = self.ops.apply_symbol(self._symbol, vals, transpose)
+        out[live] = sol.reshape(vals.shape[0], self.grid.N)
+        return out
 
     def _solve_krylov(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
         g = self.grid
@@ -165,19 +189,20 @@ class ResolventWorkspace:
 
     # -- field-level API -----------------------------------------------------
     def solve_Q(self, f: QuatField) -> QuatField:
-        """w with Q_s w = f, relative residual <= tol (checked on the dense
-        path too: a factorization of a benign matrix meets it by a margin)."""
+        """w with Q_s w = f, relative residual <= tol (checked on the direct
+        paths too: a factorization of a benign matrix meets it by a margin)."""
         comps = f.components.reshape(4, -1)
         sol = self._solve_stack(comps)
         w = QuatField(f.grid, sol.reshape(4, *self.grid.n))
-        if self.method == "dense":
-            # cheap a-posteriori guard; LU of the deflated system is
-            # comfortably inside tol at desk scale
+        if self.method != "krylov":
+            # cheap a-posteriori guard; both direct solves of the deflated
+            # system are comfortably inside tol at desk scale
             r = self.system.matvec(w.components) - f.components
             nf = float(np.sqrt(np.sum(f.components ** 2)))
             if nf > 0 and float(np.sqrt(np.sum(r ** 2))) > 100 * self.options.tol * nf:
                 raise SolverDiverged(
-                    f"dense solve residual above tolerance at |s|^2={self.t2:g}")
+                    f"{self.method} solve residual above tolerance at "
+                    f"|s|^2={self.t2:g}")
         return w
 
     def solve_Q_real(self, values: np.ndarray) -> np.ndarray:

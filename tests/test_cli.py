@@ -10,10 +10,11 @@ import json
 import math
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
-from sfrac.cli import main
+from sfrac.cli import SCHEMA, main
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -73,6 +74,23 @@ class TestSchemaRejection:
         cfg["domain"]["dims"] = 1
         cfg["domain"]["lengths"] = [1.0, 2.0]
         assert main([write_cfg(tmp_path, cfg)]) == 1
+
+    @pytest.mark.parametrize("bad", [
+        {"grid": {"n": [0]}},
+        {"alpha": 1.5},
+        {"solver": {"method": "magic"}},
+        # two errors: the best match is not the first one found
+        {"domain": {"dims": 5, "lengths": [1.0]}, "alpha": 1.5},
+    ])
+    def test_message_is_that_of_jsonschema_validate(self, tmp_path, capsys,
+                                                    bad):
+        cfg = base_1d("palpha")
+        cfg.update(bad)
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(cfg, SCHEMA)
+        for _ in range(2):  # the cached validator answers the same twice
+            assert main([write_cfg(tmp_path, cfg)]) == 1
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     def test_threads_below_one_exits_1(self, tmp_path):
         cfg = base_1d("check")
@@ -178,6 +196,25 @@ class TestPalphaTask:
         assert (outs[1] / "fields.csv").read_bytes() == ref
         # fixed reduction order keeps output identical across thread counts
         assert (outs[2] / "fields.csv").read_bytes() == ref
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_default_solver_matches_dense(self, tmp_path, n):
+        cfg = {
+            "domain": {"dims": 2, "lengths": [1.0, 1.3]},
+            "grid": {"n": [n, n - 4]},
+            "coefficients": ["1+0.1*sin(x)", "exp(0.2*x)"],
+            "task": "palpha", "alpha": 0.4,
+            "initial": "x*(1-x)*y*(1.3-y)*(1+0.3*sin(3*x))",
+        }
+        fields = []
+        for method in ("auto", "dense"):
+            cfg["solver"] = {"method": method}
+            out = tmp_path / method
+            assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+            fields.append(np.loadtxt(out / "fields.csv", delimiter=",",
+                                     skiprows=1)[:, 3:])
+        gap = np.max(np.abs(fields[0] - fields[1]))
+        assert gap <= 1e-12 * np.max(np.abs(fields[1]))
 
     def test_failed_conditions_gate_and_force(self, tmp_path):
         cfg = base_1d("palpha", n=15, alpha=0.5, coeff="0.01+x^2",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sfrac.errors import StabilityError
 from sfrac.evolve import EvolutionConfig, divergence, evolve, generator
@@ -156,6 +157,27 @@ class TestEvolve:
         assert math.isclose(times[-1], 1.0, rel_tol=1e-12)
         assert any(math.isclose(t, 0.4, rel_tol=1e-12) for t in times)
         assert np.array_equal(trace.snapshots[0][1].values, v0.values)
+
+    def test_cn_steps_match_lu_solve_loop(self):
+        # the stepping loop calls LAPACK getrs directly; it must reproduce a
+        # plain lu_solve loop bit for bit, remainder step included
+        g = grid1d(12)
+        fp = build_matrix(QuadratureSpec(0.6), constant_operators(g))
+        v0 = RealField.from_function(g, lambda x: x * (math.pi - x))
+        cfg = EvolutionConfig(0.6, dt=0.02, t_end=0.25, snapshot_every=3)
+        trace = evolve(fp, v0, cfg)
+        G = generator(fp)
+        x = v0.flat().copy()
+        expect = [x.copy()]
+        steps = [0.02] * 12 + [0.25 - 12 * 0.02]
+        for k, dt in enumerate(steps, start=1):
+            lu = scipy.linalg.lu_factor(np.eye(g.N) - 0.5 * dt * G)
+            x = scipy.linalg.lu_solve(lu, x + 0.5 * dt * (G @ x))
+            if k % 3 == 0 or k == len(steps):
+                expect.append(x.copy())
+        assert len(trace.snapshots) == len(expect) == 6
+        for (_, snap), want in zip(trace.snapshots, expect):
+            assert np.array_equal(snap.values, want)
 
     def test_rk4_matches_fine_cn(self):
         g = grid1d(24)

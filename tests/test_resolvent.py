@@ -108,11 +108,82 @@ class TestSolveQ:
             ResolventWorkspace(ops, S_E1, SolverOptions(method="magic"))
 
 
+def rel_max(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+def variable_ops(n):
+    lengths = (1.0, 1.3, 1.1)[:len(n)]
+    texts = ("1+0.1*sin(x)", "exp(0.2*x)", "1+0.15*cos(x)")
+    return Operators(Grid(BoxDomain(lengths), n),
+                     tuple(make_profile(ax + 1, texts[ax], L)
+                           for ax, L in enumerate(lengths)))
+
+
+class TestSpectral:
+    """The default (spectral) path against dense LU, the independent
+    reference it replaces."""
+
+    @pytest.mark.parametrize("n", [(31,), (32,), (9, 11), (10, 8),
+                                   (7, 9, 5), (6, 8, 4)])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_matches_dense(self, n, transpose):
+        ops = variable_ops(n)
+        assert ops.grid.has_parity_null == all(v % 2 for v in n)
+        rng = np.random.default_rng(len(n))
+        generic = rng.standard_normal((3, ops.grid.N))
+        # null-free: in the range of A_0 (of A_0^T when transposed), which
+        # the left null vector of that orientation annihilates
+        to_range = ops.apply_A_transpose if transpose else ops.apply_A
+        in_range = to_range(0, rng.standard_normal((3, *n))).reshape(3, -1)
+        for t in (1e-3, 0.7, 40.0):
+            s = Quaternion(0, 0, t, 0)
+            ws = make_workspace(ops, s)
+            ref = make_workspace(ops, s, method="dense")
+            assert ws.method == "spectral" and ref.method == "dense"
+            for rhs, null_free in ((generic, False), (in_range, True)):
+                got = ws._solve_stack(rhs, transpose, null_free)
+                want = ref._solve_stack(rhs, transpose, null_free)
+                assert rel_max(got, want) <= 1e-12, (t, null_free)
+
+    def test_zero_rows_stay_exact_zeros(self):
+        ops = variable_ops((9, 11))
+        ws = make_workspace(ops, S_E1)
+        rhs = np.zeros((3, ops.grid.N))
+        rhs[1] = np.random.default_rng(4).standard_normal(ops.grid.N)
+        sol = ws._solve_stack(rhs)
+        assert not sol[0].any() and not sol[2].any()
+        assert rel_max(sol[1], ws._solve_stack(rhs[1])) <= 1e-14
+
+    def test_needs_positive_coefficients(self):
+        g = grid1d(9, length=1.0)
+        ops = Operators(g, (make_profile(1, "x-0.45", 1.0),))
+        with pytest.raises(ValueError, match="positive"):
+            make_workspace(ops, S_E1)
+        # the dense reference still serves a forced run with such a set
+        ws = make_workspace(ops, S_E1, method="dense")
+        f = random_field(g, seed=2)
+        r = ws.system.matvec(ws.solve_Q(f).components) - f.components
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)
+
+    @pytest.mark.parametrize("n", [(7, 8), (9, 15)])
+    def test_eigenvalues_are_those_of_L(self, n):
+        ops = variable_ops(n)
+        lam = np.sort(ops.eigenvalues().reshape(-1))
+        ref = np.sort(np.linalg.eigvals(ops.dense_L()).real)
+        assert rel_max(lam, ref) <= 1e-12
+        # exactly one exact zero, the parity null mode, on all-odd grids only
+        assert np.count_nonzero(lam == 0.0) == ops.grid.has_parity_null
+        u = np.random.default_rng(5).standard_normal(ops.grid.n)
+        assert rel_max(ops.apply_symbol(ops.eigenvalues(), u),
+                       ops.apply_L(u)) <= 1e-13
+
+
 class TestKrylov:
     def test_matches_dense(self):
         ops = variable_ops_2d()
         f = random_field(ops.grid, seed=5)
-        w_dense = make_workspace(ops, S_E1).solve_Q(f)
+        w_dense = make_workspace(ops, S_E1, method="dense").solve_Q(f)
         w_kry = make_workspace(ops, S_E1, tol=1e-12,
                                method="krylov").solve_Q(f)
         diff = np.max(np.abs(w_dense.components - w_kry.components))
