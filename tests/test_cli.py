@@ -256,6 +256,18 @@ class TestEvolveTask:
         assert not (out / "snap_4.csv").exists()
         assert (out / "report.json").exists()
 
+    def test_non_positive_coefficient_exits_1(self, tmp_path, capsys):
+        # the generator is built from the symbols of L, which need every
+        # coefficient sample positive; the solver setting does not help
+        cfg = base_1d("evolve", n=9, length=1.0, coeff="x-0.45", alpha=0.6,
+                      time={"dt": 0.1, "t_end": 0.3},
+                      solver={"method": "dense"})
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "--force"]) == 1
+        err = capsys.readouterr().err
+        assert "build_matrix needs coefficients positive" in err
+        assert "solver" not in err
+
     def test_missing_time_block_exits_1(self, tmp_path):
         cfg = base_1d("evolve", n=15, alpha=0.6)
         assert main([write_cfg(tmp_path, cfg)]) == 1
@@ -285,6 +297,27 @@ class TestVerifyTask:
             entry = rep["checks"][name]
             assert entry["pass"] is True
             assert entry["value"] <= entry["tol"]
+        # these compare the symbol route with the node engine, two routes
+        # that agree to rounding, not bit for bit
+        for name in ("left_right_gap", "j_independence", "j_leak"):
+            assert rep["checks"][name]["value"] > 0.0
+        # the certificate is reported beside the checks, not among them
+        assert set(rep) == {"checks", "pass", "quadrature_certificate"}
+        cert = rep["quadrature_certificate"]
+        assert set(cert) == {"scal", "vec"}
+        assert 0.0 < cert["scal"] <= 1e-12 and 0.0 < cert["vec"] <= 1e-12
+
+    def test_forced_dense_run_with_non_positive_coefficient(self, tmp_path):
+        # L has no spectral factorization here, so only the dense node
+        # engine serves the run, and the certificate is null
+        cfg = base_1d("verify", n=9, length=1.0, coeff="x-0.45",
+                      solver={"method": "dense"})
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--force"]) == 0
+        rep = read_json(out, "verify.json")
+        assert rep["pass"] is True
+        assert rep["quadrature_certificate"] is None
 
     def test_coarse_quadrature_exits_4(self, tmp_path):
         cfg = base_1d("verify", n=31,

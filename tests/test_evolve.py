@@ -88,13 +88,6 @@ class TestGenerator:
         G = generator(fp)
         assert rel_gap(-2.0 * (G @ phi), lam ** 0.75 * phi) <= 1e-7
 
-    def test_leak_refusal(self):
-        g = grid1d(12)
-        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
-        bad = dataclasses.replace(fp, j_leak=1e-3)
-        with pytest.raises(ValueError):
-            generator(bad)
-
 
 class TestEvolutionConfig:
     def test_validation(self):
@@ -158,9 +151,10 @@ class TestEvolve:
         assert any(math.isclose(t, 0.4, rel_tol=1e-12) for t in times)
         assert np.array_equal(trace.snapshots[0][1].values, v0.values)
 
-    def test_cn_steps_match_lu_solve_loop(self):
-        # the stepping loop calls LAPACK getrs directly; it must reproduce a
-        # plain lu_solve loop bit for bit, remainder step included
+    def test_cn_propagator_matches_lu_solve_loop(self):
+        # a step is one matvec with the precomputed propagator; it must
+        # reproduce a plain lu_solve loop, remainder step included, up to
+        # the rounding of forming (I - dt/2 G)^{-1} (I + dt/2 G)
         g = grid1d(12)
         fp = build_matrix(QuadratureSpec(0.6), constant_operators(g))
         v0 = RealField.from_function(g, lambda x: x * (math.pi - x))
@@ -177,7 +171,7 @@ class TestEvolve:
                 expect.append(x.copy())
         assert len(trace.snapshots) == len(expect) == 6
         for (_, snap), want in zip(trace.snapshots, expect):
-            assert np.array_equal(snap.values, want)
+            assert rel_gap(snap.values, want) <= 1e-12
 
     def test_rk4_matches_fine_cn(self):
         g = grid1d(24)

@@ -6,7 +6,8 @@ import pytest
 from sfrac.coeff import make_profile
 from sfrac.errors import ConditionsFailed
 from sfrac.frac import (FracPowerOperator, QuadratureSpec, apply_P_alpha,
-                        build_matrix, integrand_form_gap, quad_nodes)
+                        build_matrix, integrand_form_gap, quad_nodes,
+                        quadrature_certificate)
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import closed_form_P_alpha
@@ -118,15 +119,18 @@ class TestApply:
         assert np.max(np.abs(out.vec[2].values)) <= 1e-12
 
     def test_j_independence(self):
+        # the symbol route never reads j, so the other units run the node
+        # engine: the right form through the dense solver, and the left form
         ops = variable_ops_2d()
         rng = np.random.default_rng(2)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
-        outs = []
-        for j in (None, J_E2, unit_from_components(1.0, 1.0, 1.0)):
-            spec = QuadratureSpec(0.4) if j is None else QuadratureSpec(0.4, j=j)
-            outs.append(apply_P_alpha(spec, ops, v).full.components)
-        assert rel_gap(outs[0], outs[1]) <= 1e-10
-        assert rel_gap(outs[0], outs[2]) <= 1e-10
+        base = apply_P_alpha(QuadratureSpec(0.4), ops, v).full.components
+        for j in (J_E2, unit_from_components(1.0, 1.0, 1.0)):
+            spec = QuadratureSpec(0.4, j=j)
+            for form, solver in (("right", SolverOptions("dense")),
+                                 ("left", None)):
+                out = apply_P_alpha(spec, ops, v, solver, form=form)
+                assert rel_gap(out.full.components, base) <= 1e-10
 
     def test_left_right_agreement(self):
         ops = variable_ops_2d()
@@ -138,10 +142,12 @@ class TestApply:
         assert rel_gap(r.full.components, l.full.components) <= 1e-10
 
     def test_j_leak_small(self):
+        # the leak is a diagnostic of the node engine; the symbol route of
+        # the right form is the j-free reduction itself
         ops = variable_ops_2d()
         v = QuatField.from_real(RealField.from_function(
             ops.grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y / 1.3)))
-        out = apply_P_alpha(QuadratureSpec(0.5), ops, v)
+        out = apply_P_alpha(QuadratureSpec(0.5), ops, v, form="left")
         scale = max(np.max(np.abs(out.full.components)), 1e-300)
         assert out.j_leak / scale <= 1e-9
 
@@ -154,6 +160,31 @@ class TestApply:
         gap = integrand_form_gap(QuadratureSpec(0.5), ops, v, t,
                                  SolverOptions(tol=tol))
         assert gap <= 10 * tol
+
+    @pytest.mark.parametrize("n", [(17,), (18,), (7, 9), (8, 9), (5, 7, 9),
+                                   (5, 6, 7)])
+    def test_symbol_route_matches_node_engine(self, n):
+        # the production route (right form, method "auto": two symbols of L)
+        # against the quaternionic node engine, on odd (parity null mode)
+        # and even grids with variable coefficients and vector components
+        lengths = (1.0, 1.3, 0.8)[: len(n)]
+        texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
+        ops = Operators(Grid(BoxDomain(lengths), n),
+                        tuple(make_profile(ax + 1, texts[ax], length)
+                              for ax, length in enumerate(lengths)))
+        v = QuatField(ops.grid, np.random.default_rng(8).standard_normal(
+            (4, *ops.grid.n)))
+        dense = SolverOptions("dense")
+        # small alpha: f_1 at the null mode, were it not 0, would amplify
+        # the rounding of T v there by ~1e4
+        for alpha in (0.1, 0.37):
+            spec = QuadratureSpec(alpha)
+            got = apply_P_alpha(spec, ops, v)
+            assert got.j_leak == 0.0
+            for form, solver in (("left", None), ("right", dense)):
+                ref = apply_P_alpha(spec, ops, v, solver, form=form)
+                assert rel_gap(got.full.components,
+                               ref.full.components) <= 1e-12
 
     def test_doubling_convergence(self):
         ops = variable_ops_2d()
@@ -222,21 +253,25 @@ class TestApply:
 
 class TestMatrixBuild:
     def test_matches_direct_apply(self):
-        g = grid1d(24)
-        ops = constant_operators(g)
+        # the columns come from the symbols; the reference is the
+        # quaternionic node engine (left form), not the symbol route
         spec = QuadratureSpec(0.6)
-        fp = build_matrix(spec, ops)
-        assert isinstance(fp, FracPowerOperator)
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            v = rng.standard_normal(24)
-            scal, vec = fp.apply(v)
-            direct = apply_P_alpha(spec, ops,
-                                   QuatField.from_real(RealField(g, v)))
-            assert rel_gap(scal, direct.scal.values.reshape(-1)) \
-                <= 10 * fp.build_tolerance
-            assert rel_gap(vec[0], direct.vec[0].values.reshape(-1)) \
-                <= 10 * fp.build_tolerance
+        for ops in (constant_operators(grid1d(24)), variable_ops_2d(7, 9),
+                    variable_ops_2d(6, 9)):
+            g = ops.grid
+            fp = build_matrix(spec, ops)
+            assert isinstance(fp, FracPowerOperator)
+            for w in rng.standard_normal((3, g.N)):
+                scal, vec = fp.apply(w)
+                ref = apply_P_alpha(spec, ops,
+                                    QuatField.from_real(RealField(g, w)),
+                                    form="left")
+                assert rel_gap(scal, ref.scal.values.reshape(-1)) \
+                    <= 10 * fp.build_tolerance
+                for ax in range(g.dims):
+                    assert rel_gap(vec[ax], ref.vec[ax].values.reshape(-1)) \
+                        <= 10 * fp.build_tolerance
 
     def test_scal_block_symmetric_for_constant_coefficients(self):
         ops = constant_operators(grid1d(16))
@@ -265,6 +300,19 @@ class TestMatrixBuild:
             build_matrix(QuadratureSpec(0.5), ops)
         with pytest.raises(ValueError, match="collocated"):
             integrand_form_gap(QuadratureSpec(0.5), ops, v, 0.7)
+
+    def test_quadrature_certificate(self):
+        # the symbols against the exact powers over the spectrum of L: tight
+        # on a coarse grid, and off on a fine one, where the fixed split
+        # t_split = 1 no longer fits the spread of the spectrum
+        coarse = quadrature_certificate(QuadratureSpec(0.5),
+                                        constant_operators(grid1d(31)))
+        assert 0.0 < coarse["scal"] <= 1e-12
+        assert 0.0 < coarse["vec"] <= 1e-12
+        fine = quadrature_certificate(QuadratureSpec(0.5),
+                                      constant_operators(grid1d(1023, 1.0)))
+        assert fine["scal"] > 1e-3
+        assert fine["vec"] > 1e-3
 
     def test_dense_cap(self):
         g = Grid(BoxDomain((1.0, 1.0)), (80, 80))
