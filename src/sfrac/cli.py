@@ -2,7 +2,9 @@
 
 Exit codes: 0 success; 1 config/schema/expression error (always before any
 numerical work); 2 hypothesis conditions failed for a task that needs them
-(unless --force); 3 solver failure; 4 verification failure.
+(unless --force); 4 verification failure.  The Q_t factorization is picked
+from the coefficients (see the resolvent module), so no config key chooses
+a solver.
 
 Determinism contract: identical config produces bit-identical output files
 — fixed quadrature reduction order, seeded estimators, no timestamps in any
@@ -26,14 +28,13 @@ import numpy as np
 from . import __version__
 from .coeff import check_conditions, make_profile, parse_expr, evaluate
 from .errors import (ConditionsFailed, EvalError, ExprSyntaxError,
-                     SolverDiverged, StabilityError)
+                     StabilityError)
 from .evolve import EvolutionConfig, evolve
 from .frac import (QuadratureSpec, apply_P_alpha, build_matrix,
                    gate_conditions, quad_nodes, quadrature_certificate)
 from .grid import BoxDomain, Grid, Operators, QuatField, RealField
 from .oracle import closed_form_P_alpha, s_spectrum_probe
 from .quat import J_E1, J_E2, J_E3, unit_from_components
-from .resolvent import SolverOptions
 
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 
@@ -79,15 +80,6 @@ SCHEMA = {
                 ]},
             },
         },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "method": {"enum": ["auto", "dense", "krylov"]},
-                "tol": _POS_NUM,
-                "max_iter": {"type": "integer", "minimum": 1},
-            },
-        },
         "task": {"enum": ["check", "spectrum", "palpha", "evolve", "verify"]},
         "initial": {"type": "string"},
         "time": {
@@ -131,11 +123,6 @@ class ConfigError(ValueError):
     """Config is syntactically valid JSON but semantically unusable."""
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips (CSV cell contract)."""
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # Config -> objects
 
@@ -174,13 +161,6 @@ def _build_quadrature(cfg: dict, alpha: float) -> QuadratureSpec:
                           n_tail=q.get("n_tail", 64))
 
 
-def _build_solver(cfg: dict) -> SolverOptions:
-    s = cfg.get("solver", {})
-    return SolverOptions(method=s.get("method", "auto"),
-                         tol=s.get("tol", 1e-10),
-                         max_iter=s.get("max_iter"))
-
-
 def _initial_field(cfg: dict, grid: Grid) -> RealField:
     text = cfg.get("initial")
     if text is None:
@@ -213,37 +193,33 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def _coords_row(coords: np.ndarray) -> list:
-    padded = list(coords) + [0.0] * (3 - len(coords))
-    return [_fmt(c) for c in padded]
+def _write_csv(path: str, header: str, cols):
+    """One row per entry of the stacked columns cols, every cell the
+    shortest decimal that round-trips (CSV cell contract)."""
+    rows = np.column_stack(cols).tolist()
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _padded_coords(grid: Grid) -> np.ndarray:
+    """(N, 3) node coordinates, absent axes padded with 0.0."""
+    coords = np.zeros((grid.N, 3))
+    coords[:, :grid.dims] = grid.node_coordinates()
+    return coords
 
 
 def _write_fields_csv(path: str, field: QuatField):
-    grid = field.grid
-    coords = grid.node_coordinates()
-    comps = field.components.reshape(4, -1)
-    with open(path, "w") as fh:
-        fh.write("x1,x2,x3,q0,q1,q2,q3\n")
-        for i in range(grid.N):
-            row = _coords_row(coords[i]) + [_fmt(comps[c, i]) for c in range(4)]
-            fh.write(",".join(row) + "\n")
+    _write_csv(path, "x1,x2,x3,q0,q1,q2,q3",
+               [_padded_coords(field.grid), field.components.reshape(4, -1).T])
 
 
 def _write_snapshot_csv(path: str, field: RealField):
-    grid = field.grid
-    coords = grid.node_coordinates()
-    flat = field.flat()
-    with open(path, "w") as fh:
-        fh.write("x1,x2,x3,v\n")
-        for i in range(grid.N):
-            fh.write(",".join(_coords_row(coords[i]) + [_fmt(flat[i])]) + "\n")
+    _write_csv(path, "x1,x2,x3,v", [_padded_coords(field.grid), field.flat()])
 
 
 def _write_trace_csv(path: str, times, l2s):
-    with open(path, "w") as fh:
-        fh.write("t,l2\n")
-        for t, v in zip(times, l2s):
-            fh.write(f"{_fmt(t)},{_fmt(v)}\n")
+    _write_csv(path, "t,l2", [times, l2s])
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +248,9 @@ def _task_palpha(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     alpha = _require_alpha(cfg)
     spec = _build_quadrature(cfg, alpha)
-    solver = _build_solver(cfg)
     report = gate_conditions(ops, force=force)
     v0 = _initial_field(cfg, grid)
-    result = apply_P_alpha(spec, ops, QuatField.from_real(v0), solver,
+    result = apply_P_alpha(spec, ops, QuatField.from_real(v0),
                            report=report, force=force)
     _write_fields_csv(os.path.join(out_dir, "fields.csv"), result.full)
     _write_json(os.path.join(out_dir, "report.json"), report.as_flat_dict())
@@ -318,7 +293,6 @@ def _task_verify(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     alpha = float(cfg.get("alpha", 0.5))
     spec = _build_quadrature(cfg, alpha)
-    solver = _build_solver(cfg)
     report = gate_conditions(ops, force=force)
     v0 = QuatField.from_real(_initial_field(cfg, grid))
 
@@ -334,15 +308,15 @@ def _task_verify(cfg, out_dir, force):
               for nd in quad_nodes(half))
     record("known_integral", abs(acc - math.pi / math.sqrt(2.0)), 1e-10)
 
-    # base: the production route (the symbol route unless an explicit
-    # dense/krylov solver asks for the node engine); references: the
-    # left-form node engine at three imaginary units
-    base = apply_P_alpha(spec, ops, v0, solver, report=report, force=force)
+    # base: the production route (the symbol route unless a coefficient
+    # sample <= 0 sends it to the node engine); references: the left-form
+    # node engine at three imaginary units
+    base = apply_P_alpha(spec, ops, v0, report=report, force=force)
     denom = max(base.full.l2(), 1e-300)
     gaps = []
     leaks = [base.j_leak]
     for j in (spec.j, J_E2, unit_from_components(1.0, 1.0, 1.0)):
-        left = apply_P_alpha(dataclasses.replace(spec, j=j), ops, v0, solver,
+        left = apply_P_alpha(dataclasses.replace(spec, j=j), ops, v0,
                              form="left", report=report, force=force)
         gaps.append((left.full - base.full).l2() / denom)
         leaks.append(left.j_leak)
@@ -351,7 +325,7 @@ def _task_verify(cfg, out_dir, force):
 
     doubled = dataclasses.replace(spec, n_sing=2 * spec.n_sing,
                                   n_tail=2 * spec.n_tail)
-    r2 = apply_P_alpha(doubled, ops, v0, solver, report=report, force=force)
+    r2 = apply_P_alpha(doubled, ops, v0, report=report, force=force)
     record("quadrature_doubling", (r2.full - base.full).l2() / denom, 1e-8)
 
     record("j_leak", max(leaks), 1e-9)
@@ -431,11 +405,6 @@ def main(argv=None) -> int:
     except ConditionsFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverDiverged as exc:
-        node = getattr(exc, "node_index", None)
-        where = f" at node {node}" if node is not None else ""
-        print(f"error: solver failed{where}: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

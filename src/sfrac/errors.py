@@ -21,15 +21,7 @@ class EvalError(ArithmeticError):
 
 
 class SolverDiverged(RuntimeError):
-    """Linear solver failed to reach the requested residual.  ``node_index``
-    identifies the quadrature node when the failure happened inside the
-    Balakrishnan loop (None otherwise)."""
-
-    def __init__(self, message, node_index=None):
-        if node_index is not None:
-            message = f"{message} [quadrature node {node_index}]"
-        super().__init__(message)
-        self.node_index = node_index
+    """A Q_s solve missed its a-posteriori residual guard."""
 
 
 class ConditionsFailed(RuntimeError):

@@ -21,16 +21,18 @@ symbols of L (`symbols`):
     f_1(lambda) = -(sin(theta)/pi) sum_i c_i t_i / (t_i^2 + lambda),
     f_2(lambda) =  (cos(theta)/pi) sum_i c_i lambda / (t_i^2 + lambda).
 
-That is the production route of `apply_P_alpha` (right form, solver method
-"auto") and of `build_matrix`: one pass over the eigenvalue array and two
-applications of the per-axis factorization of L, whatever the node count.
-Its result is the reduced form, so it cannot leak off the j-free span.
+That is the production route of `apply_P_alpha` (right form, every
+coefficient sample positive) and of `build_matrix`: one pass over the
+eigenvalue array and two applications of the per-axis factorization of L,
+whatever the node count.  Its result is the reduced form, so it cannot leak
+off the j-free span.
 
 The quaternionic node engine (`_NodeEngine`) is the reference: it solves
 Q_t per node, accumulates the naive quaternionic pair sum, and reports its
 gap to the reduced form as the j_leak diagnostic instead of projecting it
-away.  It runs for the left form and for an explicit "dense"/"krylov"
-solver, and `verify` compares it, at several j, with the symbol route.
+away.  It runs for the left form and for a coefficient set with a sample
+<= 0 (where L has no spectral factorization and each Q_t gets a dense LU),
+and `verify` compares it, at several j, with the symbol route.
 
 Quadrature: the weight t^{alpha-1} is integrable but singular at 0, so the
 panel [0, t_split] uses Gauss-Jacobi nodes absorbing exactly that weight.
@@ -60,11 +62,11 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .coeff import check_conditions
-from .errors import ConditionsFailed, SolverDiverged
+from .errors import ConditionsFailed
 from .grid import (DENSE_CAP, FaceField, Grid, Operators, QuatField,
                    RealField, StaggeredOperators)
 from .quat import ImaginaryUnit, J_E1, Quaternion, left_mult_table, qmul
-from .resolvent import ResolventWorkspace, SolverOptions
+from .resolvent import ResolventWorkspace
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,13 +201,11 @@ def _mix(q: Quaternion, arr: np.ndarray) -> np.ndarray:
 
 class _NodeEngine:
     """Per-node quaternionic quadrature: the reference route of
-    apply_P_alpha (left form, or an explicit dense/krylov solver)."""
+    apply_P_alpha (left form, or a coefficient sample <= 0)."""
 
-    def __init__(self, spec: QuadratureSpec, ops: Operators,
-                 solver: SolverOptions):
+    def __init__(self, spec: QuadratureSpec, ops: Operators):
         self.spec = spec
         self.ops = ops
-        self.solver = solver
         self.theta = (spec.alpha - 1.0) * math.pi / 2.0
         self.cos_t = math.cos(self.theta)
         self.sin_t = math.sin(self.theta)
@@ -219,21 +219,12 @@ class _NodeEngine:
         self.t_tail, self.w_tail = t_tail, w_tail
         self.n_nodes = len(t_near) + len(t_tail)
 
-    def _workspace(self, t: float, node_index: int) -> ResolventWorkspace:
-        s = self.jq.scale(-t)
-        try:
-            return ResolventWorkspace(self.ops, s, self.solver)
-        except SolverDiverged as exc:  # pragma: no cover - assembly rarely fails
-            raise SolverDiverged(str(exc), node_index=node_index) from exc
-
-    def _solve(self, ws: ResolventWorkspace, rhs_flat: np.ndarray,
-               node_index: int) -> np.ndarray:
-        # every integrand solve has rhs in the range of the A_l operators
-        # (T v or T^2 v), so the parity-mode coefficient is exactly zero
-        try:
-            return ws._solve_stack(rhs_flat, null_free_rhs=True)
-        except SolverDiverged as exc:
-            raise SolverDiverged(str(exc), node_index=node_index) from exc
+    def _solve(self, t: float, rhs_flat: np.ndarray) -> np.ndarray:
+        """Q_t^{-1} on stacked rows.  Every integrand solve has rhs in the
+        range of the A_l operators (T v or T^2 v), so the parity-mode
+        coefficient is exactly zero."""
+        ws = ResolventWorkspace(self.ops, self.jq.scale(-t))
+        return ws._solve_stack(rhs_flat, null_free_rhs=True)
 
     def near_contribution(self, i: int, tv: np.ndarray, lv: np.ndarray,
                           form: str):
@@ -241,10 +232,9 @@ class _NodeEngine:
         t^{alpha-1}).  tv = T v, lv = T^2 v componentwise, shapes (4,*n)."""
         t = float(self.t_near[i])
         w = float(self.w_near[i])
-        ws = self._workspace(t, i)
         if form == "right":
             rhs = np.concatenate([tv, lv]).reshape(8, -1)
-            u1, u2 = self._solve(ws, rhs, i).reshape(2, *tv.shape)
+            u1, u2 = self._solve(t, rhs).reshape(2, *tv.shape)
             # naive quaternionic pair of the splitting form, t^{alpha-1} off:
             #   e_+ (-u2 - s_+ u1) + e_- (-u2 - s_- u1),  s_+- = -+ j t
             s_plus = self.jq.scale(-t)
@@ -254,7 +244,7 @@ class _NodeEngine:
             naive = g_p + g_m
             reduced = 2.0 * self.sin_t * t * u1 - 2.0 * self.cos_t * u2
         else:  # left form: one solve, factor inside the resolvent argument
-            u1 = self._solve(ws, tv.reshape(4, -1), i).reshape(tv.shape)
+            u1 = self._solve(t, tv.reshape(4, -1)).reshape(tv.shape)
             tu1 = self.ops.apply_T(u1)
             naive = self._left_pair(u1, t)
             reduced = 2.0 * self.sin_t * t * u1 - 2.0 * self.cos_t * tu1
@@ -265,9 +255,7 @@ class _NodeEngine:
         carries its own t^{alpha-1})."""
         t = float(self.t_tail[i])
         w = float(self.w_tail[i])
-        node_index = len(self.t_near) + i
-        ws = self._workspace(t, node_index)
-        u1 = self._solve(ws, tv.reshape(4, -1), node_index).reshape(tv.shape)
+        u1 = self._solve(t, tv.reshape(4, -1)).reshape(tv.shape)
         tu1 = self.ops.apply_T(u1)
         pref = t ** (self.spec.alpha - 1.0)
         if form == "right":
@@ -339,34 +327,33 @@ def gate_conditions(ops: Operators | StaggeredOperators, report=None,
 
 
 def apply_P_alpha(spec: QuadratureSpec,
-                  ops: Operators | StaggeredOperators, v: QuatField,
-                  solver: SolverOptions | None = None, *, form: str = "right",
-                  report=None, force: bool = False) -> FracApplyResult:
+                  ops: Operators | StaggeredOperators, v: QuatField, *,
+                  form: str = "right", report=None,
+                  force: bool = False) -> FracApplyResult:
     """P_alpha(T) v by quadrature of the right (default) or left Balakrishnan
     form.  The reduction order is fixed ascending in t, so results are
     bitwise reproducible.
 
-    The right form with solver method "auto" (the default) takes the symbol
-    route, f_1(L) T v + f_2(L) v; the left form, or an explicit "dense" or
-    "krylov" solver, runs the quaternionic node engine, the reference.
+    The right form on positive coefficients (`ops.is_positive`) takes the
+    symbol route, f_1(L) T v + f_2(L) v; the left form, or a coefficient
+    sample <= 0, runs the quaternionic node engine, the reference.
 
     With `StaggeredOperators`, v must be real (its vector components zero)
     and the symbols are applied through the per-axis factorization of that
-    scheme, where both forms coincide; solver is unused.
+    scheme, where both forms coincide.
     """
     if form not in ("right", "left"):
         raise ValueError("form must be 'right' or 'left'")
     gate_conditions(ops, report, force)
     if isinstance(ops, StaggeredOperators):
         return _apply_P_alpha_staggered(spec, ops, v)
-    solver = solver or SolverOptions()
-    if form == "right" and solver.method == "auto":
+    if form == "right" and ops.is_positive:
         f1, f2 = symbols(spec, ops.eigenvalues())
         comps = (ops.apply_symbol(f1, ops.apply_T(v.components))
                  + ops.apply_symbol(f2, v.components))
         leak = 0.0
     else:
-        comps, leak = _NodeEngine(spec, ops, solver).run(v.components, form)
+        comps, leak = _NodeEngine(spec, ops).run(v.components, form)
     full = QuatField(v.grid, comps)
     scal = full.component(0)
     vec = tuple(full.component(i) for i in (1, 2, 3))
@@ -390,18 +377,15 @@ def _apply_P_alpha_staggered(spec: QuadratureSpec, ops: StaggeredOperators,
 
 
 def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
-                       t: float, solver: SolverOptions | None = None) -> float:
+                       t: float) -> float:
     """Relative gap at one +-t pair between the splitting-identity form and
     the Tv form of the right integrand (they are equal in exact arithmetic;
-    the gap scales with solver tolerance)."""
+    the gap is the rounding of the Q_t solve)."""
     _require_collocated(ops, "integrand_form_gap")
-    engine = _NodeEngine(spec, ops, solver or SolverOptions())
-    s = spec.j.scale(-t)
-    ws = ResolventWorkspace(ops, s, solver or SolverOptions())
+    engine = _NodeEngine(spec, ops)
     tv = ops.apply_T(v.components)
     lv = ops.apply_L(v.components)
-    sol = ws._solve_stack(np.concatenate([tv, lv]).reshape(8, -1),
-                          null_free_rhs=True)
+    sol = engine._solve(t, np.concatenate([tv, lv]).reshape(8, -1))
     u1, u2 = sol.reshape(2, *tv.shape)
     tu1 = ops.apply_T(u1)
     # paired forms, common factor t^{alpha-1} dropped

@@ -44,7 +44,7 @@ _E_TABLES = [left_mult_table(q) for q in
                Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))]
 
 DEFAULT_CAPS = {1: (2048,), 2: (128, 128), 3: (24, 24, 24)}
-DENSE_CAP = 5000  # largest N for dense materialization / LU path
+DENSE_CAP = 5000  # largest N for dense materialization and the LU of Q_s
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,9 @@ def _axis_profile_samples(grid: Grid, profile: CoefficientProfile,
 class Operators:
     """Bundles the per-axis discrete operators for one (grid, coefficients)
     pair; all applications are matrix-free, with a per-axis spectral
-    factorization of L for the resolvent solves and dense materialization
-    for the oracle/LU paths up to N <= DENSE_CAP."""
+    factorization of L for the resolvent solves on positive coefficients
+    and dense materialization up to N <= DENSE_CAP for the oracles and the
+    LU of Q_s that serves the others."""
 
     def __init__(self, grid: Grid, profiles):
         profiles = tuple(profiles)
@@ -308,7 +309,8 @@ class Operators:
         self.a_samples = tuple(_axis_profile_samples(grid, p, i)
                                for i, p in enumerate(profiles))
         self.is_constant = all(p.is_constant for p in profiles)
-        # the per-axis spectral factorization of L exists only then
+        # the per-axis spectral factorization of L exists only then; the
+        # resolvent workspaces pick it, or a dense LU of Q_s, from this flag
         self.is_positive = all(np.min(a) > 0.0 for a in self.a_samples)
 
     # -- matrix-free applications (arrays shaped (..., *grid.n)) ---------
@@ -395,8 +397,7 @@ class Operators:
         """
         if not self.is_positive:
             raise ValueError("the spectral factorization of L needs "
-                             "coefficients positive at every node; use "
-                             "solver method 'dense' or 'krylov'")
+                             "coefficients positive at every node")
         out = []
         for ax in range(self.grid.dims):
             r = np.sqrt(self.a_samples[ax].reshape(-1))
@@ -582,13 +583,6 @@ class LinearSystem:
 
     def matvec(self, values: np.ndarray) -> np.ndarray:
         return self.t2 * values + self.ops.apply_L(values)
-
-    def matvec_transpose(self, values: np.ndarray) -> np.ndarray:
-        out = self.t2 * values
-        for ax in range(self.grid.dims):
-            out -= self.ops.apply_A_transpose(
-                ax, self.ops.apply_A_transpose(ax, values))
-        return out
 
     def dense(self) -> np.ndarray:
         return self.t2 * np.eye(self.grid.N) + self.ops.dense_L()

@@ -3,13 +3,14 @@ norm estimation for the resolvent-bound checks.
 
 Q_s = |s|^2 I - sum_l A_l^2 is a real matrix acting componentwise, so a
 quaternion right-hand side is four independent real solves sharing one
-factorization.  The default method ("auto") is the per-axis spectral
-factorization of L that `Operators` caches (fast diagonalization, Lynch,
-Rice and Thomas, Numer. Math. 6, 1964): Q_s^{-1} is the diagonal scaling
-1/(|s|^2 + Lambda) between two per-axis tensor transforms, so every
+factorization.  The coefficients pick that factorization.  When every
+coefficient sample is positive (`Operators.is_positive`) it is the per-axis
+spectral factorization of L that `Operators` caches (fast diagonalization,
+Lynch, Rice and Thomas, Numer. Math. 6, 1964): Q_s^{-1} is the diagonal
+scaling 1/(|s|^2 + Lambda) between two per-axis tensor transforms, so every
 quadrature node shares one factorization of L and a workspace costs no
-factorization of its own.  "dense" (LU of Q_s) and "krylov" (CG/BiCGStab)
-stay as independent references.
+factorization of its own.  Otherwise L has no such factorization and the
+workspace takes a dense LU of Q_s (N <= DENSE_CAP).
 
 The production P_alpha and its matrix do not come through here: summed over
 the nodes, the resolvents collapse onto two scalar symbols of L (see the
@@ -30,23 +31,18 @@ factorization to resolve it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import SolverDiverged
 from .grid import (_E_TABLES, LinearSystem, Operators, QuatField,
                    assemble_Q)
 from .quat import Quaternion, left_mult_table
 
-
-@dataclass
-class SolverOptions:
-    method: str = "auto"  # auto (= spectral) | dense | krylov
-    tol: float = 1e-10
-    max_iter: int | None = None  # default 20*N
+# relative residual above which solve_Q raises SolverDiverged; either
+# factorization of a nonsingular deflated Q_s meets it by orders of magnitude
+RESIDUAL_GUARD = 1e-8
 
 
 class ResolventWorkspace:
@@ -56,51 +52,24 @@ class ResolventWorkspace:
     factorization) and allocate private scratch.
     """
 
-    def __init__(self, ops: Operators, s: Quaternion,
-                 options: SolverOptions | None = None):
+    def __init__(self, ops: Operators, s: Quaternion):
         if s.w != 0.0:
             raise ValueError("workspace requires purely imaginary s")
         self.ops = ops
         self.grid = ops.grid
         self.s = s
-        self.options = options or SolverOptions()
         self.system: LinearSystem = assemble_Q(ops, s)
         self.t2 = self.system.t2
-        method = self.options.method
-        if method == "auto":
-            method = "spectral"
-        self.method = method
         self._lu = None
-        if method == "spectral":
+        if ops.is_positive:
             # the parity-null coefficient is exactly 0: _deflate owns that mode
             lam = ops.eigenvalues()
             self._symbol = np.where(lam > 0.0, 1.0 / (self.t2 + lam), 0.0)
-        elif method == "dense":
-            self._lu = scipy.linalg.lu_factor(self.system.dense())
-        elif method == "krylov":
-            self._diag = self._assemble_diagonal()
         else:
-            raise ValueError(f"unknown solver method {method!r}")
+            self._lu = scipy.linalg.lu_factor(self.system.dense())
         self._null = ops.null_pair  # (zeta, eta) or None
 
     # -- low level solves --------------------------------------------------
-    def _assemble_diagonal(self) -> np.ndarray:
-        # diag(Q) = t^2 + sum_l (a_i a_{i+1} + a_i a_{i-1}) / (2h)^2 per axis
-        g = self.grid
-        diag = np.full(g.n, self.t2)
-        for ax in range(g.dims):
-            a = self.ops.a_samples[ax] * np.ones(g.n)
-            up = np.zeros(g.n)
-            dn = np.zeros(g.n)
-            sl_lo = [slice(None)] * g.dims
-            sl_hi = [slice(None)] * g.dims
-            sl_lo[ax] = slice(0, g.n[ax] - 1)
-            sl_hi[ax] = slice(1, g.n[ax])
-            up[tuple(sl_lo)] = a[tuple(sl_lo)] * a[tuple(sl_hi)]
-            dn[tuple(sl_hi)] = a[tuple(sl_hi)] * a[tuple(sl_lo)]
-            diag += (up + dn) / (4.0 * g.h[ax] ** 2)
-        return diag.reshape(-1)
-
     def _deflate(self, rhs: np.ndarray, transpose: bool):
         """Split off the exact parity mode.  rhs shape (K, N)."""
         zeta, eta = self._null
@@ -132,13 +101,11 @@ class ResolventWorkspace:
         else:
             work, beta, right, left, denom = rhs, None, None, None, None
 
-        if self.method == "spectral":
+        if self._lu is None:
             sol = self._solve_spectral(work, transpose)
-        elif self.method == "dense":
+        else:
             sol = scipy.linalg.lu_solve(self._lu, work.T,
                                         trans=1 if transpose else 0).T
-        else:
-            sol = self._solve_krylov(work, transpose)
 
         if beta is not None:
             # remove factorization garbage along the deflated direction (the
@@ -157,55 +124,18 @@ class ResolventWorkspace:
         out[live] = sol.reshape(vals.shape[0], self.grid.N)
         return out
 
-    def _solve_krylov(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
-        g = self.grid
-        n = g.N
-        mv = (self.system.matvec_transpose if transpose else self.system.matvec)
-
-        def matvec_flat(x):
-            return mv(x.reshape(g.n)).reshape(-1)
-
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec_flat,
-                                                dtype=float)
-        pre = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=lambda x: x / self._diag, dtype=float)
-        max_iter = self.options.max_iter or 20 * n
-        tol = self.options.tol
-        use_cg = self.ops.is_constant  # Q symmetric only then
-        out = np.empty_like(rhs)
-        for k in range(rhs.shape[0]):
-            b = rhs[k]
-            if not b.any():
-                out[k] = 0.0
-                continue
-            if use_cg:
-                x, info = scipy.sparse.linalg.cg(
-                    op, b, rtol=tol, atol=0.0, maxiter=max_iter, M=pre)
-            else:
-                x, info = scipy.sparse.linalg.bicgstab(
-                    op, b, rtol=tol, atol=0.0, maxiter=max_iter, M=pre)
-            if info != 0:
-                raise SolverDiverged(
-                    f"krylov solve failed (info={info}) at |s|^2={self.t2:g}")
-            out[k] = x
-        return out
-
     # -- field-level API -----------------------------------------------------
     def solve_Q(self, f: QuatField) -> QuatField:
-        """w with Q_s w = f, relative residual <= tol (checked on the direct
-        paths too: a factorization of a benign matrix meets it by a margin)."""
+        """w with Q_s w = f; raises SolverDiverged when the relative residual
+        exceeds RESIDUAL_GUARD (a cheap a-posteriori check)."""
         comps = f.components.reshape(4, -1)
         sol = self._solve_stack(comps)
         w = QuatField(f.grid, sol.reshape(4, *self.grid.n))
-        if self.method != "krylov":
-            # cheap a-posteriori guard; both direct solves of the deflated
-            # system are comfortably inside tol at desk scale
-            r = self.system.matvec(w.components) - f.components
-            nf = float(np.sqrt(np.sum(f.components ** 2)))
-            if nf > 0 and float(np.sqrt(np.sum(r ** 2))) > 100 * self.options.tol * nf:
-                raise SolverDiverged(
-                    f"{self.method} solve residual above tolerance at "
-                    f"|s|^2={self.t2:g}")
+        r = self.system.matvec(w.components) - f.components
+        nf = float(np.sqrt(np.sum(f.components ** 2)))
+        if nf > 0 and float(np.sqrt(np.sum(r ** 2))) > RESIDUAL_GUARD * nf:
+            raise SolverDiverged(
+                f"solve residual above tolerance at |s|^2={self.t2:g}")
         return w
 
     def solve_Q_real(self, values: np.ndarray) -> np.ndarray:
@@ -247,7 +177,8 @@ class ResolventWorkspace:
         sol = self._solve_stack(flat, transpose=True)
         return sol.reshape(-1)
 
-    def estimate_norm(self, rel_tol: float = 1e-6, max_iter: int = 500) -> float:
+    def estimate_norm(self, rel_tol: float = 1e-6,
+                      max_steps: int = 500) -> float:
         """Largest singular value of the real 4N x 4N representation of
         S_R^{-1}, by power iteration on M^T M.  Deterministic start; the
         Rayleigh quotient makes it a lower-bound estimate."""
@@ -255,7 +186,7 @@ class ResolventWorkspace:
         x = rng.standard_normal(4 * self.grid.N)
         x /= np.linalg.norm(x)
         sigma = 0.0
-        for _ in range(max_iter):
+        for _ in range(max_steps):
             y = self._apply_SR_flat(x)
             z = self._apply_SR_transpose_flat(y)
             nz = np.linalg.norm(z)
@@ -267,12 +198,6 @@ class ResolventWorkspace:
                 return new_sigma
             sigma = new_sigma
         return sigma
-
-
-def make_workspace(ops: Operators, s: Quaternion, tol: float = 1e-10,
-                   method: str = "auto", max_iter: int | None = None
-                   ) -> ResolventWorkspace:
-    return ResolventWorkspace(ops, s, SolverOptions(method, tol, max_iter))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +213,7 @@ def splitting_residual(ws: ResolventWorkspace, v: QuatField) -> float:
 
 
 def s_resolvent_equation_residual(ops: Operators, s: Quaternion, p: Quaternion,
-                                  v: QuatField, tol: float = 1e-10) -> float:
+                                  v: QuatField) -> float:
     """Relative residual of the S-resolvent equation linking S_R^{-1}(s,T)
     and S_L^{-1}(p,T) at two purely imaginary points with |s| != |p|:
 
@@ -297,8 +222,8 @@ def s_resolvent_equation_residual(ops: Operators, s: Quaternion, p: Quaternion,
 
     (for Re s = Re p = 0 the quadratic p^2 - 2 Re(s) p + |s|^2 collapses to
     the real scalar |s|^2 - |p|^2)."""
-    ws_s = make_workspace(ops, s, tol)
-    ws_p = make_workspace(ops, p, tol)
+    ws_s = ResolventWorkspace(ops, s)
+    ws_p = ResolventWorkspace(ops, p)
     lhs = ws_s.apply_SR(ws_p.apply_SL(v))
     pv = v.left_mul(p)
     diff_pv = ws_s.apply_SR(pv) - ws_p.apply_SL(pv)

@@ -14,7 +14,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sfrac.cli import SCHEMA, main
+from sfrac.cli import SCHEMA, _write_fields_csv, main
+from sfrac.coeff import make_profile
+from sfrac.frac import QuadratureSpec, apply_P_alpha
+from sfrac.grid import BoxDomain, Grid, Operators, QuatField, RealField
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -95,6 +98,12 @@ class TestSchemaRejection:
     def test_threads_below_one_exits_1(self, tmp_path):
         cfg = base_1d("check")
         assert main([write_cfg(tmp_path, cfg), "--threads", "0"]) == 1
+
+    def test_solver_key_exits_1(self, tmp_path, capsys):
+        # the coefficients pick the Q_t factorization; no key chooses it
+        cfg = base_1d("palpha", alpha=0.5, solver={"method": "dense"})
+        assert main([write_cfg(tmp_path, cfg)]) == 1
+        assert "'solver' was unexpected" in capsys.readouterr().err
 
 
 class TestCheckTask:
@@ -180,6 +189,18 @@ class TestPalphaTask:
         meta = read_json(out, "run_meta.json")
         assert meta["task"] == "palpha"
 
+    def test_fields_csv_exact_text(self, tmp_path):
+        grid = Grid(BoxDomain((1.0,)), (3,))
+        comps = np.array([[0.1, -0.0, 1e-17], [2.0, 0.0, -3.5],
+                          [0.0, 0.0, 0.0], [1 / 3, -1e300, 5e-324]])
+        path = tmp_path / "fields.csv"
+        _write_fields_csv(str(path), QuatField(grid, comps))
+        assert path.read_text() == (
+            "x1,x2,x3,q0,q1,q2,q3\n"
+            "0.25,0.0,0.0,0.1,2.0,0.0,0.3333333333333333\n"
+            "0.5,0.0,0.0,-0.0,0.0,0.0,-1e+300\n"
+            "0.75,0.0,0.0,1e-17,-3.5,0.0,5e-324\n")
+
     def test_missing_alpha_exits_1(self, tmp_path):
         cfg = base_1d("palpha", n=15)
         assert main([write_cfg(tmp_path, cfg)]) == 1
@@ -198,7 +219,8 @@ class TestPalphaTask:
         assert (outs[2] / "fields.csv").read_bytes() == ref
 
     @pytest.mark.parametrize("n", [20, 21])
-    def test_default_solver_matches_dense(self, tmp_path, n):
+    def test_default_solver_matches_dense(self, tmp_path, n, dense_route):
+        # the CLI's symbol route against the node engine on dense LU
         cfg = {
             "domain": {"dims": 2, "lengths": [1.0, 1.3]},
             "grid": {"n": [n, n - 4]},
@@ -206,15 +228,18 @@ class TestPalphaTask:
             "task": "palpha", "alpha": 0.4,
             "initial": "x*(1-x)*y*(1.3-y)*(1+0.3*sin(3*x))",
         }
-        fields = []
-        for method in ("auto", "dense"):
-            cfg["solver"] = {"method": method}
-            out = tmp_path / method
-            assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-            fields.append(np.loadtxt(out / "fields.csv", delimiter=",",
-                                     skiprows=1)[:, 3:])
-        gap = np.max(np.abs(fields[0] - fields[1]))
-        assert gap <= 1e-12 * np.max(np.abs(fields[1]))
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        got = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)[:, 3:]
+        grid = Grid(BoxDomain((1.0, 1.3)), (n, n - 4))
+        ops = Operators(grid, (make_profile(1, "1+0.1*sin(x)", 1.0),
+                               make_profile(2, "exp(0.2*x)", 1.3)))
+        v = RealField.from_function(grid, lambda x, y: x * (1 - x) * y
+                                    * (1.3 - y) * (1 + 0.3 * np.sin(3 * x)))
+        ref = apply_P_alpha(QuadratureSpec(0.4), dense_route(ops),
+                            QuatField.from_real(v)).full.components
+        want = ref.reshape(4, -1).T
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_failed_conditions_gate_and_force(self, tmp_path):
         cfg = base_1d("palpha", n=15, alpha=0.5, coeff="0.01+x^2",
@@ -228,10 +253,16 @@ class TestPalphaTask:
         assert (out2 / "fields.csv").exists()
         assert read_json(out2, "run_meta.json")["force"] is True
 
-    def test_solver_divergence_exits_3(self, tmp_path):
-        cfg = base_1d("palpha", n=15, alpha=0.5,
-                      solver={"method": "krylov", "max_iter": 1})
-        assert main([write_cfg(tmp_path, cfg)]) == 3
+    def test_forced_run_with_non_positive_coefficient(self, tmp_path):
+        # L has no spectral factorization here, so the node engine on dense
+        # LU serves the run
+        cfg = base_1d("palpha", n=9, length=1.0, coeff="x-0.45", alpha=0.5,
+                      initial="x*(1-x)")
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--force"]) == 0
+        rows = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (9, 7) and np.all(np.isfinite(rows))
 
 
 class TestEvolveTask:
@@ -258,15 +289,13 @@ class TestEvolveTask:
 
     def test_non_positive_coefficient_exits_1(self, tmp_path, capsys):
         # the generator is built from the symbols of L, which need every
-        # coefficient sample positive; the solver setting does not help
+        # coefficient sample positive
         cfg = base_1d("evolve", n=9, length=1.0, coeff="x-0.45", alpha=0.6,
-                      time={"dt": 0.1, "t_end": 0.3},
-                      solver={"method": "dense"})
+                      time={"dt": 0.1, "t_end": 0.3})
         assert main([write_cfg(tmp_path, cfg), "--out",
                      str(tmp_path / "out"), "--force"]) == 1
         err = capsys.readouterr().err
         assert "build_matrix needs coefficients positive" in err
-        assert "solver" not in err
 
     def test_missing_time_block_exits_1(self, tmp_path):
         cfg = base_1d("evolve", n=15, alpha=0.6)
@@ -308,10 +337,9 @@ class TestVerifyTask:
         assert 0.0 < cert["scal"] <= 1e-12 and 0.0 < cert["vec"] <= 1e-12
 
     def test_forced_dense_run_with_non_positive_coefficient(self, tmp_path):
-        # L has no spectral factorization here, so only the dense node
-        # engine serves the run, and the certificate is null
-        cfg = base_1d("verify", n=9, length=1.0, coeff="x-0.45",
-                      solver={"method": "dense"})
+        # L has no spectral factorization here, so the node engine on dense
+        # LU serves the run, and the certificate is null
+        cfg = base_1d("verify", n=9, length=1.0, coeff="x-0.45")
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out),
                      "--force"]) == 0

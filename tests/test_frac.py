@@ -12,7 +12,6 @@ from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import closed_form_P_alpha
 from sfrac.quat import J_E2, unit_from_components
-from sfrac.resolvent import SolverOptions
 
 
 def grid1d(n, length=math.pi):
@@ -118,18 +117,17 @@ class TestApply:
         assert np.max(np.abs(out.vec[1].values)) <= 1e-12
         assert np.max(np.abs(out.vec[2].values)) <= 1e-12
 
-    def test_j_independence(self):
+    def test_j_independence(self, dense_route):
         # the symbol route never reads j, so the other units run the node
-        # engine: the right form through the dense solver, and the left form
+        # engine: the right form through dense LU, and the left form
         ops = variable_ops_2d()
         rng = np.random.default_rng(2)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
         base = apply_P_alpha(QuadratureSpec(0.4), ops, v).full.components
         for j in (J_E2, unit_from_components(1.0, 1.0, 1.0)):
             spec = QuadratureSpec(0.4, j=j)
-            for form, solver in (("right", SolverOptions("dense")),
-                                 ("left", None)):
-                out = apply_P_alpha(spec, ops, v, solver, form=form)
+            for form, route in (("right", dense_route(ops)), ("left", ops)):
+                out = apply_P_alpha(spec, route, v, form=form)
                 assert rel_gap(out.full.components, base) <= 1e-10
 
     def test_left_right_agreement(self):
@@ -157,14 +155,14 @@ class TestApply:
         rng = np.random.default_rng(4)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
         tol = 1e-10
-        gap = integrand_form_gap(QuadratureSpec(0.5), ops, v, t,
-                                 SolverOptions(tol=tol))
+        gap = integrand_form_gap(QuadratureSpec(0.5), ops, v, t)
         assert gap <= 10 * tol
 
     @pytest.mark.parametrize("n", [(17,), (18,), (7, 9), (8, 9), (5, 7, 9),
                                    (5, 6, 7)])
-    def test_symbol_route_matches_node_engine(self, n):
-        # the production route (right form, method "auto": two symbols of L)
+    def test_symbol_route_matches_node_engine(self, n, dense_route):
+        # the production route (right form, positive coefficients: two
+        # symbols of L)
         # against the quaternionic node engine, on odd (parity null mode)
         # and even grids with variable coefficients and vector components
         lengths = (1.0, 1.3, 0.8)[: len(n)]
@@ -174,15 +172,15 @@ class TestApply:
                               for ax, length in enumerate(lengths)))
         v = QuatField(ops.grid, np.random.default_rng(8).standard_normal(
             (4, *ops.grid.n)))
-        dense = SolverOptions("dense")
+        dense = dense_route(ops)
         # small alpha: f_1 at the null mode, were it not 0, would amplify
         # the rounding of T v there by ~1e4
         for alpha in (0.1, 0.37):
             spec = QuadratureSpec(alpha)
             got = apply_P_alpha(spec, ops, v)
             assert got.j_leak == 0.0
-            for form, solver in (("left", None), ("right", dense)):
-                ref = apply_P_alpha(spec, ops, v, solver, form=form)
+            for form, route in (("left", ops), ("right", dense)):
+                ref = apply_P_alpha(spec, route, v, form=form)
                 assert rel_gap(got.full.components,
                                ref.full.components) <= 1e-12
 

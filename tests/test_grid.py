@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sfrac.grid import (BoxDomain, Grid, LinearSystem, Operators, QuatField,
-                        RealField, assemble_Q, constant_operators, diff_axis,
-                        lincomb, norms)
+from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
+                        assemble_Q, constant_operators, diff_axis, lincomb,
+                        norms)
 from sfrac.coeff import make_profile
 from sfrac.quat import E2, Quaternion
 
@@ -281,15 +281,6 @@ class TestLinearSystem:
             assemble_Q(ops, Quaternion(1.0, 1.0, 0, 0))
         with pytest.raises(ValueError):
             assemble_Q(ops, Quaternion(0, 0, 0, 0))
-
-    def test_matvec_transpose(self):
-        g = grid1d(13, 1.0)
-        ops = Operators(g, (make_profile(1, "1+0.2*x", 1.0),))
-        q = LinearSystem(ops, 0.49)
-        rng = np.random.default_rng(4)
-        u, v = rng.standard_normal((2, 13))
-        assert math.isclose(np.dot(q.matvec(u), v),
-                            np.dot(u, q.matvec_transpose(v)), rel_tol=1e-13)
 
 
 class TestNorms:

@@ -8,9 +8,8 @@ from sfrac.errors import SolverDiverged
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         constant_operators)
 from sfrac.quat import Quaternion
-from sfrac.resolvent import (ResolventWorkspace, SolverOptions,
-                             make_workspace, s_resolvent_equation_residual,
-                             splitting_residual)
+from sfrac.resolvent import (ResolventWorkspace,
+                             s_resolvent_equation_residual, splitting_residual)
 
 S_E1 = Quaternion(0, 1.0, 0, 0)
 
@@ -32,13 +31,13 @@ def variable_ops_2d(n1=7, n2=9):
 
 class TestSolveQ:
     def test_zero_rhs(self):
-        ws = make_workspace(constant_operators(grid1d(12)), S_E1)
+        ws = ResolventWorkspace(constant_operators(grid1d(12)), S_E1)
         w = ws.solve_Q(QuatField.zeros(ws.grid))
         assert np.array_equal(w.components, np.zeros((4, 12)))
 
     @pytest.mark.parametrize("n", [14, 15])  # even and odd (deflated) grids
     def test_residual(self, n):
-        ws = make_workspace(constant_operators(grid1d(n)), S_E1)
+        ws = ResolventWorkspace(constant_operators(grid1d(n)), S_E1)
         f = random_field(ws.grid, seed=n)
         w = ws.solve_Q(f)
         r = ws.system.matvec(w.components) - f.components
@@ -46,7 +45,7 @@ class TestSolveQ:
 
     def test_variable_coefficients_residual(self):
         ops = variable_ops_2d()
-        ws = make_workspace(ops, Quaternion(0, 0, 0.8, 0))
+        ws = ResolventWorkspace(ops, Quaternion(0, 0, 0.8, 0))
         f = random_field(ws.grid, seed=3)
         w = ws.solve_Q(f)
         r = ws.system.matvec(w.components) - f.components
@@ -60,7 +59,7 @@ class TestSolveQ:
         k = 7
         phi = vecs[:, k]
         t = 0.9
-        ws = make_workspace(ops, Quaternion(0, 0, t, 0))
+        ws = ResolventWorkspace(ops, Quaternion(0, 0, t, 0))
         w = ws.solve_Q(QuatField.from_real(RealField(g, phi)))
         expect = phi / (t * t + lam[k])
         assert np.max(np.abs(w.components[0].reshape(-1) - expect)) <= 1e-12
@@ -71,7 +70,7 @@ class TestSolveQ:
         g = grid1d(15)
         ops = constant_operators(g)
         t = 1e-3
-        ws = make_workspace(ops, Quaternion(0, t, 0, 0))
+        ws = ResolventWorkspace(ops, Quaternion(0, t, 0, 0))
         zeta, eta = ops.null_pair
         denom = float(eta.reshape(-1) @ zeta.reshape(-1))
 
@@ -89,7 +88,7 @@ class TestSolveQ:
 
     def test_solve_Q_real_shapes(self):
         ops = variable_ops_2d()
-        ws = make_workspace(ops, S_E1)
+        ws = ResolventWorkspace(ops, S_E1)
         rng = np.random.default_rng(11)
         stack = rng.standard_normal((2, 3, *ws.grid.n))
         out = ws.solve_Q_real(stack)
@@ -100,12 +99,18 @@ class TestSolveQ:
     def test_requires_imaginary_s(self):
         ops = constant_operators(grid1d(8))
         with pytest.raises(ValueError):
-            make_workspace(ops, Quaternion(1.0, 1.0, 0, 0))
+            ResolventWorkspace(ops, Quaternion(1.0, 1.0, 0, 0))
 
-    def test_unknown_method(self):
-        ops = constant_operators(grid1d(8))
-        with pytest.raises(ValueError):
-            ResolventWorkspace(ops, S_E1, SolverOptions(method="magic"))
+    def test_residual_guard_raises(self):
+        # x - 0.3 gives L a negative eigenvalue mu on this grid, so Q_t is
+        # singular at t^2 = -mu and its LU misses the residual guard
+        g = grid1d(10, length=1.0)
+        ops = Operators(g, (make_profile(1, "x-0.3", 1.0),))
+        mu = np.min(np.linalg.eigvals(ops.dense_L()).real)
+        assert mu < 0.0
+        ws = ResolventWorkspace(ops, Quaternion(0, math.sqrt(-mu), 0, 0))
+        with pytest.raises(SolverDiverged):
+            ws.solve_Q(random_field(g, seed=6))
 
 
 def rel_max(a, b):
@@ -121,13 +126,13 @@ def variable_ops(n):
 
 
 class TestSpectral:
-    """The default (spectral) path against dense LU, the independent
-    reference it replaces."""
+    """The spectral path against dense LU, the independent reference that
+    non-positive coefficient sets take."""
 
     @pytest.mark.parametrize("n", [(31,), (32,), (9, 11), (10, 8),
                                    (7, 9, 5), (6, 8, 4)])
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_matches_dense(self, n, transpose):
+    def test_matches_dense(self, n, transpose, dense_route):
         ops = variable_ops(n)
         assert ops.grid.has_parity_null == all(v % 2 for v in n)
         rng = np.random.default_rng(len(n))
@@ -138,9 +143,9 @@ class TestSpectral:
         in_range = to_range(0, rng.standard_normal((3, *n))).reshape(3, -1)
         for t in (1e-3, 0.7, 40.0):
             s = Quaternion(0, 0, t, 0)
-            ws = make_workspace(ops, s)
-            ref = make_workspace(ops, s, method="dense")
-            assert ws.method == "spectral" and ref.method == "dense"
+            ws = ResolventWorkspace(ops, s)
+            ref = ResolventWorkspace(dense_route(ops), s)
+            assert ws._lu is None and ref._lu is not None
             for rhs, null_free in ((generic, False), (in_range, True)):
                 got = ws._solve_stack(rhs, transpose, null_free)
                 want = ref._solve_stack(rhs, transpose, null_free)
@@ -148,7 +153,7 @@ class TestSpectral:
 
     def test_zero_rows_stay_exact_zeros(self):
         ops = variable_ops((9, 11))
-        ws = make_workspace(ops, S_E1)
+        ws = ResolventWorkspace(ops, S_E1)
         rhs = np.zeros((3, ops.grid.N))
         rhs[1] = np.random.default_rng(4).standard_normal(ops.grid.N)
         sol = ws._solve_stack(rhs)
@@ -158,10 +163,12 @@ class TestSpectral:
     def test_needs_positive_coefficients(self):
         g = grid1d(9, length=1.0)
         ops = Operators(g, (make_profile(1, "x-0.45", 1.0),))
+        assert not ops.is_positive
         with pytest.raises(ValueError, match="positive"):
-            make_workspace(ops, S_E1)
-        # the dense reference still serves a forced run with such a set
-        ws = make_workspace(ops, S_E1, method="dense")
+            ops.eigenvalues()
+        # the workspace takes the dense LU of Q_s for such a set by itself
+        ws = ResolventWorkspace(ops, S_E1)
+        assert ws._lu is not None
         f = random_field(g, seed=2)
         r = ws.system.matvec(ws.solve_Q(f).components) - f.components
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)
@@ -179,34 +186,9 @@ class TestSpectral:
                        ops.apply_L(u)) <= 1e-13
 
 
-class TestKrylov:
-    def test_matches_dense(self):
-        ops = variable_ops_2d()
-        f = random_field(ops.grid, seed=5)
-        w_dense = make_workspace(ops, S_E1, method="dense").solve_Q(f)
-        w_kry = make_workspace(ops, S_E1, tol=1e-12,
-                               method="krylov").solve_Q(f)
-        diff = np.max(np.abs(w_dense.components - w_kry.components))
-        assert diff <= 1e-8 * np.max(np.abs(w_dense.components))
-
-    def test_divergence_raises(self):
-        ops = variable_ops_2d()
-        ws = make_workspace(ops, S_E1, method="krylov", max_iter=1)
-        with pytest.raises(SolverDiverged):
-            ws.solve_Q(random_field(ops.grid, seed=6))
-
-    def test_constant_coefficients_cg_path(self):
-        ops = constant_operators(grid1d(31))
-        ws = make_workspace(ops, S_E1, tol=1e-12, method="krylov")
-        f = random_field(ops.grid, seed=8)
-        w = ws.solve_Q(f)
-        r = ws.system.matvec(w.components) - f.components
-        assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(f.components)
-
-
 class TestSResolvents:
     def test_zero_field(self):
-        ws = make_workspace(constant_operators(grid1d(9)), S_E1)
+        ws = ResolventWorkspace(constant_operators(grid1d(9)), S_E1)
         assert np.array_equal(ws.apply_SR(QuatField.zeros(ws.grid)).components,
                               np.zeros((4, 9)))
         assert np.array_equal(ws.apply_SL(QuatField.zeros(ws.grid)).components,
@@ -220,7 +202,7 @@ class TestSResolvents:
         ops = constant_operators(g)
         t = 0.8
         s = Quaternion(0, -t, 0, 0)
-        ws = make_workspace(ops, s)
+        ws = ResolventWorkspace(ops, s)
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n)
         w = ws.apply_SR(QuatField.from_real(RealField(g, v)))
@@ -234,7 +216,7 @@ class TestSResolvents:
 
     def test_left_equals_right_on_real_slice(self):
         ops = variable_ops_2d()
-        ws = make_workspace(ops, Quaternion(0, 0.6, 0, 0))
+        ws = ResolventWorkspace(ops, Quaternion(0, 0.6, 0, 0))
         v = random_field(ops.grid, seed=9)
         wl = ws.apply_SL(v)
         wr = ws.apply_SR(v)
@@ -244,7 +226,7 @@ class TestSResolvents:
     def test_splitting_identity(self, seed):
         ops = variable_ops_2d()
         tol = 1e-10
-        ws = make_workspace(ops, Quaternion(0, 0.4, 0.3, 0), tol=tol)
+        ws = ResolventWorkspace(ops, Quaternion(0, 0.4, 0.3, 0))
         assert splitting_residual(ws, random_field(ops.grid, seed)) <= 10 * tol
 
     def test_s_resolvent_equation(self):
@@ -256,8 +238,7 @@ class TestSResolvents:
             s = Quaternion(0, *(0.7 * xs[:3]))
             p = Quaternion(0, *(1.9 * xs[3:]))
             v = QuatField(ops.grid, rng.standard_normal((4, 15)))
-            assert s_resolvent_equation_residual(ops, s, p, v,
-                                                 tol=tol) <= 100 * tol
+            assert s_resolvent_equation_residual(ops, s, p, v) <= 100 * tol
 
 
 class TestNormEstimate:
@@ -265,18 +246,18 @@ class TestNormEstimate:
         ops = constant_operators(grid1d(31))
         theta = 2.0 * math.sqrt(2.0)
         for t in (0.1, 1.0, 10.0):
-            ws = make_workspace(ops, Quaternion(0, t, 0, 0))
+            ws = ResolventWorkspace(ops, Quaternion(0, t, 0, 0))
             assert ws.estimate_norm() * t <= theta * 1.0001
 
     def test_large_s_asymptote(self):
         ops = constant_operators(grid1d(31))
         t = 1e4
-        ws = make_workspace(ops, Quaternion(0, 0, t, 0))
+        ws = ResolventWorkspace(ops, Quaternion(0, 0, t, 0))
         assert abs(ws.estimate_norm() * t - 1.0) <= 0.05
 
     def test_axial_symmetry(self):
         ops = variable_ops_2d()
         t = 0.7
-        up = make_workspace(ops, Quaternion(0, 0, t, 0)).estimate_norm()
-        dn = make_workspace(ops, Quaternion(0, 0, -t, 0)).estimate_norm()
+        up, dn = (ResolventWorkspace(ops, Quaternion(0, 0, y, 0))
+                  .estimate_norm() for y in (t, -t))
         assert abs(up - dn) <= 1e-6 * up
