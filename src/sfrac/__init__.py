@@ -6,7 +6,12 @@ axis, verifies the resolvent bounds that make the construction work, and
 runs the induced divergence-form fractional evolution.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# progress goes to the "sfrac" logger; the application attaches handlers
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from . import coeff, errors, evolve, frac, grid, oracle, quat, resolvent
 

@@ -18,9 +18,11 @@ import argparse
 import dataclasses
 import functools
 import json
+import logging
 import math
 import os
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -35,6 +37,8 @@ from .frac import (QuadratureSpec, apply_P_alpha, build_matrix,
 from .grid import BoxDomain, Grid, Operators, QuatField, RealField
 from .oracle import closed_form_P_alpha, s_spectrum_probe
 from .quat import J_E1, J_E2, J_E3, unit_from_components
+
+log = logging.getLogger(__name__)
 
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 
@@ -359,6 +363,7 @@ _TASKS = {
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     parser = argparse.ArgumentParser(
         prog="sfrac",
         description="Fractional powers of quaternionic gradient operators "
@@ -373,9 +378,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="output directory (overrides output.dir)")
     args = parser.parse_args(argv)
+    task, code = _run(args)
+    log.debug("task %s: exit %d after %.3f s", task, code,
+              time.perf_counter() - start)
+    return code
+
+
+def _run(args) -> tuple[str | None, int]:
+    """(task, exit code) of one invocation; the task is None when the
+    config was not read."""
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
+        return None, 1
 
     try:
         with open(args.config) as fh:
@@ -384,27 +398,28 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError,
             jsonschema.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return None, 1
 
+    task = cfg["task"]
     out_dir = args.out or cfg.get("output", {}).get("dir", ".")
 
     try:
         os.makedirs(out_dir, exist_ok=True)
-        code = _TASKS[cfg["task"]](cfg, out_dir, args.force)
+        code = _TASKS[task](cfg, out_dir, args.force)
         _write_json(os.path.join(out_dir, "run_meta.json"), {
             "version": __version__,
-            "task": cfg["task"],
+            "task": task,
             "force": args.force,
             "threads": args.threads,
         })
-        return code
+        return task, code
     except (ConfigError, ExprSyntaxError, EvalError, StabilityError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return task, 1
     except ConditionsFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return task, 2
 
 
 if __name__ == "__main__":

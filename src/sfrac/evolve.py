@@ -1,15 +1,25 @@
 """Divergence of the vector channel and time integration of the evolution
 equation dv/dt = G v with G = sum_l D_l M_vec[l] (divergence form).
 
-The generator is materialized once as a dense matrix at desk scale; a step
-then costs four matvecs (RK4) or one matvec with the precomputed
-Crank-Nicolson propagator instead of a full quadrature pass.  Dissipativity
-of G is *checked* at integration start, not assumed — the resolvent bounds
-guarantee it only for the continuous operator.
+The generator is materialized once as a dense matrix at desk scale, and
+each scheme becomes one step map x -> M x: Crank-Nicolson's propagator
+(I - dt/2 G)^{-1} (I + dt/2 G), or for RK4 the degree-4 Taylor polynomial
+of exp(dt G), which is exactly the RK4 step of a linear autonomous system.
+A shorter final step gets its own map.  Dissipativity of G is *checked* at
+integration start, not assumed — the resolvent bounds guarantee it only
+for the continuous operator.
+
+States advance in blocks of B: the first B come from B - 1 matvecs, and
+each next block is one GEMM of the previous block with (M^B)^T, formed by
+q = log2 B squarings.  B = 2^q with q = min(6, floor(log2(n_steps / N))),
+clamped at 0, so the squarings cost at most q/B of the stepping flops; a
+run with fewer than 2N steps has B = 1, which is the plain x -> M x loop.
+Only the current block is held.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,9 +30,14 @@ from .errors import StabilityError
 from .frac import FracPowerOperator
 from .grid import FaceField, Grid, Operators, RealField, constant_operators
 
+log = logging.getLogger(__name__)
+
 # classical RK4 stability interval on the negative real axis
 _RK4_REAL_LIMIT = 2.785
 _DISSIPATIVITY_TOL = 1e-8
+# eigenvalues of G are computed directly up to this N, bounded above it
+_EIG_CAP = 1500
+_MAX_BLOCK_LOG2 = 6
 
 
 @dataclass(frozen=True)
@@ -92,12 +107,10 @@ def generator(fp: FracPowerOperator) -> np.ndarray:
     return G
 
 
-def _max_real_eig(G: np.ndarray) -> float:
-    """max Re lambda(G); direct for small N, Bendixson bound (largest
-    eigenvalue of the symmetric part, by shifted power iteration) above."""
+def _bendixson_bound(G: np.ndarray) -> float:
+    """Upper bound on max Re lambda(G): the largest eigenvalue of the
+    symmetric part (Bendixson), by shifted power iteration."""
     n = G.shape[0]
-    if n <= 1500:
-        return float(np.max(np.linalg.eigvals(G).real))
     S = 0.5 * (G + G.T)
     shift = float(np.max(np.sum(np.abs(S), axis=1)))  # >= rho(S)
     rng = np.random.default_rng(0x51A7)
@@ -117,12 +130,10 @@ def _max_real_eig(G: np.ndarray) -> float:
     return val
 
 
-def _spectral_radius(G: np.ndarray) -> float:
-    n = G.shape[0]
-    if n <= 1500:
-        return float(np.max(np.abs(np.linalg.eigvals(G))))
+def _power_radius(G: np.ndarray) -> float:
+    """Spectral radius of G by power iteration."""
     rng = np.random.default_rng(0x51A8)
-    x = rng.standard_normal(n)
+    x = rng.standard_normal(G.shape[0])
     x /= np.linalg.norm(x)
     rho = 0.0
     for _ in range(300):
@@ -146,59 +157,97 @@ def _cn_propagator(G: np.ndarray, dt: float) -> np.ndarray:
     return scipy.linalg.lu_solve(lu, eye + half)
 
 
+def _rk4_map(G: np.ndarray, h: float) -> np.ndarray:
+    """M = I + hG (I + hG/2 (I + hG/3 (I + hG/4))): for the linear
+    autonomous dv/dt = G v, a classical RK4 step of length h is x -> M x."""
+    eye = np.eye(G.shape[0])
+    hg = h * G
+    M = eye + hg / 4
+    for k in (3, 2, 1):
+        M = eye + (hg / k) @ M
+    return M
+
+
+_STEP_MAPS = {"crank-nicolson": _cn_propagator, "explicit-rk4": _rk4_map}
+
+
+def _block_log2(n_steps: int, N: int) -> int:
+    """q with B = 2^q states per block: q = min(6, floor(log2(n_steps / N))),
+    clamped at 0.  The GEMMs do the flops of the matvec loop, only faster;
+    the q squarings that form M^B add 2 q N^3, at most q/B of them."""
+    return min(_MAX_BLOCK_LOG2, max(0, (n_steps // N).bit_length() - 1))
+
+
 def evolve(fp: FracPowerOperator, v0: RealField,
            cfg: EvolutionConfig) -> EvolutionTrace:
     """Integrate dv/dt = G v from v0 to t_end.
 
-    Crank-Nicolson builds its propagator once (again for a shorter final
-    step if t_end is not a multiple of dt), so a step is one matvec; RK4
-    validates dt against the spectral-radius bound first.
+    Both schemes step with one matrix M (a shorter final step gets its
+    own); RK4 validates dt against the spectral-radius bound first.  States
+    advance in blocks of B (see the module docstring); only the current
+    block is held, and each is reduced to its l2 values and snapshots.
     """
     G = generator(fp)
-    max_re = _max_real_eig(G)
+    N = G.shape[0]
+    eig = np.linalg.eigvals(G) if N <= _EIG_CAP else None
+    max_re = (float(np.max(eig.real)) if eig is not None
+              else _bendixson_bound(G))
     if max_re > _DISSIPATIVITY_TOL:
         raise StabilityError(
             f"generator is not dissipative (max Re eig = {max_re:g})")
     if cfg.scheme == "explicit-rk4":
-        rho = _spectral_radius(G)
+        rho = (float(np.max(np.abs(eig))) if eig is not None
+               else _power_radius(G))
         if cfg.dt * rho > _RK4_REAL_LIMIT:
             raise StabilityError(
                 f"dt={cfg.dt:g} exceeds the RK4 bound "
                 f"{_RK4_REAL_LIMIT / max(rho, 1e-300):g}")
-
-    grid = v0.grid
-    x = v0.flat().copy()
-    times = [0.0]
-    l2s = [math.sqrt(grid.cell_volume * float(x @ x))]
-    snaps = []
-    if cfg.snapshot_every > 0:
-        snaps.append((0.0, RealField(grid, x.copy())))
 
     n_full = int(math.floor(cfg.t_end / cfg.dt + 1e-12))
     rem = cfg.t_end - n_full * cfg.dt
     if rem < 1e-12 * cfg.dt:
         rem = 0.0
     steps = [cfg.dt] * n_full + ([rem] if rem else [])
+    # state k lives at times[k]; the sums are those of a running t += dt
+    times = np.add.accumulate([0.0] + steps).tolist()
+    last = len(steps)  # index of the final state
+    sq_norms = np.empty(last + 1)
+    grid = v0.grid
+    every = cfg.snapshot_every
+    snaps = []
 
-    prop = None
-    prop_dt = None
-    t = 0.0
-    for k, dt in enumerate(steps, start=1):
-        if cfg.scheme == "crank-nicolson":
-            if prop is None or dt != prop_dt:
-                prop = _cn_propagator(G, dt)
-                prop_dt = dt
-            x = prop @ x
-        else:
-            k1 = G @ x
-            k2 = G @ (x + 0.5 * dt * k1)
-            k3 = G @ (x + 0.5 * dt * k2)
-            k4 = G @ (x + dt * k3)
-            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        times.append(t)
-        l2s.append(math.sqrt(grid.cell_volume * float(x @ x)))
-        if cfg.snapshot_every > 0 and (
-                k % cfg.snapshot_every == 0 or k == len(steps)):
-            snaps.append((t, RealField(grid, x.copy())))
+    def record(first: int, states: np.ndarray):
+        """Squared norms and snapshots of the states first, first + 1, ..."""
+        stop = first + len(states)
+        sq_norms[first:stop] = np.einsum("ij,ij->i", states, states)
+        if every:
+            picks = list(range(-(-first // every) * every, stop, every))
+            if stop - 1 == last and last % every:
+                picks.append(last)
+            snaps.extend((times[k], RealField(grid, states[k - first].copy()))
+                         for k in picks)
+
+    step_map = _STEP_MAPS[cfg.scheme]
+    M = step_map(G, cfg.dt)
+    q = _block_log2(n_full, N)
+    log.debug("evolve: %d steps, N=%d, B=%d", last, N, 1 << q)
+    block = np.empty((1 << q, N))
+    block[0] = v0.flat()
+    for i in range(1, len(block)):
+        block[i] = M @ block[i - 1]
+    # (M^B)^T; at B = 1 the view M.T, so that advancing a block of one
+    # state is the matvec M @ x
+    power = M.T
+    for _ in range(q):
+        power = power @ power
+    first = 0
+    while True:
+        record(first, block)
+        first += len(block)
+        if first > n_full:
+            break
+        block = block[:n_full + 1 - first] @ power
+    if rem:
+        record(last, (step_map(G, rem) @ block[-1])[None])
+    l2s = np.sqrt(grid.cell_volume * sq_norms).tolist()
     return EvolutionTrace(times=times, l2_series=l2s, snapshots=snaps)

@@ -6,7 +6,9 @@ contracts (CSV headers, shortest round-trip decimals, flat JSON reports,
 bit-identical reruns).
 """
 
+import io
 import json
+import logging
 import math
 import os
 
@@ -355,3 +357,43 @@ class TestVerifyTask:
         rep = read_json(out, "verify.json")
         assert rep["pass"] is False
         assert rep["checks"]["quadrature_doubling"]["pass"] is False
+
+
+class TestLogging:
+    def run_tree(self, tmp_path, name, capsys):
+        """Run an evolve and a palpha config; returns the bytes of every
+        artifact by relative path and the captured stdout and stderr."""
+        cfgs = {
+            "evolve": base_1d("evolve", n=15, alpha=0.6, coeff="1+0.1*x",
+                              length=1.0, time={"dt": 0.01, "t_end": 0.5,
+                                                "snapshot_every": 7}),
+            "palpha": base_1d("palpha", n=21, alpha=0.3, coeff="1+0.1*x",
+                              length=1.0, initial="x*(1-x)"),
+        }
+        tree = {}
+        for task, cfg in cfgs.items():
+            out = tmp_path / name / task
+            path = write_cfg(tmp_path, cfg, f"{task}.json")
+            assert main([path, "--out", str(out)]) == 0
+            for f in sorted(out.iterdir()):
+                tree[f"{task}/{f.name}"] = f.read_bytes()
+        return tree, capsys.readouterr()
+
+    def test_debug_logging_changes_no_output(self, tmp_path, capsys):
+        quiet = self.run_tree(tmp_path, "quiet", capsys)
+        logger = logging.getLogger("sfrac")
+        stream = io.StringIO()
+        handler = logging.StreamHandler(stream)
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+        try:
+            logged = self.run_tree(tmp_path, "logged", capsys)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        assert logged == quiet
+        text = stream.getvalue()
+        assert "task evolve: exit 0" in text
+        assert "task palpha: exit 0" in text
+        assert "evolve: 50 steps, N=15, B=2" in text

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sfrac.coeff import make_profile
 from sfrac.errors import StabilityError
-from sfrac.evolve import EvolutionConfig, divergence, evolve, generator
+from sfrac.evolve import (_STEP_MAPS, EvolutionConfig, _rk4_map,
+                          divergence, evolve, generator)
 from sfrac.frac import QuadratureSpec, apply_P_alpha, build_matrix
-from sfrac.grid import (BoxDomain, Grid, QuatField, RealField,
+from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         constant_operators)
 
 
@@ -207,3 +209,119 @@ class TestEvolve:
         with pytest.raises(StabilityError):
             evolve(bad, RealField.from_function(g, np.sin),
                    EvolutionConfig(0.5, dt=0.01, t_end=0.1))
+
+
+def variable_2d(n, lengths=(1.5, 1.2)):
+    grid = Grid(BoxDomain(lengths), n)
+    return Operators(grid, (make_profile(1, "1+0.2*sin(x)", lengths[0]),
+                            make_profile(2, "exp(0.1*x)", lengths[1])))
+
+
+def plain_loop(G, v0, dt, n_full, rem, scheme, every):
+    """Sequential reference: x = M @ x for each step, the remainder with its
+    own map, t += dt; returns (times, l2 series, snapshots) with the
+    snapshot rule of evolve."""
+    M = _STEP_MAPS[scheme](G, dt)
+    steps = [dt] * n_full + ([rem] if rem else [])
+    x = v0.flat().copy()
+    t = 0.0
+    times = [t]
+    l2s = [math.sqrt(v0.grid.cell_volume * float(x @ x))]
+    snaps = [(t, x.copy())]
+    for k, h in enumerate(steps, start=1):
+        x = (M if h == dt else _STEP_MAPS[scheme](G, h)) @ x
+        t += h
+        times.append(t)
+        l2s.append(math.sqrt(v0.grid.cell_volume * float(x @ x)))
+        if k % every == 0 or k == len(steps):
+            snaps.append((t, x.copy()))
+    return times, l2s, snaps
+
+
+def rk4_dt(G):
+    return 0.5 * 2.785 / float(np.max(np.abs(np.linalg.eigvals(G))))
+
+
+class TestStepMaps:
+    def test_rk4_map_is_one_classical_rk4_step(self):
+        g = grid1d(16)
+        G = generator(build_matrix(QuadratureSpec(0.5), constant_operators(g)))
+        h = rk4_dt(G)
+        x = np.sin(g.axes[0]) + 0.3 * g.axes[0]
+        k1 = G @ x
+        k2 = G @ (x + 0.5 * h * k1)
+        k3 = G @ (x + 0.5 * h * k2)
+        k4 = G @ (x + h * k3)
+        want = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert rel_gap(_rk4_map(G, h) @ x, want) <= 1e-14
+
+
+class TestBlockedStepping:
+    # runs of at least 2N steps advance in blocks of B = 2^q > 1 states;
+    # every run here spans several blocks, ends on a remainder step and
+    # snapshots every 7 steps, which is not a multiple of B
+
+    def cases(self):
+        g = grid1d(8)
+        yield (build_matrix(QuadratureSpec(0.5), constant_operators(g)),
+               RealField.from_function(g, lambda x: x * (math.pi - x)), 700)
+        ops = variable_2d((4, 4))
+        yield (build_matrix(QuadratureSpec(0.6), ops),
+               RealField.from_function(ops.grid, lambda x, y: np.sin(
+                   math.pi * x / 1.5) * np.sin(math.pi * y / 1.2) + 0.2 * x),
+               600)
+
+    @pytest.mark.parametrize("scheme", ["crank-nicolson", "explicit-rk4"])
+    def test_matches_plain_loop(self, scheme):
+        for fp, v0, n_full in self.cases():
+            G = generator(fp)
+            assert n_full >= 8 * v0.grid.N  # B >= 8, several blocks
+            dt = rk4_dt(G) if scheme == "explicit-rk4" else 2e-3
+            rem = 0.37 * dt
+            cfg = EvolutionConfig(0.5, dt=dt, t_end=n_full * dt + rem,
+                                  scheme=scheme, snapshot_every=7)
+            trace = evolve(fp, v0, cfg)
+            times, l2s, snaps = plain_loop(G, v0, dt, n_full,
+                                           cfg.t_end - n_full * dt, scheme, 7)
+            assert trace.times == times
+            assert np.allclose(trace.l2_series, l2s, rtol=1e-11, atol=0.0)
+            assert [t for t, _ in trace.snapshots] == [t for t, _ in snaps]
+            for (_, got), (_, want) in zip(trace.snapshots, snaps):
+                assert rel_gap(got.flat(), want) <= 1e-11
+
+    @pytest.mark.parametrize("scheme", ["crank-nicolson", "explicit-rk4"])
+    def test_short_run_is_the_plain_loop_bitwise(self, scheme):
+        # fewer than 2N steps: B = 1, one matvec per step
+        ops = variable_2d((4, 4))
+        fp = build_matrix(QuadratureSpec(0.6), ops)
+        G = generator(fp)
+        v0 = RealField.from_function(ops.grid, lambda x, y: x * y + 0.1)
+        dt = rk4_dt(G) if scheme == "explicit-rk4" else 1e-2
+        n_full = 2 * ops.grid.N - 1
+        rem = 0.5 * dt
+        cfg = EvolutionConfig(0.6, dt=dt, t_end=n_full * dt + rem,
+                              scheme=scheme, snapshot_every=3)
+        trace = evolve(fp, v0, cfg)
+        times, _, snaps = plain_loop(G, v0, dt, n_full,
+                                     cfg.t_end - n_full * dt, scheme, 3)
+        assert trace.times == times
+        assert len(trace.snapshots) == len(snaps)
+        for (t, got), (s, want) in zip(trace.snapshots, snaps):
+            assert t == s and np.array_equal(got.flat(), want)
+
+    def test_monotone_l2_on_a_benchmark_shaped_run(self):
+        # 2D 16^2 (N = 256) with variable coefficients and 4096 equal
+        # Crank-Nicolson steps (B = 16): the l2 trace never rises by more
+        # than the rounding allowance the benchmark applies
+        lengths = (1.5, 1.2)
+        ops = variable_2d((16, 16), lengths)
+        fp = build_matrix(QuadratureSpec(0.6), ops)
+        v0 = RealField.from_function(ops.grid, lambda x, y: (
+            np.sin(math.pi * x / lengths[0]) * np.sin(math.pi * y / lengths[1])
+            * (1 + 0.3 * np.cos(2.0 * x) * np.sin(1.5 * y))))
+        dt = 20 / 2.0 ** 20
+        trace = evolve(fp, v0, EvolutionConfig(0.6, dt=dt, t_end=4096 * dt))
+        l2 = trace.l2_series
+        assert len(l2) == 4097
+        for a, b in zip(l2, l2[1:]):
+            assert b <= a * (1.0 + 1e-12)
