@@ -29,10 +29,5 @@ class ConditionsFailed(RuntimeError):
     not override."""
 
 
-class RejectVariableCoefficients(ValueError):
-    """Closed-form reference requested for a variable-coefficient operator;
-    it is only defined for constant coefficients."""
-
-
 class StabilityError(RuntimeError):
     """Explicit time step violates the spectral-radius stability bound."""

@@ -172,20 +172,30 @@ def symbols(spec: QuadratureSpec, lam: np.ndarray):
     return f1, math.cos(theta) / math.pi * sum_u2
 
 
+def exact_symbols(alpha: float, lam: np.ndarray):
+    """(e_1, e_2) = (1/2 lam^{(alpha-1)/2}, 1/2 lam^{alpha/2}) on the
+    eigenvalues lam of L, the exact powers that `symbols` approximates;
+    both are 0 where lam is 0, the parity null mode."""
+    pos = lam > 0.0
+    safe = np.where(pos, lam, 1.0)
+    return (np.where(pos, 0.5 * safe ** ((alpha - 1.0) / 2.0), 0.0),
+            np.where(pos, 0.5 * safe ** (alpha / 2.0), 0.0))
+
+
 def quadrature_certificate(spec: QuadratureSpec,
                            ops: Operators) -> dict | None:
     """Worst relative error of the symbols over the positive eigenvalues of
-    L, against the exact powers: scal max |f_2 / (1/2 lam^{alpha/2}) - 1|,
-    vec max |f_1 / (1/2 lam^{(alpha-1)/2}) - 1|.  None when a coefficient
-    sample is not positive, for then L has no spectral factorization."""
+    L, against the exact powers: scal max |f_2 / e_2 - 1|, vec max
+    |f_1 / e_1 - 1| (`exact_symbols`).  None when a coefficient sample is
+    not positive, for then L has no spectral factorization."""
     if not ops.is_positive:
         return None
     lam = ops.eigenvalues()
     lam = lam[lam > 0.0]
     f1, f2 = symbols(spec, lam)
-    a = spec.alpha
-    scal = np.abs(f2 / (0.5 * lam ** (a / 2.0)) - 1.0)
-    vec = np.abs(f1 / (0.5 * lam ** ((a - 1.0) / 2.0)) - 1.0)
+    e1, e2 = exact_symbols(spec.alpha, lam)
+    scal = np.abs(f2 / e2 - 1.0)
+    vec = np.abs(f1 / e1 - 1.0)
     return {"scal": float(np.max(scal, initial=0.0)),
             "vec": float(np.max(vec, initial=0.0))}
 

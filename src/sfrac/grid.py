@@ -44,7 +44,10 @@ _E_TABLES = [left_mult_table(q) for q in
                Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))]
 
 DEFAULT_CAPS = {1: (2048,), 2: (128, 128), 3: (24, 24, 24)}
-DENSE_CAP = 5000  # largest N for dense materialization and the LU of Q_s
+# largest N for a dense N x N matrix: the build_matrix/evolve operators, the
+# dense L and LU of Q_s that serve coefficient sets with a sample <= 0, and
+# test references; positive sets take their spectrum from the factorization
+DENSE_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -295,10 +298,12 @@ def _axis_profile_samples(grid: Grid, profile: CoefficientProfile,
 
 class Operators:
     """Bundles the per-axis discrete operators for one (grid, coefficients)
-    pair; all applications are matrix-free, with a per-axis spectral
-    factorization of L for the resolvent solves on positive coefficients
-    and dense materialization up to N <= DENSE_CAP for the oracles and the
-    LU of Q_s that serves the others."""
+    pair; all applications are matrix-free.  On positive coefficients the
+    per-axis spectral factorization of L (`eigenvalues`, `apply_symbol`) is
+    the one source of its spectrum: the symbols, the resolvent solves, the
+    closed form and the spectrum probe all use it.  Dense materialization
+    (N <= DENSE_CAP) serves a set with a sample <= 0 (the LU of Q_s, the
+    spectrum probe) and test references."""
 
     def __init__(self, grid: Grid, profiles):
         profiles = tuple(profiles)

@@ -5,12 +5,13 @@ Two oracles with deliberately different error budgets:
 * `fractional_laplacian_spectral` — sine modes with the *continuous*
   eigenvalues (k pi / L)^2.  Gap to the discrete operator is O(h^2) plus the
   wide-stencil boundary effect; it validates the modeling, not the quadrature.
-* `closed_form_P_alpha` — dense eigendecomposition of the *discrete* operator
-  L = -sum A_l^2 itself (constant coefficients, where L is symmetric).  It
-  shares the matrices with the quadrature path, so disagreement there can
-  only come from quadrature/solver error, never discretization.  With
-  `StaggeredOperators` it takes the exact powers through that scheme's
-  per-axis factorization, for every separable coefficient set.
+* `closed_form_P_alpha` — the exact powers of the *discrete* operator
+  L = -sum A_l^2 itself, applied through the per-axis spectral factorization
+  of L (`Operators.apply_symbol`) for every separable coefficient set with
+  positive samples; on `StaggeredOperators`, through that scheme's face and
+  node families.  It shares the operators with the quadrature path, so
+  disagreement there can only come from quadrature error, never
+  discretization.
 
 The two oracles agree only on the staggered scheme.  The collocated default
 does not converge to the continuum on real inputs (its wide stencil pairs
@@ -20,26 +21,23 @@ sampled sine mode is off by O(1) there; on the staggered scheme the same mode
 is an exact eigenvector and the gap is O(h^2).
 
 Plus `s_spectrum_probe`: the eigenvalues mu of L, reported as the points
-+-sqrt(mu) on the real axis (and flagged imaginary spheres when mu < 0,
-which passing coefficient sets never produce).
++-sqrt(mu) on the real axis.  Positive coefficients take them from the same
+factorization (mu >= 0, exactly 0 at the parity null mode).  A set with a
+sample <= 0 has no such factorization; its L is materialized (N <=
+DENSE_CAP) and its general eigenvalues can fall below 0, each flagging a
+spectral sphere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import RejectVariableCoefficients
-from .frac import FracApplyResult
+from .frac import FracApplyResult, exact_symbols
 from .grid import (FaceField, Grid, Operators, QuatField, RealField,
                    StaggeredOperators)
-
-# eigenvalues below this (relative to the largest) are treated as the exact
-# parity null mode: both channels send it to zero, matching the quadrature
-# path, whose integrand annihilates that mode identically
-_NULL_CUTOFF_REL = 1e-10
 
 
 class SineBasis:
@@ -96,66 +94,43 @@ def fractional_laplacian_spectral(beta: float, v: RealField) -> RealField:
     return RealField(v.grid, basis.inverse(c * lam ** beta))
 
 
-def _eig_L(ops: Operators):
-    lam, U = scipy.linalg.eigh(ops.dense_L())
-    return lam, U
-
-
 def closed_form_P_alpha(alpha: float, v: RealField,
                         ops: Operators | StaggeredOperators) -> FracApplyResult:
-    """Reference P_alpha for constant coefficients: scal = 1/2 L^{alpha/2} v,
-    vec_l = 1/2 L^{(alpha-1)/2} (A_l v), by dense symmetric eigendecomposition
-    of the discrete L (T^2 = L as an operator identity).
+    """Reference P_alpha: scal = 1/2 L^{alpha/2} v and vec_l = 1/2
+    L^{(alpha-1)/2} (A_l v) (T^2 = L as an operator identity), the powers
+    `exact_symbols` applied through the per-axis factorization of L; the
+    parity null mode goes to zero.  A coefficient sample <= 0 raises the
+    factorization's ValueError.
 
-    With `StaggeredOperators` (any separable coefficients): scal = 1/2
-    L_D^{alpha/2} v and vec_l = 1/2 L_l^{(alpha-1)/2} A_l v on the faces,
-    through the face family of the factorization (its null mode, present in
-    1D only, is orthogonal to the range of A_l and sent to zero)."""
+    With `StaggeredOperators`: scal = 1/2 L_D^{alpha/2} v and vec_l = 1/2
+    L_l^{(alpha-1)/2} A_l v on the faces, through the face family of the
+    factorization (its null mode, present in 1D only, is orthogonal to the
+    range of A_l and sent to zero)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if isinstance(ops, StaggeredOperators):
         return _closed_form_staggered(alpha, v, ops)
-    if not ops.is_constant:
-        raise RejectVariableCoefficients(
-            "closed form requires constant coefficients (L symmetric)")
     g = ops.grid
-    lam, U = _eig_L(ops)
-    cut = _NULL_CUTOFF_REL * float(lam[-1])
-    keep = lam > cut
-    lam_safe = np.where(keep, lam, 1.0)
-    pw_scal = np.where(keep, 0.5 * lam_safe ** (alpha / 2.0), 0.0)
-    pw_vec = np.where(keep, 0.5 * lam_safe ** ((alpha - 1.0) / 2.0), 0.0)
-
-    def mat_fun(powers, vec_flat):
-        return U @ (powers * (U.T @ vec_flat))
-
-    scal = mat_fun(pw_scal, v.flat())
+    e1, e2 = exact_symbols(alpha, ops.eigenvalues())
     comps = np.zeros((4, *g.n))
-    comps[0] = scal.reshape(g.n)
-    vec_fields = []
-    for ax in range(3):
-        if ax < g.dims:
-            av = ops.apply_A(ax, v.values).reshape(-1)
-            w = mat_fun(pw_vec, av).reshape(g.n)
-        else:
-            w = np.zeros(g.n)
-        comps[ax + 1] = w
-        vec_fields.append(RealField(g, w))
-    full = QuatField(g, comps)
-    return FracApplyResult(full=full, scal=RealField(g, scal.reshape(g.n)),
-                           vec=tuple(vec_fields), j_leak=0.0)
+    comps[0] = ops.apply_symbol(e2, v.values)
+    for ax in range(g.dims):
+        comps[ax + 1] = ops.apply_symbol(e1, ops.apply_A(ax, v.values))
+    return FracApplyResult(full=QuatField(g, comps),
+                           scal=RealField(g, comps[0]),
+                           vec=tuple(RealField(g, w) for w in comps[1:]),
+                           j_leak=0.0)
 
 
 def _closed_form_staggered(alpha: float, v: RealField,
                            ops: StaggeredOperators) -> FracApplyResult:
     g = ops.grid
-    scal = ops.apply_symbol(0.5 * ops.eigenvalues() ** (alpha / 2.0), v.values)
+    _, e2 = exact_symbols(alpha, ops.eigenvalues())
+    scal = ops.apply_symbol(e2, v.values)
     vec = []
     for ax in range(g.dims):
-        mu = ops.eigenvalues(face_axis=ax)
-        mu_safe = np.where(mu > 0.0, mu, 1.0)
-        pw = np.where(mu > 0.0, 0.5 * mu_safe ** ((alpha - 1.0) / 2.0), 0.0)
-        w = ops.apply_symbol(pw, ops.apply_A(ax, v.values), face_axis=ax)
+        e1, _ = exact_symbols(alpha, ops.eigenvalues(face_axis=ax))
+        w = ops.apply_symbol(e1, ops.apply_A(ax, v.values), face_axis=ax)
         vec.append(FaceField(g, ax, w))
     return FracApplyResult(full=None, scal=RealField(g, scal), vec=tuple(vec),
                            j_leak=0.0)
@@ -168,8 +143,9 @@ class SpectrumProbe:
     points: sorted +-sqrt(mu) for mu >= 0 (the expected case);
     sphere_radii: sqrt(|mu|) for any mu < 0, each flagging a whole 2-sphere
     |s| = r of spectral points rather than real ones;
-    max_imag: largest imaginary residue of the raw eigenvalues (nonsymmetric
-    L can round off the real axis; passing sets stay ~1e-12).
+    max_imag: largest imaginary residue of the raw eigenvalues of the dense
+    L (nonsymmetric L can round off the real axis); 0.0 on positive sets,
+    whose factorization gives a real spectrum.
 
     Iterates like the plain list of real points.
     """
@@ -188,26 +164,26 @@ class SpectrumProbe:
         return self.points[i]
 
 
-def s_spectrum_probe(profiles, grid: Grid) -> SpectrumProbe:
-    """Eigenvalues mu of the dense L = -sum A_l^2, mapped to the real axis
-    points +-sqrt(mu); axially symmetric by construction (s -> -s)."""
-    ops = Operators(grid, tuple(profiles))
-    if ops.is_constant:
-        mu = scipy.linalg.eigh(ops.dense_L(), eigvals_only=True)
+def s_spectrum_probe(ops: Operators) -> SpectrumProbe:
+    """Eigenvalues mu of L = -sum A_l^2, mapped to the real axis points
+    +-sqrt(mu); axially symmetric by construction (s -> -s).  Positive
+    coefficients read mu off the per-axis factorization; a set with a sample
+    <= 0 takes the general eigenvalues of the dense L (N <= DENSE_CAP), the
+    only route on which mu < 0, and so a spectral sphere, can appear."""
+    if ops.is_positive:
+        mu = np.sort(ops.eigenvalues(), axis=None)
         max_imag = 0.0
     else:
         mu_c = scipy.linalg.eigvals(ops.dense_L())
-        max_imag = float(np.max(np.abs(mu_c.imag))) if mu_c.size else 0.0
+        max_imag = float(np.max(np.abs(mu_c.imag)))
         mu = np.sort(mu_c.real)
-    points = []
-    spheres = []
-    zero_tol = 1e-12 * max(float(np.max(np.abs(mu))), 1.0) if len(mu) else 0.0
-    for m in mu:
-        if m >= -zero_tol:
-            r = float(np.sqrt(max(m, 0.0)))
-            points.extend((-r, r))
-        else:
-            spheres.append(float(np.sqrt(-m)))
-    return SpectrumProbe(points=tuple(sorted(points)),
-                         sphere_radii=tuple(sorted(spheres)),
+    zero_tol = 1e-12 * max(float(np.max(np.abs(mu))), 1.0)
+    real = mu >= -zero_tol
+    r = np.sqrt(np.maximum(mu[real], 0.0))
+    # pairs (-r, r) in the order of mu, then a stable sort: the order of
+    # equal points, -0.0 before 0.0 included, is that of the pairs
+    points = np.sort(np.stack([-r, r], axis=1).reshape(-1), kind="stable")
+    spheres = np.sort(np.sqrt(-mu[~real]))
+    return SpectrumProbe(points=tuple(points.tolist()),
+                         sphere_radii=tuple(spheres.tolist()),
                          max_imag=max_imag)

@@ -28,20 +28,44 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
-def base_1d(task, n=15, length=math.pi, coeff="1", **extra):
+def base_box(task, n, coeffs, lengths, **extra):
     cfg = {
-        "domain": {"dims": 1, "lengths": [length]},
-        "grid": {"n": [n]},
-        "coefficients": [coeff],
+        "domain": {"dims": len(n), "lengths": list(lengths)},
+        "grid": {"n": list(n)},
+        "coefficients": list(coeffs),
         "task": task,
     }
     cfg.update(extra)
     return cfg
 
 
+def base_1d(task, n=15, length=math.pi, coeff="1", **extra):
+    return base_box(task, (n,), (coeff,), (length,), **extra)
+
+
 def read_json(out_dir, name):
     with open(os.path.join(str(out_dir), name)) as fh:
         return json.load(fh)
+
+
+def assert_reruns_bit_identical(tmp_path, cfg, artifact):
+    path = write_cfg(tmp_path, cfg)
+    outs = [tmp_path / f"out{i}" for i in range(3)]
+    assert main([path, "--out", str(outs[0])]) == 0
+    assert main([path, "--out", str(outs[1])]) == 0
+    assert main([path, "--out", str(outs[2]), "--threads", "4"]) == 0
+    ref = (outs[0] / artifact).read_bytes()
+    assert (outs[1] / artifact).read_bytes() == ref
+    # fixed reduction order keeps output identical across thread counts
+    assert (outs[2] / artifact).read_bytes() == ref
+
+
+# 2D 72^2: N = 5184, above DENSE_CAP and inside DEFAULT_CAPS
+CONSTANT_72 = base_box("spectrum", (72, 72), ("1", "1"), (1.0, 1.0))
+# 3D 18^3: N = 5832
+VARIABLE_18 = base_box("spectrum", (18, 18, 18),
+                       ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(2*x)"),
+                       (1.0, 1.2, 0.9))
 
 
 class TestSchemaRejection:
@@ -168,6 +192,9 @@ class TestSpectrumTask:
         assert np.sum(np.abs(pts) < 1e-12) == 2
         assert np.allclose(np.sort(pts), [-r, -r, 0.0, 0.0, r, r], atol=1e-12)
 
+    def test_reruns_above_dense_cap_are_bit_identical(self, tmp_path):
+        assert_reruns_bit_identical(tmp_path, CONSTANT_72, "spectrum.json")
+
 
 class TestPalphaTask:
     def test_fields_csv_contract(self, tmp_path):
@@ -210,15 +237,7 @@ class TestPalphaTask:
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = base_1d("palpha", n=21, alpha=0.3, coeff="1+0.1*x",
                       length=1.0, initial="x*(1-x)")
-        path = write_cfg(tmp_path, cfg)
-        outs = [tmp_path / f"out{i}" for i in range(3)]
-        assert main([path, "--out", str(outs[0])]) == 0
-        assert main([path, "--out", str(outs[1])]) == 0
-        assert main([path, "--out", str(outs[2]), "--threads", "4"]) == 0
-        ref = (outs[0] / "fields.csv").read_bytes()
-        assert (outs[1] / "fields.csv").read_bytes() == ref
-        # fixed reduction order keeps output identical across thread counts
-        assert (outs[2] / "fields.csv").read_bytes() == ref
+        assert_reruns_bit_identical(tmp_path, cfg, "fields.csv")
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_default_solver_matches_dense(self, tmp_path, n, dense_route):
@@ -357,6 +376,69 @@ class TestVerifyTask:
         rep = read_json(out, "verify.json")
         assert rep["pass"] is False
         assert rep["checks"]["quadrature_doubling"]["pass"] is False
+
+
+class TestAboveDenseCap:
+    """spectrum and verify on grids with N > DENSE_CAP inside the caps:
+    the spectrum and the closed form come from the per-axis factorization
+    of L, so no dense N x N matrix is needed."""
+
+    def test_constant_2d_spectrum_matches_the_analytic_oracle(self,
+                                                              tmp_path):
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, CONSTANT_72), "--out",
+                     str(out)]) == 0
+        probe = read_json(out, "spectrum.json")
+        assert probe["sphere_radii"] == [] and probe["max_imag"] == 0.0
+        # eigenvalues of L: cos^2(k_1 pi/73)/h^2 + cos^2(k_2 pi/73)/h^2
+        h = 1.0 / 73.0
+        axis = np.cos(np.arange(1, 73) * np.pi / 73.0) ** 2 / h ** 2
+        r = np.sqrt(np.add.outer(axis, axis).reshape(-1))
+        want = np.sort(np.concatenate([-r, r]))
+        pts = np.array(probe["points"])
+        assert pts.shape == want.shape
+        assert np.max(np.abs(pts - want)) <= 1e-12 * np.max(want)
+
+    def test_constant_2d_verify_passes_with_the_closed_form(self, tmp_path):
+        cfg = dict(CONSTANT_72, task="verify")
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        rep = read_json(out, "verify.json")
+        assert rep["pass"] is True
+        assert rep["checks"]["closed_form_gap"]["pass"] is True
+
+    @pytest.mark.parametrize("task", ["spectrum", "verify"])
+    def test_variable_3d(self, tmp_path, task):
+        cfg = dict(VARIABLE_18, task=task)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        if task == "spectrum":
+            probe = read_json(out, "spectrum.json")
+            assert len(probe["points"]) == 2 * 18 ** 3
+            assert probe["sphere_radii"] == []
+        else:
+            assert read_json(out, "verify.json")["pass"] is True
+
+
+class TestNoDenseL:
+    """Every task on a positive coefficient set runs without materializing
+    the dense L."""
+
+    @pytest.mark.parametrize("coeff,task", [
+        ("1+0.1*x", "check"), ("1+0.1*x", "spectrum"), ("1+0.1*x", "palpha"),
+        ("1+0.1*x", "evolve"), ("1+0.1*x", "verify"),
+        ("1.3", "spectrum"), ("1.3", "verify"),
+    ])
+    def test_positive_sets_never_touch_dense_L(self, tmp_path, monkeypatch,
+                                               coeff, task):
+        def refuse(self):
+            raise AssertionError("dense L materialized")
+
+        monkeypatch.setattr(Operators, "dense_L", refuse)
+        cfg = base_1d(task, n=15, length=1.0, coeff=coeff, alpha=0.6,
+                      time={"dt": 0.1, "t_end": 0.3})
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")]) == 0
 
 
 class TestLogging:

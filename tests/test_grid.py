@@ -6,7 +6,7 @@ import pytest
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         assemble_Q, constant_operators, diff_axis, lincomb,
                         norms)
-from sfrac.coeff import make_profile
+from sfrac.coeff import constant_profile, make_profile
 from sfrac.quat import E2, Quaternion
 
 
@@ -243,6 +243,37 @@ class TestOperators:
         zeta, eta = ops.null_pair
         assert np.array_equal(eta, zeta)
         assert np.array_equal(ops.apply_A_transpose(0, eta), np.zeros(7))
+
+    @pytest.mark.parametrize("n,lengths,c", [
+        ((9,), (math.pi,), (1.0,)),
+        ((10,), (2.5,), (1.7,)),
+        ((7, 9), (1.3, 2.0), (1.4, 0.6)),
+        ((6, 8), (0.7, 1.9), (2.0, 1.1)),
+        ((5, 8), (1.3, 2.0), (1.4, 0.6)),
+        ((5, 7, 9), (1.2, 0.8, 2.1), (0.9, 1.5, 1.1)),
+        ((6, 5, 8), (1.2, 0.8, 2.1), (0.9, 1.5, 1.1)),
+    ])
+    def test_eigenvalues_match_the_analytic_spectrum(self, n, lengths, c):
+        # constant c_l: -A_l^2 = -c_l^2 D_l^2 has the eigenvalues
+        # c_l^2 cos^2(k pi/(n_l+1)) / h_l^2, k = 1..n_l, and L is the
+        # Kronecker sum of those
+        g = Grid(BoxDomain(lengths), n)
+        ops = Operators(g, tuple(constant_profile(ax + 1, v, L) for ax, (v, L)
+                                 in enumerate(zip(c, lengths))))
+        want = 0.0
+        for ax, (m, h, v) in enumerate(zip(g.n, g.h, c)):
+            k = np.arange(1, m + 1)
+            shape = [1] * g.dims
+            shape[ax] = m
+            want = want + (v * v * np.cos(k * np.pi / (m + 1)) ** 2
+                           / h ** 2).reshape(shape)
+        lam = ops.eigenvalues()
+        want = np.sort(want, axis=None)
+        assert np.max(np.abs(np.sort(lam, axis=None) - want)) \
+            <= 1e-14 * want[-1]
+        # exactly one exact 0, the parity null mode, on all-odd grids
+        assert np.count_nonzero(lam == 0.0) == int(g.has_parity_null)
+        assert np.all(lam >= 0.0)
 
     def test_dense_cap(self):
         g = Grid(BoxDomain((1.0, 1.0)), (80, 80))

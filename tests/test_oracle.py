@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sfrac.coeff import constant_profile, make_profile
-from sfrac.errors import RejectVariableCoefficients
 from sfrac.frac import QuadratureSpec, apply_P_alpha
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
@@ -100,10 +100,31 @@ class TestClosedForm:
         dv = ops.apply_D(0, out.vec[0].values).reshape(-1)
         assert rel_gap(dv, -0.5 * lam[k] ** ((alpha + 1) / 2) * phi) <= 1e-12
 
-    def test_rejects_variable_coefficients(self):
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_variable_coefficients_match_fractional_matrix_powers(self,
+                                                                  alpha):
+        # L is not symmetric here; the independent reference is the
+        # Schur-Pade fractional power of the dense L itself
+        g = Grid(BoxDomain((1.0, 1.3)), (6, 7))
+        ops = Operators(g, (make_profile(1, "1+0.2*sin(2*x)", 1.0),
+                            make_profile(2, "exp(0.3*x)", 1.3)))
+        v = np.random.default_rng(2).standard_normal(g.n)
+        out = closed_form_P_alpha(alpha, RealField(g, v), ops)
+        dense = ops.dense_L()
+        scal = 0.5 * scipy.linalg.fractional_matrix_power(dense, alpha / 2)
+        vec = 0.5 * scipy.linalg.fractional_matrix_power(dense,
+                                                         (alpha - 1) / 2)
+        assert rel_gap(out.scal.flat(), np.real(scal) @ v.reshape(-1)) \
+            <= 1e-13
+        for ax in range(2):
+            want = np.real(vec) @ ops.apply_A(ax, v).reshape(-1)
+            assert rel_gap(out.vec[ax].flat(), want) <= 1e-13
+        assert not np.any(out.vec[2].values)
+
+    def test_non_positive_coefficient_raises(self):
         g = Grid(BoxDomain((1.0,)), (9,))
-        ops = Operators(g, (make_profile(1, "1+0.1*x", 1.0),))
-        with pytest.raises(RejectVariableCoefficients):
+        ops = Operators(g, (make_profile(1, "x-0.45", 1.0),))
+        with pytest.raises(ValueError, match="positive"):
             closed_form_P_alpha(0.5, RealField.from_function(g, np.sin), ops)
 
     def test_alpha_domain(self):
@@ -152,7 +173,7 @@ class TestProbe:
         # composed stencil at n=3: mu = {0, 1/(2h^2), 1/(2h^2)}
         g = grid1d(3)
         h = g.h[0]
-        probe = s_spectrum_probe(constant_operators(g).profiles, g)
+        probe = s_spectrum_probe(constant_operators(g))
         r = math.sqrt(0.5) / h
         expect = sorted([-r, -r, 0.0, 0.0, r, r])
         assert len(probe) == 6
@@ -164,7 +185,7 @@ class TestProbe:
         g = Grid(BoxDomain((1.0, 1.3)), (5, 6))
         profiles = (make_profile(1, "1+0.1*x", 1.0),
                     make_profile(2, "1+0.2*x", 1.3))
-        probe = s_spectrum_probe(profiles, g)
+        probe = s_spectrum_probe(Operators(g, profiles))
         pts = np.asarray(probe.points)
         assert np.allclose(np.sort(pts), np.sort(-pts), atol=1e-12)
         assert probe.max_imag <= 1e-10 * max(abs(pts).max(), 1.0)
@@ -172,7 +193,7 @@ class TestProbe:
     def test_accounts_for_every_eigenvalue(self):
         g = Grid(BoxDomain((1.0,)), (12,))
         profiles = (make_profile(1, "1+0.5*sin(3*x)", 1.0),)
-        probe = s_spectrum_probe(profiles, g)
+        probe = s_spectrum_probe(Operators(g, profiles))
         assert len(probe.points) // 2 + len(probe.sphere_radii) == g.N
 
     def test_refinement_toward_continuous_ground_state(self):
@@ -181,8 +202,28 @@ class TestProbe:
         errors = []
         for n in (31, 63, 127):
             g = grid1d(n)
-            probe = s_spectrum_probe(constant_operators(g).profiles, g)
+            probe = s_spectrum_probe(constant_operators(g))
             q = min(p for p in probe.points if p > 1e-3)
             errors.append(abs(q - 1.0))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] <= 1e-3
+
+    def test_non_positive_set_takes_the_dense_eigenvalues(self):
+        # a sample <= 0 leaves L without the spectral factorization; its
+        # general eigenvalues include mu < 0, each one a spectral sphere
+        g = Grid(BoxDomain((1.0,)), (10,))
+        ops = Operators(g, (make_profile(1, "x-0.3", 1.0),))
+        probe = s_spectrum_probe(ops)
+        # reference: one eigenvalue at a time, the same arithmetic
+        mu = np.sort(scipy.linalg.eigvals(ops.dense_L()).real)
+        zero_tol = 1e-12 * max(float(np.max(np.abs(mu))), 1.0)
+        points, spheres = [], []
+        for m in mu:
+            if m >= -zero_tol:
+                r = float(np.sqrt(max(m, 0.0)))
+                points.extend((-r, r))
+            else:
+                spheres.append(float(np.sqrt(-m)))
+        assert len(points) == 2 * 8 and len(spheres) == 2
+        assert probe.points == tuple(sorted(points))
+        assert probe.sphere_radii == tuple(sorted(spheres))
