@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import StabilityError
 from .frac import FracPowerOperator
@@ -153,8 +152,7 @@ def _cn_propagator(G: np.ndarray, dt: float) -> np.ndarray:
     x -> P x."""
     half = 0.5 * dt * G
     eye = np.eye(G.shape[0])
-    lu = scipy.linalg.lu_factor(eye - half)
-    return scipy.linalg.lu_solve(lu, eye + half)
+    return np.linalg.solve(eye - half, eye + half)
 
 
 def _rk4_map(G: np.ndarray, h: float) -> np.ndarray:

@@ -416,12 +416,17 @@ class Operators:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues Lambda of L, shape grid.n, laid out as the coefficient
         array that `apply_symbol` scales.  Exactly 0 only at the parity null
-        mode of all-odd grids."""
+        mode of all-odd grids.  Computed once; the array is read-only."""
+        return self._eigenvalues
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
         lam = np.zeros(self.grid.n)
         for ax, (mu, _, _) in enumerate(self._factors):
             shape = [1] * self.grid.dims
             shape[ax] = -1
             lam = lam + mu.reshape(shape)
+        lam.flags.writeable = False
         return lam
 
     def apply_symbol(self, symbol: np.ndarray, values: np.ndarray,

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .frac import FracApplyResult, exact_symbols
 from .grid import (FaceField, Grid, Operators, QuatField, RealField,
@@ -174,7 +173,7 @@ def s_spectrum_probe(ops: Operators) -> SpectrumProbe:
         mu = np.sort(ops.eigenvalues(), axis=None)
         max_imag = 0.0
     else:
-        mu_c = scipy.linalg.eigvals(ops.dense_L())
+        mu_c = np.linalg.eigvals(ops.dense_L())
         max_imag = float(np.max(np.abs(mu_c.imag)))
         mu = np.sort(mu_c.real)
     zero_tol = 1e-12 * max(float(np.max(np.abs(mu))), 1.0)

@@ -9,8 +9,10 @@ spectral factorization of L that `Operators` caches (fast diagonalization,
 Lynch, Rice and Thomas, Numer. Math. 6, 1964): Q_s^{-1} is the diagonal
 scaling 1/(|s|^2 + Lambda) between two per-axis tensor transforms, so every
 quadrature node shares one factorization of L and a workspace costs no
-factorization of its own.  Otherwise L has no such factorization and the
-workspace takes a dense LU of Q_s (N <= DENSE_CAP).
+factorization of its own.  Otherwise L has no such factorization: the
+workspace keeps the dense Q_s (N <= DENSE_CAP) and each application solves
+it by LU (`numpy.linalg.solve`); the node engine applies every workspace
+once.
 
 The production P_alpha and its matrix do not come through here: summed over
 the nodes, the resolvents collapse onto two scalar symbols of L (see the
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SolverDiverged
 from .grid import (_E_TABLES, LinearSystem, Operators, QuatField,
@@ -49,7 +50,7 @@ class ResolventWorkspace:
     """Everything needed to apply Q_s^{-1}, S_L^{-1} and S_R^{-1} at one s.
 
     Immutable after construction; applications only read shared state (the
-    factorization) and allocate private scratch.
+    factorization or the dense Q_s) and allocate private scratch.
     """
 
     def __init__(self, ops: Operators, s: Quaternion):
@@ -60,13 +61,13 @@ class ResolventWorkspace:
         self.s = s
         self.system: LinearSystem = assemble_Q(ops, s)
         self.t2 = self.system.t2
-        self._lu = None
+        self._dense = None
         if ops.is_positive:
             # the parity-null coefficient is exactly 0: _deflate owns that mode
             lam = ops.eigenvalues()
             self._symbol = np.where(lam > 0.0, 1.0 / (self.t2 + lam), 0.0)
         else:
-            self._lu = scipy.linalg.lu_factor(self.system.dense())
+            self._dense = self.system.dense()
         self._null = ops.null_pair  # (zeta, eta) or None
 
     # -- low level solves --------------------------------------------------
@@ -101,11 +102,11 @@ class ResolventWorkspace:
         else:
             work, beta, right, left, denom = rhs, None, None, None, None
 
-        if self._lu is None:
+        if self._dense is None:
             sol = self._solve_spectral(work, transpose)
         else:
-            sol = scipy.linalg.lu_solve(self._lu, work.T,
-                                        trans=1 if transpose else 0).T
+            q = self._dense.T if transpose else self._dense
+            sol = np.linalg.solve(q, work.T).T
 
         if beta is not None:
             # remove factorization garbage along the deflated direction (the

@@ -11,11 +11,15 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import jsonschema
 import numpy as np
 import pytest
 
+import sfrac
 from sfrac.cli import SCHEMA, _write_fields_csv, main
 from sfrac.coeff import make_profile
 from sfrac.frac import QuadratureSpec, apply_P_alpha
@@ -479,3 +483,38 @@ class TestLogging:
         assert "task evolve: exit 0" in text
         assert "task palpha: exit 0" in text
         assert "evolve: 50 steps, N=15, B=2" in text
+
+
+class TestImports:
+    # runs the configs through main in a fresh interpreter, then prints the
+    # exit codes and every loaded scipy module
+    SCRIPT = textwrap.dedent("""\
+        import sys
+        from sfrac.cli import main
+        out = sys.argv[1]
+        codes = [main([p, "--out", f"{out}/{i}"])
+                 for i, p in enumerate(sys.argv[2:])]
+        print(codes, sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy"))
+        """)
+
+    def test_no_task_loads_scipy(self, tmp_path):
+        cfgs = {
+            "check": base_1d("check"),
+            "spectrum": base_1d("spectrum"),
+            "palpha": base_1d("palpha", n=21, alpha=0.3, coeff="1+0.1*x",
+                              length=1.0, initial="x*(1-x)"),
+            "evolve": base_1d("evolve", n=15, alpha=0.6,
+                              time={"dt": 0.1, "t_end": 0.5}),
+            "verify": base_1d("verify", n=31),
+        }
+        paths = [write_cfg(tmp_path, cfg, f"{task}.json")
+                 for task, cfg in cfgs.items()]
+        src = os.path.dirname(os.path.dirname(sfrac.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "out"),
+             *paths], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from sfrac.coeff import make_profile
 from sfrac.errors import ConditionsFailed
 from sfrac.frac import (FracPowerOperator, QuadratureSpec, apply_P_alpha,
-                        build_matrix, integrand_form_gap, quad_nodes,
-                        quadrature_certificate)
+                        build_matrix, gauss_jacobi, integrand_form_gap,
+                        quad_nodes, quadrature_certificate)
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import closed_form_P_alpha
@@ -70,6 +71,34 @@ class TestNodes:
         ts = [nd["t"] for nd in quad_nodes(QuadratureSpec(0.7))]
         assert all(a < b for a, b in zip(ts, ts[1:]))
         assert all(t > 0 for t in ts)
+
+
+class TestGaussJacobi:
+    """The in-house Golub-Welsch rule for the weight (1+x)^b on [-1, 1]."""
+
+    @pytest.mark.parametrize("n", [4, 64, 128])
+    @pytest.mark.parametrize("b", [-0.95, -0.5, -0.05])
+    def test_moments_are_exact(self, n, b):
+        # sum w (1+x)^k = integral_{-1}^{1} (1+x)^{b+k} dx for k < 2n
+        x, w = gauss_jacobi(n, b)
+        for k in range(2 * n):
+            exact = 2.0 ** (b + k + 1) / (b + k + 1)
+            assert abs(np.sum(w * (1.0 + x) ** k) / exact - 1.0) <= 1e-12, k
+
+    @pytest.mark.parametrize("n", [4, 64, 128])
+    @pytest.mark.parametrize("b", [-0.95, -0.5, -0.05])
+    def test_nodes_match_scipy(self, n, b):
+        x, _ = gauss_jacobi(n, b)
+        ref, _ = roots_jacobi(n, 0.0, b)
+        assert np.max(np.abs(x - ref)) <= 1e-15
+
+    def test_cached_and_read_only(self):
+        x, w = gauss_jacobi(16, -0.3)
+        assert gauss_jacobi(16, -0.3)[0] is x
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestApply:

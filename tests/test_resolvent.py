@@ -145,7 +145,7 @@ class TestSpectral:
             s = Quaternion(0, 0, t, 0)
             ws = ResolventWorkspace(ops, s)
             ref = ResolventWorkspace(dense_route(ops), s)
-            assert ws._lu is None and ref._lu is not None
+            assert ws._dense is None and ref._dense is not None
             for rhs, null_free in ((generic, False), (in_range, True)):
                 got = ws._solve_stack(rhs, transpose, null_free)
                 want = ref._solve_stack(rhs, transpose, null_free)
@@ -166,9 +166,9 @@ class TestSpectral:
         assert not ops.is_positive
         with pytest.raises(ValueError, match="positive"):
             ops.eigenvalues()
-        # the workspace takes the dense LU of Q_s for such a set by itself
+        # the workspace keeps the dense Q_s for such a set by itself
         ws = ResolventWorkspace(ops, S_E1)
-        assert ws._lu is not None
+        assert ws._dense is not None
         f = random_field(g, seed=2)
         r = ws.system.matvec(ws.solve_Q(f).components) - f.components
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)
