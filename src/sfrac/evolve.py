@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import StabilityError
 from .frac import FracPowerOperator
-from .grid import FaceField, Grid, Operators, RealField, constant_operators
+from .grid import (FaceField, Grid, Operators, RealField, constant_operators,
+                   diff_axis)
 
 log = logging.getLogger(__name__)
 
@@ -90,10 +91,9 @@ def divergence(fields, grid: Grid | None = None) -> RealField:
     for extra in fields[grid.dims:]:
         if np.any(extra.values):
             raise ValueError("components beyond the grid dimension must be 0")
-    ops = constant_operators(grid)
     acc = np.zeros(grid.n)
     for ax in range(grid.dims):
-        acc += ops.apply_D(ax, fields[ax].values)
+        acc += diff_axis(fields[ax].values, ax, grid.h[ax], grid.dims)
     return RealField(grid, acc)
 
 

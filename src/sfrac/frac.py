@@ -76,7 +76,7 @@ from .coeff import check_conditions
 from .errors import ConditionsFailed
 from .grid import (DENSE_CAP, FaceField, Grid, Operators, QuatField,
                    RealField, StaggeredOperators)
-from .quat import ImaginaryUnit, J_E1, Quaternion, left_mult_table, qmul
+from .quat import ImaginaryUnit, J_E1, Quaternion, left_mul, qmul
 from .resolvent import ResolventWorkspace
 
 TWO_PI = 2.0 * math.pi
@@ -222,7 +222,7 @@ def quadrature_certificate(spec: QuadratureSpec,
     not positive, for then L has no spectral factorization."""
     if not ops.is_positive:
         return None
-    lam = ops.eigenvalues()
+    lam = ops.spectral.eigenvalues()
     lam = lam[lam > 0.0]
     f1, f2 = symbols(spec, lam)
     e1, e2 = exact_symbols(spec.alpha, lam)
@@ -234,11 +234,6 @@ def quadrature_certificate(spec: QuadratureSpec,
 
 # ---------------------------------------------------------------------------
 # Reference node engine.  Fields travel as arrays shaped (4, *grid.n).
-
-
-def _mix(q: Quaternion, arr: np.ndarray) -> np.ndarray:
-    """Left-multiply every quaternion value of arr (4,...) by q."""
-    return np.einsum("ab,b...->a...", left_mult_table(q), arr)
 
 
 class _NodeEngine:
@@ -281,8 +276,8 @@ class _NodeEngine:
             #   e_+ (-u2 - s_+ u1) + e_- (-u2 - s_- u1),  s_+- = -+ j t
             s_plus = self.jq.scale(-t)
             s_minus = self.jq.scale(t)
-            g_p = _mix(self.e_plus, -u2 - _mix(s_plus, u1))
-            g_m = _mix(self.e_minus, -u2 - _mix(s_minus, u1))
+            g_p = left_mul(self.e_plus, -u2 - left_mul(s_plus, u1))
+            g_m = left_mul(self.e_minus, -u2 - left_mul(s_minus, u1))
             naive = g_p + g_m
             reduced = 2.0 * self.sin_t * t * u1 - 2.0 * self.cos_t * u2
         else:  # left form: one solve, factor inside the resolvent argument
@@ -304,8 +299,8 @@ class _NodeEngine:
             # q_+- (conj(s_+-) u1 - T u1), q_+- = t^{alpha-1} e_+-
             sb_plus = self.jq.scale(t)      # conj(-jt)
             sb_minus = self.jq.scale(-t)
-            g_p = _mix(self.e_plus, _mix(sb_plus, u1) - tu1)
-            g_m = _mix(self.e_minus, _mix(sb_minus, u1) - tu1)
+            g_p = left_mul(self.e_plus, left_mul(sb_plus, u1) - tu1)
+            g_m = left_mul(self.e_minus, left_mul(sb_minus, u1) - tu1)
             naive = pref * (g_p + g_m)
         else:
             naive = pref * self._left_pair(u1, t)
@@ -318,10 +313,10 @@ class _NodeEngine:
         sum_{+-} [ conj(s_+-) e_+- u1 - T(e_+- u1) ]."""
         sb_plus = self.jq.scale(t)
         sb_minus = self.jq.scale(-t)
-        a_p = _mix(qmul(sb_plus, self.e_plus), u1) \
-            - self.ops.apply_T(_mix(self.e_plus, u1))
-        a_m = _mix(qmul(sb_minus, self.e_minus), u1) \
-            - self.ops.apply_T(_mix(self.e_minus, u1))
+        a_p = left_mul(qmul(sb_plus, self.e_plus), u1) \
+            - self.ops.apply_T(left_mul(self.e_plus, u1))
+        a_m = left_mul(qmul(sb_minus, self.e_minus), u1) \
+            - self.ops.apply_T(left_mul(self.e_minus, u1))
         return a_p + a_m
 
     def run(self, v_comps: np.ndarray, form: str):
@@ -390,9 +385,10 @@ def apply_P_alpha(spec: QuadratureSpec,
     if isinstance(ops, StaggeredOperators):
         return _apply_P_alpha_staggered(spec, ops, v)
     if form == "right" and ops.is_positive:
-        f1, f2 = symbols(spec, ops.eigenvalues())
-        comps = (ops.apply_symbol(f1, ops.apply_T(v.components))
-                 + ops.apply_symbol(f2, v.components))
+        sp = ops.spectral
+        f1, f2 = symbols(spec, sp.eigenvalues())
+        comps = (sp.apply_symbol(f1, ops.apply_T(v.components))
+                 + sp.apply_symbol(f2, v.components))
         leak = 0.0
     else:
         comps, leak = _NodeEngine(spec, ops).run(v.components, form)
@@ -409,10 +405,11 @@ def _apply_P_alpha_staggered(spec: QuadratureSpec, ops: StaggeredOperators,
     if np.any(v.components[1:]):
         raise ValueError("the staggered scheme serves real inputs only; "
                          "the vector components of v must be zero")
-    f1, f2 = symbols(spec, ops.eigenvalues())
+    sp = ops.spectral
+    f1, f2 = symbols(spec, sp.eigenvalues())
     g = ops.grid
-    scal = ops.apply_symbol(f2, v.components[0])
-    pre = ops.apply_symbol(f1, v.components[0])
+    scal = sp.apply_symbol(f2, v.components[0])
+    pre = sp.apply_symbol(f1, v.components[0])
     vec = tuple(FaceField(g, ax, ops.apply_A(ax, pre)) for ax in range(g.dims))
     return FracApplyResult(full=None, scal=RealField(g, scal), vec=vec,
                            j_leak=0.0)
@@ -470,11 +467,12 @@ def build_matrix(spec: QuadratureSpec, ops: Operators, *,
         raise ValueError("build_matrix needs coefficients positive at every "
                          "node: its matrices come from the spectral "
                          "factorization of L")
-    f1, f2 = symbols(spec, ops.eigenvalues())
+    sp = ops.spectral
+    f1, f2 = symbols(spec, sp.eigenvalues())
     basis = np.eye(g.N).reshape(g.N, *g.n)
-    m_scal = ops.apply_symbol(f2, basis).reshape(g.N, g.N).T
+    m_scal = sp.apply_symbol(f2, basis).reshape(g.N, g.N).T
     m_vec = tuple(
-        ops.apply_symbol(f1, ops.apply_A(ax, basis)).reshape(g.N, g.N).T
+        sp.apply_symbol(f1, ops.apply_A(ax, basis)).reshape(g.N, g.N).T
         for ax in range(g.dims))
     return FracPowerOperator(alpha=spec.alpha, grid=g, m_scal=m_scal,
                              m_vec=m_vec, build_tolerance=build_tolerance)

@@ -1,7 +1,9 @@
 """Box domains, interior grids, quaternion-valued grid functions, and the
 discrete operators: per-axis first derivatives D_l, coefficient operators
-A_l = diag(a_l) D_l, the vector operator T = sum_l e_l A_l, and the
-pseudo-resolvent Q_s = |s|^2 I - sum_l A_l^2.
+A_l = diag(a_l) D_l, the vector operator T = sum_l e_l A_l and L = T^2 =
+-sum_l A_l^2.  One type, `AxisFactorization`, holds every separable
+spectrum of the package: the collocated L (`Operators.spectral`), the node
+and face families of the staggered scheme, and the oracle's sine basis.
 
 A_l^2 always means composing the discrete A_l with itself.  That choice makes
 Q = T^2 + |s|^2 an exact identity of the discrete algebra (T^2 really is the
@@ -37,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .coeff import CoefficientProfile, constant_profile
-from .quat import Quaternion, left_mult_table
+from .quat import Quaternion, left_mul, left_mult_table
 
 _E_TABLES = [left_mult_table(q) for q in
               (Quaternion(1.0), Quaternion(0, 1, 0, 0),
@@ -223,9 +225,7 @@ class QuatField:
 
     def left_mul(self, q: Quaternion) -> "QuatField":
         """Pointwise left multiplication by a constant quaternion."""
-        table = left_mult_table(q)
-        return QuatField(self.grid, np.einsum("ab,b...->a...", table,
-                                              self.components))
+        return QuatField(self.grid, left_mul(q, self.components))
 
 
 class FaceField:
@@ -296,12 +296,77 @@ def _axis_profile_samples(grid: Grid, profile: CoefficientProfile,
     return a.reshape(shape)
 
 
+def _axis_svd(r_out: np.ndarray, d: np.ndarray, r_in: np.ndarray):
+    """One SVD of the symmetrized axis operator S = diag(r_out) d diag(r_in)
+    = U Sigma V^T.  S^T S = V Sigma^2 V^T without squaring the condition
+    number, so diag(r_in) S^T S diag(1/r_in) has the factor (Sigma^2,
+    V^T diag(1/r_in), diag(r_in) V); returns that factor and U.  d is scaled
+    into S and V^T into the forward map in place: the caller's d stays alive
+    through the call, and these spare the n x n copies beside it."""
+    d *= r_out[:, None]
+    d *= r_in
+    u, sigma, vt = np.linalg.svd(d)
+    inv = r_in[:, None] * vt.T
+    vt /= r_in
+    return (sigma ** 2, vt, inv), u
+
+
+class AxisFactorization:
+    """Fast diagonalization of a Kronecker sum (Lynch, Rice and Thomas,
+    Numer. Math. 6, 1964): per axis l the factor (lambda_l, fwd_l, inv_l)
+    with inv_l fwd_l = I and inv_l diag(lambda_l) fwd_l the axis operator.
+    The sum is then inv diag(Lambda) fwd, the transforms applied one axis
+    at a time, so any function f of it is the diagonal scaling f(Lambda)
+    between them."""
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Lambda = sum_l lambda_l, laid out as the coefficient array that
+        `apply_symbol` scales.  Computed once; the array is read-only."""
+        return self._eigenvalues
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        lam = np.zeros([len(mu) for mu, _, _ in self.factors])
+        for ax, (mu, _, _) in enumerate(self.factors):
+            shape = [1] * lam.ndim
+            shape[ax] = -1
+            lam = lam + mu.reshape(shape)
+        lam.flags.writeable = False
+        return lam
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """The coefficients fwd values, values shaped (..., *Lambda.shape)."""
+        return self._transform([f for _, f, _ in self.factors], values)
+
+    def apply_symbol(self, symbol: np.ndarray, values: np.ndarray,
+                     transpose: bool = False) -> np.ndarray:
+        """f(L) values (or f(L)^T values), with symbol = f(eigenvalues());
+        values shaped (..., *Lambda.shape)."""
+        fwd = [f for _, f, _ in self.factors]
+        inv = [i for _, _, i in self.factors]
+        if transpose:  # (inv S fwd)^T = fwd^T S inv^T
+            fwd, inv = [m.T for m in inv], [m.T for m in fwd]
+        return self._transform(inv, symbol * self._transform(fwd, values))
+
+    @staticmethod
+    def _transform(mats, values: np.ndarray) -> np.ndarray:
+        """Apply mats[l] along axis l of values, the axes of Lambda last."""
+        dims = len(mats)
+        for ax, m in enumerate(mats):
+            values = np.moveaxis(
+                np.tensordot(m, values, axes=([1], [ax - dims])), 0, ax - dims)
+        return values
+
+
 class Operators:
     """Bundles the per-axis discrete operators for one (grid, coefficients)
     pair; all applications are matrix-free.  On positive coefficients the
-    per-axis spectral factorization of L (`eigenvalues`, `apply_symbol`) is
-    the one source of its spectrum: the symbols, the resolvent solves, the
-    closed form and the spectrum probe all use it.  Dense materialization
+    per-axis spectral factorization of L (`spectral`) is the one source of
+    its spectrum: the symbols, the resolvent solves, the closed form and the
+    spectrum probe all use it.  Dense materialization
     (N <= DENSE_CAP) serves a set with a sample <= 0 (the LU of Q_s, the
     spectrum probe) and test references."""
 
@@ -390,15 +455,15 @@ class Operators:
 
     # -- per-axis spectral factorization ----------------------------------
     @cached_property
-    def _factors(self) -> tuple:
-        """Per axis (lambda, fwd, inv) with L = W V diag(Lambda) V^T W^{-1}.
+    def spectral(self) -> AxisFactorization:
+        """The factorization of L = W V diag(Lambda) V^T W^{-1}.
 
         With r = a_l^{1/2} and W = (x)_l diag(r), W^{-1} A_l W = K_l = r D_l r
         is skew, so L = -sum A_l^2 is similar to the symmetric Kronecker sum
-        of the K_l^T K_l.  One SVD per axis, K_l = U Sigma V_l^T, gives
-        K_l^T K_l = V_l Sigma^2 V_l^T without squaring the condition number:
-        lambda = sigma^2, fwd = V_l^T diag(1/r), inv = diag(r) V_l.  The
-        kernel of an odd axis (its parity pattern, exact) gets lambda = 0.
+        of the K_l^T K_l, which `_axis_svd` diagonalizes one axis at a time.
+        The kernel of an odd axis (its parity pattern, exact) gets lambda = 0,
+        so the eigenvalues are exactly 0 only at the parity null mode of
+        all-odd grids.
         """
         if not self.is_positive:
             raise ValueError("the spectral factorization of L needs "
@@ -406,38 +471,11 @@ class Operators:
         out = []
         for ax in range(self.grid.dims):
             r = np.sqrt(self.a_samples[ax].reshape(-1))
-            _, sigma, vt = np.linalg.svd(r[:, None] * self._axis_D(ax) * r)
-            lam = sigma ** 2
+            (lam, fwd, inv), _ = _axis_svd(r, self._axis_D(ax), r)
             if self.grid.n[ax] % 2:
                 lam[-1] = 0.0  # singular values come sorted descending
-            out.append((lam, vt / r, r[:, None] * vt.T))
-        return tuple(out)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues Lambda of L, shape grid.n, laid out as the coefficient
-        array that `apply_symbol` scales.  Exactly 0 only at the parity null
-        mode of all-odd grids.  Computed once; the array is read-only."""
-        return self._eigenvalues
-
-    @cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        lam = np.zeros(self.grid.n)
-        for ax, (mu, _, _) in enumerate(self._factors):
-            shape = [1] * self.grid.dims
-            shape[ax] = -1
-            lam = lam + mu.reshape(shape)
-        lam.flags.writeable = False
-        return lam
-
-    def apply_symbol(self, symbol: np.ndarray, values: np.ndarray,
-                     transpose: bool = False) -> np.ndarray:
-        """f(L) values (or f(L)^T values), with symbol = f(eigenvalues());
-        values shaped (..., *grid.n)."""
-        fwd = [f for _, f, _ in self._factors]
-        inv = [i for _, _, i in self._factors]
-        if transpose:  # (inv S fwd)^T = fwd^T S inv^T
-            fwd, inv = [m.T for m in inv], [m.T for m in fwd]
-        return _tensor_apply(inv, symbol * _tensor_apply(fwd, values))
+            out.append((lam, fwd, inv))
+        return AxisFactorization(out)
 
     # -- null-mode data ----------------------------------------------------
     @cached_property
@@ -477,8 +515,9 @@ class StaggeredOperators:
     One SVD per axis, S_l = a_f^{1/2} D_l a_p^{1/2} = U_l Sigma_l V_l^T,
     diagonalizes both families for every separable coefficient: S_l^T S_l is
     the symmetrized node operator and S_l S_l^T the face one, whose extra
-    column of U_l spans its null space (eigenvalue 0).  `apply_symbol` applies
-    any function of L_D or L_l through those factors.
+    column of U_l spans its null space (eigenvalue 0).  `spectral` (the node
+    family, L_D) and `face_spectral(l)` (L_l) apply any function of those
+    operators through the factors.
     """
 
     def __init__(self, grid: Grid, profiles):
@@ -524,88 +563,30 @@ class StaggeredOperators:
         return out
 
     @cached_property
-    def _svd(self) -> tuple:
-        """Per axis (sigma^2, U, V) of S_l = a_f^{1/2} D_l a_p^{1/2}."""
-        out = []
-        for n, h, a_p, a_f in zip(self.grid.n, self.grid.h, self.a_nodes,
-                                  self.a_faces):
-            d = np.diff(np.eye(n), axis=0, prepend=0.0, append=0.0) / h
-            s = np.sqrt(a_f)[:, None] * d * np.sqrt(a_p)[None, :]
-            u, sigma, vt = np.linalg.svd(s)
-            out.append((sigma ** 2, u, vt.T))
-        return tuple(out)
+    def _svds(self) -> tuple:
+        """Per axis `_axis_svd` of S_l = a_f^{1/2} D_l a_p^{1/2}."""
+        return tuple(
+            _axis_svd(np.sqrt(a_f),
+                      np.diff(np.eye(n), axis=0, prepend=0.0, append=0.0) / h,
+                      np.sqrt(a_p))
+            for n, h, a_p, a_f in zip(self.grid.n, self.grid.h, self.a_nodes,
+                                      self.a_faces))
 
-    def _factors(self, face_axis: int | None):
-        """Per axis (eigenvalues, forward map, inverse map) of one family."""
-        out = []
-        for ax, (sigma2, u, v) in enumerate(self._svd):
-            if ax == face_axis:
-                root = np.sqrt(self.a_faces[ax])
-                out.append((np.append(sigma2, 0.0), u.T / root,
-                            root[:, None] * u))
-            else:
-                root = np.sqrt(self.a_nodes[ax])
-                out.append((sigma2, v.T / root, root[:, None] * v))
-        return out
+    @cached_property
+    def spectral(self) -> AxisFactorization:
+        """The node family: the factorization of L_D."""
+        return AxisFactorization(node for node, _ in self._svds)
 
-    def eigenvalues(self, face_axis: int | None = None) -> np.ndarray:
-        """Eigenvalues of L_D (or of L_l on the faces normal to face_axis),
-        laid out as the coefficient array that `apply_symbol` scales."""
-        lam = 0.0
-        for ax, (mu, _, _) in enumerate(self._factors(face_axis)):
-            lam = lam + self._along(mu, ax)
-        return np.asarray(lam)
-
-    def apply_symbol(self, symbol: np.ndarray, values: np.ndarray,
-                     face_axis: int | None = None) -> np.ndarray:
-        """f(L_D) values (or f(L_l) on the faces normal to face_axis), with
-        symbol = f(eigenvalues(face_axis)); values shaped (..., *grid)."""
-        factors = self._factors(face_axis)
-        out = _tensor_apply([fwd for _, fwd, _ in factors], values)
-        return _tensor_apply([inv for _, _, inv in factors], symbol * out)
-
-
-def _tensor_apply(mats, values: np.ndarray) -> np.ndarray:
-    """Apply mats[l] along grid axis l of values shaped (..., *grid)."""
-    dims = len(mats)
-    for ax, m in enumerate(mats):
-        values = np.moveaxis(np.tensordot(m, values, axes=([1], [ax - dims])),
-                             0, ax - dims)
-    return values
-
-
-# ---------------------------------------------------------------------------
-# Pseudo-resolvent assembly
-
-
-class LinearSystem:
-    """Q = |s|^2 I - sum_l A_l^2, acting componentwise on quaternion fields.
-
-    Equals the matrix of T^2 + |s|^2 on each component exactly; for purely
-    imaginary s the commutative-calculus polynomial s^2 I + sum A_l^2 is the
-    negative of this matrix up to rounding in |s|^2 (s^2 = -|s|^2 there).
-    """
-
-    def __init__(self, ops: Operators, s_mod_sq: float):
-        self.ops = ops
-        self.grid = ops.grid
-        self.t2 = float(s_mod_sq)
-
-    def matvec(self, values: np.ndarray) -> np.ndarray:
-        return self.t2 * values + self.ops.apply_L(values)
-
-    def dense(self) -> np.ndarray:
-        return self.t2 * np.eye(self.grid.N) + self.ops.dense_L()
-
-
-def assemble_Q(ops: Operators, s: Quaternion) -> LinearSystem:
-    """Pseudo-resolvent system at a purely imaginary s (Re(s) = 0, s != 0)."""
-    if s.w != 0.0:
-        raise ValueError("Q_s assembly restricted to purely imaginary s")
-    m2 = s.x * s.x + s.y * s.y + s.z * s.z
-    if m2 == 0.0:
-        raise ValueError("s must be nonzero")
-    return LinearSystem(ops, m2)
+    def face_spectral(self, grid_axis: int) -> AxisFactorization:
+        """The face family of that axis: the factorization of L_l on the
+        faces normal to it, with the null space of S_l S_l^T (the extra
+        column of U_l) at eigenvalue 0."""
+        factors = list(self.spectral.factors)
+        (lam, _, _), u = self._svds[grid_axis]
+        root = np.sqrt(self.a_faces[grid_axis])
+        factors[grid_axis] = (np.append(lam, 0.0), u.T / root,
+                              root[:, None] * u)
+        return AxisFactorization(factors)
 
 
 # ---------------------------------------------------------------------------

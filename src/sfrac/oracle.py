@@ -3,15 +3,17 @@
 Two oracles with deliberately different error budgets:
 
 * `fractional_laplacian_spectral` — sine modes with the *continuous*
-  eigenvalues (k pi / L)^2.  Gap to the discrete operator is O(h^2) plus the
-  wide-stencil boundary effect; it validates the modeling, not the quadrature.
+  eigenvalues (k pi / L)^2 (`sine_basis`, the same per-axis factorization
+  type as the discrete spectra, `grid.AxisFactorization`).  Gap to the
+  discrete operator is O(h^2) plus the wide-stencil boundary effect; it
+  validates the modeling, not the quadrature.
 * `closed_form_P_alpha` — the exact powers of the *discrete* operator
   L = -sum A_l^2 itself, applied through the per-axis spectral factorization
-  of L (`Operators.apply_symbol`) for every separable coefficient set with
-  positive samples; on `StaggeredOperators`, through that scheme's face and
-  node families.  It shares the operators with the quadrature path, so
-  disagreement there can only come from quadrature error, never
-  discretization.
+  of L (`Operators.spectral`) for every separable coefficient set with
+  positive samples; on `StaggeredOperators`, through that scheme's node
+  (`spectral`) and face (`face_spectral`) families.  It shares the
+  operators with the quadrature path, so disagreement there can only come
+  from quadrature error, never discretization.
 
 The two oracles agree only on the staggered scheme.  The collocated default
 does not converge to the continuum on real inputs (its wide stencil pairs
@@ -35,62 +37,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frac import FracApplyResult, exact_symbols
-from .grid import (FaceField, Grid, Operators, QuatField, RealField,
-                   StaggeredOperators)
+from .grid import (AxisFactorization, FaceField, Grid, Operators, QuatField,
+                   RealField, StaggeredOperators)
 
 
-class SineBasis:
-    """Product sine modes on a box with their continuous eigenvalues.
+def sine_basis(grid: Grid) -> AxisFactorization:
+    """Product sine modes on a box with their continuous eigenvalues
+    sum_l (k_l pi / L_l)^2, as a factorization: fwd_l = 2/(n_l+1) S_l and
+    inv_l = S_l, S_l[k-1, i-1] = sin(k i pi / (n_l+1)) (S_l S_l = (n_l+1)/2 I).
 
     Modes vanish at the boundary and diagonalize the plain second-difference
     operator exactly; against the composed wide stencil they are orthogonal
     only up to O(h^2).  Transform matrices are naive O(n^2) per axis, which
     keeps them dependency-free and bit-reproducible at desk scale.
     """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self._mats = []
-        for ax in range(grid.dims):
-            n = grid.n[ax]
-            k = np.arange(1, n + 1)
-            # S[k-1, i-1] = sin(k i pi / (n+1)); S @ S = (n+1)/2 * I
-            self._mats.append(np.sin(np.outer(k, k) * np.pi / (n + 1)))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Continuous eigenvalues sum_l (k_l pi / L_l)^2, shape grid.n."""
-        lam = np.zeros(self.grid.n)
-        for ax, L in enumerate(self.grid.domain.lengths):
-            n = self.grid.n[ax]
-            k = np.arange(1, n + 1) * np.pi / L
-            shape = [1] * self.grid.dims
-            shape[ax] = n
-            lam = lam + (k ** 2).reshape(shape)
-        return lam
-
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(values, dtype=float)
-        for ax in range(self.grid.dims):
-            n = self.grid.n[ax]
-            out = np.moveaxis(
-                np.tensordot(self._mats[ax] * (2.0 / (n + 1)), out,
-                             axes=([1], [ax])), 0, ax)
-        return out
-
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.asarray(coeffs, dtype=float)
-        for ax in range(self.grid.dims):
-            out = np.moveaxis(
-                np.tensordot(self._mats[ax], out, axes=([1], [ax])), 0, ax)
-        return out
+    factors = []
+    for n, L in zip(grid.n, grid.domain.lengths):
+        k = np.arange(1, n + 1)
+        s = np.sin(np.outer(k, k) * np.pi / (n + 1))
+        factors.append(((k * np.pi / L) ** 2, s * (2.0 / (n + 1)), s))
+    return AxisFactorization(factors)
 
 
 def fractional_laplacian_spectral(beta: float, v: RealField) -> RealField:
     """(-Laplace)^beta v through sine modes with continuous eigenvalues."""
-    basis = SineBasis(v.grid)
-    c = basis.forward(v.values)
-    lam = basis.eigenvalues()
-    return RealField(v.grid, basis.inverse(c * lam ** beta))
+    basis = sine_basis(v.grid)
+    return RealField(v.grid, basis.apply_symbol(basis.eigenvalues() ** beta,
+                                                v.values))
 
 
 def closed_form_P_alpha(alpha: float, v: RealField,
@@ -110,11 +83,12 @@ def closed_form_P_alpha(alpha: float, v: RealField,
     if isinstance(ops, StaggeredOperators):
         return _closed_form_staggered(alpha, v, ops)
     g = ops.grid
-    e1, e2 = exact_symbols(alpha, ops.eigenvalues())
+    sp = ops.spectral
+    e1, e2 = exact_symbols(alpha, sp.eigenvalues())
     comps = np.zeros((4, *g.n))
-    comps[0] = ops.apply_symbol(e2, v.values)
+    comps[0] = sp.apply_symbol(e2, v.values)
     for ax in range(g.dims):
-        comps[ax + 1] = ops.apply_symbol(e1, ops.apply_A(ax, v.values))
+        comps[ax + 1] = sp.apply_symbol(e1, ops.apply_A(ax, v.values))
     return FracApplyResult(full=QuatField(g, comps),
                            scal=RealField(g, comps[0]),
                            vec=tuple(RealField(g, w) for w in comps[1:]),
@@ -124,12 +98,13 @@ def closed_form_P_alpha(alpha: float, v: RealField,
 def _closed_form_staggered(alpha: float, v: RealField,
                            ops: StaggeredOperators) -> FracApplyResult:
     g = ops.grid
-    _, e2 = exact_symbols(alpha, ops.eigenvalues())
-    scal = ops.apply_symbol(e2, v.values)
+    _, e2 = exact_symbols(alpha, ops.spectral.eigenvalues())
+    scal = ops.spectral.apply_symbol(e2, v.values)
     vec = []
     for ax in range(g.dims):
-        e1, _ = exact_symbols(alpha, ops.eigenvalues(face_axis=ax))
-        w = ops.apply_symbol(e1, ops.apply_A(ax, v.values), face_axis=ax)
+        face = ops.face_spectral(ax)
+        e1, _ = exact_symbols(alpha, face.eigenvalues())
+        w = face.apply_symbol(e1, ops.apply_A(ax, v.values))
         vec.append(FaceField(g, ax, w))
     return FracApplyResult(full=None, scal=RealField(g, scal), vec=tuple(vec),
                            j_leak=0.0)
@@ -170,7 +145,7 @@ def s_spectrum_probe(ops: Operators) -> SpectrumProbe:
     <= 0 takes the general eigenvalues of the dense L (N <= DENSE_CAP), the
     only route on which mu < 0, and so a spectral sphere, can appear."""
     if ops.is_positive:
-        mu = np.sort(ops.eigenvalues(), axis=None)
+        mu = np.sort(ops.spectral.eigenvalues(), axis=None)
         max_imag = 0.0
     else:
         mu_c = np.linalg.eigvals(ops.dense_L())

@@ -228,3 +228,8 @@ def left_mult_table(u) -> np.ndarray:
         [y,  z,  w, -x],
         [z, -y,  x,  w],
     ])
+
+
+def left_mul(u, arr: np.ndarray) -> np.ndarray:
+    """u * v for every quaternion value v of arr, shaped (4, ...)."""
+    return np.einsum("ab,b...->a...", left_mult_table(u), arr)

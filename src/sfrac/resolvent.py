@@ -1,18 +1,20 @@
 """Pseudo-resolvent solves Q_s w = f, the left and right S-resolvents, and
 norm estimation for the resolvent-bound checks.
 
-Q_s = |s|^2 I - sum_l A_l^2 is a real matrix acting componentwise, so a
-quaternion right-hand side is four independent real solves sharing one
-factorization.  The coefficients pick that factorization.  When every
-coefficient sample is positive (`Operators.is_positive`) it is the per-axis
-spectral factorization of L that `Operators` caches (fast diagonalization,
-Lynch, Rice and Thomas, Numer. Math. 6, 1964): Q_s^{-1} is the diagonal
-scaling 1/(|s|^2 + Lambda) between two per-axis tensor transforms, so every
-quadrature node shares one factorization of L and a workspace costs no
-factorization of its own.  Otherwise L has no such factorization: the
-workspace keeps the dense Q_s (N <= DENSE_CAP) and each application solves
-it by LU (`numpy.linalg.solve`); the node engine applies every workspace
-once.
+Q_s = |s|^2 I + L, L = -sum_l A_l^2, is a real matrix acting componentwise
+(the discrete T^2 + |s|^2, exactly; see the grid module), so a quaternion
+right-hand side is four independent real solves sharing one factorization.
+`ResolventWorkspace` is where Q_s lives: it takes |s|^2 from a purely
+imaginary, nonzero s and rejects any other.  The coefficients pick the
+factorization.  When every coefficient sample is positive
+(`Operators.is_positive`) it is the per-axis spectral factorization of L,
+`Operators.spectral` (fast diagonalization, Lynch, Rice and Thomas, Numer.
+Math. 6, 1964): Q_s^{-1} is the diagonal scaling 1/(|s|^2 + Lambda) between
+two per-axis tensor transforms, so every quadrature node shares one
+factorization of L and a workspace costs no factorization of its own.
+Otherwise L has no such factorization: the workspace keeps the dense
+Q_s = |s|^2 I + dense_L() (N <= DENSE_CAP) and each application solves it
+by LU (`numpy.linalg.solve`); the node engine applies every workspace once.
 
 The production P_alpha and its matrix do not come through here: summed over
 the nodes, the resolvents collapse onto two scalar symbols of L (see the
@@ -37,9 +39,8 @@ import math
 import numpy as np
 
 from .errors import SolverDiverged
-from .grid import (_E_TABLES, LinearSystem, Operators, QuatField,
-                   assemble_Q)
-from .quat import Quaternion, left_mult_table
+from .grid import Operators, QuatField
+from .quat import E1, E2, E3, Quaternion, left_mul
 
 # relative residual above which solve_Q raises SolverDiverged; either
 # factorization of a nonsingular deflated Q_s meets it by orders of magnitude
@@ -56,18 +57,19 @@ class ResolventWorkspace:
     def __init__(self, ops: Operators, s: Quaternion):
         if s.w != 0.0:
             raise ValueError("workspace requires purely imaginary s")
+        self.t2 = float(s.x * s.x + s.y * s.y + s.z * s.z)  # |s|^2
+        if self.t2 == 0.0:
+            raise ValueError("s must be nonzero")
         self.ops = ops
         self.grid = ops.grid
         self.s = s
-        self.system: LinearSystem = assemble_Q(ops, s)
-        self.t2 = self.system.t2
         self._dense = None
         if ops.is_positive:
             # the parity-null coefficient is exactly 0: _deflate owns that mode
-            lam = ops.eigenvalues()
+            lam = ops.spectral.eigenvalues()
             self._symbol = np.where(lam > 0.0, 1.0 / (self.t2 + lam), 0.0)
         else:
-            self._dense = self.system.dense()
+            self._dense = self.t2 * np.eye(self.grid.N) + ops.dense_L()
         self._null = ops.null_pair  # (zeta, eta) or None
 
     # -- low level solves --------------------------------------------------
@@ -121,7 +123,7 @@ class ResolventWorkspace:
         live = rhs.any(axis=1)
         out = np.zeros_like(rhs)
         vals = rhs[live].reshape(-1, *self.grid.n)
-        sol = self.ops.apply_symbol(self._symbol, vals, transpose)
+        sol = self.ops.spectral.apply_symbol(self._symbol, vals, transpose)
         out[live] = sol.reshape(vals.shape[0], self.grid.N)
         return out
 
@@ -132,7 +134,8 @@ class ResolventWorkspace:
         comps = f.components.reshape(4, -1)
         sol = self._solve_stack(comps)
         w = QuatField(f.grid, sol.reshape(4, *self.grid.n))
-        r = self.system.matvec(w.components) - f.components
+        r = self.t2 * w.components + self.ops.apply_L(w.components) \
+            - f.components
         nf = float(np.sqrt(np.sum(f.components ** 2)))
         if nf > 0 and float(np.sqrt(np.sum(r ** 2))) > RESIDUAL_GUARD * nf:
             raise SolverDiverged(
@@ -170,10 +173,9 @@ class ResolventWorkspace:
         # M^T = (I4 ox Q^{-T}) [lmult(s) ox I + sum_l lmult(e_l) ox A_l^T]
         # using lmult(q)^T = lmult(conj q) and lmult(e_l)^T = -lmult(e_l).
         y = x.reshape(4, *self.grid.n)
-        acc = np.einsum("ab,b...->a...", left_mult_table(self.s), y)
-        for ax in range(self.grid.dims):
-            aty = self.ops.apply_A_transpose(ax, y)
-            acc += np.einsum("ab,b...->a...", _E_TABLES[ax + 1], aty)
+        acc = left_mul(self.s, y)
+        for ax, e in enumerate((E1, E2, E3)[:self.grid.dims]):
+            acc += left_mul(e, self.ops.apply_A_transpose(ax, y))
         flat = acc.reshape(4, -1)
         sol = self._solve_stack(flat, transpose=True)
         return sol.reshape(-1)

@@ -261,17 +261,6 @@ class TestApply:
         for ax in range(2):
             assert quad.vec[ax].values.shape == ref.vec[ax].values.shape
             assert rel_gap(quad.vec[ax].values, ref.vec[ax].values) <= 1e-10
-        # the factorization reproduces both operator families, and the flux
-        # intertwines them: A_l L_D = L_l A_l
-        u = np.random.default_rng(3).standard_normal(g.n)
-        lu = ops.apply_L(u)
-        assert rel_gap(ops.apply_symbol(ops.eigenvalues(), u), lu) <= 1e-13
-        for ax in range(2):
-            au = ops.apply_A(ax, u)
-            la = ops.apply_L(au, face_axis=ax)
-            assert rel_gap(ops.apply_symbol(ops.eigenvalues(ax), au, ax),
-                           la) <= 1e-13
-            assert rel_gap(ops.apply_A(ax, lu), la) <= 1e-14
         with pytest.raises(ValueError):
             apply_P_alpha(QuadratureSpec(0.5), ops,
                           QuatField.from_components(g, q0=v.values,

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
-                        assemble_Q, constant_operators, diff_axis, lincomb,
-                        norms)
+                        StaggeredOperators, constant_operators, diff_axis,
+                        lincomb, norms)
 from sfrac.coeff import constant_profile, make_profile
 from sfrac.quat import E2, Quaternion
+from sfrac.resolvent import ResolventWorkspace
 
 
 def grid1d(n, length=math.pi):
@@ -267,7 +268,7 @@ class TestOperators:
             shape[ax] = m
             want = want + (v * v * np.cos(k * np.pi / (m + 1)) ** 2
                            / h ** 2).reshape(shape)
-        lam = ops.eigenvalues()
+        lam = ops.spectral.eigenvalues()
         want = np.sort(want, axis=None)
         assert np.max(np.abs(np.sort(lam, axis=None) - want)) \
             <= 1e-14 * want[-1]
@@ -282,36 +283,90 @@ class TestOperators:
 
 
 class TestLinearSystem:
+    """Q_s = |s|^2 I + L with L = dense_L(): the matrix of T^2 + |s|^2 on
+    each component, which `ResolventWorkspace` solves."""
+
     def test_constant_1d_is_t2_plus_DtD(self):
         g = grid1d(15)
         ops = constant_operators(g)
         t = 0.7
-        q = assemble_Q(ops, Quaternion(0, t, 0, 0))
         d = ops.dense_D(0)
         expect = t * t * np.eye(g.N) + d.T @ d
-        assert np.allclose(q.dense(), expect, atol=1e-13)
+        assert np.allclose(t * t * np.eye(g.N) + ops.dense_L(), expect,
+                           atol=1e-13)
 
     def test_zero_field(self):
         g = grid1d(8)
-        q = assemble_Q(constant_operators(g), Quaternion(0, 0, 1.0, 0))
-        assert np.array_equal(q.matvec(np.zeros(g.n)), np.zeros(g.n))
+        ws = ResolventWorkspace(constant_operators(g),
+                                Quaternion(0, 0, 1.0, 0))
+        zero = np.zeros(g.n)
+        assert np.array_equal(ws.t2 * zero + ws.ops.apply_L(zero), zero)
 
-    def test_commutative_polynomial_is_negation(self):
+    def test_commutative_polynomial_is_negation(self, dense_route):
         # s^2 I + sum A_l^2  ==  -(|s|^2 I - sum A_l^2) for Re s = 0, exactly
         g = grid1d(14, 1.0)
         ops = Operators(g, (make_profile(1, "1+0.1*x", 1.0),))
         t = 1.3
-        q = assemble_Q(ops, Quaternion(0, 0, 0, t)).dense()
+        q = ResolventWorkspace(dense_route(ops), Quaternion(0, 0, 0, t))._dense
+        assert np.array_equal(q, t * t * np.eye(g.N) + ops.dense_L())
         a = ops.dense_A(0)
         q_c = (-t * t) * np.eye(g.N) + a @ a
         assert np.array_equal(q_c, -q)
 
     def test_assembly_rejects_bad_s(self):
         ops = constant_operators(grid1d(4))
+        with pytest.raises(ValueError, match="imaginary"):
+            ResolventWorkspace(ops, Quaternion(1.0, 1.0, 0, 0))
+        with pytest.raises(ValueError, match="nonzero"):
+            ResolventWorkspace(ops, Quaternion(0, 0, 0, 0))
+
+
+def staggered_ops_2d():
+    g = Grid(BoxDomain((1.0, 1.3)), (12, 15))
+    return StaggeredOperators(g, (make_profile(1, "1+0.2*sin(x)", 1.0),
+                                  make_profile(2, "exp(0.1*x)", 1.3)))
+
+
+def rel_gap(a, b):
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
+    return np.max(np.abs(a - b)) / scale
+
+
+class TestAxisFactorization:
+    def test_staggered_node_eigenvalues_computed_once_read_only(self):
+        ops = staggered_ops_2d()
+        lam = ops.spectral.eigenvalues()
+        assert ops.spectral is ops.spectral
+        assert ops.spectral.eigenvalues() is lam
+        assert lam.shape == ops.grid.n and not lam.flags.writeable
         with pytest.raises(ValueError):
-            assemble_Q(ops, Quaternion(1.0, 1.0, 0, 0))
-        with pytest.raises(ValueError):
-            assemble_Q(ops, Quaternion(0, 0, 0, 0))
+            lam[0, 0] = 1.0
+        assert np.all(lam > 0.0)  # compact L_D: no parity null mode
+
+    def test_face_family_reproduces_apply_L(self):
+        # both operator families, and the flux intertwines them:
+        # A_l L_D = L_l A_l
+        ops = staggered_ops_2d()
+        g = ops.grid
+        u = np.random.default_rng(3).standard_normal(g.n)
+        lu = ops.apply_L(u)
+        sp = ops.spectral
+        assert rel_gap(sp.apply_symbol(sp.eigenvalues(), u), lu) <= 1e-13
+        for ax in range(2):
+            face = ops.face_spectral(ax)
+            au = ops.apply_A(ax, u)
+            assert face.eigenvalues().shape == au.shape
+            la = ops.apply_L(au, face_axis=ax)
+            assert rel_gap(face.apply_symbol(face.eigenvalues(), au),
+                           la) <= 1e-13
+            assert rel_gap(ops.apply_A(ax, lu), la) <= 1e-14
+
+    def test_non_positive_set_raises_from_spectral(self):
+        ops = Operators(grid1d(9, 1.0), (make_profile(1, "x-0.45", 1.0),))
+        assert not ops.is_positive
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(ValueError, match="positive"):
+                ops.spectral
 
 
 class TestNorms:
