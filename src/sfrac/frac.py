@@ -6,8 +6,8 @@ ds_j := ds (-j) that parameterization gives ds_j = -dt, hence the global
 factor -1/(2pi).  Nodes at +-t are evaluated together; for each pair the
 quaternionic integrand reduces analytically to the j-free combination
 
-    t^{alpha-1} [ 2 sin(theta) t u1  -  2 cos(theta) u2 ],
-    theta = (alpha-1) pi/2,   u1 = Q_t^{-1} T v,   u2 = Q_t^{-1} T^2 v,
+    t^{alpha-1} [ 2 sin(theta) t u1  -  2 cos(theta) T u1 ],
+    theta = (alpha-1) pi/2,   u1 = Q_t^{-1} T v,
 
 which is how one sees that the result neither depends on the chosen j nor
 leaves the scalar+vector structure for real inputs.
@@ -27,12 +27,14 @@ eigenvalue array and two applications of the per-axis factorization of L,
 whatever the node count.  Its result is the reduced form, so it cannot leak
 off the j-free span.
 
-The quaternionic node engine (`_NodeEngine`) is the reference: it solves
-Q_t per node, accumulates the naive quaternionic pair sum, and reports its
-gap to the reduced form as the j_leak diagnostic instead of projecting it
-away.  It runs for the left form and for a coefficient set with a sample
-<= 0 (where L has no spectral factorization and each Q_t gets a dense LU),
-and `verify` compares it, at several j, with the symbol route.
+The quaternionic node engine (`_node_engine`) is the reference: one loop
+over the same nodes (`_nodes`, the rule `symbols` sums) that solves
+u1 = Q_t^{-1} T v per node, accumulates the naive quaternionic pair sum of
+the right or left form, and reports its gap to the reduced form as the
+j_leak diagnostic instead of projecting it away.  It runs for the left form
+and for a coefficient set with a sample <= 0 (where L has no spectral
+factorization and each Q_t gets a dense LU), and `verify` compares it, at
+several j, with the symbol route.
 
 Quadrature: the weight t^{alpha-1} is integrable but singular at 0, so the
 panel [0, t_split] uses Gauss-Jacobi nodes absorbing exactly that weight.
@@ -53,15 +55,17 @@ nodes are within 4.5e-16 and the weights within 4.4e-13 (n = 64) and
 1.5e-12 (n = 128) relative; the moments sum w (1+x)^k, k < 2n, are exact
 to 5e-14 relative for n <= 128.
 
-Near t = 0 the right-resolvent integrand is realized through the splitting
-identity s^{alpha-1}(s S_R^{-1}(s,T) v - v); the equivalent bounded form
+The right-resolvent integrand is evaluated at every node as
 
-    s^{alpha-1} ( -Q_t^{-1}(T^2 v) - s Q_t^{-1}(T v) )
+    s^{alpha-1} ( conj(s) Q_t^{-1}(T v) - T Q_t^{-1}(T v) ),
 
-is what is evaluated (the raw identity would feed Q^{-1} the unfiltered v,
-whose parity-null component is amplified by 1/t^2 on all-odd grids; T v and
-T^2 v are exactly orthogonal to that mode, so this form stays clean, and
-f_1 is set to 0 on that mode).
+which near t = 0 equals the bounded form s^{alpha-1}(-Q_t^{-1}(T^2 v) -
+s Q_t^{-1}(T v)) of the splitting identity s^{alpha-1}(s S_R^{-1}(s,T) v -
+v), since conj(s) = -s and T commutes with Q_t (`integrand_form_gap`
+measures the two against each other).  The raw identity would feed Q^{-1}
+the unfiltered v, whose parity-null component is amplified by 1/t^2 on
+all-odd grids; T v is exactly orthogonal to that mode and T annihilates it,
+so this form stays clean, and f_1 is set to 0 on that mode.
 """
 
 from __future__ import annotations
@@ -84,10 +88,8 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Parameters of the Balakrishnan quadrature.
-
-    The near-zero integrand form is fixed to the splitting identity; only
-    node counts, the panel split point and the imaginary unit vary.
+    """Parameters of the Balakrishnan quadrature: the node counts of the two
+    panels, the panel split point and the imaginary unit j of the path -jR.
     """
 
     alpha: float
@@ -152,37 +154,36 @@ def gauss_jacobi(n: int, b: float):
     return x, w
 
 
-def _panels(spec: QuadratureSpec):
-    """(t_near, w_near_absorbed, t_tail, w_tail_raw), each ascending in t.
-
-    Near panel: sum_i w_i f(t_i) ~ integral_0^ts t^{alpha-1} f(t) dt.
-    Tail panel: sum_i w_i g(t_i) ~ integral_ts^inf g(t) dt for integrands
-    decaying like t^{alpha-2} * (smooth in 1/t).
+def _nodes(spec: QuadratureSpec):
+    """(t, c): the rule, all nodes ascending in t, with t^{alpha-1} folded
+    into the weights c on both panels: sum_i c_i f(t_i) ~ integral_0^inf
+    t^{alpha-1} f(t) dt for f smooth on [0, t_split] and 1/t times a smooth
+    function of 1/t beyond.  The near panel is the Gauss-Jacobi rule of
+    t^{alpha-1} itself; the tail, mapped by t = t_split/u, that of u^{-alpha}.
     """
     a = spec.alpha
     ts = spec.t_split
     x, w = gauss_jacobi(spec.n_sing, a - 1.0)
     t_near = ts * (1.0 + x) / 2.0
-    w_near = w * (ts / 2.0) ** a
+    c_near = w * (ts / 2.0) ** a
 
     x, w = gauss_jacobi(spec.n_tail, -a)
     u = (1.0 + x) / 2.0
     t_tail = ts / u
     w_tail = w * (0.5 ** (1.0 - a)) * u ** (a - 2.0) * ts
     order = np.argsort(t_tail)
-    return t_near, w_near, t_tail[order], w_tail[order]
+    t_tail = t_tail[order]
+    return (np.concatenate([t_near, t_tail]),
+            np.concatenate([c_near, w_tail[order] * t_tail ** (a - 1.0)]))
 
 
 def quad_nodes(spec: QuadratureSpec) -> list:
-    """All nodes ascending in t with raw weights: sum_i weight_i g(t_i)
-    approximates integral_0^inf g(t) dt for the integrand family above."""
-    t_near, w_near, t_tail, w_tail = _panels(spec)
-    raw_near = w_near * t_near ** (1.0 - spec.alpha)
-    nodes = [{"t": float(t), "weight": float(w)}
-             for t, w in zip(t_near, raw_near)]
-    nodes += [{"t": float(t), "weight": float(w)}
-              for t, w in zip(t_tail, w_tail)]
-    return nodes
+    """All nodes ascending in t with raw weights c_i t_i^{1-alpha}:
+    sum_i weight_i g(t_i) approximates integral_0^inf g(t) dt for the
+    integrand family of `_nodes` times t^{alpha-1}."""
+    ts, cs = _nodes(spec)
+    raw = cs * ts ** (1.0 - spec.alpha)
+    return [{"t": float(t), "weight": float(w)} for t, w in zip(ts, raw)]
 
 
 def symbols(spec: QuadratureSpec, lam: np.ndarray):
@@ -190,9 +191,7 @@ def symbols(spec: QuadratureSpec, lam: np.ndarray):
     f_2(L) v: the reduced pair integrand summed over the nodes of spec in
     the fixed ascending-t order, the global factor -1/(2 pi) folded in.
     f_1 is 0 where lam is 0, the parity null mode that T v never reaches."""
-    t_near, w_near, t_tail, w_tail = _panels(spec)
-    ts = np.concatenate([t_near, t_tail])
-    cs = np.concatenate([w_near, w_tail * t_tail ** (spec.alpha - 1.0)])
+    ts, cs = _nodes(spec)
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     sum_u1 = np.zeros_like(lam)
     sum_u2 = np.zeros_like(lam)
@@ -236,112 +235,49 @@ def quadrature_certificate(spec: QuadratureSpec,
 # Reference node engine.  Fields travel as arrays shaped (4, *grid.n).
 
 
-class _NodeEngine:
-    """Per-node quaternionic quadrature: the reference route of
-    apply_P_alpha (left form, or a coefficient sample <= 0)."""
+def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
+                 form: str):
+    """Per-node quaternionic quadrature of comps (4,*n), the reference route
+    of apply_P_alpha (left form, or a coefficient sample <= 0).  Returns
+    (result (4,*n), j_leak float).
 
-    def __init__(self, spec: QuadratureSpec, ops: Operators):
-        self.spec = spec
-        self.ops = ops
-        self.theta = (spec.alpha - 1.0) * math.pi / 2.0
-        self.cos_t = math.cos(self.theta)
-        self.sin_t = math.sin(self.theta)
-        j = spec.j
-        # unit-modulus slice factors of s_{+-}^{alpha-1} = t^{alpha-1} e_{-+}
-        self.e_plus = Quaternion(self.cos_t) + j.scale(-self.sin_t)
-        self.e_minus = Quaternion(self.cos_t) + j.scale(self.sin_t)
-        self.jq = j
-        t_near, w_near, t_tail, w_tail = _panels(spec)
-        self.t_near, self.w_near = t_near, w_near
-        self.t_tail, self.w_tail = t_tail, w_tail
-        self.n_nodes = len(t_near) + len(t_tail)
-
-    def _solve(self, t: float, rhs_flat: np.ndarray) -> np.ndarray:
-        """Q_t^{-1} on stacked rows.  Every integrand solve has rhs in the
-        range of the A_l operators (T v or T^2 v), so the parity-mode
-        coefficient is exactly zero."""
-        ws = ResolventWorkspace(self.ops, self.jq.scale(-t))
-        return ws._solve_stack(rhs_flat, null_free_rhs=True)
-
-    def near_contribution(self, i: int, tv: np.ndarray, lv: np.ndarray,
-                          form: str):
-        """Weighted pair contribution at near node i (weight absorbs
-        t^{alpha-1}).  tv = T v, lv = T^2 v componentwise, shapes (4,*n)."""
-        t = float(self.t_near[i])
-        w = float(self.w_near[i])
-        if form == "right":
-            rhs = np.concatenate([tv, lv]).reshape(8, -1)
-            u1, u2 = self._solve(t, rhs).reshape(2, *tv.shape)
-            # naive quaternionic pair of the splitting form, t^{alpha-1} off:
-            #   e_+ (-u2 - s_+ u1) + e_- (-u2 - s_- u1),  s_+- = -+ j t
-            s_plus = self.jq.scale(-t)
-            s_minus = self.jq.scale(t)
-            g_p = left_mul(self.e_plus, -u2 - left_mul(s_plus, u1))
-            g_m = left_mul(self.e_minus, -u2 - left_mul(s_minus, u1))
-            naive = g_p + g_m
-            reduced = 2.0 * self.sin_t * t * u1 - 2.0 * self.cos_t * u2
-        else:  # left form: one solve, factor inside the resolvent argument
-            u1 = self._solve(t, tv.reshape(4, -1)).reshape(tv.shape)
-            tu1 = self.ops.apply_T(u1)
-            naive = self._left_pair(u1, t)
-            reduced = 2.0 * self.sin_t * t * u1 - 2.0 * self.cos_t * tu1
-        return w * naive, w * reduced
-
-    def tail_contribution(self, i: int, tv: np.ndarray, form: str):
-        """Weighted pair contribution at tail node i (raw weight; integrand
-        carries its own t^{alpha-1})."""
-        t = float(self.t_tail[i])
-        w = float(self.w_tail[i])
-        u1 = self._solve(t, tv.reshape(4, -1)).reshape(tv.shape)
-        tu1 = self.ops.apply_T(u1)
-        pref = t ** (self.spec.alpha - 1.0)
-        if form == "right":
-            # q_+- (conj(s_+-) u1 - T u1), q_+- = t^{alpha-1} e_+-
-            sb_plus = self.jq.scale(t)      # conj(-jt)
-            sb_minus = self.jq.scale(-t)
-            g_p = left_mul(self.e_plus, left_mul(sb_plus, u1) - tu1)
-            g_m = left_mul(self.e_minus, left_mul(sb_minus, u1) - tu1)
-            naive = pref * (g_p + g_m)
-        else:
-            naive = pref * self._left_pair(u1, t)
-        reduced = pref * (2.0 * self.sin_t * t * u1
-                          - 2.0 * self.cos_t * tu1)
-        return w * naive, w * reduced
-
-    def _left_pair(self, u1: np.ndarray, t: float) -> np.ndarray:
-        """Naive pair of the left form with t^{alpha-1} factored off:
-        sum_{+-} [ conj(s_+-) e_+- u1 - T(e_+- u1) ]."""
-        sb_plus = self.jq.scale(t)
-        sb_minus = self.jq.scale(-t)
-        a_p = left_mul(qmul(sb_plus, self.e_plus), u1) \
-            - self.ops.apply_T(left_mul(self.e_plus, u1))
-        a_m = left_mul(qmul(sb_minus, self.e_minus), u1) \
-            - self.ops.apply_T(left_mul(self.e_minus, u1))
-        return a_p + a_m
-
-    def run(self, v_comps: np.ndarray, form: str):
-        """Accumulate all nodes for the field v_comps (4,*n).  Returns
-        (result (4,*n), j_leak float).  Nodes are evaluated serially in
-        ascending t and each is added as soon as it is evaluated, so the
-        result is bitwise reproducible and no node result outlives its turn."""
-        ops = self.ops
-        tv = ops.apply_T(v_comps)
-        # T^2 acts componentwise as L (cross terms cancel by exact
-        # commutation); apply_L is that scalar route directly
-        lv = ops.apply_L(v_comps) if form == "right" else None
-        acc = np.zeros_like(v_comps)
-        leak = np.zeros_like(v_comps)
-        for idx in range(self.n_nodes):
-            if idx < len(self.t_near):
-                naive, reduced = self.near_contribution(idx, tv, lv, form)
+    Each node solves u1 = Q_t^{-1} T v once (T v lies in the range of the
+    A_l, so its parity-mode coefficient is exactly zero) and forms T u1.
+    With s_+- = -+ j t and s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- =
+    cos(theta) -+ j sin(theta), the naive pair sum (t^{alpha-1} left to the
+    node weight c) is
+      right: sum_{+-} e_+- (conj(s_+-) u1 - T u1),
+      left:  sum_{+-} conj(s_+-) e_+- u1 - T(e_+- u1),
+    and both reduce to the same j-free 2 sin(theta) t u1 - 2 cos(theta) T u1;
+    j_leak is the gap between the two.  Nodes are evaluated serially in
+    ascending t and each is added as soon as it is evaluated, so the result
+    is bitwise reproducible and no node result outlives its turn."""
+    theta = (spec.alpha - 1.0) * math.pi / 2.0
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    j = spec.j
+    slices = (Quaternion(cos_t) + j.scale(-sin_t),
+              Quaternion(cos_t) + j.scale(sin_t))
+    tv = ops.apply_T(comps).reshape(4, -1)
+    acc = np.zeros_like(comps)
+    leak = np.zeros_like(comps)
+    for t, c in zip(*_nodes(spec)):
+        t, c = float(t), float(c)
+        ws = ResolventWorkspace(ops, j.scale(-t))
+        u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(comps.shape)
+        tu1 = ops.apply_T(u1)
+        naive = np.zeros_like(comps)
+        for e, sb in zip(slices, (j.scale(t), j.scale(-t))):  # conj(s_+-)
+            if form == "right":
+                naive += left_mul(e, left_mul(sb, u1) - tu1)
             else:
-                naive, reduced = self.tail_contribution(
-                    idx - len(self.t_near), tv, form)
-            acc += naive
-            leak += naive - reduced
-        acc *= -1.0 / TWO_PI
-        leak *= -1.0 / TWO_PI
-        return acc, float(np.max(np.abs(leak)))
+                naive += (left_mul(qmul(sb, e), u1)
+                          - ops.apply_T(left_mul(e, u1)))
+        naive *= c
+        acc += naive
+        leak += naive - c * (2.0 * sin_t * t * u1 - 2.0 * cos_t * tu1)
+    acc *= -1.0 / TWO_PI
+    leak *= -1.0 / TWO_PI
+    return acc, float(np.max(np.abs(leak)))
 
 
 def _require_collocated(ops, what: str):
@@ -391,7 +327,7 @@ def apply_P_alpha(spec: QuadratureSpec,
                  + sp.apply_symbol(f2, v.components))
         leak = 0.0
     else:
-        comps, leak = _NodeEngine(spec, ops).run(v.components, form)
+        comps, leak = _node_engine(spec, ops, v.components, form)
     full = QuatField(v.grid, comps)
     scal = full.component(0)
     vec = tuple(full.component(i) for i in (1, 2, 3))
@@ -418,18 +354,24 @@ def _apply_P_alpha_staggered(spec: QuadratureSpec, ops: StaggeredOperators,
 def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
                        t: float) -> float:
     """Relative gap at one +-t pair between the splitting-identity form and
-    the Tv form of the right integrand (they are equal in exact arithmetic;
-    the gap is the rounding of the Q_t solve)."""
+    the Tv form of the right integrand, the one the node engine evaluates
+    (they are equal in exact arithmetic; the gap is the rounding of the Q_t
+    solve)."""
     _require_collocated(ops, "integrand_form_gap")
-    engine = _NodeEngine(spec, ops)
+    theta = (spec.alpha - 1.0) * math.pi / 2.0
     tv = ops.apply_T(v.components)
+    # T^2 v: T^2 acts componentwise as L (cross terms cancel by exact
+    # commutation), and apply_L is that scalar route directly
     lv = ops.apply_L(v.components)
-    sol = engine._solve(t, np.concatenate([tv, lv]).reshape(8, -1))
+    ws = ResolventWorkspace(ops, spec.j.scale(-t))
+    sol = ws._solve_stack(np.concatenate([tv, lv]).reshape(8, -1),
+                          null_free_rhs=True)
     u1, u2 = sol.reshape(2, *tv.shape)
     tu1 = ops.apply_T(u1)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
     # paired forms, common factor t^{alpha-1} dropped
-    split = 2 * engine.sin_t * t * u1 - 2 * engine.cos_t * u2
-    tvf = 2 * engine.sin_t * t * u1 - 2 * engine.cos_t * tu1
+    split = 2 * sin_t * t * u1 - 2 * cos_t * u2
+    tvf = 2 * sin_t * t * u1 - 2 * cos_t * tu1
     denom = max(float(np.max(np.abs(split))), 1e-300)
     return float(np.max(np.abs(split - tvf))) / denom
 
@@ -443,7 +385,6 @@ class FracPowerOperator:
     grid: Grid
     m_scal: np.ndarray
     m_vec: tuple  # one N x N block per axis
-    build_tolerance: float
 
     def apply(self, values: np.ndarray):
         flat = values.reshape(-1)
@@ -452,8 +393,7 @@ class FracPowerOperator:
         return scal, vec
 
 
-def build_matrix(spec: QuadratureSpec, ops: Operators, *,
-                 build_tolerance: float = 1e-12, report=None,
+def build_matrix(spec: QuadratureSpec, ops: Operators, *, report=None,
                  force: bool = False) -> FracPowerOperator:
     """m_scal = f_2(L) and m_vec[l] = f_1(L) A_l, the two symbols of
     `symbols` each applied once to the identity (its rows are the basis
@@ -475,4 +415,4 @@ def build_matrix(spec: QuadratureSpec, ops: Operators, *,
         sp.apply_symbol(f1, ops.apply_A(ax, basis)).reshape(g.N, g.N).T
         for ax in range(g.dims))
     return FracPowerOperator(alpha=spec.alpha, grid=g, m_scal=m_scal,
-                             m_vec=m_vec, build_tolerance=build_tolerance)
+                             m_vec=m_vec)

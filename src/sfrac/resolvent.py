@@ -14,13 +14,14 @@ two per-axis tensor transforms, so every quadrature node shares one
 factorization of L and a workspace costs no factorization of its own.
 Otherwise L has no such factorization: the workspace keeps the dense
 Q_s = |s|^2 I + dense_L() (N <= DENSE_CAP) and each application solves it
-by LU (`numpy.linalg.solve`); the node engine applies every workspace once.
+by LU (`numpy.linalg.solve`).
 
 The production P_alpha and its matrix do not come through here: summed over
 the nodes, the resolvents collapse onto two scalar symbols of L (see the
 frac module).  The workspaces serve the quaternionic node engine that
-`verify` and the tests use as the reference, and the resolvent identity and
-norm checks.
+`verify` and the tests use as the reference (`frac._node_engine`: one
+workspace per node, applied once, to the stacked components of T v), and
+the resolvent identity and norm checks.
 
 On all-odd grids the composed difference operator has the exact parity null
 mode zeta (see grid module); Q_s is then nonsingular but has the isolated

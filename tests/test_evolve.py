@@ -7,8 +7,8 @@ import scipy.linalg
 
 from sfrac.coeff import make_profile
 from sfrac.errors import StabilityError
-from sfrac.evolve import (_STEP_MAPS, EvolutionConfig, _rk4_map,
-                          divergence, evolve, generator)
+from sfrac.evolve import (_STEP_MAPS, EvolutionConfig, _bendixson_bound,
+                          _rk4_map, divergence, evolve, generator)
 from sfrac.frac import QuadratureSpec, apply_P_alpha, build_matrix
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         constant_operators)
@@ -81,6 +81,15 @@ class TestGenerator:
         fp = build_matrix(QuadratureSpec(0.5), ops)
         G = generator(fp)
         assert float(np.max(np.linalg.eigvals(G).real)) <= 1e-8
+
+    def test_bendixson_bound_is_an_upper_bound(self):
+        # evolve checks dissipativity by this bound above _EIG_CAP; on
+        # G + 3I the symmetric part's top eigenvalue is 3 + O(1e-14), so a
+        # bound below 3 would let an anti-dissipative generator through
+        g = grid1d(63)
+        fp = build_matrix(QuadratureSpec(0.95), constant_operators(g))
+        G = generator(fp)
+        assert _bendixson_bound(G + 3.0 * np.eye(g.N)) >= 3.0 - 1e-9
 
     def test_beta_correspondence(self):
         # alpha = 0.75, beta = 2 alpha - 1: -2 G(beta) acts as lam^alpha

@@ -204,7 +204,8 @@ class TestApply:
         dense = dense_route(ops)
         # small alpha: f_1 at the null mode, were it not 0, would amplify
         # the rounding of T v there by ~1e4
-        for alpha in (0.1, 0.37):
+        # alpha = 0.93: the tail dominates the node sum
+        for alpha in (0.1, 0.37, 0.93):
             spec = QuadratureSpec(alpha)
             got = apply_P_alpha(spec, ops, v)
             assert got.j_leak == 0.0
@@ -283,11 +284,10 @@ class TestMatrixBuild:
                 ref = apply_P_alpha(spec, ops,
                                     QuatField.from_real(RealField(g, w)),
                                     form="left")
-                assert rel_gap(scal, ref.scal.values.reshape(-1)) \
-                    <= 10 * fp.build_tolerance
+                assert rel_gap(scal, ref.scal.values.reshape(-1)) <= 1e-11
                 for ax in range(g.dims):
                     assert rel_gap(vec[ax], ref.vec[ax].values.reshape(-1)) \
-                        <= 10 * fp.build_tolerance
+                        <= 1e-11
 
     def test_scal_block_symmetric_for_constant_coefficients(self):
         ops = constant_operators(grid1d(16))
