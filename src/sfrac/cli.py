@@ -33,7 +33,8 @@ from .errors import (ConditionsFailed, EvalError, ExprSyntaxError,
                      StabilityError)
 from .evolve import EvolutionConfig, evolve
 from .frac import (QuadratureSpec, apply_P_alpha, build_matrix,
-                   gate_conditions, quad_nodes, quadrature_certificate)
+                   gate_conditions, quad_nodes, quadrature_certificate,
+                   reference_P_alpha)
 from .grid import BoxDomain, Grid, Operators, QuatField, RealField
 from .oracle import closed_form_P_alpha, s_spectrum_probe
 from .quat import J_E1, J_E2, J_E3, unit_from_components
@@ -313,16 +314,14 @@ def _task_verify(cfg, out_dir, force):
 
     # base: the production route (the symbol route unless a coefficient
     # sample <= 0 sends it to the node engine); references: the left-form
-    # node engine at three imaginary units
+    # node engine at three imaginary units, one pass over the nodes
     base = apply_P_alpha(spec, ops, v0, report=report, force=force)
     denom = max(base.full.l2(), 1e-300)
-    gaps = []
-    leaks = [base.j_leak]
-    for j in (spec.j, J_E2, unit_from_components(1.0, 1.0, 1.0)):
-        left = apply_P_alpha(dataclasses.replace(spec, j=j), ops, v0,
-                             form="left", report=report, force=force)
-        gaps.append((left.full - base.full).l2() / denom)
-        leaks.append(left.j_leak)
+    lefts = reference_P_alpha(
+        spec, ops, v0, (spec.j, J_E2, unit_from_components(1.0, 1.0, 1.0)),
+        report=report, force=force)
+    gaps = [(left.full - base.full).l2() / denom for left in lefts]
+    leaks = [base.j_leak] + [left.j_leak for left in lefts]
     record("left_right_gap", gaps[0], 1e-10)
     record("j_independence", max(gaps[1:]), 1e-10)
 

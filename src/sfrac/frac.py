@@ -27,14 +27,16 @@ eigenvalue array and two applications of the per-axis factorization of L,
 whatever the node count.  Its result is the reduced form, so it cannot leak
 off the j-free span.
 
-The quaternionic node engine (`_node_engine`) is the reference: one loop
-over the same nodes (`_nodes`, the rule `symbols` sums) that solves
-u1 = Q_t^{-1} T v per node, accumulates the naive quaternionic pair sum of
-the right or left form, and reports its gap to the reduced form as the
-j_leak diagnostic instead of projecting it away.  It runs for the left form
-and for a coefficient set with a sample <= 0 (where L has no spectral
+The quaternionic node engine (`_node_engine`) is the reference: one pass
+over the same nodes (`_nodes`, the rule `symbols` sums) in blocks, each
+block one resolvent solve u1 = Q_t^{-1} T v for all its nodes and one T u1.
+Since neither depends on j, one pass serves several imaginary units: per
+unit it accumulates the naive quaternionic pair sum of the right or left
+form node by node, and reports its gap to the reduced form as the j_leak
+diagnostic instead of projecting it away.  It runs for the left form and
+for a coefficient set with a sample <= 0 (where L has no spectral
 factorization and each Q_t gets a dense LU), and `verify` compares it, at
-several j, with the symbol route.
+three units from one pass (`reference_P_alpha`), with the symbol route.
 
 Quadrature: the weight t^{alpha-1} is integrable but singular at 0, so the
 panel [0, t_split] uses Gauss-Jacobi nodes absorbing exactly that weight.
@@ -232,52 +234,73 @@ def quadrature_certificate(spec: QuadratureSpec,
 
 
 # ---------------------------------------------------------------------------
-# Reference node engine.  Fields travel as arrays shaped (4, *grid.n).
+# Reference node engine.  Fields travel as arrays shaped (4, *grid.n), a
+# block of nodes as stacks shaped (nodes, 4, *grid.n).
+
+# elements of one (nodes, 4, N) stack: a block holds max(1, _BLOCK_ELEMS //
+# (4 N)) nodes, which bounds the engine's memory on the largest grids
+_BLOCK_ELEMS = 2 ** 16
 
 
 def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
-                 form: str):
-    """Per-node quaternionic quadrature of comps (4,*n), the reference route
-    of apply_P_alpha (left form, or a coefficient sample <= 0).  Returns
-    (result (4,*n), j_leak float).
+                 units, form: str):
+    """Per-node quaternionic quadrature of comps (4,*n) at each imaginary
+    unit j of units (spec.j is not read), the reference route of
+    apply_P_alpha (left form, or a coefficient sample <= 0).  Returns one
+    (result (4,*n), j_leak float) per unit.
 
     Each node solves u1 = Q_t^{-1} T v once (T v lies in the range of the
-    A_l, so its parity-mode coefficient is exactly zero) and forms T u1.
-    With s_+- = -+ j t and s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- =
-    cos(theta) -+ j sin(theta), the naive pair sum (t^{alpha-1} left to the
+    A_l, so its parity-mode coefficient is exactly zero; Q_t depends on
+    |s| = t alone, so the solve serves every unit) and forms T u1 and the
+    j-free reduction 2 sin(theta) t u1 - 2 cos(theta) T u1.  With s_+- =
+    -+ j t and s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- = cos(theta) -+ j
+    sin(theta), the naive pair sum of each unit (t^{alpha-1} left to the
     node weight c) is
       right: sum_{+-} e_+- (conj(s_+-) u1 - T u1),
       left:  sum_{+-} conj(s_+-) e_+- u1 - T(e_+- u1),
-    and both reduce to the same j-free 2 sin(theta) t u1 - 2 cos(theta) T u1;
-    j_leak is the gap between the two.  Nodes are evaluated serially in
-    ascending t and each is added as soon as it is evaluated, so the result
-    is bitwise reproducible and no node result outlives its turn."""
+    evaluated quaternionically at every node; both reduce to the j-free form
+    and j_leak is the gap between the two.
+
+    Nodes go in ascending t, in blocks (see _BLOCK_ELEMS): one resolvent
+    solve for all nodes of a block, one T u1, one reduction, then per unit
+    the naive pairs of the block, each stack summed node by node
+    (np.add.reduce over its leading axis).  Blocks are added in order, so
+    the result is bitwise reproducible."""
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    j = spec.j
-    slices = (Quaternion(cos_t) + j.scale(-sin_t),
-              Quaternion(cos_t) + j.scale(sin_t))
     tv = ops.apply_T(comps).reshape(4, -1)
-    acc = np.zeros_like(comps)
-    leak = np.zeros_like(comps)
-    for t, c in zip(*_nodes(spec)):
-        t, c = float(t), float(c)
-        ws = ResolventWorkspace(ops, j.scale(-t))
-        u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(comps.shape)
+    ts, cs = _nodes(spec)
+    per_block = max(1, _BLOCK_ELEMS // (4 * ops.grid.N))
+    acc = np.zeros((len(units), *comps.shape))
+    leak = np.zeros_like(acc)
+    for lo in range(0, len(ts), per_block):
+        t, c = ts[lo:lo + per_block], cs[lo:lo + per_block]
+        ws = ResolventWorkspace(ops, [J_E1.scale(-tk) for tk in t])
+        u1 = ws._solve_stack(tv, null_free_rhs=True)
+        u1 = u1.reshape(len(t), *comps.shape)
         tu1 = ops.apply_T(u1)
-        naive = np.zeros_like(comps)
-        for e, sb in zip(slices, (j.scale(t), j.scale(-t))):  # conj(s_+-)
-            if form == "right":
-                naive += left_mul(e, left_mul(sb, u1) - tu1)
-            else:
-                naive += (left_mul(qmul(sb, e), u1)
-                          - ops.apply_T(left_mul(e, u1)))
-        naive *= c
-        acc += naive
-        leak += naive - c * (2.0 * sin_t * t * u1 - 2.0 * cos_t * tu1)
+        t = t.reshape(-1, *[1] * comps.ndim)  # against (nodes, 4, *n)
+        c = c.reshape(t.shape)
+        reduced = c * (2.0 * sin_t * t * u1 - 2.0 * cos_t * tu1)
+        for k, j in enumerate(units):
+            jq = j.direction
+            naive = np.zeros_like(u1)
+            # (e_+-, +-1) with conj(s_+-) = +-j t
+            for e, sign in ((Quaternion(cos_t) + j.scale(-sin_t), 1.0),
+                            (Quaternion(cos_t) + j.scale(sin_t), -1.0)):
+                if form == "right":
+                    naive += left_mul(e, sign * t * left_mul(jq, u1, 1) - tu1,
+                                      1)
+                else:
+                    naive += (sign * t * left_mul(qmul(jq, e), u1, 1)
+                              - ops.apply_T(left_mul(e, u1, 1)))
+            naive *= c
+            acc[k] += np.add.reduce(naive, axis=0)
+            naive -= reduced
+            leak[k] += np.add.reduce(naive, axis=0)
     acc *= -1.0 / TWO_PI
     leak *= -1.0 / TWO_PI
-    return acc, float(np.max(np.abs(leak)))
+    return [(a, float(np.max(np.abs(g)))) for a, g in zip(acc, leak)]
 
 
 def _require_collocated(ops, what: str):
@@ -327,11 +350,29 @@ def apply_P_alpha(spec: QuadratureSpec,
                  + sp.apply_symbol(f2, v.components))
         leak = 0.0
     else:
-        comps, leak = _node_engine(spec, ops, v.components, form)
-    full = QuatField(v.grid, comps)
-    scal = full.component(0)
-    vec = tuple(full.component(i) for i in (1, 2, 3))
-    return FracApplyResult(full=full, scal=scal, vec=vec, j_leak=leak)
+        [(comps, leak)] = _node_engine(spec, ops, v.components, (spec.j,),
+                                       form)
+    return _collocated_result(QuatField(v.grid, comps), leak)
+
+
+def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
+                      units, *, report=None,
+                      force: bool = False) -> tuple:
+    """The left form of P_alpha(T) v by the node engine at each imaginary
+    unit of units, one FracApplyResult per unit: what
+    apply_P_alpha(form="left") gives at each unit, from one pass over the
+    nodes (one Q_t solve per node for all units).  spec.j is not read."""
+    _require_collocated(ops, "reference_P_alpha")
+    gate_conditions(ops, report, force)
+    return tuple(_collocated_result(QuatField(v.grid, comps), leak)
+                 for comps, leak in _node_engine(spec, ops, v.components,
+                                                 units, "left"))
+
+
+def _collocated_result(full: QuatField, leak: float) -> FracApplyResult:
+    return FracApplyResult(full=full, scal=full.component(0),
+                           vec=tuple(full.component(i) for i in (1, 2, 3)),
+                           j_leak=leak)
 
 
 def _apply_P_alpha_staggered(spec: QuadratureSpec, ops: StaggeredOperators,

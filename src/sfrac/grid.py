@@ -296,19 +296,34 @@ def _axis_profile_samples(grid: Grid, profile: CoefficientProfile,
     return a.reshape(shape)
 
 
-def _axis_svd(r_out: np.ndarray, d: np.ndarray, r_in: np.ndarray):
+def _axis_svd(r_out: np.ndarray, d: np.ndarray, r_in: np.ndarray,
+              compute_uv: bool = True):
     """One SVD of the symmetrized axis operator S = diag(r_out) d diag(r_in)
     = U Sigma V^T.  S^T S = V Sigma^2 V^T without squaring the condition
     number, so diag(r_in) S^T S diag(1/r_in) has the factor (Sigma^2,
-    V^T diag(1/r_in), diag(r_in) V); returns that factor and U.  d is scaled
-    into S and V^T into the forward map in place: the caller's d stays alive
-    through the call, and these spare the n x n copies beside it."""
+    V^T diag(1/r_in), diag(r_in) V); returns that factor and U, or, without
+    compute_uv, Sigma^2 alone from the values-only SVD (which differs from
+    the full one by up to ~2e-14 relative).  d is scaled into S and V^T into
+    the forward map in place: the caller's d stays alive through the call,
+    and these spare the n x n copies beside it."""
     d *= r_out[:, None]
     d *= r_in
+    if not compute_uv:
+        return np.linalg.svd(d, compute_uv=False) ** 2
     u, sigma, vt = np.linalg.svd(d)
     inv = r_in[:, None] * vt.T
     vt /= r_in
     return (sigma ** 2, vt, inv), u
+
+
+def _kron_sum(mus) -> np.ndarray:
+    """Lambda = sum_l mu_l over the tensor grid, axis l indexed by mu_l."""
+    lam = np.zeros([len(mu) for mu in mus])
+    for ax, mu in enumerate(mus):
+        shape = [1] * lam.ndim
+        shape[ax] = -1
+        lam = lam + mu.reshape(shape)
+    return lam
 
 
 class AxisFactorization:
@@ -329,11 +344,7 @@ class AxisFactorization:
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
-        lam = np.zeros([len(mu) for mu, _, _ in self.factors])
-        for ax, (mu, _, _) in enumerate(self.factors):
-            shape = [1] * lam.ndim
-            shape[ax] = -1
-            lam = lam + mu.reshape(shape)
+        lam = _kron_sum([mu for mu, _, _ in self.factors])
         lam.flags.writeable = False
         return lam
 
@@ -465,17 +476,35 @@ class Operators:
         so the eigenvalues are exactly 0 only at the parity null mode of
         all-odd grids.
         """
+        return AxisFactorization(self._axis_factors(compute_uv=True))
+
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of L laid out as `spectral.eigenvalues()`, from
+        values-only SVDs (no vectors), whatever `spectral` holds: they
+        differ from its eigenvalues by up to ~2e-14 relative, and what reads
+        them (the spectrum probe) must not depend on which ran first."""
+        return _kron_sum(self._axis_factors(compute_uv=False))
+
+    def _axis_factors(self, compute_uv: bool) -> list:
+        """Per axis the factor (lambda_l, fwd_l, inv_l) of `_axis_svd` of
+        K_l = r D_l r, r = a_l^{1/2}, or lambda_l alone without compute_uv;
+        the kernel of an odd axis (its parity pattern, exact) gets
+        lambda = 0."""
         if not self.is_positive:
             raise ValueError("the spectral factorization of L needs "
                              "coefficients positive at every node")
         out = []
         for ax in range(self.grid.dims):
             r = np.sqrt(self.a_samples[ax].reshape(-1))
-            (lam, fwd, inv), _ = _axis_svd(r, self._axis_D(ax), r)
+            if compute_uv:
+                factor, _ = _axis_svd(r, self._axis_D(ax), r)
+                lam = factor[0]
+            else:
+                factor = lam = _axis_svd(r, self._axis_D(ax), r, False)
             if self.grid.n[ax] % 2:
                 lam[-1] = 0.0  # singular values come sorted descending
-            out.append((lam, fwd, inv))
-        return AxisFactorization(out)
+            out.append(factor)
+        return out
 
     # -- null-mode data ----------------------------------------------------
     @cached_property

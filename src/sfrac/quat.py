@@ -230,6 +230,8 @@ def left_mult_table(u) -> np.ndarray:
     ])
 
 
-def left_mul(u, arr: np.ndarray) -> np.ndarray:
-    """u * v for every quaternion value v of arr, shaped (4, ...)."""
-    return np.einsum("ab,b...->a...", left_mult_table(u), arr)
+def left_mul(u, arr: np.ndarray, axis: int = 0) -> np.ndarray:
+    """u * v for every quaternion value v of arr, whose four components run
+    along axis (by default the leading one: arr shaped (4, ...))."""
+    lead = "cdefg"[:axis]
+    return np.einsum(f"ab,{lead}b...->{lead}a...", left_mult_table(u), arr)

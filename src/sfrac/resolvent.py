@@ -5,23 +5,26 @@ Q_s = |s|^2 I + L, L = -sum_l A_l^2, is a real matrix acting componentwise
 (the discrete T^2 + |s|^2, exactly; see the grid module), so a quaternion
 right-hand side is four independent real solves sharing one factorization.
 `ResolventWorkspace` is where Q_s lives: it takes |s|^2 from a purely
-imaginary, nonzero s and rejects any other.  The coefficients pick the
-factorization.  When every coefficient sample is positive
-(`Operators.is_positive`) it is the per-axis spectral factorization of L,
-`Operators.spectral` (fast diagonalization, Lynch, Rice and Thomas, Numer.
-Math. 6, 1964): Q_s^{-1} is the diagonal scaling 1/(|s|^2 + Lambda) between
-two per-axis tensor transforms, so every quadrature node shares one
-factorization of L and a workspace costs no factorization of its own.
-Otherwise L has no such factorization: the workspace keeps the dense
-Q_s = |s|^2 I + dense_L() (N <= DENSE_CAP) and each application solves it
-by LU (`numpy.linalg.solve`).
+imaginary, nonzero s, or from each point of a block of them, and rejects any
+other.  The coefficients pick the factorization.  When every coefficient
+sample is positive (`Operators.is_positive`) it is the per-axis spectral
+factorization of L, `Operators.spectral` (fast diagonalization, Lynch, Rice
+and Thomas, Numer. Math. 6, 1964): Q_s^{-1} is the diagonal scaling
+1/(|s|^2 + Lambda) between two per-axis tensor transforms, so every
+quadrature node shares one factorization of L and a workspace costs no
+factorization of its own; a block of M points transforms the right-hand
+sides forward once, scales them by the M stacked symbols and transforms the
+M products back in one pass (a GEMM).  Otherwise L has no such
+factorization: each application forms the dense Q_s = |s|^2 I + dense_L()
+(N <= DENSE_CAP) of each point in turn and solves it by LU
+(`numpy.linalg.solve`).
 
 The production P_alpha and its matrix do not come through here: summed over
 the nodes, the resolvents collapse onto two scalar symbols of L (see the
 frac module).  The workspaces serve the quaternionic node engine that
 `verify` and the tests use as the reference (`frac._node_engine`: one
-workspace per node, applied once, to the stacked components of T v), and
-the resolvent identity and norm checks.
+workspace per block of nodes, applied once, to the stacked components of
+T v), and the resolvent identity and norm checks.
 
 On all-odd grids the composed difference operator has the exact parity null
 mode zeta (see grid module); Q_s is then nonsingular but has the isolated
@@ -30,12 +33,14 @@ the rest of the spectrum and would let factorization rounding deposit
 O(eps * cond) garbage in that direction.  Since Q_s zeta =
 |s|^2 zeta and eta^T Q_s = |s|^2 eta^T are exact identities, the solver
 splits that mode off analytically (deflation below) instead of asking the
-factorization to resolve it.
+factorization to resolve it.  One `_solve_stack` does this for one s and for
+a block alike.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,29 +54,44 @@ RESIDUAL_GUARD = 1e-8
 
 
 class ResolventWorkspace:
-    """Everything needed to apply Q_s^{-1}, S_L^{-1} and S_R^{-1} at one s.
+    """Everything needed to apply Q_s^{-1}, S_L^{-1} and S_R^{-1} at one s,
+    or Q_s^{-1} at a block of points s (the quadrature nodes of one block).
 
     Immutable after construction; applications only read shared state (the
-    factorization or the dense Q_s) and allocate private scratch.
+    factorization or the dense L) and allocate private scratch.  The
+    field-level API and the norm estimate need one s.
     """
 
-    def __init__(self, ops: Operators, s: Quaternion):
-        if s.w != 0.0:
-            raise ValueError("workspace requires purely imaginary s")
-        self.t2 = float(s.x * s.x + s.y * s.y + s.z * s.z)  # |s|^2
-        if self.t2 == 0.0:
-            raise ValueError("s must be nonzero")
+    def __init__(self, ops: Operators, s: Quaternion | Sequence[Quaternion]):
+        points = (s,) if isinstance(s, Quaternion) else tuple(s)
+        t2 = []
+        for p in points:
+            if p.w != 0.0:
+                raise ValueError("workspace requires purely imaginary s")
+            t2.append(p.x * p.x + p.y * p.y + p.z * p.z)  # |s|^2
+            if t2[-1] == 0.0:
+                raise ValueError("s must be nonzero")
+        self._t2 = np.array(t2)
+        self._single = isinstance(s, Quaternion)
+        # |s|^2: a float at one s, the array of them at a block
+        self.t2 = float(self._t2[0]) if self._single else self._t2
         self.ops = ops
         self.grid = ops.grid
         self.s = s
-        self._dense = None
+        self._symbol = None
         if ops.is_positive:
-            # the parity-null coefficient is exactly 0: _deflate owns that mode
+            # the parity-null coefficient is exactly 0: _deflate owns that
+            # mode; one symbol 1/(|s|^2 + Lambda) per point, shaped (M, *n)
             lam = ops.spectral.eigenvalues()
-            self._symbol = np.where(lam > 0.0, 1.0 / (self.t2 + lam), 0.0)
-        else:
-            self._dense = self.t2 * np.eye(self.grid.N) + ops.dense_L()
+            t2 = self._t2.reshape(-1, *[1] * lam.ndim)
+            self._symbol = np.where(lam > 0.0, 1.0 / (t2 + lam), 0.0)
         self._null = ops.null_pair  # (zeta, eta) or None
+
+    def _dense_Q(self, t2: float) -> np.ndarray:
+        """Q_s = |s|^2 I + dense_L() (N <= DENSE_CAP), the matrix a set with
+        a sample <= 0 solves by LU; formed per point, never held for a
+        whole block."""
+        return t2 * np.eye(self.grid.N) + self.ops.dense_L()
 
     # -- low level solves --------------------------------------------------
     def _deflate(self, rhs: np.ndarray, transpose: bool):
@@ -86,7 +106,9 @@ class ResolventWorkspace:
     def _solve_stack(self, rhs: np.ndarray, transpose: bool = False,
                      null_free_rhs: bool = False) -> np.ndarray:
         """Solve Q w = f (or Q^T w = f) for K stacked right-hand sides;
-        rhs shape (K, N) flat, returns same shape.
+        rhs shape (K, N) flat (or (N,)).  Returns the same shape at one s,
+        and at a block of M points one such solution per point, shaped
+        (M, K, N) (or (M, N)).
 
         null_free_rhs: caller asserts f lies in the range of the A_l
         operators, which the left null vector annihilates exactly; the
@@ -105,27 +127,35 @@ class ResolventWorkspace:
         else:
             work, beta, right, left, denom = rhs, None, None, None, None
 
-        if self._dense is None:
+        if self._symbol is not None:
             sol = self._solve_spectral(work, transpose)
         else:
-            q = self._dense.T if transpose else self._dense
-            sol = np.linalg.solve(q, work.T).T
+            sol = np.empty((len(self._t2), *work.shape))
+            for k, t2 in enumerate(self._t2):
+                q = self._dense_Q(t2)
+                sol[k] = np.linalg.solve(q.T if transpose else q, work.T).T
 
         if beta is not None:
             # remove factorization garbage along the deflated direction (the
             # true component is exactly zero), then add the mode back
-            sol = sol - np.outer(sol @ left / denom, right)
-            sol = sol + np.outer(beta / self.t2, right)
-        return sol[0] if squeeze else sol
+            sol = sol - (sol @ left / denom)[..., None] * right
+            sol = sol + (beta / self._t2[:, None])[..., None] * right
+        if self._single:
+            sol = sol[0]
+        return sol[..., 0, :] if squeeze else sol
 
     def _solve_spectral(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
-        # an all-zero row maps to exact zeros, so only the others are
-        # transformed (basis right-hand sides are mostly zero rows)
+        # one forward transform of the K rows, the M symbols, one inverse
+        # transform of the M K products; an all-zero row maps to exact
+        # zeros, so only the others are transformed (basis right-hand sides
+        # are mostly zero rows)
         live = rhs.any(axis=1)
-        out = np.zeros_like(rhs)
+        m = len(self._t2)
+        out = np.zeros((m, *rhs.shape))
         vals = rhs[live].reshape(-1, *self.grid.n)
-        sol = self.ops.spectral.apply_symbol(self._symbol, vals, transpose)
-        out[live] = sol.reshape(vals.shape[0], self.grid.N)
+        symbol = self._symbol[:, None]  # (M, 1, *n) against (K, *n)
+        sol = self.ops.spectral.apply_symbol(symbol, vals, transpose)
+        out[:, live] = sol.reshape(m, vals.shape[0], self.grid.N)
         return out
 
     # -- field-level API -----------------------------------------------------

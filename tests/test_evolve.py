@@ -211,6 +211,19 @@ class TestEvolve:
                    EvolutionConfig(0.5, dt=dt, t_end=10 * dt,
                                    scheme="explicit-rk4"))
 
+    def test_rk4_step_bound_above_eig_cap(self, monkeypatch):
+        # above _EIG_CAP dt is checked against a bound on the spectral
+        # radius; a dt 0.05 % past the RK4 limit must still be refused
+        g = grid1d(200)
+        fp = build_matrix(QuadratureSpec(0.6), constant_operators(g))
+        rho = float(np.max(np.abs(np.linalg.eigvals(generator(fp)))))
+        monkeypatch.setattr("sfrac.evolve._EIG_CAP", 10)
+        dt = 1.0005 * 2.785 / rho
+        with pytest.raises(StabilityError, match="RK4"):
+            evolve(fp, RealField.from_function(g, np.sin),
+                   EvolutionConfig(0.6, dt=dt, t_end=10 * dt,
+                                   scheme="explicit-rk4"))
+
     def test_antidissipative_generator_refused(self):
         g = grid1d(16)
         fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))

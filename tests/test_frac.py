@@ -1,18 +1,24 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from sfrac import frac
+from sfrac.cli import main
 from sfrac.coeff import make_profile
 from sfrac.errors import ConditionsFailed
 from sfrac.frac import (FracPowerOperator, QuadratureSpec, apply_P_alpha,
                         build_matrix, gauss_jacobi, integrand_form_gap,
-                        quad_nodes, quadrature_certificate)
+                        quad_nodes, quadrature_certificate,
+                        reference_P_alpha)
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import closed_form_P_alpha
-from sfrac.quat import J_E2, unit_from_components
+from sfrac.quat import (J_E1, J_E2, Quaternion, left_mul, qmul,
+                        unit_from_components)
+from sfrac.resolvent import ResolventWorkspace
 
 
 def grid1d(n, length=math.pi):
@@ -266,6 +272,144 @@ class TestApply:
             apply_P_alpha(QuadratureSpec(0.5), ops,
                           QuatField.from_components(g, q0=v.values,
                                                     q2=v.values))
+
+
+def node_by_node(spec, ops, comps, form):
+    """The node engine's quadrature one node at a time, each node with its
+    own workspace: u1 = Q_t^{-1} T v, T u1 and the naive pair of the form,
+    added in ascending t; returns (result, j_leak)."""
+    theta = (spec.alpha - 1.0) * math.pi / 2.0
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    j = spec.j
+    tv = ops.apply_T(comps).reshape(4, -1)
+    acc = np.zeros_like(comps)
+    leak = np.zeros_like(comps)
+    for t, c in zip(*frac._nodes(spec)):
+        ws = ResolventWorkspace(ops, j.scale(-t))
+        u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(comps.shape)
+        tu1 = ops.apply_T(u1)
+        naive = np.zeros_like(comps)
+        for e, sb in ((Quaternion(cos_t) + j.scale(-sin_t), j.scale(t)),
+                      (Quaternion(cos_t) + j.scale(sin_t), j.scale(-t))):
+            if form == "right":
+                naive += left_mul(e, left_mul(sb, u1) - tu1)
+            else:
+                naive += (left_mul(qmul(sb, e), u1)
+                          - ops.apply_T(left_mul(e, u1)))
+        acc += c * naive
+        leak += c * naive - c * (2.0 * sin_t * t * u1 - 2.0 * cos_t * tu1)
+    return -acc / (2.0 * math.pi), float(np.max(np.abs(leak))) / (2 * math.pi)
+
+
+def engine_case(name):
+    """(ops, v) of one node-engine case: odd and even 1D grids (n = 200
+    makes blocks of 81 nodes, so 128 nodes end in a partial block), 2D, 3D
+    all-odd (the parity null mode), and a set with a sample <= 0 (the dense
+    route)."""
+    texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
+    n = {"1d-odd": (17,), "1d-even": (18,), "1d-200": (200,), "2d": (7, 8),
+         "3d-odd": (5, 7, 3), "dense": (9,)}[name]
+    lengths = (1.0, 1.3, 0.8)[:len(n)]
+    if name == "dense":
+        texts = ("x-0.45",)
+    ops = Operators(Grid(BoxDomain(lengths), n),
+                    tuple(make_profile(ax + 1, texts[ax], length)
+                          for ax, length in enumerate(lengths)))
+    v = QuatField(ops.grid, np.random.default_rng(9).standard_normal(
+        (4, *ops.grid.n)))
+    return ops, v
+
+
+def count_node_solves(monkeypatch):
+    """A list that receives, per resolvent solve, the number of points s it
+    solves at (1 for a one-s workspace, the block size for a block)."""
+    solved = []
+    original = ResolventWorkspace._solve_stack
+
+    def counting(self, *args, **kwargs):
+        solved.append(int(np.size(self.t2)))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResolventWorkspace, "_solve_stack", counting)
+    return solved
+
+
+UNITS = (J_E1, J_E2, unit_from_components(1.0, 1.0, 1.0))
+ENGINE_CASES = ("1d-odd", "1d-even", "1d-200", "2d", "3d-odd", "dense")
+
+
+class TestNodeEngine:
+    """One pass over the nodes, in blocks, serving several imaginary units:
+    against the engine evaluated one node at a time."""
+
+    @pytest.mark.parametrize("name", ENGINE_CASES)
+    @pytest.mark.parametrize("alpha", [0.37, 0.93])
+    def test_each_unit_matches_node_by_node(self, name, alpha):
+        ops, v = engine_case(name)
+        spec = QuadratureSpec(alpha)
+        refs = reference_P_alpha(spec, ops, v, UNITS, force=True)
+        assert len(refs) == len(UNITS)
+        for j, got in zip(UNITS, refs):
+            spec_j = QuadratureSpec(alpha, j=j)
+            want, want_leak = node_by_node(spec_j, ops, v.components, "left")
+            scale = np.max(np.abs(want))
+            assert rel_gap(got.full.components, want) <= 1e-13, j
+            assert abs(got.j_leak - want_leak) <= 1e-13 * scale, j
+            # a single unit through apply_P_alpha is the same pass
+            one = apply_P_alpha(spec_j, ops, v, form="left", force=True)
+            assert np.array_equal(one.full.components, got.full.components)
+            assert one.j_leak == got.j_leak
+
+    @pytest.mark.parametrize("j", UNITS)
+    def test_right_form_on_the_dense_route(self, j):
+        ops, v = engine_case("dense")
+        spec = QuadratureSpec(0.6, j=j)
+        got = apply_P_alpha(spec, ops, v, force=True)
+        want, want_leak = node_by_node(spec, ops, v.components, "right")
+        assert rel_gap(got.full.components, want) <= 1e-13
+        assert abs(got.j_leak - want_leak) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ENGINE_CASES)
+    @pytest.mark.parametrize("nodes_per_block", [1, 5])
+    def test_independent_of_the_block_budget(self, name, nodes_per_block,
+                                             monkeypatch):
+        # 128 nodes in blocks of 1, and of 5 (a partial block of 3 last)
+        ops, v = engine_case(name)
+        spec = QuadratureSpec(0.6)
+        base = reference_P_alpha(spec, ops, v, UNITS, force=True)
+        monkeypatch.setattr(frac, "_BLOCK_ELEMS",
+                            nodes_per_block * 4 * ops.grid.N)
+        small = reference_P_alpha(spec, ops, v, UNITS, force=True)
+        for a, b in zip(base, small):
+            assert rel_gap(a.full.components, b.full.components) <= 1e-14
+            assert abs(a.j_leak - b.j_leak) <= 1e-14 * np.max(
+                np.abs(a.full.components))
+
+    def test_budget_of_one_element_is_one_node(self, monkeypatch):
+        ops, v = engine_case("2d")
+        monkeypatch.setattr(frac, "_BLOCK_ELEMS", 1)
+        solved = count_node_solves(monkeypatch)
+        reference_P_alpha(QuadratureSpec(0.6), ops, v, UNITS)
+        assert solved == [1] * 128
+
+    def test_verify_solves_each_node_once(self, tmp_path, monkeypatch):
+        # three units, one Q_t solve per node: 128 node solves, not 384
+        solved = count_node_solves(monkeypatch)
+        cfg = {"domain": {"dims": 1, "lengths": [math.pi]},
+               "grid": {"n": [200]}, "coefficients": ["1"],
+               "task": "verify", "alpha": 0.6}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([str(path), "--out", str(tmp_path / "out")]) == 0
+        assert sum(solved) == 128
+        assert len(solved) == 2  # blocks of 81 and 47 nodes
+
+    def test_staggered_operators_rejected(self):
+        g = Grid(BoxDomain((1.0,)), (8,))
+        ops = StaggeredOperators(g, (make_profile(1, "1", 1.0),))
+        with pytest.raises(ValueError, match="collocated"):
+            reference_P_alpha(QuadratureSpec(0.5), ops,
+                              QuatField.zeros(g), UNITS)
 
 
 class TestMatrixBuild:

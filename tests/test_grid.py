@@ -307,7 +307,8 @@ class TestLinearSystem:
         g = grid1d(14, 1.0)
         ops = Operators(g, (make_profile(1, "1+0.1*x", 1.0),))
         t = 1.3
-        q = ResolventWorkspace(dense_route(ops), Quaternion(0, 0, 0, t))._dense
+        ws = ResolventWorkspace(dense_route(ops), Quaternion(0, 0, 0, t))
+        q = ws._dense_Q(ws.t2)
         assert np.array_equal(q, t * t * np.eye(g.N) + ops.dense_L())
         a = ops.dense_A(0)
         q_c = (-t * t) * np.eye(g.N) + a @ a

@@ -207,6 +207,26 @@ class TestProbe:
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] <= 1e-3
 
+    @pytest.mark.parametrize("n", [(201,), (7, 9), (5, 6, 7)])
+    def test_values_only_whatever_was_cached(self, n):
+        # positive sets read mu from the values-only SVDs: the points equal
+        # the factorization's to rounding and do not depend on whether the
+        # factorization was built first; the parity null stays exactly 0
+        lengths = (1.0, 1.3, 0.8)[:len(n)]
+        texts = ("1+0.1*sin(x)", "exp(0.2*x)", "1.3")
+        make = lambda: Operators(Grid(BoxDomain(lengths), n), tuple(
+            make_profile(ax + 1, texts[ax], length)
+            for ax, length in enumerate(lengths)))
+        first = s_spectrum_probe(make())
+        ops = make()
+        lam = np.sort(ops.spectral.eigenvalues(), axis=None)
+        again = s_spectrum_probe(ops)
+        assert again.points == first.points
+        mu = np.sort(ops.spectrum(), axis=None)
+        assert rel_gap(mu, lam) <= 1e-13
+        assert np.count_nonzero(mu == 0.0) == np.count_nonzero(lam == 0.0)
+        assert np.count_nonzero(mu == 0.0) == all(v % 2 for v in n)
+
     def test_non_positive_set_takes_the_dense_eigenvalues(self):
         # a sample <= 0 leaves L without the spectral factorization; its
         # general eigenvalues include mu < 0, each one a spectral sphere
