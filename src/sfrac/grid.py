@@ -4,6 +4,8 @@ A_l = diag(a_l) D_l, the vector operator T = sum_l e_l A_l and L = T^2 =
 -sum_l A_l^2.  One type, `AxisFactorization`, holds every separable
 spectrum of the package: the collocated L (`Operators.spectral`), the node
 and face families of the staggered scheme, and the oracle's sine basis.
+Both schemes take every factor from the two families of one SVD per axis
+(`_axis_svd`): nodes and faces, or the collocated parity sublattices.
 
 A_l^2 always means composing the discrete A_l with itself.  That choice makes
 Q = T^2 + |s|^2 an exact identity of the discrete algebra (T^2 really is the
@@ -296,34 +298,28 @@ def _axis_profile_samples(grid: Grid, profile: CoefficientProfile,
     return a.reshape(shape)
 
 
-def _axis_svd(r_out: np.ndarray, d: np.ndarray, r_in: np.ndarray,
-              compute_uv: bool = True):
-    """One SVD of the symmetrized axis operator S = diag(r_out) d diag(r_in)
-    = U Sigma V^T.  S^T S = V Sigma^2 V^T without squaring the condition
-    number, so diag(r_in) S^T S diag(1/r_in) has the factor (Sigma^2,
-    V^T diag(1/r_in), diag(r_in) V); returns that factor and U, or, without
-    compute_uv, Sigma^2 alone from the values-only SVD (which differs from
-    the full one by up to ~2e-14 relative).  d is scaled into S and V^T into
-    the forward map in place: the caller's d stays alive through the call,
-    and these spare the n x n copies beside it."""
+def _axis_svd(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
+    """Both families of one SVD of S = diag(r_out) d diag(r_in) = U Sigma
+    V^T, r = a^{1/2}.  S^T S = V Sigma^2 V^T and S S^T = U Sigma^2 U^T
+    without squaring the condition number, so diag(r_in) S^T S diag(1/r_in)
+    on the in-points and diag(r_out) S S^T diag(1/r_out) on the out-points
+    have the factors (Sigma^2, V^T diag(1/r_in), diag(r_in) V) and (Sigma^2
+    zero-padded to len(a_out), U^T diag(1/r_out), diag(r_out) U), returned
+    in that order: the extra columns of U span the null space of S^T.  A
+    sample <= 0 raises ValueError.  d is scaled into S and V^T into the
+    forward map in place, sparing the copies beside the caller's d."""
+    if not (np.all(a_out > 0.0) and np.all(a_in > 0.0)):
+        raise ValueError("the spectral factorization of L needs "
+                         "coefficients positive at every node")
+    r_out, r_in = np.sqrt(a_out), np.sqrt(a_in)
     d *= r_out[:, None]
     d *= r_in
-    if not compute_uv:
-        return np.linalg.svd(d, compute_uv=False) ** 2
     u, sigma, vt = np.linalg.svd(d)
+    lam = sigma ** 2
     inv = r_in[:, None] * vt.T
     vt /= r_in
-    return (sigma ** 2, vt, inv), u
-
-
-def _kron_sum(mus) -> np.ndarray:
-    """Lambda = sum_l mu_l over the tensor grid, axis l indexed by mu_l."""
-    lam = np.zeros([len(mu) for mu in mus])
-    for ax, mu in enumerate(mus):
-        shape = [1] * lam.ndim
-        shape[ax] = -1
-        lam = lam + mu.reshape(shape)
-    return lam
+    lam_out = np.concatenate((lam, np.zeros(len(r_out) - len(lam))))
+    return (lam, vt, inv), (lam_out, u.T / r_out, r_out[:, None] * u)
 
 
 class AxisFactorization:
@@ -344,7 +340,11 @@ class AxisFactorization:
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
-        lam = _kron_sum([mu for mu, _, _ in self.factors])
+        lam = np.zeros([len(mu) for mu, _, _ in self.factors])
+        for ax, (mu, _, _) in enumerate(self.factors):
+            shape = [1] * lam.ndim
+            shape[ax] = -1
+            lam = lam + mu.reshape(shape)
         lam.flags.writeable = False
         return lam
 
@@ -471,40 +471,25 @@ class Operators:
 
         With r = a_l^{1/2} and W = (x)_l diag(r), W^{-1} A_l W = K_l = r D_l r
         is skew, so L = -sum A_l^2 is similar to the symmetric Kronecker sum
-        of the K_l^T K_l, which `_axis_svd` diagonalizes one axis at a time.
-        The kernel of an odd axis (its parity pattern, exact) gets lambda = 0,
-        so the eigenvalues are exactly 0 only at the parity null mode of
-        all-odd grids.
+        of the K_l^T K_l.  The centered D_l couples even nodes only to odd
+        ones, so K_l^T K_l is B B^T on the even nodes and B^T B on the odd
+        ones, B = K_l[0::2, 1::2]: one `_axis_svd` of B per axis, its two
+        families scattered into the transforms by parity.  Each positive
+        lambda comes once per sublattice, and the null space of B^T gives an
+        odd axis lambda = 0, so the eigenvalues are exactly 0 only at the
+        parity null mode of all-odd grids.
         """
-        return AxisFactorization(self._axis_factors(compute_uv=True))
-
-    def spectrum(self) -> np.ndarray:
-        """The eigenvalues of L laid out as `spectral.eigenvalues()`, from
-        values-only SVDs (no vectors), whatever `spectral` holds: they
-        differ from its eigenvalues by up to ~2e-14 relative, and what reads
-        them (the spectrum probe) must not depend on which ran first."""
-        return _kron_sum(self._axis_factors(compute_uv=False))
-
-    def _axis_factors(self, compute_uv: bool) -> list:
-        """Per axis the factor (lambda_l, fwd_l, inv_l) of `_axis_svd` of
-        K_l = r D_l r, r = a_l^{1/2}, or lambda_l alone without compute_uv;
-        the kernel of an odd axis (its parity pattern, exact) gets
-        lambda = 0."""
-        if not self.is_positive:
-            raise ValueError("the spectral factorization of L needs "
-                             "coefficients positive at every node")
-        out = []
-        for ax in range(self.grid.dims):
-            r = np.sqrt(self.a_samples[ax].reshape(-1))
-            if compute_uv:
-                factor, _ = _axis_svd(r, self._axis_D(ax), r)
-                lam = factor[0]
-            else:
-                factor = lam = _axis_svd(r, self._axis_D(ax), r, False)
-            if self.grid.n[ax] % 2:
-                lam[-1] = 0.0  # singular values come sorted descending
-            out.append(factor)
-        return out
+        factors = []
+        for ax, n in enumerate(self.grid.n):
+            a = self.a_samples[ax].reshape(-1)
+            (lam_o, fwd_o, inv_o), (lam_e, fwd_e, inv_e) = _axis_svd(
+                a[0::2], self._axis_D(ax)[0::2, 1::2], a[1::2])
+            m = len(lam_o)
+            fwd, inv = np.zeros((n, n)), np.zeros((n, n))
+            fwd[:m, 1::2], inv[1::2, :m] = fwd_o, inv_o
+            fwd[m:, 0::2], inv[0::2, m:] = fwd_e, inv_e
+            factors.append((np.concatenate((lam_o, lam_e)), fwd, inv))
+        return AxisFactorization(factors)
 
     # -- null-mode data ----------------------------------------------------
     @cached_property
@@ -593,11 +578,12 @@ class StaggeredOperators:
 
     @cached_property
     def _svds(self) -> tuple:
-        """Per axis `_axis_svd` of S_l = a_f^{1/2} D_l a_p^{1/2}."""
+        """Per axis `_axis_svd` of S_l = a_f^{1/2} D_l a_p^{1/2}: the node
+        and the face family."""
         return tuple(
-            _axis_svd(np.sqrt(a_f),
+            _axis_svd(a_f,
                       np.diff(np.eye(n), axis=0, prepend=0.0, append=0.0) / h,
-                      np.sqrt(a_p))
+                      a_p)
             for n, h, a_p, a_f in zip(self.grid.n, self.grid.h, self.a_nodes,
                                       self.a_faces))
 
@@ -611,10 +597,7 @@ class StaggeredOperators:
         faces normal to it, with the null space of S_l S_l^T (the extra
         column of U_l) at eigenvalue 0."""
         factors = list(self.spectral.factors)
-        (lam, _, _), u = self._svds[grid_axis]
-        root = np.sqrt(self.a_faces[grid_axis])
-        factors[grid_axis] = (np.append(lam, 0.0), u.T / root,
-                              root[:, None] * u)
+        factors[grid_axis] = self._svds[grid_axis][1]
         return AxisFactorization(factors)
 
 

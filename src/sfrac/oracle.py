@@ -23,12 +23,12 @@ sampled sine mode is off by O(1) there; on the staggered scheme the same mode
 is an exact eigenvector and the gap is O(h^2).
 
 Plus `s_spectrum_probe`: the eigenvalues mu of L, reported as the points
-+-sqrt(mu) on the real axis.  Positive coefficients take them from the
-singular values of the same per-axis operators, without the vectors (mu >= 0,
-exactly 0 at the parity null mode).  A set with a
-sample <= 0 has no such factorization; its L is materialized (N <=
-DENSE_CAP) and its general eigenvalues can fall below 0, each flagging a
-spectral sphere.
++-sqrt(mu) on the real axis.  Positive coefficients read them from the same
+per-axis factorization, `Operators.spectral` (mu >= 0, each positive value
+of an axis once per parity sublattice, exactly 0 at the parity null mode).
+A set with a sample <= 0 has no such factorization; its L is materialized
+(N <= DENSE_CAP) and its general eigenvalues can fall below 0, each flagging
+a spectral sphere.
 """
 
 from __future__ import annotations
@@ -142,12 +142,11 @@ class SpectrumProbe:
 def s_spectrum_probe(ops: Operators) -> SpectrumProbe:
     """Eigenvalues mu of L = -sum A_l^2, mapped to the real axis points
     +-sqrt(mu); axially symmetric by construction (s -> -s).  Positive
-    coefficients take mu from the per-axis singular values alone
-    (`Operators.spectrum`, no vectors); a set with a sample
+    coefficients read mu from `Operators.spectral`; a set with a sample
     <= 0 takes the general eigenvalues of the dense L (N <= DENSE_CAP), the
     only route on which mu < 0, and so a spectral sphere, can appear."""
     if ops.is_positive:
-        mu = np.sort(ops.spectrum(), axis=None)
+        mu = np.sort(ops.spectral.eigenvalues(), axis=None)
         max_imag = 0.0
     else:
         mu_c = np.linalg.eigvals(ops.dense_L())

@@ -363,11 +363,32 @@ class TestAxisFactorization:
             assert rel_gap(ops.apply_A(ax, lu), la) <= 1e-14
 
     def test_non_positive_set_raises_from_spectral(self):
-        ops = Operators(grid1d(9, 1.0), (make_profile(1, "x-0.45", 1.0),))
+        g, profiles = grid1d(9, 1.0), (make_profile(1, "x-0.45", 1.0),)
+        ops = Operators(g, profiles)
+        stag = StaggeredOperators(g, profiles)
         assert not ops.is_positive
         for _ in range(2):  # a failed build is not cached
-            with pytest.raises(ValueError, match="positive"):
-                ops.spectral
+            for build in (lambda: ops.spectral, lambda: stag.spectral,
+                          lambda: stag.face_spectral(0)):
+                with pytest.raises(ValueError, match="positive"):
+                    build()
+
+    @pytest.mark.parametrize("n", [(7,), (8,), (31,), (64,), (255,), (1,),
+                                   (2,), (9, 10), (5, 6, 7)])
+    def test_collocated_eigenvalues_pair_exactly(self, n):
+        # one SVD per axis, of the even-odd block B of K_l = r D_l r: each
+        # positive lambda comes once per parity sublattice, bit for bit, and
+        # an odd axis has exactly one exact 0 (the null space of B^T)
+        lengths = (1.0, 1.3, 0.8)[:len(n)]
+        texts = ("1+0.1*sin(x)", "exp(0.2*x)", "1.3")
+        ops = Operators(Grid(BoxDomain(lengths), n), tuple(
+            make_profile(ax + 1, texts[ax], length)
+            for ax, length in enumerate(lengths)))
+        for (lam, _, _), v in zip(ops.spectral.factors, n):
+            assert lam.shape == (v,) and np.all(lam >= 0.0)
+            values, counts = np.unique(lam, return_counts=True)
+            assert np.all(counts[values > 0.0] == 2)
+            assert np.count_nonzero(lam == 0.0) == v % 2
 
 
 class TestNorms:

@@ -209,9 +209,9 @@ class TestProbe:
 
     @pytest.mark.parametrize("n", [(201,), (7, 9), (5, 6, 7)])
     def test_values_only_whatever_was_cached(self, n):
-        # positive sets read mu from the values-only SVDs: the points equal
-        # the factorization's to rounding and do not depend on whether the
-        # factorization was built first; the parity null stays exactly 0
+        # positive sets read mu from the one factorization of L: the points
+        # are bitwise the same whether or not it was built first, they are
+        # +-sqrt of its eigenvalues, and the parity null stays exactly 0
         lengths = (1.0, 1.3, 0.8)[:len(n)]
         texts = ("1+0.1*sin(x)", "exp(0.2*x)", "1.3")
         make = lambda: Operators(Grid(BoxDomain(lengths), n), tuple(
@@ -222,10 +222,11 @@ class TestProbe:
         lam = np.sort(ops.spectral.eigenvalues(), axis=None)
         again = s_spectrum_probe(ops)
         assert again.points == first.points
-        mu = np.sort(ops.spectrum(), axis=None)
-        assert rel_gap(mu, lam) <= 1e-13
-        assert np.count_nonzero(mu == 0.0) == np.count_nonzero(lam == 0.0)
-        assert np.count_nonzero(mu == 0.0) == all(v % 2 for v in n)
+        assert np.array_equal(np.sort(np.abs(again.points)),
+                              np.repeat(np.sqrt(lam), 2))
+        zeros = np.count_nonzero(np.asarray(again.points) == 0.0)
+        assert zeros == 2 * np.count_nonzero(lam == 0.0)
+        assert np.count_nonzero(lam == 0.0) == all(v % 2 for v in n)
 
     def test_non_positive_set_takes_the_dense_eigenvalues(self):
         # a sample <= 0 leaves L without the spectral factorization; its

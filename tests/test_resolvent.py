@@ -176,7 +176,7 @@ class TestSpectral:
         r = q_residual(ws, ws.solve_Q(f), f)
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)
 
-    @pytest.mark.parametrize("n", [(7, 8), (9, 15)])
+    @pytest.mark.parametrize("n", [(7, 8), (9, 15), (1,), (2,), (1, 2, 3)])
     def test_eigenvalues_are_those_of_L(self, n):
         ops = variable_ops(n)
         lam = np.sort(ops.spectral.eigenvalues().reshape(-1))
