@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import math
@@ -34,7 +35,7 @@ from .errors import (ConditionsFailed, EvalError, ExprSyntaxError,
 from .evolve import EvolutionConfig, evolve
 from .frac import (QuadratureSpec, apply_P_alpha, build_matrix,
                    gate_conditions, quad_nodes, quadrature_certificate,
-                   reference_P_alpha)
+                   reference_P_alpha, symbols)
 from .grid import BoxDomain, Grid, Operators, QuatField, RealField
 from .oracle import closed_form_P_alpha, s_spectrum_probe
 from .quat import J_E1, J_E2, J_E3, unit_from_components
@@ -198,33 +199,38 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def _write_csv(path: str, header: str, cols):
-    """One row per entry of the stacked columns cols, every cell the
-    shortest decimal that round-trips (CSV cell contract)."""
-    rows = np.column_stack(cols).tolist()
+def _write_csv(path: str, header: str, rows):
+    """The header line, then rows: lines of cells, each cell the shortest
+    decimal that round-trips (CSV cell contract)."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.writelines(rows)
 
 
-def _padded_coords(grid: Grid) -> np.ndarray:
-    """(N, 3) node coordinates, absent axes padded with 0.0."""
-    coords = np.zeros((grid.N, 3))
-    coords[:, :grid.dims] = grid.node_coordinates()
-    return coords
+def _coord_cells(grid: Grid) -> list:
+    """'x1,x2,x3' of every node in C order, absent axes padded with 0.0;
+    each distinct coordinate is formatted once."""
+    axes = [[repr(x) for x in ax.tolist()] for ax in grid.axes]
+    axes += [["0.0"]] * (3 - grid.dims)
+    return [",".join(cells) for cells in itertools.product(*axes)]
 
 
 def _write_fields_csv(path: str, field: QuatField):
     _write_csv(path, "x1,x2,x3,q0,q1,q2,q3",
-               [_padded_coords(field.grid), field.components.reshape(4, -1).T])
+               (f"{x},{q0!r},{q1!r},{q2!r},{q3!r}\n"
+                for x, q0, q1, q2, q3 in zip(
+                    _coord_cells(field.grid),
+                    *field.components.reshape(4, -1).tolist())))
 
 
 def _write_snapshot_csv(path: str, field: RealField):
-    _write_csv(path, "x1,x2,x3,v", [_padded_coords(field.grid), field.flat()])
+    _write_csv(path, "x1,x2,x3,v",
+               (f"{x},{v!r}\n" for x, v in zip(_coord_cells(field.grid),
+                                               field.flat().tolist())))
 
 
 def _write_trace_csv(path: str, times, l2s):
-    _write_csv(path, "t,l2", [times, l2s])
+    _write_csv(path, "t,l2", (f"{t!r},{l2!r}\n" for t, l2 in zip(times, l2s)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +319,13 @@ def _task_verify(cfg, out_dir, force):
     record("known_integral", abs(acc - math.pi / math.sqrt(2.0)), 1e-10)
 
     # base: the production route (the symbol route unless a coefficient
-    # sample <= 0 sends it to the node engine); references: the left-form
-    # node engine at three imaginary units, one pass over the nodes
-    base = apply_P_alpha(spec, ops, v0, report=report, force=force)
+    # sample <= 0 sends it to the node engine), its symbols computed once
+    # for it and the certificate; references: the left-form node engine at
+    # three imaginary units, one pass over the nodes
+    syms = (symbols(spec, ops.spectral.eigenvalues()) if ops.is_positive
+            else None)
+    base = apply_P_alpha(spec, ops, v0, report=report, force=force,
+                         syms=syms)
     denom = max(base.full.l2(), 1e-300)
     lefts = reference_P_alpha(
         spec, ops, v0, (spec.j, J_E2, unit_from_components(1.0, 1.0, 1.0)),
@@ -347,7 +357,8 @@ def _task_verify(cfg, out_dir, force):
     # coefficient sample is not positive and L has no such spectrum)
     _write_json(os.path.join(out_dir, "verify.json"),
                 {"checks": checks, "pass": ok,
-                 "quadrature_certificate": quadrature_certificate(spec, ops)})
+                 "quadrature_certificate": quadrature_certificate(spec, ops,
+                                                                  syms)})
     return 0 if ok else 4
 
 

@@ -37,6 +37,11 @@ diagnostic instead of projecting it away.  It runs for the left form and
 for a coefficient set with a sample <= 0 (where L has no spectral
 factorization and each Q_t gets a dense LU), and `verify` compares it, at
 three units from one pass (`reference_P_alpha`), with the symbol route.
+Its work is array-wide: the stacks of a block are flat, (nodes, 4, N),
+allocated once per pass and reused by every block and unit; each
+quaternion product is a scaling plus one matmul of a 4x4 left table over
+the component axis, and T one such matmul per grid axis (`Operators.
+apply_T`).
 
 Quadrature: the weight t^{alpha-1} is integrable but singular at 0, so the
 panel [0, t_split] uses Gauss-Jacobi nodes absorbing exactly that weight.
@@ -82,10 +87,15 @@ from .coeff import check_conditions
 from .errors import ConditionsFailed
 from .grid import (DENSE_CAP, FaceField, Grid, Operators, QuatField,
                    RealField, StaggeredOperators)
-from .quat import ImaginaryUnit, J_E1, Quaternion, left_mul, qmul
+from .quat import ImaginaryUnit, J_E1, Quaternion, left_mult_table, qmul
 from .resolvent import ResolventWorkspace
 
 TWO_PI = 2.0 * math.pi
+
+# elements of one stack over a block of nodes: the node engine's (nodes, 4,
+# N) stacks hold max(1, _BLOCK_ELEMS // (4 N)) nodes, which bounds its
+# memory on the largest grids; `symbols` takes a quarter of it
+_BLOCK_ELEMS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -192,15 +202,30 @@ def symbols(spec: QuadratureSpec, lam: np.ndarray):
     """(f_1, f_2) on the eigenvalues lam of L, with P_alpha v = f_1(L) T v +
     f_2(L) v: the reduced pair integrand summed over the nodes of spec in
     the fixed ascending-t order, the global factor -1/(2 pi) folded in.
-    f_1 is 0 where lam is 0, the parity null mode that T v never reaches."""
+    f_1 is 0 where lam is 0, the parity null mode that T v never reaches.
+
+    The nodes go in blocks, each one np.add.reduce over the node axis
+    whose first row has the sums of the blocks before added in, so every
+    element is summed strictly in ascending t.  Both sums share one stack,
+    so the axes after the node axis hold at least two elements: over a
+    single one numpy would sum pairwise."""
     ts, cs = _nodes(spec)
     theta = (spec.alpha - 1.0) * math.pi / 2.0
-    sum_u1 = np.zeros_like(lam)
-    sum_u2 = np.zeros_like(lam)
-    for t, c in zip(ts, cs):
-        r = c / (t * t + lam)
-        sum_u1 += r * t
-        sum_u2 += r * lam
+    flat = np.reshape(lam, -1)
+    # a quarter of the engine's bound keeps a block's stacks in cache and
+    # the peak memory of a run as it was (2^16 added 1.7 MB on 9^3 grids)
+    per_block = max(1, _BLOCK_ELEMS // (8 * flat.size))
+    sums = np.zeros((2, flat.size))
+    for lo in range(0, len(ts), per_block):
+        t, c = ts[lo:lo + per_block, None], cs[lo:lo + per_block, None]
+        r = t * t + flat
+        np.divide(c, r, out=r)
+        terms = np.empty((len(t), *sums.shape))
+        np.multiply(r, t, out=terms[:, 0])
+        np.multiply(r, flat, out=terms[:, 1])
+        terms[0] += sums
+        sums = np.add.reduce(terms, axis=0)
+    sum_u1, sum_u2 = sums.reshape(2, *np.shape(lam))
     f1 = np.where(lam > 0.0, -math.sin(theta) / math.pi * sum_u1, 0.0)
     return f1, math.cos(theta) / math.pi * sum_u2
 
@@ -215,20 +240,22 @@ def exact_symbols(alpha: float, lam: np.ndarray):
             np.where(pos, 0.5 * safe ** (alpha / 2.0), 0.0))
 
 
-def quadrature_certificate(spec: QuadratureSpec,
-                           ops: Operators) -> dict | None:
+def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
+                           syms=None) -> dict | None:
     """Worst relative error of the symbols over the positive eigenvalues of
     L, against the exact powers: scal max |f_2 / e_2 - 1|, vec max
-    |f_1 / e_1 - 1| (`exact_symbols`).  None when a coefficient sample is
-    not positive, for then L has no spectral factorization."""
+    |f_1 / e_1 - 1| (`exact_symbols`).  syms: (f_1, f_2) of `symbols` on
+    ops.spectral.eigenvalues(), when the caller has them already.  None
+    when a coefficient sample is not positive, for then L has no spectral
+    factorization."""
     if not ops.is_positive:
         return None
     lam = ops.spectral.eigenvalues()
-    lam = lam[lam > 0.0]
-    f1, f2 = symbols(spec, lam)
-    e1, e2 = exact_symbols(spec.alpha, lam)
-    scal = np.abs(f2 / e2 - 1.0)
-    vec = np.abs(f1 / e1 - 1.0)
+    f1, f2 = syms if syms is not None else symbols(spec, lam)
+    pos = lam > 0.0
+    e1, e2 = exact_symbols(spec.alpha, lam[pos])
+    scal = np.abs(f2[pos] / e2 - 1.0)
+    vec = np.abs(f1[pos] / e1 - 1.0)
     return {"scal": float(np.max(scal, initial=0.0)),
             "vec": float(np.max(vec, initial=0.0))}
 
@@ -236,11 +263,6 @@ def quadrature_certificate(spec: QuadratureSpec,
 # ---------------------------------------------------------------------------
 # Reference node engine.  Fields travel as arrays shaped (4, *grid.n), a
 # block of nodes as stacks shaped (nodes, 4, *grid.n).
-
-# elements of one (nodes, 4, N) stack: a block holds max(1, _BLOCK_ELEMS //
-# (4 N)) nodes, which bounds the engine's memory on the largest grids
-_BLOCK_ELEMS = 2 ** 16
-
 
 def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
                  units, form: str):
@@ -265,42 +287,85 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     solve for all nodes of a block, one T u1, one reduction, then per unit
     the naive pairs of the block, each stack summed node by node
     (np.add.reduce over its leading axis).  Blocks are added in order, so
-    the result is bitwise reproducible."""
+    the result is bitwise reproducible.  The stacks are flat, (nodes, 4,
+    N), allocated once and reused by every block and unit.
+
+    A product q x is w x plus one matmul of the left table of q's vector
+    part over the component axis (w the scalar part of q).  Each entry is
+    then rounded as in the 4x4 product with the table of q wherever it
+    meets one nonzero vector term: at an axis unit (e1, e2, e3, up to
+    sign) on any input, and in the left form at any unit on a
+    single-component u1 (a real v in 1D)."""
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
+    shape = comps.shape
     tv = ops.apply_T(comps).reshape(4, -1)
     ts, cs = _nodes(spec)
     per_block = max(1, _BLOCK_ELEMS // (4 * ops.grid.N))
-    acc = np.zeros((len(units), *comps.shape))
+
+    def split(q):
+        return q.w, left_mult_table(Quaternion(0.0, q.x, q.y, q.z))
+
+    # per unit: j's table, and per half line (s_+, then s_-) its sign and
+    # the split e_+- = cos(theta) -+ j sin(theta) and j e_+-
+    tables = []
+    for j in units:
+        halves = ((1.0, Quaternion(cos_t) + j.scale(-sin_t)),
+                  (-1.0, Quaternion(cos_t) + j.scale(sin_t)))
+        tables.append((left_mult_table(j),
+                       [(sign, split(e), split(qmul(j.direction, e)))
+                        for sign, e in halves]))
+    stacks = np.empty((6, min(per_block, len(ts)), *tv.shape))
+    acc = np.zeros((len(units), *tv.shape))
     leak = np.zeros_like(acc)
+
+    def apply_T(stack):
+        return ops.apply_T(stack.reshape(len(stack), *shape)).reshape(
+            stack.shape)
+
     for lo in range(0, len(ts), per_block):
         t, c = ts[lo:lo + per_block], cs[lo:lo + per_block]
+        k = len(t)
         ws = ResolventWorkspace(ops, [J_E1.scale(-tk) for tk in t])
-        u1 = ws._solve_stack(tv, null_free_rhs=True)
-        u1 = u1.reshape(len(t), *comps.shape)
-        tu1 = ops.apply_T(u1)
-        t = t.reshape(-1, *[1] * comps.ndim)  # against (nodes, 4, *n)
-        c = c.reshape(t.shape)
-        reduced = c * (2.0 * sin_t * t * u1 - 2.0 * cos_t * tu1)
-        for k, j in enumerate(units):
-            jq = j.direction
-            naive = np.zeros_like(u1)
-            # (e_+-, +-1) with conj(s_+-) = +-j t
-            for e, sign in ((Quaternion(cos_t) + j.scale(-sin_t), 1.0),
-                            (Quaternion(cos_t) + j.scale(sin_t), -1.0)):
+        u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(k, *tv.shape)
+        tu1 = apply_T(u1)
+        t, c = t[:, None, None], c[:, None, None]
+        # the pair of the s_+ half line goes to nv, that of s_- to hv
+        red, nv, hv, x, prod, shared = stacks[:, :k]
+        # red = c (2 sin(theta) t u1 - 2 cos(theta) T u1)
+        np.multiply(2.0 * sin_t * t, u1, out=red)
+        red -= np.multiply(2.0 * cos_t, tu1, out=prod)
+        red *= c
+        if form == "left":
+            cu = np.multiply(cos_t, u1, out=shared)
+        for i, (j_table, pairs) in enumerate(tables):
+            if form == "right":
+                ju = np.matmul(j_table, u1, out=shared)
+            for dst, (sign, (e_w, e_vec), (je_w, je_vec)) in zip((nv, hv),
+                                                                  pairs):
                 if form == "right":
-                    naive += left_mul(e, sign * t * left_mul(jq, u1, 1) - tu1,
-                                      1)
+                    # e_+- x, x = conj(s_+-) u1 - T u1 = +-t j u1 - T u1
+                    np.multiply(sign * t, ju, out=x)
+                    x -= tu1
+                    np.multiply(e_w, x, out=dst)
+                    dst += np.matmul(e_vec, x, out=prod)
                 else:
-                    naive += (sign * t * left_mul(qmul(jq, e), u1, 1)
-                              - ops.apply_T(left_mul(e, u1, 1)))
-            naive *= c
-            acc[k] += np.add.reduce(naive, axis=0)
-            naive -= reduced
-            leak[k] += np.add.reduce(naive, axis=0)
+                    # conj(s_+-) e_+- u1 - T(e_+- u1), conj(s_+-) = +-t j
+                    np.matmul(je_vec, u1, out=dst)
+                    dst += np.multiply(je_w, u1, out=prod)
+                    dst *= sign * t
+                    np.matmul(e_vec, u1, out=x)
+                    x += cu
+                    dst -= apply_T(x)
+            nv += hv
+            nv *= c
+            acc[i] += np.add.reduce(nv, axis=0)
+            nv -= red
+            leak[i] += np.add.reduce(nv, axis=0)
     acc *= -1.0 / TWO_PI
     leak *= -1.0 / TWO_PI
-    return [(a, float(np.max(np.abs(g)))) for a, g in zip(acc, leak)]
+    return [(a.reshape(shape), float(np.max(np.abs(g))))
+            for a, g in zip(acc, leak)]
 
 
 def _require_collocated(ops, what: str):
@@ -324,15 +389,17 @@ def gate_conditions(ops: Operators | StaggeredOperators, report=None,
 
 def apply_P_alpha(spec: QuadratureSpec,
                   ops: Operators | StaggeredOperators, v: QuatField, *,
-                  form: str = "right", report=None,
-                  force: bool = False) -> FracApplyResult:
+                  form: str = "right", report=None, force: bool = False,
+                  syms=None) -> FracApplyResult:
     """P_alpha(T) v by quadrature of the right (default) or left Balakrishnan
     form.  The reduction order is fixed ascending in t, so results are
     bitwise reproducible.
 
     The right form on positive coefficients (`ops.is_positive`) takes the
-    symbol route, f_1(L) T v + f_2(L) v; the left form, or a coefficient
-    sample <= 0, runs the quaternionic node engine, the reference.
+    symbol route, f_1(L) T v + f_2(L) v, with syms = (f_1, f_2) of
+    `symbols` on ops.spectral.eigenvalues() when the caller has them
+    already; the left form, or a coefficient sample <= 0, runs the
+    quaternionic node engine, the reference.
 
     With `StaggeredOperators`, v must be real (its vector components zero)
     and the symbols are applied through the per-axis factorization of that
@@ -345,7 +412,8 @@ def apply_P_alpha(spec: QuadratureSpec,
         return _apply_P_alpha_staggered(spec, ops, v)
     if form == "right" and ops.is_positive:
         sp = ops.spectral
-        f1, f2 = symbols(spec, sp.eigenvalues())
+        f1, f2 = syms if syms is not None else symbols(spec,
+                                                        sp.eigenvalues())
         comps = (sp.apply_symbol(f1, ops.apply_T(v.components))
                  + sp.apply_symbol(f2, v.components))
         leak = 0.0

@@ -271,21 +271,29 @@ def lincomb(coeffs, fields) -> QuatField:
 
 def diff_axis(values: np.ndarray, grid_axis: int, h: float,
               ndim_grid: int) -> np.ndarray:
-    """Central difference (u_{i+1} - u_{i-1}) / (2h) with zero ghosts."""
+    """Central difference (u_{i+1} - u_{i-1}) / (2h) with zero ghosts: the
+    interior, the first cell (u_1) and the last (0 - u_{n-2}) are written
+    straight into the output."""
     ax = values.ndim - ndim_grid + grid_axis
-    out = np.zeros_like(values)
-    n = values.shape[ax]
-    src_up = [slice(None)] * values.ndim
-    src_dn = [slice(None)] * values.ndim
-    dst_up = [slice(None)] * values.ndim
-    dst_dn = [slice(None)] * values.ndim
-    dst_up[ax] = slice(0, n - 1)   # receives u_{i+1}
-    src_up[ax] = slice(1, n)
-    dst_dn[ax] = slice(1, n)       # receives -u_{i-1}
-    src_dn[ax] = slice(0, n - 1)
-    out[tuple(dst_up)] = values[tuple(src_up)]
-    out[tuple(dst_dn)] -= values[tuple(src_dn)]
-    out /= (2.0 * h)
+    if values.shape[ax] == 1:
+        return np.zeros_like(values)
+    values = np.ascontiguousarray(values)
+    out = np.empty_like(values)
+    # in C order the neighbours along ax sit `step` elements away, so one
+    # subtraction over the flat arrays gives every interior cell; the first
+    # and last cell of each line are overwritten after it
+    step = math.prod(values.shape[ax + 1:])
+    flat, out_flat = values.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * step:], flat[:-2 * step],
+                out=out_flat[step:out_flat.size - step])
+    lead = (slice(None),) * ax
+    out[lead + (slice(1),)] = values[lead + (slice(1, 2),)]
+    # not np.negative: with out= on strided operands (numpy 2.4.6, e.g. the
+    # last axis of a (4, 7, 8) array) it returns wrong values; 0 - u also
+    # keeps the last cell +0 where u_{n-2} is +0
+    np.subtract(0.0, values[lead + (slice(-2, -1),)],
+                out=out[lead + (slice(-1, None),)])
+    out /= 2.0 * h
     return out
 
 
@@ -400,7 +408,9 @@ class Operators:
                          self.grid.dims)
 
     def apply_A(self, grid_axis: int, values: np.ndarray) -> np.ndarray:
-        return self.a_samples[grid_axis] * self.apply_D(grid_axis, values)
+        out = self.apply_D(grid_axis, values)
+        out *= self.a_samples[grid_axis]
+        return out
 
     def apply_A_transpose(self, grid_axis: int, values: np.ndarray) -> np.ndarray:
         # (diag(a) D)^T = D^T diag(a) = -D diag(a)
@@ -415,17 +425,16 @@ class Operators:
         return out
 
     def apply_T(self, values):
-        """T v = sum_l e_l * (A_l v), componentwise via the left tables, on
-        quaternion arrays shaped (..., 4, *grid.n); a QuatField maps to a
-        QuatField."""
+        """T v = sum_l e_l * (A_l v), one matmul of each left table over the
+        components, on quaternion arrays shaped (..., 4, *grid.n); a
+        QuatField maps to a QuatField."""
         if isinstance(values, QuatField):
             return QuatField(values.grid, self.apply_T(values.components))
-        idx = "xyz"[: self.grid.dims]
-        mix = f"ab,...b{idx}->...a{idx}"
-        acc = np.zeros_like(values)
-        for ax in range(self.grid.dims):
-            acc += np.einsum(mix, _E_TABLES[ax + 1], self.apply_A(ax, values))
-        return acc
+        flat = (*values.shape[:values.ndim - self.grid.dims], -1)
+        acc = _E_TABLES[1] @ self.apply_A(0, values).reshape(flat)
+        for ax in range(1, self.grid.dims):
+            acc += _E_TABLES[ax + 1] @ self.apply_A(ax, values).reshape(flat)
+        return acc.reshape(values.shape)
 
     # -- dense materializations ------------------------------------------
     def _axis_D(self, grid_axis: int) -> np.ndarray:

@@ -361,6 +361,24 @@ class TestVerifyTask:
         assert set(cert) == {"scal", "vec"}
         assert 0.0 < cert["scal"] <= 1e-12 and 0.0 < cert["vec"] <= 1e-12
 
+    def test_symbols_once_per_rule(self, tmp_path, monkeypatch):
+        # the base rule's symbols serve the symbol route and the
+        # certificate; the doubled rule's serve quadrature_doubling
+        from sfrac import cli, frac
+        calls = []
+        original = frac.symbols
+
+        def counting(spec, lam):
+            calls.append(spec.n_sing + spec.n_tail)
+            return original(spec, lam)
+
+        monkeypatch.setattr(frac, "symbols", counting)
+        monkeypatch.setattr(cli, "symbols", counting)
+        cfg = base_1d("verify", n=31)
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert sorted(calls) == [128, 256]
+
     def test_forced_dense_run_with_non_positive_coefficient(self, tmp_path):
         # L has no spectral factorization here, so the node engine on dense
         # LU serves the run, and the certificate is null

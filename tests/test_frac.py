@@ -79,6 +79,36 @@ class TestNodes:
         assert all(t > 0 for t in ts)
 
 
+def symbols_node_by_node(spec, lam):
+    """`symbols` one node at a time: the reduced pair integrand added in
+    ascending t."""
+    theta = (spec.alpha - 1.0) * math.pi / 2.0
+    sum_u1 = np.zeros_like(lam)
+    sum_u2 = np.zeros_like(lam)
+    for t, c in zip(*frac._nodes(spec)):
+        r = c / (t * t + lam)
+        sum_u1 += r * t
+        sum_u2 += r * lam
+    f1 = np.where(lam > 0.0, -math.sin(theta) / math.pi * sum_u1, 0.0)
+    return f1, math.cos(theta) / math.pi * sum_u2
+
+
+class TestSymbols:
+    # (191,) and larger sum in several blocks, (4096,) in one node each
+    @pytest.mark.parametrize("shape", [(1,), (7,), (191,), (729,), (9, 9, 9),
+                                       (4096,)])
+    @pytest.mark.parametrize("n_nodes", [64, 128])
+    def test_bitwise_node_by_node(self, shape, n_nodes):
+        rng = np.random.default_rng(8)
+        lam = np.exp(rng.uniform(-3.0, 12.0, shape))
+        lam.reshape(-1)[2::5] = 0.0  # the parity null mode
+        spec = QuadratureSpec(0.3, n_sing=n_nodes // 2, n_tail=n_nodes // 2)
+        f1, f2 = frac.symbols(spec, lam)
+        r1, r2 = symbols_node_by_node(spec, lam)
+        assert f1.shape == f2.shape == lam.shape
+        assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
+
+
 class TestGaussJacobi:
     """The in-house Golub-Welsch rule for the weight (1+x)^b on [-1, 1]."""
 

@@ -7,7 +7,7 @@ from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators, diff_axis,
                         lincomb, norms)
 from sfrac.coeff import constant_profile, make_profile
-from sfrac.quat import E2, Quaternion
+from sfrac.quat import E1, E2, E3, Quaternion, left_mult_table
 from sfrac.resolvent import ResolventWorkspace
 
 
@@ -132,6 +132,88 @@ class TestDiff:
         out = diff_axis(batch, 1, g.h[1], g.dims)
         single = diff_axis(batch[1, 2], 1, g.h[1], g.dims)
         assert np.array_equal(out[1, 2], single)
+
+
+def diff_by_cell(values, ax, h):
+    """(u_{i+1} - u_{i-1}) / (2h) along axis ax, cell by cell, with +0.0
+    ghosts."""
+    u = np.moveaxis(values, ax, -1)
+    out = np.empty_like(u)
+    n = u.shape[-1]
+    for i in range(n):
+        right = u[..., i + 1] if i + 1 < n else 0.0
+        left = u[..., i - 1] if i >= 1 else 0.0
+        out[..., i] = (right - left) / (2.0 * h)
+    return np.moveaxis(out, -1, ax)
+
+
+STENCIL_GRIDS = [(1,), (2,), (3,), (8,), (1, 2), (2, 5), (7, 8), (4, 1),
+                 (2, 1, 3), (5, 3, 5), (4, 5, 6)]
+
+
+def stencil_case(n, texts=("1", "1", "1")):
+    lengths = (1.0, 1.3, 0.8)[:len(n)]
+    return Operators(Grid(BoxDomain(lengths), n),
+                     tuple(make_profile(ax + 1, texts[ax], lengths[ax])
+                           for ax in range(len(n))))
+
+
+class TestStencilReferences:
+    """diff_axis and apply_T against the dense matrices and a per-cell
+    loop, which share no array kernel with them."""
+
+    @pytest.mark.parametrize("n", STENCIL_GRIDS)
+    def test_diff_axis_matches_dense_D(self, n):
+        ops = stencil_case(n)
+        v = np.random.default_rng(4).standard_normal((3, 4, *n))
+        for ax in range(len(n)):
+            out = diff_axis(v, ax, ops.grid.h[ax], len(n))
+            ref = (v.reshape(12, -1) @ ops.dense_D(ax).T).reshape(v.shape)
+            tol = 4 * np.finfo(float).eps * np.max(np.abs(v)) / ops.grid.h[ax]
+            assert np.max(np.abs(out - ref), initial=0.0) <= tol
+            # bit for bit, sign of zero included, against the cell loop
+            by_cell = diff_by_cell(v, v.ndim - len(n) + ax, ops.grid.h[ax])
+            assert np.array_equal(out, by_cell)
+            assert np.array_equal(np.signbit(out), np.signbit(by_cell))
+
+    @pytest.mark.parametrize("n", [(2,), (3,), (9,), (7, 8), (3, 2, 4)])
+    def test_zero_next_to_a_boundary_keeps_its_sign(self, n):
+        # +0 and -0 in the cells next to both ends of every line: the first
+        # cell is u_1 (its sign kept), the last 0 - u_{n-2} (+0 for +-0)
+        ops = stencil_case(n)
+        for ax in range(len(n)):
+            v = np.random.default_rng(ax).standard_normal((4, *n))
+            line = [slice(None)] * v.ndim
+            for i, z in ((0, 0.0), (1, -0.0), (n[ax] - 2, 0.0),
+                         (n[ax] - 1, -0.0)):
+                line[ax + 1] = i
+                v[tuple(line)] = z
+            out = diff_axis(v, ax, ops.grid.h[ax], len(n))
+            by_cell = diff_by_cell(v, ax + 1, ops.grid.h[ax])
+            assert np.array_equal(np.signbit(out), np.signbit(by_cell))
+            assert np.array_equal(out, by_cell)
+            line[ax + 1] = -1
+            assert not np.any(np.signbit(out[tuple(line)]))
+
+    @pytest.mark.parametrize("n", [(1,), (2,), (9,), (5, 4), (1, 2, 3),
+                                   (3, 4, 5)])
+    def test_apply_T_matches_dense_A_and_tables(self, n):
+        ops = stencil_case(n, ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)"))
+        v = np.random.default_rng(6).standard_normal((2, 4, *n))
+        flat = v.reshape(2, 4, -1)
+        ref = np.zeros_like(flat)
+        for ax in range(len(n)):
+            av = flat @ ops.dense_A(ax).T
+            table = left_mult_table((E1, E2, E3)[ax])
+            for a in range(4):
+                for b in range(4):
+                    if table[a, b]:
+                        ref[:, a] += table[a, b] * av[:, b]
+        out = ops.apply_T(v)
+        assert out.shape == v.shape
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(v)) * max(
+            np.max(np.abs(ops.dense_A(ax))) for ax in range(len(n)))
+        assert np.max(np.abs(out.reshape(flat.shape) - ref)) <= tol
 
 
 class TestOperators:

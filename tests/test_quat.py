@@ -5,7 +5,7 @@ import pytest
 
 from sfrac.errors import DomainError
 from sfrac.quat import (E1, E2, E3, ImaginaryUnit, J_E1, ONE, Quaternion,
-                        left_mult_table, qexp, qlog, qmul, qpow,
+                        left_mul, left_mult_table, qexp, qlog, qmul, qpow,
                         slice_decompose, unit_from_components)
 
 
@@ -182,3 +182,33 @@ class TestLeftMultTable:
 
     def test_accepts_imaginary_unit(self):
         assert np.array_equal(left_mult_table(J_E1), left_mult_table(E1))
+
+
+class TestLeftMul:
+    """left_mul on stacks against qmul point by point, which shares no
+    array kernel with it."""
+
+    @staticmethod
+    def per_point(u, arr, axis):
+        moved = np.moveaxis(arr, axis, -1)
+        ref = np.array([qmul(u, Quaternion(*p)).components()
+                        for p in moved.reshape(-1, 4)])
+        return np.moveaxis(ref.reshape(moved.shape), -1, axis)
+
+    @pytest.mark.parametrize("axis, shape", [
+        (0, (4, 6)), (0, (4, 3, 5)), (1, (7, 4, 9)), (1, (5, 4, 3, 2)),
+        (1, (3, 4, 2, 3, 2)), (2, (2, 3, 4, 5))])
+    def test_matches_qmul_per_point(self, axis, shape):
+        rng = np.random.default_rng(17)
+        arr = rng.standard_normal(shape)
+        general = Quaternion(*rng.standard_normal(4))
+        out = left_mul(general, arr, axis)
+        assert out.shape == arr.shape
+        # the 4x4 product may fuse multiply and add, qmul does not
+        tol = 8 * np.finfo(float).eps * general.modulus * np.max(np.abs(arr))
+        assert np.max(np.abs(out - self.per_point(general, arr, axis))) <= tol
+        # an axis unit only permutes and negates components: exact
+        for unit in (J_E1, E2, E3 * -1.0):
+            q = unit.direction if isinstance(unit, ImaginaryUnit) else unit
+            assert np.array_equal(left_mul(unit, arr, axis),
+                                  self.per_point(q, arr, axis))

@@ -1,0 +1,127 @@
+"""Byte digests of every CLI artifact over a fixed set of small configs.
+
+Runs each `sfrac` task (check, spectrum, palpha, evolve, verify) on a fixed
+list of configs: 1D/2D/3D grids, odd and even sizes, constant and variable
+coefficients, a forced set with a sample <= 0 and RK4 with `beta_mode`.  It
+prints one `path sha256` line per artifact, plus one `case exit N` line per
+run, so that a diff of the output of two source trees shows every byte that
+changed:
+
+    python tools/artifact_digests.py > change.txt
+    python tools/artifact_digests.py --src OTHER_TREE/src > parent.txt
+    diff parent.txt change.txt
+
+`--src` names the directory that holds the `sfrac` package (default: the
+`src` beside this file's parent); `--keep DIR` leaves the artifacts there
+for a closer look, otherwise they go to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+VARIABLE = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
+LENGTHS = (1.0, 1.3, 0.8)
+
+
+def _box(task, n, coeffs=None, **extra):
+    dims = len(n)
+    cfg = {"domain": {"dims": dims, "lengths": list(LENGTHS[:dims])},
+           "grid": {"n": list(n)},
+           "coefficients": list(coeffs or ("1",) * dims),
+           "task": task}
+    cfg.update(extra)
+    return cfg
+
+
+def cases():
+    """(name, config, forced) of every run, in a fixed order."""
+    out = []
+    shapes = {"1d-odd": (15,), "1d-even": (16,), "2d-odd": (7, 9),
+              "2d-even": (8, 6), "3d-odd": (5, 3, 5), "3d-even": (4, 5, 6)}
+    for shape_name, n in shapes.items():
+        for coeff_name, coeffs in (("const", None),
+                                   ("var", VARIABLE[:len(n)])):
+            name = f"{shape_name}-{coeff_name}"
+            for task in ("check", "spectrum", "verify"):
+                out.append((f"{task}/{name}", _box(task, n, coeffs), False))
+            out.append((f"palpha/{name}",
+                        _box("palpha", n, coeffs, alpha=0.4), False))
+    out.append(("palpha/1d-j", _box("palpha", (12,), VARIABLE[:1], alpha=0.7,
+                                    quadrature={"j": [1.0, 2.0, 2.0],
+                                                "n_sing": 16,
+                                                "n_tail": 24}), False))
+    out.append(("verify/1d-j", _box("verify", (11,), VARIABLE[:1], alpha=0.3,
+                                    quadrature={"j": "e3", "t_split": 0.5}),
+                False))
+    for name, n, forced in (("1d-forced", (9,), ("x-0.45",)),
+                            ("2d-forced", (5, 4), ("x-0.45", "1"))):
+        for task, extra in (("check", {}), ("spectrum", {}),
+                            ("palpha", {"alpha": 0.5}), ("verify", {})):
+            out.append((f"{task}/{name}", _box(task, n, forced, **extra),
+                        True))
+    out.append(("evolve/2d-cn",
+                _box("evolve", (6, 5), VARIABLE[:2], alpha=0.6,
+                     time={"dt": 0.01, "t_end": 0.2, "snapshot_every": 5}),
+                False))
+    out.append(("evolve/1d-cn-long",
+                _box("evolve", (8,), None, alpha=0.5,
+                     time={"dt": 0.001, "t_end": 0.5,
+                           "snapshot_every": 100}), False))
+    out.append(("evolve/1d-rk4-beta",
+                _box("evolve", (9,), VARIABLE[:1], alpha=0.75,
+                     time={"dt": 0.001, "t_end": 0.05,
+                           "scheme": "explicit-rk4", "snapshot_every": 10,
+                           "beta_mode": True}), False))
+    out.append(("evolve/3d-rk4",
+                _box("evolve", (3, 4, 3), VARIABLE, alpha=0.5,
+                     time={"dt": 0.001, "t_end": 0.02,
+                           "scheme": "explicit-rk4", "snapshot_every": 4}),
+                False))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the sfrac package")
+    parser.add_argument("--keep", default=None,
+                        help="write the artifacts here instead of a "
+                             "temporary directory")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from sfrac.cli import main as sfrac_main
+
+    with contextlib.ExitStack() as stack:
+        base = args.keep or stack.enter_context(tempfile.TemporaryDirectory())
+        for name, cfg, forced in cases():
+            out_dir = os.path.join(base, name)
+            os.makedirs(out_dir, exist_ok=True)
+            cfg_path = os.path.join(out_dir, "config.json.in")
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            argv = [cfg_path, "--out", out_dir] + (["--force"] if forced
+                                                     else [])
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = sfrac_main(argv)
+            print(f"{name} exit {code}")
+            for fname in sorted(os.listdir(out_dir)):
+                if fname == "config.json.in":
+                    continue
+                with open(os.path.join(out_dir, fname), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                print(f"{name}/{fname} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
