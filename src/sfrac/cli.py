@@ -2,9 +2,9 @@
 
 Exit codes: 0 success; 1 config/schema/expression error (always before any
 numerical work); 2 hypothesis conditions failed for a task that needs them
-(unless --force); 4 verification failure.  The Q_t factorization is picked
-from the coefficients (see the resolvent module), so no config key chooses
-a solver.
+(unless --force); 4 verification failure.  The coefficients pick the Q_t
+factorization and the spectrum of L the quadrature split (see the resolvent
+and frac modules), so no config key chooses either.
 
 Determinism contract: identical config produces bit-identical output files
 — fixed quadrature reduction order, seeded estimators, no timestamps in any
@@ -78,7 +78,6 @@ SCHEMA = {
             "properties": {
                 "n_sing": {"type": "integer", "minimum": 4},
                 "n_tail": {"type": "integer", "minimum": 4},
-                "t_split": _POS_NUM,
                 "j": {"oneOf": [
                     {"enum": ["e1", "e2", "e3"]},
                     {"type": "array", "minItems": 3, "maxItems": 3,
@@ -162,7 +161,6 @@ def _build_j(qcfg: dict):
 def _build_quadrature(cfg: dict, alpha: float) -> QuadratureSpec:
     q = cfg.get("quadrature", {})
     return QuadratureSpec(alpha=alpha, j=_build_j(q),
-                          t_split=q.get("t_split", 1.0),
                           n_sing=q.get("n_sing", 64),
                           n_tail=q.get("n_tail", 64))
 
@@ -342,11 +340,7 @@ def _task_verify(cfg, out_dir, force):
 
     record("j_leak", max(leaks), 1e-9)
 
-    # constant positive sets only: the closed form covers every positive
-    # set, but on variable ones the default 64+64 nodes reach only ~1e-7
-    # of it, and perfbench's accuracy_digits reads every gap recorded here;
-    # widening waits for a node rule that follows the spectrum (ROADMAP 2)
-    if ops.is_constant and ops.is_positive:
+    if ops.is_positive:
         ref = closed_form_P_alpha(alpha, v0.component(0), ops)
         record("closed_form_gap",
                (base.full - ref.full).l2() / max(ref.full.l2(), 1e-300), 1e-6)

@@ -49,7 +49,10 @@ The tail is mapped to (0, 1] by t = t_split/u, where the transformed
 integrand carries the endpoint weight u^{-alpha} times a smooth factor; a
 Gauss-Jacobi rule with that weight integrates it to near machine precision
 (a plain Gauss-Legendre tail stalls around 1e-7 at 64 nodes because of the
-u^{1-alpha} derivative singularity).
+u^{1-alpha} derivative singularity).  The integrand of an eigenvalue lambda
+turns over at t ~ lambda^{1/2}, so t_split = (lambda_min lambda_max)^{1/4}
+over the positive spectrum of L balances the two panels in log t (Bonito
+and Pasciak, Math. Comp. 84, 2015); `_nodes` derives it for every route.
 
 Both panels need the rule for the weight (1+x)^b on [-1, 1] only
 (`gauss_jacobi`, b = alpha-1 and b = -alpha).  It is computed in-house by
@@ -101,12 +104,10 @@ _BLOCK_ELEMS = 2 ** 16
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Parameters of the Balakrishnan quadrature: the node counts of the two
-    panels, the panel split point and the imaginary unit j of the path -jR.
-    """
+    panels and the imaginary unit j of the path -jR (not the split)."""
 
     alpha: float
     j: ImaginaryUnit = J_E1
-    t_split: float = 1.0
     n_sing: int = 64
     n_tail: int = 64
 
@@ -115,8 +116,6 @@ class QuadratureSpec:
             raise ValueError("alpha must lie in the open interval (0, 1)")
         if self.n_sing < 4 or self.n_tail < 4:
             raise ValueError("node counts must be >= 4")
-        if self.t_split <= 0.0:
-            raise ValueError("t_split must be positive")
 
 
 @dataclass(frozen=True)
@@ -166,15 +165,18 @@ def gauss_jacobi(n: int, b: float):
     return x, w
 
 
-def _nodes(spec: QuadratureSpec):
+def _nodes(spec: QuadratureSpec, lam: np.ndarray | None):
     """(t, c): the rule, all nodes ascending in t, with t^{alpha-1} folded
     into the weights c on both panels: sum_i c_i f(t_i) ~ integral_0^inf
     t^{alpha-1} f(t) dt for f smooth on [0, t_split] and 1/t times a smooth
     function of 1/t beyond.  The near panel is the Gauss-Jacobi rule of
     t^{alpha-1} itself; the tail, mapped by t = t_split/u, that of u^{-alpha}.
-    """
+    t_split = (lambda_min lambda_max)^{1/4} over the positive values of the
+    spectrum lam (no copy of it), 1 when it has none or is None."""
     a = spec.alpha
-    ts = spec.t_split
+    top = 0.0 if lam is None else np.max(lam, initial=0.0)
+    ts = (float(np.min(lam, where=lam > 0.0, initial=top) * top) ** 0.25
+          if top > 0.0 else 1.0)
     x, w = gauss_jacobi(spec.n_sing, a - 1.0)
     t_near = ts * (1.0 + x) / 2.0
     c_near = w * (ts / 2.0) ** a
@@ -192,8 +194,8 @@ def _nodes(spec: QuadratureSpec):
 def quad_nodes(spec: QuadratureSpec) -> list:
     """All nodes ascending in t with raw weights c_i t_i^{1-alpha}:
     sum_i weight_i g(t_i) approximates integral_0^inf g(t) dt for the
-    integrand family of `_nodes` times t^{alpha-1}."""
-    ts, cs = _nodes(spec)
+    integrand family of `_nodes` times t^{alpha-1}, at the unit split."""
+    ts, cs = _nodes(spec, None)
     raw = cs * ts ** (1.0 - spec.alpha)
     return [{"t": float(t), "weight": float(w)} for t, w in zip(ts, raw)]
 
@@ -201,15 +203,15 @@ def quad_nodes(spec: QuadratureSpec) -> list:
 def symbols(spec: QuadratureSpec, lam: np.ndarray):
     """(f_1, f_2) on the eigenvalues lam of L, with P_alpha v = f_1(L) T v +
     f_2(L) v: the reduced pair integrand summed over the nodes of spec in
-    the fixed ascending-t order, the global factor -1/(2 pi) folded in.
-    f_1 is 0 where lam is 0, the parity null mode that T v never reaches.
+    the fixed ascending-t order (split by lam), the factor -1/(2 pi) folded
+    in.  f_1 is 0 where lam is 0, the parity null mode T v never reaches.
 
     The nodes go in blocks, each one np.add.reduce over the node axis
     whose first row has the sums of the blocks before added in, so every
     element is summed strictly in ascending t.  Both sums share one stack,
     so the axes after the node axis hold at least two elements: over a
     single one numpy would sum pairwise."""
-    ts, cs = _nodes(spec)
+    ts, cs = _nodes(spec, lam)
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     flat = np.reshape(lam, -1)
     # a quarter of the engine's bound keeps a block's stacks in cache and
@@ -283,12 +285,12 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     evaluated quaternionically at every node; both reduce to the j-free form
     and j_leak is the gap between the two.
 
-    Nodes go in ascending t, in blocks (see _BLOCK_ELEMS): one resolvent
-    solve for all nodes of a block, one T u1, one reduction, then per unit
-    the naive pairs of the block, each stack summed node by node
-    (np.add.reduce over its leading axis).  Blocks are added in order, so
-    the result is bitwise reproducible.  The stacks are flat, (nodes, 4,
-    N), allocated once and reused by every block and unit.
+    The nodes of `symbols` on L go in ascending t, in blocks (see
+    _BLOCK_ELEMS): one resolvent solve for all nodes of a block, one T u1,
+    one reduction, then per unit the naive pairs of the block, each stack
+    summed node by node (np.add.reduce over its leading axis).  Blocks are
+    added in order, so the result is bitwise reproducible.  The stacks are
+    flat, (nodes, 4, N), allocated once and reused by every block and unit.
 
     A product q x is w x plus one matmul of the left table of q's vector
     part over the component axis (w the scalar part of q).  Each entry is
@@ -300,7 +302,8 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     shape = comps.shape
     tv = ops.apply_T(comps).reshape(4, -1)
-    ts, cs = _nodes(spec)
+    ts, cs = _nodes(spec, ops.spectral.eigenvalues() if ops.is_positive
+                    else None)
     per_block = max(1, _BLOCK_ELEMS // (4 * ops.grid.N))
 
     def split(q):

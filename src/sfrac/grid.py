@@ -397,7 +397,6 @@ class Operators:
         self.profiles = profiles
         self.a_samples = tuple(_axis_profile_samples(grid, p, i)
                                for i, p in enumerate(profiles))
-        self.is_constant = all(p.is_constant for p in profiles)
         # the per-axis spectral factorization of L exists only then; the
         # resolvent workspaces pick it, or a dense LU of Q_s, from this flag
         self.is_positive = all(np.min(a) > 0.0 for a in self.a_samples)
@@ -505,14 +504,19 @@ class Operators:
     def null_pair(self):
         """(zeta, eta): exact right/left null vectors of every A_l on all-odd
         grids (A_l zeta = 0 and eta^T A_l = 0 in exact arithmetic, eta =
-        zeta / prod_l a_l), or None.  Q_s maps zeta to |s|^2 zeta exactly."""
+        zeta / prod_l a_l, 0 off the support of zeta, where a sample may be
+        0), or None.  Q_s maps zeta to |s|^2 zeta exactly."""
         zeta = self.grid.parity_null_vector
         if zeta is None:
             return None
         denom = np.ones(self.grid.n)
         for ax in range(self.grid.dims):
             denom = denom * self.a_samples[ax]
-        return zeta, zeta / denom
+        if np.any((denom == 0.0) & (zeta != 0.0)):
+            raise ValueError("a coefficient sample is 0 on the parity null "
+                             "mode, where its left null vector divides by it")
+        return zeta, np.divide(zeta, denom, out=np.zeros_like(zeta),
+                               where=denom != 0.0)
 
 
 def constant_operators(grid: Grid, value: float = 1.0) -> Operators:

@@ -230,10 +230,8 @@ def left_mult_table(u) -> np.ndarray:
     ])
 
 
-def left_mul(u, arr: np.ndarray, axis: int = 0) -> np.ndarray:
-    """u * v for every quaternion value v of arr, whose four components run
-    along axis (by default the leading one: arr shaped (4, ...)): one matmul
-    of the 4x4 table with arr, the axes after the components flattened."""
-    shape = arr.shape
-    return (left_mult_table(u)
-            @ arr.reshape(*shape[:axis + 1], -1)).reshape(shape)
+def left_mul(u, arr: np.ndarray) -> np.ndarray:
+    """u * v for every quaternion value v of arr, shaped (4, ...): one
+    matmul of the 4x4 table with arr, the axes after the components
+    flattened."""
+    return (left_mult_table(u) @ arr.reshape(4, -1)).reshape(arr.shape)

@@ -135,6 +135,14 @@ class TestSchemaRejection:
         assert main([write_cfg(tmp_path, cfg)]) == 1
         assert "'solver' was unexpected" in capsys.readouterr().err
 
+    def test_t_split_key_exits_1(self, tmp_path, capsys):
+        # the quadrature split follows the spectrum of L; no key sets it
+        cfg = base_1d("verify", quadrature={"t_split": 0.5})
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert "'t_split' was unexpected" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheckTask:
     def test_constant_unit_cube_constants_exact(self, tmp_path):
@@ -289,6 +297,38 @@ class TestPalphaTask:
         rows = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
         assert rows.shape == (9, 7) and np.all(np.isfinite(rows))
 
+    # n = 9 on [0, 1] samples x = 0.5 on the parity null pattern and x = 0.4
+    # off it; its left null vector divides by the samples on the pattern
+    @pytest.mark.parametrize("task", ["palpha", "verify"])
+    @pytest.mark.parametrize("n, coeffs", [
+        ((9,), ("x-0.5",)), ((9,), ("0",)), ((9, 5), ("x-0.5", "1"))])
+    def test_forced_zero_sample_on_the_null_mode_exits_1(self, tmp_path,
+                                                         capsys, task, n,
+                                                         coeffs):
+        cfg = base_box(task, n, coeffs, (1.0,) * len(n), alpha=0.5)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--force"]) == 1
+        assert "parity null mode" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_forced_zero_sample_off_the_null_mode_is_finite(self, tmp_path):
+        cfg = base_1d("palpha", n=9, length=1.0, coeff="x-0.4", alpha=0.5)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--force"]) == 0
+        rows = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (9, 7) and np.all(np.isfinite(rows))
+        # verify reports numbers (no bare NaN in verify.json); the zero
+        # sample makes L singular off the pattern too, so the rule does not
+        # converge and quadrature_doubling fails
+        cfg["task"] = "verify"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--force"]) == 4
+        text = (out / "verify.json").read_text()
+        rep = json.loads(text, parse_constant=pytest.fail)
+        assert rep["checks"]["quadrature_doubling"]["pass"] is False
+
 
 class TestEvolveTask:
     def test_trace_and_snapshot_artifacts(self, tmp_path):
@@ -389,6 +429,18 @@ class TestVerifyTask:
         rep = read_json(out, "verify.json")
         assert rep["pass"] is True
         assert rep["quadrature_certificate"] is None
+
+    @pytest.mark.parametrize("coeff", ["1", "1+0.1*sin(x)"])
+    def test_passes_on_a_fine_grid(self, tmp_path, coeff):
+        # the split follows the spectrum, whose top grows like 1/h^2; the
+        # fixed split t_split = 1 failed quadrature_doubling here (~1e-5)
+        cfg = base_1d("verify", n=1023, length=1.0, coeff=coeff)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        rep = read_json(out, "verify.json")
+        # the closed form is checked on every positive set
+        assert rep["checks"]["closed_form_gap"]["value"] <= 1e-12
+        assert max(rep["quadrature_certificate"].values()) <= 1e-12
 
     def test_coarse_quadrature_exits_4(self, tmp_path):
         cfg = base_1d("verify", n=31,

@@ -46,8 +46,6 @@ class TestQuadratureSpec:
             QuadratureSpec(0.5, n_sing=3)
         with pytest.raises(ValueError):
             QuadratureSpec(0.5, n_tail=2)
-        with pytest.raises(ValueError):
-            QuadratureSpec(0.5, t_split=0.0)
 
 
 class TestNodes:
@@ -78,6 +76,21 @@ class TestNodes:
         assert all(a < b for a, b in zip(ts, ts[1:]))
         assert all(t > 0 for t in ts)
 
+    def test_split_follows_the_positive_spectrum(self):
+        # t_split = (lambda_min lambda_max)^{1/4} over the positive values,
+        # the parity null mode (0) left out; the rule scales with it
+        spec = QuadratureSpec(0.4)
+        unit_t, unit_c = frac._nodes(spec, None)
+        lam = np.array([[0.0, 16.0], [2.0, 8.0 ** 4 / 2.0]])  # split 8
+        t, c = frac._nodes(spec, lam)
+        assert np.allclose(t, 8.0 * unit_t, rtol=1e-15, atol=0.0)
+        assert np.allclose(c, 8.0 ** 0.4 * unit_c, rtol=1e-14, atol=0.0)
+        assert t[spec.n_sing - 1] < 8.0 < t[spec.n_sing]
+        # no positive spectrum: the unit split
+        for lam in (np.zeros(1), np.zeros((0,))):
+            t, c = frac._nodes(spec, lam)
+            assert np.array_equal(t, unit_t) and np.array_equal(c, unit_c)
+
 
 def symbols_node_by_node(spec, lam):
     """`symbols` one node at a time: the reduced pair integrand added in
@@ -85,7 +98,7 @@ def symbols_node_by_node(spec, lam):
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     sum_u1 = np.zeros_like(lam)
     sum_u2 = np.zeros_like(lam)
-    for t, c in zip(*frac._nodes(spec)):
+    for t, c in zip(*frac._nodes(spec, lam)):
         r = c / (t * t + lam)
         sum_u1 += r * t
         sum_u2 += r * lam
@@ -314,7 +327,8 @@ def node_by_node(spec, ops, comps, form):
     tv = ops.apply_T(comps).reshape(4, -1)
     acc = np.zeros_like(comps)
     leak = np.zeros_like(comps)
-    for t, c in zip(*frac._nodes(spec)):
+    lam = ops.spectral.eigenvalues() if ops.is_positive else None
+    for t, c in zip(*frac._nodes(spec, lam)):
         ws = ResolventWorkspace(ops, j.scale(-t))
         u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(comps.shape)
         tu1 = ops.apply_T(u1)
@@ -493,16 +507,13 @@ class TestMatrixBuild:
 
     def test_quadrature_certificate(self):
         # the symbols against the exact powers over the spectrum of L: tight
-        # on a coarse grid, and off on a fine one, where the fixed split
-        # t_split = 1 no longer fits the spread of the spectrum
-        coarse = quadrature_certificate(QuadratureSpec(0.5),
-                                        constant_operators(grid1d(31)))
-        assert 0.0 < coarse["scal"] <= 1e-12
-        assert 0.0 < coarse["vec"] <= 1e-12
-        fine = quadrature_certificate(QuadratureSpec(0.5),
-                                      constant_operators(grid1d(1023, 1.0)))
-        assert fine["scal"] > 1e-3
-        assert fine["vec"] > 1e-3
+        # on a coarse grid and on a fine one, whose spread of the spectrum
+        # a fixed split t_split = 1 did not fit (about 1e-2 off there)
+        for n, length in ((31, math.pi), (1023, 1.0)):
+            cert = quadrature_certificate(
+                QuadratureSpec(0.5), constant_operators(grid1d(n, length)))
+            assert 0.0 < cert["scal"] <= 1e-12, n
+            assert 0.0 < cert["vec"] <= 1e-12, n
 
     def test_dense_cap(self):
         g = Grid(BoxDomain((1.0, 1.0)), (80, 80))

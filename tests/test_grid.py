@@ -321,6 +321,19 @@ class TestOperators:
                 <= 1e-14 * scale
         assert constant_operators(grid1d(4)).null_pair is None
 
+    def test_zero_sample_on_and_off_the_null_support(self):
+        # 1D n = 9 on [0, 1] puts x = 0.5 at index 4 (on the pattern) and
+        # x = 0.4 at index 3 (off it)
+        g = Grid(BoxDomain((1.0,)), (9,))
+        off = Operators(g, (make_profile(1, "x-0.4", 1.0),))
+        zeta, eta = off.null_pair
+        assert eta[3] == 0.0 and np.all(np.isfinite(eta))
+        assert np.array_equal(eta[zeta != 0.0],
+                              1.0 / off.a_samples[0][zeta != 0.0])
+        for text in ("x-0.5", "0"):
+            with pytest.raises(ValueError, match="parity null mode"):
+                Operators(g, (make_profile(1, text, 1.0),)).null_pair
+
     def test_constant_coefficients_left_null_bitwise(self):
         ops = constant_operators(grid1d(7))
         zeta, eta = ops.null_pair

@@ -2,7 +2,8 @@
 
 Runs each `sfrac` task (check, spectrum, palpha, evolve, verify) on a fixed
 list of configs: 1D/2D/3D grids, odd and even sizes, constant and variable
-coefficients, a forced set with a sample <= 0 and RK4 with `beta_mode`.  It
+coefficients, a fine 1D verify, forced sets with a sample <= 0 (one of them
+exactly 0 on the parity null mode, which exits 1) and RK4 with `beta_mode`.  It
 prints one `path sha256` line per artifact, plus one `case exit N` line per
 run, so that a diff of the output of two source trees shows every byte that
 changed:
@@ -61,7 +62,8 @@ def cases():
                                                 "n_sing": 16,
                                                 "n_tail": 24}), False))
     out.append(("verify/1d-j", _box("verify", (11,), VARIABLE[:1], alpha=0.3,
-                                    quadrature={"j": "e3", "t_split": 0.5}),
+                                    quadrature={"j": "e3"}), False))
+    out.append(("verify/1d-fine", _box("verify", (1023,), VARIABLE[:1]),
                 False))
     for name, n, forced in (("1d-forced", (9,), ("x-0.45",)),
                             ("2d-forced", (5, 4), ("x-0.45", "1"))):
@@ -69,6 +71,8 @@ def cases():
                             ("palpha", {"alpha": 0.5}), ("verify", {})):
             out.append((f"{task}/{name}", _box(task, n, forced, **extra),
                         True))
+    out.append(("palpha/1d-zero-sample",
+                _box("palpha", (9,), ("x-0.5",), alpha=0.5), True))
     out.append(("evolve/2d-cn",
                 _box("evolve", (6, 5), VARIABLE[:2], alpha=0.6,
                      time={"dt": 0.01, "t_end": 0.2, "snapshot_every": 5}),
