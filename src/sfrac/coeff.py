@@ -18,8 +18,7 @@ initial-field parser reuses the same grammar with 'x','y','z' allowed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,9 +253,8 @@ def _eval(e: Expr, values):
                 raise EvalError("division by zero")
             return a / b
         # '^'
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.power(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) \
-                else _scalar_pow(a, b)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            r = np.power(a, b)
         if np.any(~np.isfinite(np.asarray(r))):
             raise EvalError("power left the real domain")
         return r
@@ -273,13 +271,6 @@ def _eval(e: Expr, values):
             raise EvalError("sqrt of negative value")
         return np.sqrt(a)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def _scalar_pow(a, b):
-    try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError):
-        return math.nan
 
 
 # ---------------------------------------------------------------------------

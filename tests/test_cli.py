@@ -362,6 +362,21 @@ class TestEvolveTask:
         err = capsys.readouterr().err
         assert "build_matrix needs coefficients positive" in err
 
+    @pytest.mark.parametrize("n", [(15,), (7, 9)])
+    def test_micrometre_box_runs(self, tmp_path, n):
+        # a box of side 1e-6 scales G by about 1e9 per unit of alpha + 1;
+        # on an all-odd grid the parity null mode leaves the symmetric
+        # part a top eigenvalue of rounding size at that scale (~1e-6),
+        # which the dissipativity check must not take for growth
+        cfg = base_box("evolve", n, ("1",) * len(n), (1e-6,) * len(n),
+                       alpha=0.5, time={"dt": 1e-12, "t_end": 1e-11})
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        l2s = [float(r.split(",")[1]) for r in rows]
+        assert len(l2s) == 11
+        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(l2s, l2s[1:]))
+
     def test_missing_time_block_exits_1(self, tmp_path):
         cfg = base_1d("evolve", n=15, alpha=0.6)
         assert main([write_cfg(tmp_path, cfg)]) == 1
@@ -441,6 +456,17 @@ class TestVerifyTask:
         # the closed form is checked on every positive set
         assert rep["checks"]["closed_form_gap"]["value"] <= 1e-12
         assert max(rep["quadrature_certificate"].values()) <= 1e-12
+
+    def test_j_leak_is_relative_to_the_field(self, tmp_path):
+        # j_leak is the node engine's max-norm gap over the result's
+        # max-norm, so scaling the field by 1e9 leaves the verdict alone
+        cfg = base_1d("verify", n=31, length=1.0, coeff="1+0.1*x",
+                      initial="1e9*x*(1-x)")
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        rep = read_json(out, "verify.json")
+        assert rep["pass"] is True
+        assert 0.0 < rep["checks"]["j_leak"]["value"] <= 1e-14
 
     def test_coarse_quadrature_exits_4(self, tmp_path):
         cfg = base_1d("verify", n=31,

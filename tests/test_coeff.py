@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,20 @@ class TestEvaluate:
     def test_sqrt_of_negative(self):
         with pytest.raises(EvalError):
             evaluate(parse_expr("sqrt(x)"), x=-1.0)
+
+    @pytest.mark.parametrize("scalar, array", [
+        ("10^400", "10^(400*x)"),
+        ("(0-8)^(1/3)", "(0-8*x)^(1/3)"),
+        ("0^(0-1)", "(0*x)^(0-1)")])
+    def test_power_off_the_real_domain(self, scalar, array):
+        # overflow, a negative base and a pole end in one EvalError, on
+        # scalars as on arrays, without a RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalError, match="power left the real domain"):
+                evaluate(parse_expr(scalar))
+            with pytest.raises(EvalError, match="power left the real domain"):
+                evaluate(parse_expr(array), x=np.ones(3))
 
 
 class TestDifferentiate:

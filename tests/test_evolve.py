@@ -83,13 +83,16 @@ class TestGenerator:
         assert float(np.max(np.linalg.eigvals(G).real)) <= 1e-8
 
     def test_bendixson_bound_is_an_upper_bound(self):
-        # evolve checks dissipativity by this bound above _EIG_CAP; on
-        # G + 3I the symmetric part's top eigenvalue is 3 + O(1e-14), so a
-        # bound below 3 would let an anti-dissipative generator through
+        # evolve checks dissipativity by this bound at every N; on G + 3I
+        # the symmetric part's top eigenvalue is 3 + O(1e-14), so a bound
+        # below 3 would let an anti-dissipative generator through
         g = grid1d(63)
         fp = build_matrix(QuadratureSpec(0.95), constant_operators(g))
         G = generator(fp)
-        assert _bendixson_bound(G + 3.0 * np.eye(g.N)) >= 3.0 - 1e-9
+        top, scale = _bendixson_bound(G + 3.0 * np.eye(g.N))
+        assert top >= 3.0 - 1e-9
+        assert math.isclose(scale, float(np.max(np.abs(np.linalg.eigvalsh(
+            G + G.T + 6.0 * np.eye(g.N))))) / 2, rel_tol=1e-12)
 
     def test_beta_correspondence(self):
         # alpha = 0.75, beta = 2 alpha - 1: -2 G(beta) acts as lam^alpha
@@ -211,13 +214,13 @@ class TestEvolve:
                    EvolutionConfig(0.5, dt=dt, t_end=10 * dt,
                                    scheme="explicit-rk4"))
 
-    def test_rk4_step_bound_above_eig_cap(self, monkeypatch):
-        # above _EIG_CAP dt is checked against a bound on the spectral
-        # radius; a dt 0.05 % past the RK4 limit must still be refused
+    def test_rk4_step_bound_just_past_the_limit(self):
+        # dt is checked against the 2-norm of G, an upper bound on the
+        # spectral radius; in 1D G is symmetric, so the two are equal and a
+        # dt 0.05 % past the RK4 limit must still be refused
         g = grid1d(200)
         fp = build_matrix(QuadratureSpec(0.6), constant_operators(g))
         rho = float(np.max(np.abs(np.linalg.eigvals(generator(fp)))))
-        monkeypatch.setattr("sfrac.evolve._EIG_CAP", 10)
         dt = 1.0005 * 2.785 / rho
         with pytest.raises(StabilityError, match="RK4"):
             evolve(fp, RealField.from_function(g, np.sin),
@@ -229,6 +232,23 @@ class TestEvolve:
         fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
         bad = dataclasses.replace(fp, m_vec=tuple(-m for m in fp.m_vec))
         with pytest.raises(StabilityError):
+            evolve(bad, RealField.from_function(g, np.sin),
+                   EvolutionConfig(0.5, dt=0.01, t_end=0.1))
+
+    def test_non_normal_generator_refused(self):
+        # G = eight blocks [[-1, 10], [0, -2]]: its eigenvalues are -1 and
+        # -2, but its symmetric part has top eigenvalue 3.52, so the l2 norm
+        # of a Crank-Nicolson run can rise; an eigenvalue test lets it pass
+        g = grid1d(16)
+        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
+        bad_G = np.kron(np.eye(8), np.array([[-1.0, 10.0], [0.0, -2.0]]))
+        D = constant_operators(g).dense_D(0)
+        bad = dataclasses.replace(fp, m_vec=(np.linalg.solve(D, bad_G),)
+                                  + tuple(fp.m_vec[1:]))
+        G = generator(bad)
+        assert float(np.max(np.linalg.eigvals(G).real)) < -0.99
+        assert _bendixson_bound(G)[0] > 3.5
+        with pytest.raises(StabilityError, match="symmetric part"):
             evolve(bad, RealField.from_function(g, np.sin),
                    EvolutionConfig(0.5, dt=0.01, t_end=0.1))
 

@@ -2,8 +2,10 @@
 
 Runs each `sfrac` task (check, spectrum, palpha, evolve, verify) on a fixed
 list of configs: 1D/2D/3D grids, odd and even sizes, constant and variable
-coefficients, a fine 1D verify, forced sets with a sample <= 0 (one of them
-exactly 0 on the parity null mode, which exits 1) and RK4 with `beta_mode`.  It
+coefficients, a fine 1D verify, a verify on a field of amplitude 1e9, forced
+sets with a sample <= 0 (one of them exactly 0 on the parity null mode, which
+exits 1), RK4 with `beta_mode`, a blocked Crank-Nicolson run on the 2D 16^2
+shape of the `evolve-2d` benchmark and an evolve on a box of side 1e-6.  It
 prints one `path sha256` line per artifact, plus one `case exit N` line per
 run, so that a diff of the output of two source trees shows every byte that
 changed:
@@ -34,9 +36,10 @@ VARIABLE = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
 LENGTHS = (1.0, 1.3, 0.8)
 
 
-def _box(task, n, coeffs=None, **extra):
+def _box(task, n, coeffs=None, lengths=None, **extra):
     dims = len(n)
-    cfg = {"domain": {"dims": dims, "lengths": list(LENGTHS[:dims])},
+    lengths = list(lengths or LENGTHS[:dims])
+    cfg = {"domain": {"dims": dims, "lengths": lengths},
            "grid": {"n": list(n)},
            "coefficients": list(coeffs or ("1",) * dims),
            "task": task}
@@ -65,6 +68,8 @@ def cases():
                                     quadrature={"j": "e3"}), False))
     out.append(("verify/1d-fine", _box("verify", (1023,), VARIABLE[:1]),
                 False))
+    out.append(("verify/1d-amplitude", _box("verify", (31,), VARIABLE[:1],
+                                            initial="1e9*x*(1-x)"), False))
     for name, n, forced in (("1d-forced", (9,), ("x-0.45",)),
                             ("2d-forced", (5, 4), ("x-0.45", "1"))):
         for task, extra in (("check", {}), ("spectrum", {}),
@@ -91,6 +96,15 @@ def cases():
                      time={"dt": 0.001, "t_end": 0.02,
                            "scheme": "explicit-rk4", "snapshot_every": 4}),
                 False))
+    # 2048 equal steps on N = 256: blocks of B = 8 states
+    out.append(("evolve/2d-blocked",
+                _box("evolve", (16, 16), VARIABLE[:2], alpha=0.6,
+                     time={"dt": 10 / 2 ** 20, "t_end": 2048 * 10 / 2 ** 20,
+                           "snapshot_every": 512}), False))
+    out.append(("evolve/1d-micrometre",
+                _box("evolve", (15,), None, lengths=(1e-6,), alpha=0.5,
+                     time={"dt": 1e-12, "t_end": 1e-11,
+                           "snapshot_every": 5}), False))
     return out
 
 
