@@ -32,7 +32,7 @@ from . import __version__
 from .coeff import check_conditions, make_profile, parse_expr, evaluate
 from .errors import (ConditionsFailed, EvalError, ExprSyntaxError,
                      StabilityError)
-from .evolve import EvolutionConfig, evolve
+from .evolve import EvolutionConfig, evolve, generator
 from .frac import (QuadratureSpec, apply_P_alpha, build_matrix,
                    gate_conditions, quad_nodes, quadrature_certificate,
                    reference_P_alpha, symbols)
@@ -257,8 +257,8 @@ def _task_palpha(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     alpha = _require_alpha(cfg)
     spec = _build_quadrature(cfg, alpha)
-    report = gate_conditions(ops, force=force)
     v0 = _initial_field(cfg, grid)
+    report = gate_conditions(ops, force=force)
     result = apply_P_alpha(spec, ops, QuatField.from_real(v0),
                            report=report, force=force)
     _write_fields_csv(os.path.join(out_dir, "fields.csv"), result.full)
@@ -281,15 +281,15 @@ def _task_evolve(cfg, out_dir, force):
     else:
         build_alpha = alpha
     spec = _build_quadrature(cfg, build_alpha)
-    report = gate_conditions(ops, force=force)
-    fp = build_matrix(spec, ops, report=report, force=force)
-    if beta_mode:
-        fp = dataclasses.replace(fp, m_vec=tuple(2.0 * m for m in fp.m_vec))
     v0 = _initial_field(cfg, grid)
-    ecfg = EvolutionConfig(alpha=alpha, dt=tcfg["dt"], t_end=tcfg["t_end"],
+    ecfg = EvolutionConfig(dt=tcfg["dt"], t_end=tcfg["t_end"],
                            scheme=tcfg.get("scheme", "crank-nicolson"),
                            snapshot_every=tcfg.get("snapshot_every", 0))
-    trace = evolve(fp, v0, ecfg)
+    report = gate_conditions(ops, force=force)
+    G = generator(build_matrix(spec, ops, report=report, force=force), ops)
+    if beta_mode:
+        G *= 2.0
+    trace = evolve(G, v0, ecfg)
     _write_trace_csv(os.path.join(out_dir, "trace.csv"),
                      trace.times, trace.l2_series)
     for idx, (_, snap) in enumerate(trace.snapshots):
@@ -302,8 +302,8 @@ def _task_verify(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     alpha = float(cfg.get("alpha", 0.5))
     spec = _build_quadrature(cfg, alpha)
-    report = gate_conditions(ops, force=force)
     v0 = QuatField.from_real(_initial_field(cfg, grid))
+    report = gate_conditions(ops, force=force)
 
     checks = {}
 

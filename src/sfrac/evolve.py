@@ -1,7 +1,11 @@
 """Divergence of the vector channel and time integration of the evolution
-equation dv/dt = G v with G = sum_l D_l M_vec[l] (divergence form).
+equation dv/dt = G v with G = sum_l D_l F A_l (divergence form), F = f_1(L)
+the dense matrix of `frac.build_matrix`.
 
-The generator is materialized once as a dense matrix at desk scale, and
+With separable coefficients A_l commutes with L, hence with F, so G = sum_l
+D_l A_l F: `generator` applies those stencils to the columns of the one
+dense F, with no dense D_l and no matrix product.  The generator is
+materialized once as a dense matrix at desk scale, and `evolve` takes it;
 each scheme becomes one step map x -> M x: Crank-Nicolson's propagator
 (I - dt/2 G)^{-1} (I + dt/2 G), or for RK4 the degree-4 Taylor polynomial
 of exp(dt G), which is exactly the RK4 step of a linear autonomous system.
@@ -33,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityError
-from .frac import FracPowerOperator
-from .grid import FaceField, Grid, RealField, constant_operators, diff_axis
+from .grid import FaceField, Grid, Operators, RealField, diff_axis
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +51,6 @@ _MAX_BLOCK_LOG2 = 6
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    alpha: float
     dt: float
     t_end: float
     scheme: str = "crank-nicolson"
@@ -103,13 +105,15 @@ def divergence(fields, grid: Grid | None = None) -> RealField:
     return RealField(grid, acc)
 
 
-def generator(fp: FracPowerOperator) -> np.ndarray:
-    """Dense G = sum_l D_l M_vec[l]."""
-    ops = constant_operators(fp.grid)
-    G = np.zeros((fp.grid.N, fp.grid.N))
-    for ax in range(fp.grid.dims):
-        G += ops.dense_D(ax) @ fp.m_vec[ax]
-    return G
+def generator(F: np.ndarray, ops: Operators) -> np.ndarray:
+    """Dense G = sum_l D_l A_l F, F = f_1(L) from `build_matrix`: the
+    stencils of ops applied to the columns of F as one (N, *n) stack."""
+    g = ops.grid
+    cols = F.T.reshape(g.N, *g.n)
+    acc = ops.apply_D(0, ops.apply_A(0, cols))
+    for ax in range(1, g.dims):
+        acc += ops.apply_D(ax, ops.apply_A(ax, cols))
+    return acc.reshape(g.N, g.N).T
 
 
 def _bendixson_bound(G: np.ndarray) -> tuple[float, float]:
@@ -149,9 +153,10 @@ def _block_log2(n_steps: int, N: int) -> int:
     return min(_MAX_BLOCK_LOG2, max(0, (n_steps // N).bit_length() - 1))
 
 
-def evolve(fp: FracPowerOperator, v0: RealField,
+def evolve(G: np.ndarray, v0: RealField,
            cfg: EvolutionConfig) -> EvolutionTrace:
-    """Integrate dv/dt = G v from v0 to t_end.
+    """Integrate dv/dt = G v from v0 to t_end, G the dense generator
+    (`generator`).
 
     Raises StabilityError when G is not dissipative: the top eigenvalue of
     its symmetric part exceeds _DISSIPATIVITY_TOL times the largest
@@ -161,7 +166,6 @@ def evolve(fp: FracPowerOperator, v0: RealField,
     docstring); only the current block is held, and each is reduced to its
     l2 values and snapshots.
     """
-    G = generator(fp)
     N = G.shape[0]
     top, scale = _bendixson_bound(G)
     if top > _DISSIPATIVITY_TOL * scale:

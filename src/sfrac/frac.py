@@ -22,10 +22,12 @@ symbols of L (`symbols`):
     f_2(lambda) =  (cos(theta)/pi) sum_i c_i lambda / (t_i^2 + lambda).
 
 That is the production route of `apply_P_alpha` (right form, every
-coefficient sample positive) and of `build_matrix`: one pass over the
-eigenvalue array and two applications of the per-axis factorization of L,
-whatever the node count.  Its result is the reduced form, so it cannot leak
-off the j-free span.
+coefficient sample positive): one pass over the eigenvalue array and two
+applications of the per-axis factorization of L, whatever the node count.
+Its result is the reduced form, so it cannot leak off the j-free span.
+`build_matrix` gives the evolution its one dense matrix, F = f_1(L), from
+one application of f_1 to the identity; on a real v the flux channel is
+vec[l] = F A_l v, and `evolve.generator` applies the stencils to F.
 
 The quaternionic node engine (`_node_engine`) is the reference: one pass
 over the same nodes (`_nodes`, the rule `symbols` sums) in blocks, each
@@ -88,8 +90,8 @@ import numpy as np
 
 from .coeff import check_conditions
 from .errors import ConditionsFailed
-from .grid import (DENSE_CAP, FaceField, Grid, Operators, QuatField,
-                   RealField, StaggeredOperators)
+from .grid import (DENSE_CAP, FaceField, Operators, QuatField, RealField,
+                   StaggeredOperators)
 from .quat import ImaginaryUnit, J_E1, Quaternion, left_mult_table, qmul
 from .resolvent import ResolventWorkspace
 
@@ -488,28 +490,12 @@ def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
     return float(np.max(np.abs(split - tvf))) / denom
 
 
-@dataclass(frozen=True)
-class FracPowerOperator:
-    """Dense matrix realization of the scalar and vector channels on real
-    inputs; column k is P_alpha applied to the k-th canonical basis field."""
-
-    alpha: float
-    grid: Grid
-    m_scal: np.ndarray
-    m_vec: tuple  # one N x N block per axis
-
-    def apply(self, values: np.ndarray):
-        flat = values.reshape(-1)
-        scal = self.m_scal @ flat
-        vec = tuple(m @ flat for m in self.m_vec)
-        return scal, vec
-
-
 def build_matrix(spec: QuadratureSpec, ops: Operators, *, report=None,
-                 force: bool = False) -> FracPowerOperator:
-    """m_scal = f_2(L) and m_vec[l] = f_1(L) A_l, the two symbols of
-    `symbols` each applied once to the identity (its rows are the basis
-    fields, so the results are the transposed matrices)."""
+                 force: bool = False) -> np.ndarray:
+    """The dense F = f_1(L), the vector symbol of `symbols`, as an (N, N)
+    array: f_1 applied once to the identity (its rows are the basis fields,
+    so the result is the transposed matrix).  The flux channel of P_alpha
+    on a real v is then vec[l] = F A_l v."""
     _require_collocated(ops, "build_matrix")
     gate_conditions(ops, report, force)
     g = ops.grid
@@ -520,11 +506,6 @@ def build_matrix(spec: QuadratureSpec, ops: Operators, *, report=None,
                          "node: its matrices come from the spectral "
                          "factorization of L")
     sp = ops.spectral
-    f1, f2 = symbols(spec, sp.eigenvalues())
+    f1, _ = symbols(spec, sp.eigenvalues())
     basis = np.eye(g.N).reshape(g.N, *g.n)
-    m_scal = sp.apply_symbol(f2, basis).reshape(g.N, g.N).T
-    m_vec = tuple(
-        sp.apply_symbol(f1, ops.apply_A(ax, basis)).reshape(g.N, g.N).T
-        for ax in range(g.dims))
-    return FracPowerOperator(alpha=spec.alpha, grid=g, m_scal=m_scal,
-                             m_vec=m_vec)
+    return sp.apply_symbol(f1, basis).reshape(g.N, g.N).T

@@ -28,8 +28,8 @@ the grid.  `StaggeredOperators` is the scheme that converges: a mimetic
 (i + 1/2) h_l and G_l = -D_l^T maps the faces back, so L_D = -sum A'_l A_l is
 the compact 3-point operator (no parity null mode) and A_l L_D = L_l A_l holds
 exactly.  It serves real inputs only; `Operators` stays the default for
-everything else (quaternion inputs, the resolvent workspaces, `build_matrix`,
-evolution and the CLI).
+everything else (quaternion inputs, the resolvent workspaces, the dense
+f_1(L) of `build_matrix`, the evolution generator and the CLI).
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ _E_TABLES = [left_mult_table(q) for q in
                Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))]
 
 DEFAULT_CAPS = {1: (2048,), 2: (128, 128), 3: (24, 24, 24)}
-# largest N for a dense N x N matrix: the build_matrix/evolve operators, the
-# dense L and LU of Q_s that serve coefficient sets with a sample <= 0, and
-# test references; positive sets take their spectrum from the factorization
+# largest N for a dense N x N matrix: f_1(L) from build_matrix and the
+# evolution generator with its step maps, the dense L and LU of Q_s that
+# serve coefficient sets with a sample <= 0, and test references; positive
+# sets take their spectrum from the factorization
 DENSE_CAP = 5000
 
 

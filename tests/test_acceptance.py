@@ -209,8 +209,8 @@ def test_08_crank_nicolson_eigenmode_decay():
     lam, vecs = np.linalg.eigh(ops.dense_L())
     lam_h = float(lam[1])
     v0 = RealField(grid, vecs[:, 1].reshape(grid.n))
-    fp = build_matrix(QuadratureSpec(alpha=0.6), ops)
-    trace = evolve(fp, v0, EvolutionConfig(alpha=0.6, dt=1e-3, t_end=1.0))
+    G = generator(build_matrix(QuadratureSpec(alpha=0.6), ops), ops)
+    trace = evolve(G, v0, EvolutionConfig(dt=1e-3, t_end=1.0))
     ratio = trace.l2_series[-1] / trace.l2_series[0]
     exact = math.exp(-0.5 * lam_h ** 0.8)
     assert abs(ratio - exact) <= 1e-4 * exact
@@ -224,8 +224,7 @@ def test_09_heat_flux_exponent_correspondence():
     # discrete eigenvector
     grid = Grid(BoxDomain((math.pi,)), (32,))
     ops = constant_operators(grid)
-    fp = build_matrix(QuadratureSpec(alpha=0.5), ops)
-    G = generator(fp)
+    G = generator(build_matrix(QuadratureSpec(alpha=0.5), ops), ops)
     lam, U = np.linalg.eigh(ops.dense_L())
     worst = 0.0
     for i in range(grid.N):

@@ -143,6 +143,20 @@ class TestSchemaRejection:
         assert "'t_split' was unexpected" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["palpha", "verify", "evolve"])
+    def test_bad_initial_exits_1_before_the_conditions_gate(self, tmp_path,
+                                                            capsys, task):
+        # the conditions fail on this set (exit 2), but the config error
+        # is found first
+        cfg = base_1d(task, n=9, length=1.0, coeff="x-0.45", alpha=0.5,
+                      initial="sin(", time={"dt": 0.1, "t_end": 0.3})
+        if task != "evolve":
+            del cfg["time"]
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert "conditions" not in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestCheckTask:
     def test_constant_unit_cube_constants_exact(self, tmp_path):
@@ -376,6 +390,21 @@ class TestEvolveTask:
         l2s = [float(r.split(",")[1]) for r in rows]
         assert len(l2s) == 11
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(l2s, l2s[1:]))
+
+    @pytest.mark.parametrize("bad", [
+        {"time": {"dt": 0.3, "t_end": 0.3}},
+        {"time": {"dt": 0.1, "t_end": 0.3}, "initial": "sin("}])
+    def test_config_errors_exit_1_before_the_generator(self, tmp_path,
+                                                       monkeypatch, bad):
+        from sfrac import cli
+        calls = []
+        monkeypatch.setattr(cli, "build_matrix",
+                            lambda *a, **k: calls.append(a))
+        cfg = base_1d("evolve", n=15, alpha=0.6, **bad)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert calls == []
+        assert os.listdir(out) == []
 
     def test_missing_time_block_exits_1(self, tmp_path):
         cfg = base_1d("evolve", n=15, alpha=0.6)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +20,10 @@ def grid1d(n, length=math.pi):
 def rel_gap(a, b):
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return np.max(np.abs(a - b)) / scale
+
+
+def dense_G(alpha, ops):
+    return generator(build_matrix(QuadratureSpec(alpha), ops), ops)
 
 
 def eig_setup(n=32, alpha=0.6, k=12):
@@ -70,16 +73,29 @@ class TestDivergence:
 class TestGenerator:
     def test_eigen_action(self):
         g, ops, lam, phi = eig_setup(alpha=0.6)
-        fp = build_matrix(QuadratureSpec(0.6), ops)
-        G = generator(fp)
+        G = dense_G(0.6, ops)
         expect = -0.5 * lam ** ((0.6 + 1) / 2) * phi
         assert rel_gap(G @ phi, expect) <= 1e-8
 
+    @pytest.mark.parametrize("make_ops", [
+        lambda: constant_operators(grid1d(15)),
+        lambda: constant_operators(grid1d(16)),
+        lambda: variable_2d((7, 9)), lambda: variable_2d((8, 6)),
+        lambda: variable_3d((5, 4, 3))],
+        ids=["1d-odd", "1d-even", "2d-odd-var", "2d-even-var", "3d-var"])
+    def test_matches_the_dense_products(self, make_ops):
+        # G = sum_l D_l A_l F by stencils against the dense products
+        # sum_l D_l (F A_l), F = f_1(L): the two agree because A_l
+        # commutes with L, hence with F
+        ops = make_ops()
+        F = build_matrix(QuadratureSpec(0.6), ops)
+        want = sum(ops.dense_D(ax) @ (F @ ops.dense_A(ax))
+                   for ax in range(ops.grid.dims))
+        assert rel_gap(generator(F, ops), want) <= 1e-13
+
     def test_dissipative(self):
         g = grid1d(24)
-        ops = constant_operators(g)
-        fp = build_matrix(QuadratureSpec(0.5), ops)
-        G = generator(fp)
+        G = dense_G(0.5, constant_operators(g))
         assert float(np.max(np.linalg.eigvals(G).real)) <= 1e-8
 
     def test_bendixson_bound_is_an_upper_bound(self):
@@ -87,8 +103,7 @@ class TestGenerator:
         # the symmetric part's top eigenvalue is 3 + O(1e-14), so a bound
         # below 3 would let an anti-dissipative generator through
         g = grid1d(63)
-        fp = build_matrix(QuadratureSpec(0.95), constant_operators(g))
-        G = generator(fp)
+        G = dense_G(0.95, constant_operators(g))
         top, scale = _bendixson_bound(G + 3.0 * np.eye(g.N))
         assert top >= 3.0 - 1e-9
         assert math.isclose(scale, float(np.max(np.abs(np.linalg.eigvalsh(
@@ -98,67 +113,66 @@ class TestGenerator:
         # alpha = 0.75, beta = 2 alpha - 1: -2 G(beta) acts as lam^alpha
         g, ops, lam, phi = eig_setup(alpha=0.75, k=10)
         beta = 2 * 0.75 - 1.0
-        fp = build_matrix(QuadratureSpec(beta), ops)
-        G = generator(fp)
+        G = dense_G(beta, ops)
         assert rel_gap(-2.0 * (G @ phi), lam ** 0.75 * phi) <= 1e-7
 
 
 class TestEvolutionConfig:
     def test_validation(self):
-        EvolutionConfig(0.5, dt=0.01, t_end=1.0)
+        EvolutionConfig(dt=0.01, t_end=1.0)
         with pytest.raises(ValueError):
-            EvolutionConfig(0.5, dt=0.0, t_end=1.0)
+            EvolutionConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
-            EvolutionConfig(0.5, dt=1.0, t_end=1.0)
+            EvolutionConfig(dt=1.0, t_end=1.0)
         with pytest.raises(ValueError):
-            EvolutionConfig(0.5, dt=0.01, t_end=1.0, scheme="euler")
+            EvolutionConfig(dt=0.01, t_end=1.0, scheme="euler")
         with pytest.raises(ValueError):
-            EvolutionConfig(0.5, dt=0.01, t_end=1.0, snapshot_every=-1)
+            EvolutionConfig(dt=0.01, t_end=1.0, snapshot_every=-1)
 
 
 class TestEvolve:
     def test_zero_initial(self):
         g = grid1d(16)
-        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
-        trace = evolve(fp, RealField.zeros(g),
-                       EvolutionConfig(0.5, dt=0.1, t_end=0.5))
+        G = dense_G(0.5, constant_operators(g))
+        trace = evolve(G, RealField.zeros(g),
+                       EvolutionConfig(dt=0.1, t_end=0.5))
         assert all(v == 0.0 for v in trace.l2_series)
         assert len(trace.times) == 6
 
     def test_remainder_step(self):
         g = grid1d(16)
-        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
-        trace = evolve(fp, RealField.from_function(g, np.sin),
-                       EvolutionConfig(0.5, dt=0.1, t_end=0.35))
+        G = dense_G(0.5, constant_operators(g))
+        trace = evolve(G, RealField.from_function(g, np.sin),
+                       EvolutionConfig(dt=0.1, t_end=0.35))
         assert math.isclose(trace.times[-1], 0.35, rel_tol=1e-12)
         assert len(trace.times) == 5
 
     def test_cn_eigen_decay(self):
         alpha = 0.6
         g, ops, lam, phi = eig_setup(alpha=alpha)
-        fp = build_matrix(QuadratureSpec(alpha), ops)
-        cfg = EvolutionConfig(alpha, dt=1e-3, t_end=1.0)
-        trace = evolve(fp, RealField(g, phi), cfg)
+        G = dense_G(alpha, ops)
+        cfg = EvolutionConfig(dt=1e-3, t_end=1.0)
+        trace = evolve(G, RealField(g, phi), cfg)
         decay = math.exp(-0.5 * lam ** ((alpha + 1) / 2) * 1.0)
         expect = decay * RealField(g, phi).l2()
         assert abs(trace.l2_series[-1] - expect) <= 1e-4 * expect
 
     def test_monotone_and_bounded_growth(self):
         g = grid1d(24)
-        fp = build_matrix(QuadratureSpec(0.4), constant_operators(g))
+        G = dense_G(0.4, constant_operators(g))
         v0 = RealField.from_function(
             g, lambda x: np.sin(x) + 0.4 * np.sin(3 * x))
-        trace = evolve(fp, v0, EvolutionConfig(0.4, dt=0.01, t_end=0.5))
+        trace = evolve(G, v0, EvolutionConfig(dt=0.01, t_end=0.5))
         series = trace.l2_series
         for a, b in zip(series, series[1:]):
             assert b <= a * (1.0 + 1e-10)
 
     def test_snapshots(self):
         g = grid1d(16)
-        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
+        G = dense_G(0.5, constant_operators(g))
         v0 = RealField.from_function(g, np.sin)
-        trace = evolve(fp, v0, EvolutionConfig(0.5, dt=0.1, t_end=1.0,
-                                               snapshot_every=4))
+        trace = evolve(G, v0, EvolutionConfig(dt=0.1, t_end=1.0,
+                                              snapshot_every=4))
         times = [t for t, _ in trace.snapshots]
         assert times[0] == 0.0
         assert math.isclose(times[-1], 1.0, rel_tol=1e-12)
@@ -170,11 +184,10 @@ class TestEvolve:
         # reproduce a plain lu_solve loop, remainder step included, up to
         # the rounding of forming (I - dt/2 G)^{-1} (I + dt/2 G)
         g = grid1d(12)
-        fp = build_matrix(QuadratureSpec(0.6), constant_operators(g))
+        G = dense_G(0.6, constant_operators(g))
         v0 = RealField.from_function(g, lambda x: x * (math.pi - x))
-        cfg = EvolutionConfig(0.6, dt=0.02, t_end=0.25, snapshot_every=3)
-        trace = evolve(fp, v0, cfg)
-        G = generator(fp)
+        cfg = EvolutionConfig(dt=0.02, t_end=0.25, snapshot_every=3)
+        trace = evolve(G, v0, cfg)
         x = v0.flat().copy()
         expect = [x.copy()]
         steps = [0.02] * 12 + [0.25 - 12 * 0.02]
@@ -189,29 +202,27 @@ class TestEvolve:
 
     def test_rk4_matches_fine_cn(self):
         g = grid1d(24)
-        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
-        G = generator(fp)
+        G = dense_G(0.5, constant_operators(g))
         rho = float(np.max(np.abs(np.linalg.eigvals(G))))
         dt = 0.5 * 2.785 / rho
         t_end = 16 * dt
         v0 = RealField.from_function(g, np.sin)
-        rk = evolve(fp, v0, EvolutionConfig(0.5, dt=dt, t_end=t_end,
-                                            scheme="explicit-rk4",
-                                            snapshot_every=10 ** 6))
-        cn = evolve(fp, v0, EvolutionConfig(0.5, dt=dt / 10, t_end=t_end,
-                                            snapshot_every=10 ** 6))
+        rk = evolve(G, v0, EvolutionConfig(dt=dt, t_end=t_end,
+                                           scheme="explicit-rk4",
+                                           snapshot_every=10 ** 6))
+        cn = evolve(G, v0, EvolutionConfig(dt=dt / 10, t_end=t_end,
+                                           snapshot_every=10 ** 6))
         assert rel_gap(rk.snapshots[-1][1].values,
                        cn.snapshots[-1][1].values) <= 1e-5
 
     def test_rk4_step_bound(self):
         g = grid1d(24)
-        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
-        G = generator(fp)
+        G = dense_G(0.5, constant_operators(g))
         rho = float(np.max(np.abs(np.linalg.eigvals(G))))
         dt = 2.0 * 2.785 / rho
         with pytest.raises(StabilityError):
-            evolve(fp, RealField.from_function(g, np.sin),
-                   EvolutionConfig(0.5, dt=dt, t_end=10 * dt,
+            evolve(G, RealField.from_function(g, np.sin),
+                   EvolutionConfig(dt=dt, t_end=10 * dt,
                                    scheme="explicit-rk4"))
 
     def test_rk4_step_bound_just_past_the_limit(self):
@@ -219,44 +230,45 @@ class TestEvolve:
         # spectral radius; in 1D G is symmetric, so the two are equal and a
         # dt 0.05 % past the RK4 limit must still be refused
         g = grid1d(200)
-        fp = build_matrix(QuadratureSpec(0.6), constant_operators(g))
-        rho = float(np.max(np.abs(np.linalg.eigvals(generator(fp)))))
+        G = dense_G(0.6, constant_operators(g))
+        rho = float(np.max(np.abs(np.linalg.eigvals(G))))
         dt = 1.0005 * 2.785 / rho
         with pytest.raises(StabilityError, match="RK4"):
-            evolve(fp, RealField.from_function(g, np.sin),
-                   EvolutionConfig(0.6, dt=dt, t_end=10 * dt,
+            evolve(G, RealField.from_function(g, np.sin),
+                   EvolutionConfig(dt=dt, t_end=10 * dt,
                                    scheme="explicit-rk4"))
 
     def test_antidissipative_generator_refused(self):
         g = grid1d(16)
-        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
-        bad = dataclasses.replace(fp, m_vec=tuple(-m for m in fp.m_vec))
+        G = dense_G(0.5, constant_operators(g))
         with pytest.raises(StabilityError):
-            evolve(bad, RealField.from_function(g, np.sin),
-                   EvolutionConfig(0.5, dt=0.01, t_end=0.1))
+            evolve(-G, RealField.from_function(g, np.sin),
+                   EvolutionConfig(dt=0.01, t_end=0.1))
 
     def test_non_normal_generator_refused(self):
         # G = eight blocks [[-1, 10], [0, -2]]: its eigenvalues are -1 and
         # -2, but its symmetric part has top eigenvalue 3.52, so the l2 norm
         # of a Crank-Nicolson run can rise; an eigenvalue test lets it pass
         g = grid1d(16)
-        fp = build_matrix(QuadratureSpec(0.5), constant_operators(g))
         bad_G = np.kron(np.eye(8), np.array([[-1.0, 10.0], [0.0, -2.0]]))
-        D = constant_operators(g).dense_D(0)
-        bad = dataclasses.replace(fp, m_vec=(np.linalg.solve(D, bad_G),)
-                                  + tuple(fp.m_vec[1:]))
-        G = generator(bad)
-        assert float(np.max(np.linalg.eigvals(G).real)) < -0.99
-        assert _bendixson_bound(G)[0] > 3.5
+        assert float(np.max(np.linalg.eigvals(bad_G).real)) < -0.99
+        assert _bendixson_bound(bad_G)[0] > 3.5
         with pytest.raises(StabilityError, match="symmetric part"):
-            evolve(bad, RealField.from_function(g, np.sin),
-                   EvolutionConfig(0.5, dt=0.01, t_end=0.1))
+            evolve(bad_G, RealField.from_function(g, np.sin),
+                   EvolutionConfig(dt=0.01, t_end=0.1))
 
 
 def variable_2d(n, lengths=(1.5, 1.2)):
     grid = Grid(BoxDomain(lengths), n)
     return Operators(grid, (make_profile(1, "1+0.2*sin(x)", lengths[0]),
                             make_profile(2, "exp(0.1*x)", lengths[1])))
+
+
+def variable_3d(n, lengths=(1.0, 1.3, 0.8)):
+    grid = Grid(BoxDomain(lengths), n)
+    return Operators(grid, tuple(
+        make_profile(ax + 1, text, length) for ax, (text, length) in
+        enumerate(zip(("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)"), lengths))))
 
 
 def plain_loop(G, v0, dt, n_full, rem, scheme, every):
@@ -287,7 +299,7 @@ def rk4_dt(G):
 class TestStepMaps:
     def test_rk4_map_is_one_classical_rk4_step(self):
         g = grid1d(16)
-        G = generator(build_matrix(QuadratureSpec(0.5), constant_operators(g)))
+        G = dense_G(0.5, constant_operators(g))
         h = rk4_dt(G)
         x = np.sin(g.axes[0]) + 0.3 * g.axes[0]
         k1 = G @ x
@@ -305,24 +317,23 @@ class TestBlockedStepping:
 
     def cases(self):
         g = grid1d(8)
-        yield (build_matrix(QuadratureSpec(0.5), constant_operators(g)),
+        yield (dense_G(0.5, constant_operators(g)),
                RealField.from_function(g, lambda x: x * (math.pi - x)), 700)
         ops = variable_2d((4, 4))
-        yield (build_matrix(QuadratureSpec(0.6), ops),
+        yield (dense_G(0.6, ops),
                RealField.from_function(ops.grid, lambda x, y: np.sin(
                    math.pi * x / 1.5) * np.sin(math.pi * y / 1.2) + 0.2 * x),
                600)
 
     @pytest.mark.parametrize("scheme", ["crank-nicolson", "explicit-rk4"])
     def test_matches_plain_loop(self, scheme):
-        for fp, v0, n_full in self.cases():
-            G = generator(fp)
+        for G, v0, n_full in self.cases():
             assert n_full >= 8 * v0.grid.N  # B >= 8, several blocks
             dt = rk4_dt(G) if scheme == "explicit-rk4" else 2e-3
             rem = 0.37 * dt
-            cfg = EvolutionConfig(0.5, dt=dt, t_end=n_full * dt + rem,
+            cfg = EvolutionConfig(dt=dt, t_end=n_full * dt + rem,
                                   scheme=scheme, snapshot_every=7)
-            trace = evolve(fp, v0, cfg)
+            trace = evolve(G, v0, cfg)
             times, l2s, snaps = plain_loop(G, v0, dt, n_full,
                                            cfg.t_end - n_full * dt, scheme, 7)
             assert trace.times == times
@@ -335,15 +346,14 @@ class TestBlockedStepping:
     def test_short_run_is_the_plain_loop_bitwise(self, scheme):
         # fewer than 2N steps: B = 1, one matvec per step
         ops = variable_2d((4, 4))
-        fp = build_matrix(QuadratureSpec(0.6), ops)
-        G = generator(fp)
+        G = dense_G(0.6, ops)
         v0 = RealField.from_function(ops.grid, lambda x, y: x * y + 0.1)
         dt = rk4_dt(G) if scheme == "explicit-rk4" else 1e-2
         n_full = 2 * ops.grid.N - 1
         rem = 0.5 * dt
-        cfg = EvolutionConfig(0.6, dt=dt, t_end=n_full * dt + rem,
+        cfg = EvolutionConfig(dt=dt, t_end=n_full * dt + rem,
                               scheme=scheme, snapshot_every=3)
-        trace = evolve(fp, v0, cfg)
+        trace = evolve(G, v0, cfg)
         times, _, snaps = plain_loop(G, v0, dt, n_full,
                                      cfg.t_end - n_full * dt, scheme, 3)
         assert trace.times == times
@@ -357,12 +367,12 @@ class TestBlockedStepping:
         # than the rounding allowance the benchmark applies
         lengths = (1.5, 1.2)
         ops = variable_2d((16, 16), lengths)
-        fp = build_matrix(QuadratureSpec(0.6), ops)
+        G = dense_G(0.6, ops)
         v0 = RealField.from_function(ops.grid, lambda x, y: (
             np.sin(math.pi * x / lengths[0]) * np.sin(math.pi * y / lengths[1])
             * (1 + 0.3 * np.cos(2.0 * x) * np.sin(1.5 * y))))
         dt = 20 / 2.0 ** 20
-        trace = evolve(fp, v0, EvolutionConfig(0.6, dt=dt, t_end=4096 * dt))
+        trace = evolve(G, v0, EvolutionConfig(dt=dt, t_end=4096 * dt))
         l2 = trace.l2_series
         assert len(l2) == 4097
         for a, b in zip(l2, l2[1:]):

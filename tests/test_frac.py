@@ -9,10 +9,9 @@ from sfrac import frac
 from sfrac.cli import main
 from sfrac.coeff import make_profile
 from sfrac.errors import ConditionsFailed
-from sfrac.frac import (FracPowerOperator, QuadratureSpec, apply_P_alpha,
-                        build_matrix, gauss_jacobi, integrand_form_gap,
-                        quad_nodes, quadrature_certificate,
-                        reference_P_alpha)
+from sfrac.frac import (QuadratureSpec, apply_P_alpha, build_matrix,
+                        gauss_jacobi, integrand_form_gap, quad_nodes,
+                        quadrature_certificate, reference_P_alpha)
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import closed_form_P_alpha
@@ -458,43 +457,49 @@ class TestNodeEngine:
 
 class TestMatrixBuild:
     def test_matches_direct_apply(self):
-        # the columns come from the symbols; the reference is the
-        # quaternionic node engine (left form), not the symbol route
+        # F = f_1(L) comes from the symbols, and F A_l w is the flux
+        # channel; the reference is the quaternionic node engine (left
+        # form), not the symbol route
         spec = QuadratureSpec(0.6)
         rng = np.random.default_rng(7)
         for ops in (constant_operators(grid1d(24)), variable_ops_2d(7, 9),
                     variable_ops_2d(6, 9)):
             g = ops.grid
-            fp = build_matrix(spec, ops)
-            assert isinstance(fp, FracPowerOperator)
+            F = build_matrix(spec, ops)
+            assert F.shape == (g.N, g.N)
             for w in rng.standard_normal((3, g.N)):
-                scal, vec = fp.apply(w)
                 ref = apply_P_alpha(spec, ops,
                                     QuatField.from_real(RealField(g, w)),
                                     form="left")
-                assert rel_gap(scal, ref.scal.values.reshape(-1)) <= 1e-11
                 for ax in range(g.dims):
-                    assert rel_gap(vec[ax], ref.vec[ax].values.reshape(-1)) \
+                    vec = F @ ops.apply_A(ax, w.reshape(g.n)).reshape(-1)
+                    assert rel_gap(vec, ref.vec[ax].values.reshape(-1)) \
                         <= 1e-11
 
     def test_scal_block_symmetric_for_constant_coefficients(self):
-        ops = constant_operators(grid1d(16))
-        fp = build_matrix(QuadratureSpec(0.5), ops)
-        scale = np.max(np.abs(fp.m_scal))
-        assert np.max(np.abs(fp.m_scal - fp.m_scal.T)) <= 1e-8 * scale
+        # f_2(L), column by column from the scal channel
+        g = grid1d(16)
+        ops = constant_operators(g)
+        f2 = np.stack([
+            apply_P_alpha(QuadratureSpec(0.5), ops, QuatField.from_real(
+                RealField(g, e))).scal.values for e in np.eye(g.N)], axis=1)
+        scale = np.max(np.abs(f2))
+        assert np.max(np.abs(f2 - f2.T)) <= 1e-8 * scale
 
     def test_alpha_composition_on_eigenbasis(self):
         g = grid1d(16)
         ops = constant_operators(g)
         lam, vecs = np.linalg.eigh(ops.dense_L())
-        half = build_matrix(QuadratureSpec(0.15), ops)
-        full = build_matrix(QuadratureSpec(0.30), ops)
         k = 9
         phi = vecs[:, k]
-        mu_half = 2.0 * float(phi @ (half.m_scal @ phi))
-        mu_full = 2.0 * float(phi @ (full.m_scal @ phi))
+
+        def mu(alpha):  # 2 phi^T f_2(L) phi
+            scal = apply_P_alpha(QuadratureSpec(alpha), ops,
+                                 QuatField.from_real(RealField(g, phi))).scal
+            return 2.0 * float(phi @ scal.values)
+
         # lam^0.075 * lam^0.075 = lam^0.15
-        assert math.isclose(mu_half ** 2, mu_full, rel_tol=1e-8)
+        assert math.isclose(mu(0.15) ** 2, mu(0.30), rel_tol=1e-8)
 
     def test_staggered_operators_rejected(self):
         g = Grid(BoxDomain((1.0,)), (9,))

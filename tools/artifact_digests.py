@@ -4,9 +4,9 @@ Runs each `sfrac` task (check, spectrum, palpha, evolve, verify) on a fixed
 list of configs: 1D/2D/3D grids, odd and even sizes, constant and variable
 coefficients, a fine 1D verify, a verify on a field of amplitude 1e9, forced
 sets with a sample <= 0 (one of them exactly 0 on the parity null mode, which
-exits 1), RK4 with `beta_mode`, a blocked Crank-Nicolson run on the 2D 16^2
-shape of the `evolve-2d` benchmark and an evolve on a box of side 1e-6.  It
-prints one `path sha256` line per artifact, plus one `case exit N` line per
+exits 1), Crank-Nicolson on a 6x5 and on an all-odd 7x9 grid, RK4 with
+`beta_mode`, a blocked Crank-Nicolson run on the 2D 16^2 shape of the
+`evolve-2d` benchmark and an evolve on a box of side 1e-6.  It prints one `path sha256` line per artifact, plus one `case exit N` line per
 run, so that a diff of the output of two source trees shows every byte that
 changed:
 
@@ -80,6 +80,12 @@ def cases():
                 _box("palpha", (9,), ("x-0.5",), alpha=0.5), True))
     out.append(("evolve/2d-cn",
                 _box("evolve", (6, 5), VARIABLE[:2], alpha=0.6,
+                     time={"dt": 0.01, "t_end": 0.2, "snapshot_every": 5}),
+                False))
+    # all-odd 2D with variable coefficients: the generator meets the
+    # parity null mode
+    out.append(("evolve/2d-odd-cn",
+                _box("evolve", (7, 9), VARIABLE[:2], alpha=0.6,
                      time={"dt": 0.01, "t_end": 0.2, "snapshot_every": 5}),
                 False))
     out.append(("evolve/1d-cn-long",
