@@ -1,10 +1,13 @@
 """Command-line front end: JSON config in, CSV/JSON artifacts out.
 
-Exit codes: 0 success; 1 config/schema/expression error (always before any
-numerical work); 2 hypothesis conditions failed for a task that needs them
-(unless --force); 4 verification failure.  The coefficients pick the Q_t
-factorization and the spectrum of L the quadrature split (see the resolvent
-and frac modules), so no config key chooses either.
+Exit codes: 0 success; 1 config/schema/expression error or an alpha too
+close to 0 or 1 for the quadrature rule (both before any numerical work), or
+an unusable output directory; 2 hypothesis conditions failed (unless
+--force), checked by `gate_conditions` once in each task that needs them and
+nowhere in the library; 4 verification failure.  The coefficients pick the
+Q_t factorization and the spectrum of L the quadrature split (see the
+resolvent and frac modules), and no result depends on the imaginary unit of
+the path, so no config key chooses any of them.
 
 Determinism contract: identical config produces bit-identical output files
 — fixed quadrature reduction order, seeded estimators, no timestamps in any
@@ -33,12 +36,11 @@ from .coeff import check_conditions, make_profile, parse_expr, evaluate
 from .errors import (ConditionsFailed, EvalError, ExprSyntaxError,
                      StabilityError)
 from .evolve import EvolutionConfig, evolve, generator
-from .frac import (QuadratureSpec, apply_P_alpha, build_matrix,
-                   gate_conditions, quad_nodes, quadrature_certificate,
-                   reference_P_alpha, symbols)
+from .frac import (QuadratureSpec, apply_P_alpha, build_matrix, quad_nodes,
+                   quadrature_certificate, reference_P_alpha, symbols)
 from .grid import BoxDomain, Grid, Operators, QuatField, RealField
 from .oracle import closed_form_P_alpha, s_spectrum_probe
-from .quat import J_E1, J_E2, J_E3, unit_from_components
+from .quat import J_E1, J_E2, unit_from_components
 
 log = logging.getLogger(__name__)
 
@@ -78,11 +80,6 @@ SCHEMA = {
             "properties": {
                 "n_sing": {"type": "integer", "minimum": 4},
                 "n_tail": {"type": "integer", "minimum": 4},
-                "j": {"oneOf": [
-                    {"enum": ["e1", "e2", "e3"]},
-                    {"type": "array", "minItems": 3, "maxItems": 3,
-                     "items": {"type": "number"}},
-                ]},
             },
         },
         "task": {"enum": ["check", "spectrum", "palpha", "evolve", "verify"]},
@@ -149,19 +146,9 @@ def _build_setup(cfg: dict):
     return grid, profiles, ops
 
 
-def _build_j(qcfg: dict):
-    j = qcfg.get("j", "e1")
-    if isinstance(j, str):
-        return {"e1": J_E1, "e2": J_E2, "e3": J_E3}[j]
-    if all(v == 0 for v in j):
-        raise ConfigError("quadrature.j must be a nonzero vector")
-    return unit_from_components(*j)
-
-
 def _build_quadrature(cfg: dict, alpha: float) -> QuadratureSpec:
     q = cfg.get("quadrature", {})
-    return QuadratureSpec(alpha=alpha, j=_build_j(q),
-                          n_sing=q.get("n_sing", 64),
+    return QuadratureSpec(alpha=alpha, n_sing=q.get("n_sing", 64),
                           n_tail=q.get("n_tail", 64))
 
 
@@ -185,6 +172,16 @@ def _require_alpha(cfg: dict) -> float:
     if "alpha" not in cfg:
         raise ConfigError(f"task {cfg['task']!r} requires alpha")
     return float(cfg["alpha"])
+
+
+def gate_conditions(ops: Operators, force: bool):
+    """The hypothesis report of ops; raises ConditionsFailed when it fails
+    and force is not set.  The one conditions gate of the package."""
+    report = check_conditions(ops.profiles, ops.grid.domain.lengths)
+    if not report.pass_ and not force:
+        raise ConditionsFailed(
+            "hypothesis conditions failed; rerun with --force to override")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +255,8 @@ def _task_palpha(cfg, out_dir, force):
     alpha = _require_alpha(cfg)
     spec = _build_quadrature(cfg, alpha)
     v0 = _initial_field(cfg, grid)
-    report = gate_conditions(ops, force=force)
-    result = apply_P_alpha(spec, ops, QuatField.from_real(v0),
-                           report=report, force=force)
+    report = gate_conditions(ops, force)
+    result = apply_P_alpha(spec, ops, QuatField.from_real(v0))
     _write_fields_csv(os.path.join(out_dir, "fields.csv"), result.full)
     _write_json(os.path.join(out_dir, "report.json"), report.as_flat_dict())
     return 0
@@ -285,8 +281,8 @@ def _task_evolve(cfg, out_dir, force):
     ecfg = EvolutionConfig(dt=tcfg["dt"], t_end=tcfg["t_end"],
                            scheme=tcfg.get("scheme", "crank-nicolson"),
                            snapshot_every=tcfg.get("snapshot_every", 0))
-    report = gate_conditions(ops, force=force)
-    G = generator(build_matrix(spec, ops, report=report, force=force), ops)
+    report = gate_conditions(ops, force)
+    G = generator(build_matrix(spec, ops), ops)
     if beta_mode:
         G *= 2.0
     trace = evolve(G, v0, ecfg)
@@ -302,8 +298,10 @@ def _task_verify(cfg, out_dir, force):
     grid, profiles, ops = _build_setup(cfg)
     alpha = float(cfg.get("alpha", 0.5))
     spec = _build_quadrature(cfg, alpha)
+    doubled = dataclasses.replace(spec, n_sing=2 * spec.n_sing,
+                                  n_tail=2 * spec.n_tail)
     v0 = QuatField.from_real(_initial_field(cfg, grid))
-    report = gate_conditions(ops, force=force)
+    gate_conditions(ops, force)
 
     checks = {}
 
@@ -322,20 +320,16 @@ def _task_verify(cfg, out_dir, force):
     # three imaginary units, one pass over the nodes
     syms = (symbols(spec, ops.spectral.eigenvalues()) if ops.is_positive
             else None)
-    base = apply_P_alpha(spec, ops, v0, report=report, force=force,
-                         syms=syms)
+    base = apply_P_alpha(spec, ops, v0, syms=syms)
     denom = max(base.full.l2(), 1e-300)
     lefts = reference_P_alpha(
-        spec, ops, v0, (spec.j, J_E2, unit_from_components(1.0, 1.0, 1.0)),
-        report=report, force=force)
+        spec, ops, v0, (J_E1, J_E2, unit_from_components(1.0, 1.0, 1.0)))
     gaps = [(left.full - base.full).l2() / denom for left in lefts]
     leaks = [base.j_leak] + [left.j_leak for left in lefts]
     record("left_right_gap", gaps[0], 1e-10)
     record("j_independence", max(gaps[1:]), 1e-10)
 
-    doubled = dataclasses.replace(spec, n_sing=2 * spec.n_sing,
-                                  n_tail=2 * spec.n_tail)
-    r2 = apply_P_alpha(doubled, ops, v0, report=report, force=force)
+    r2 = apply_P_alpha(doubled, ops, v0)
     record("quadrature_doubling", (r2.full - base.full).l2() / denom, 1e-8)
 
     # the engines' absolute max-norm gaps, relative to the result's max-norm
@@ -424,7 +418,7 @@ def _run(args) -> tuple[str | None, int]:
         })
         return task, code
     except (ConfigError, ExprSyntaxError, EvalError, StabilityError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return task, 1
     except ConditionsFailed as exc:

@@ -35,10 +35,11 @@ block one resolvent solve u1 = Q_t^{-1} T v for all its nodes and one T u1.
 Since neither depends on j, one pass serves several imaginary units: per
 unit it accumulates the naive quaternionic pair sum of the right or left
 form node by node, and reports its gap to the reduced form as the j_leak
-diagnostic instead of projecting it away.  It runs for the left form and
-for a coefficient set with a sample <= 0 (where L has no spectral
-factorization and each Q_t gets a dense LU), and `verify` compares it, at
-three units from one pass (`reference_P_alpha`), with the symbol route.
+diagnostic instead of projecting it away.  Its right form at e1 serves
+`apply_P_alpha` on a coefficient set with a sample <= 0 (where L has no
+spectral factorization and each Q_t gets a dense LU); its left form is
+`reference_P_alpha`, which `verify` compares, at three units from one
+pass, with the production route.
 Its work is array-wide: the stacks of a block are flat, (nodes, 4, N),
 allocated once per pass and reused by every block and unit; each
 quaternion product is a scaling plus one matmul of a 4x4 left table over
@@ -88,11 +89,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import check_conditions
-from .errors import ConditionsFailed
-from .grid import (DENSE_CAP, FaceField, Operators, QuatField, RealField,
+from .grid import (FaceField, Operators, QuatField, RealField,
                    StaggeredOperators)
-from .quat import ImaginaryUnit, J_E1, Quaternion, left_mult_table, qmul
+from .quat import J_E1, Quaternion, left_mult_table, qmul
 from .resolvent import ResolventWorkspace
 
 TWO_PI = 2.0 * math.pi
@@ -105,11 +104,13 @@ _BLOCK_ELEMS = 2 ** 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Parameters of the Balakrishnan quadrature: the node counts of the two
-    panels and the imaginary unit j of the path -jR (not the split)."""
+    """Parameters of the Balakrishnan quadrature: alpha and the node counts
+    of the two panels (the split follows the spectrum, and the result does
+    not depend on the imaginary unit of the path -jR).  It builds the rules
+    of both panels, so an alpha too close to 0 or 1 for them raises
+    ValueError here."""
 
     alpha: float
-    j: ImaginaryUnit = J_E1
     n_sing: int = 64
     n_tail: int = 64
 
@@ -118,6 +119,8 @@ class QuadratureSpec:
             raise ValueError("alpha must lie in the open interval (0, 1)")
         if self.n_sing < 4 or self.n_tail < 4:
             raise ValueError("node counts must be >= 4")
+        gauss_jacobi(self.n_sing, self.alpha - 1.0)
+        gauss_jacobi(self.n_tail, -self.alpha)
 
 
 @dataclass(frozen=True)
@@ -152,16 +155,25 @@ def gauss_jacobi(n: int, b: float):
     b > -1, nodes ascending; sum_i w_i p(x_i) = integral (1+x)^b p(x) dx for
     every polynomial p of degree < 2n.  Golub-Welsch on the three-term
     recurrence of the Jacobi polynomials P_k^{(0, b)}.  Cached per (n, b);
-    the arrays are read-only."""
+    the arrays are read-only.  ValueError where double precision cannot
+    hold the rule: b + 1 <= 0, a node <= -1 or NaN, a weight not finite."""
+    if not b + 1.0 > 0.0:
+        raise ValueError(f"no Gauss-Jacobi rule for (1+x)^{b!r}: alpha "
+                         "lies too close to 0 or 1")
     k = np.arange(n, dtype=float)
     s = 2.0 * k + b
     diag = np.empty(n)
     diag[0] = b / (b + 2.0)  # b^2 / (s (s+2)) at k = 0, with b cancelled
     diag[1:] = b * b / (s[1:] * (s[1:] + 2.0))
     k, s = k[1:], s[1:]
-    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     w = 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
+    if not (np.all(x > -1.0) and np.all(np.isfinite(w))):
+        raise ValueError(f"the {n}-node Gauss-Jacobi rule for (1+x)^{b!r} "
+                         "needs more than double precision: alpha lies too "
+                         "close to 0 or 1")
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -271,9 +283,10 @@ def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
 def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
                  units, form: str):
     """Per-node quaternionic quadrature of comps (4,*n) at each imaginary
-    unit j of units (spec.j is not read), the reference route of
-    apply_P_alpha (left form, or a coefficient sample <= 0).  Returns one
-    (result (4,*n), j_leak float) per unit.
+    unit j of units, in the right or left form: the route of apply_P_alpha
+    on a coefficient sample <= 0 (right form at e1) and of
+    reference_P_alpha (left form).  Returns one (result (4,*n), j_leak
+    float) per unit.
 
     Each node solves u1 = Q_t^{-1} T v once (T v lies in the range of the
     A_l, so its parity-mode coefficient is exactly zero; Q_t depends on
@@ -380,42 +393,27 @@ def _require_collocated(ops, what: str):
                          "closed form only")
 
 
-def gate_conditions(ops: Operators | StaggeredOperators, report=None,
-                    force: bool = False):
-    """The hypothesis report of ops (the one given, else computed); raises
-    ConditionsFailed when it fails and force is not set."""
-    if report is None:
-        report = check_conditions(ops.profiles, ops.grid.domain.lengths)
-    if not report.pass_ and not force:
-        raise ConditionsFailed(
-            "hypothesis conditions failed; rerun with --force to override")
-    return report
-
-
 def apply_P_alpha(spec: QuadratureSpec,
                   ops: Operators | StaggeredOperators, v: QuatField, *,
-                  form: str = "right", report=None, force: bool = False,
                   syms=None) -> FracApplyResult:
-    """P_alpha(T) v by quadrature of the right (default) or left Balakrishnan
-    form.  The reduction order is fixed ascending in t, so results are
-    bitwise reproducible.
+    """P_alpha(T) v by quadrature of the right Balakrishnan form.  The
+    reduction order is fixed ascending in t, so results are bitwise
+    reproducible.  The hypothesis conditions are not checked here: a caller
+    that needs them reads `coeff.check_conditions` (the CLI gates on it).
 
-    The right form on positive coefficients (`ops.is_positive`) takes the
-    symbol route, f_1(L) T v + f_2(L) v, with syms = (f_1, f_2) of
-    `symbols` on ops.spectral.eigenvalues() when the caller has them
-    already; the left form, or a coefficient sample <= 0, runs the
-    quaternionic node engine, the reference.
+    Positive coefficients (`ops.is_positive`) take the symbol route, f_1(L)
+    T v + f_2(L) v, with syms = (f_1, f_2) of `symbols` on
+    ops.spectral.eigenvalues() when the caller has them already; a
+    coefficient sample <= 0 runs the quaternionic node engine at e1.  The
+    left form is `reference_P_alpha`.
 
     With `StaggeredOperators`, v must be real (its vector components zero)
     and the symbols are applied through the per-axis factorization of that
     scheme, where both forms coincide.
     """
-    if form not in ("right", "left"):
-        raise ValueError("form must be 'right' or 'left'")
-    gate_conditions(ops, report, force)
     if isinstance(ops, StaggeredOperators):
         return _apply_P_alpha_staggered(spec, ops, v)
-    if form == "right" and ops.is_positive:
+    if ops.is_positive:
         sp = ops.spectral
         f1, f2 = syms if syms is not None else symbols(spec,
                                                         sp.eigenvalues())
@@ -423,20 +421,19 @@ def apply_P_alpha(spec: QuadratureSpec,
                  + sp.apply_symbol(f2, v.components))
         leak = 0.0
     else:
-        [(comps, leak)] = _node_engine(spec, ops, v.components, (spec.j,),
-                                       form)
+        [(comps, leak)] = _node_engine(spec, ops, v.components, (J_E1,),
+                                       "right")
     return _collocated_result(QuatField(v.grid, comps), leak)
 
 
 def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
-                      units, *, report=None,
-                      force: bool = False) -> tuple:
+                      units) -> tuple:
     """The left form of P_alpha(T) v by the node engine at each imaginary
-    unit of units, one FracApplyResult per unit: what
-    apply_P_alpha(form="left") gives at each unit, from one pass over the
-    nodes (one Q_t solve per node for all units).  spec.j is not read."""
+    unit of units, one FracApplyResult per unit, from one pass over the
+    nodes (one Q_t solve per node for all units): the reference that
+    `verify` holds the production route against.  Like apply_P_alpha, it
+    does not check the hypothesis conditions."""
     _require_collocated(ops, "reference_P_alpha")
-    gate_conditions(ops, report, force)
     return tuple(_collocated_result(QuatField(v.grid, comps), leak)
                  for comps, leak in _node_engine(spec, ops, v.components,
                                                  units, "left"))
@@ -477,7 +474,7 @@ def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
     # T^2 v: T^2 acts componentwise as L (cross terms cancel by exact
     # commutation), and apply_L is that scalar route directly
     lv = ops.apply_L(v.components)
-    ws = ResolventWorkspace(ops, spec.j.scale(-t))
+    ws = ResolventWorkspace(ops, J_E1.scale(-t))
     sol = ws._solve_stack(np.concatenate([tv, lv]).reshape(8, -1),
                           null_free_rhs=True)
     u1, u2 = sol.reshape(2, *tv.shape)
@@ -490,17 +487,16 @@ def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
     return float(np.max(np.abs(split - tvf))) / denom
 
 
-def build_matrix(spec: QuadratureSpec, ops: Operators, *, report=None,
-                 force: bool = False) -> np.ndarray:
+def build_matrix(spec: QuadratureSpec, ops: Operators) -> np.ndarray:
     """The dense F = f_1(L), the vector symbol of `symbols`, as an (N, N)
     array: f_1 applied once to the identity (its rows are the basis fields,
     so the result is the transposed matrix).  The flux channel of P_alpha
-    on a real v is then vec[l] = F A_l v."""
+    on a real v is then vec[l] = F A_l v.  It needs the collocated scheme,
+    N within the dense cap of `Operators` and a positive coefficient set;
+    it does not check the hypothesis conditions."""
     _require_collocated(ops, "build_matrix")
-    gate_conditions(ops, report, force)
+    ops._check_dense()
     g = ops.grid
-    if g.N > DENSE_CAP:
-        raise ValueError(f"dense operator build capped at N <= {DENSE_CAP}")
     if not ops.is_positive:
         raise ValueError("build_matrix needs coefficients positive at every "
                          "node: its matrices come from the spectral "

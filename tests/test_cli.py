@@ -143,6 +143,41 @@ class TestSchemaRejection:
         assert "'t_split' was unexpected" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_j_key_exits_1(self, tmp_path, capsys):
+        # the result does not depend on the imaginary unit; no key sets it
+        cfg = base_1d("verify", quadrature={"j": "e3"})
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert "'j' was unexpected" in capsys.readouterr().err
+        assert not out.exists()
+
+    # alpha = 1e-17 rounds alpha - 1 to -1; the rules at 1 - 2^-53, and the
+    # doubled rule of verify at 1e-12, are out of double precision
+    @pytest.mark.parametrize("task, alpha", [
+        ("palpha", 1e-17), ("verify", 1e-17), ("evolve", 1e-17),
+        ("palpha", 1.0 - 2.0 ** -53), ("verify", 1.0 - 2.0 ** -53),
+        ("evolve", 1.0 - 2.0 ** -53), ("verify", 1e-12)])
+    def test_alpha_too_close_to_0_or_1_exits_1(self, tmp_path, capsys, task,
+                                               alpha):
+        cfg = base_1d(task, coeff="1+0.1*x", alpha=alpha)
+        if task == "evolve":
+            cfg["time"] = {"dt": 0.1, "t_end": 0.3}
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too close to 0 or 1" in err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_output_directory_exits_1(self, tmp_path, capsys,
+                                               below):
+        # --out names an existing file, or a path under one
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_cfg(tmp_path, base_1d("check"))
+        assert main([cfg, "--out", str(blocker / below)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("task", ["palpha", "verify", "evolve"])
     def test_bad_initial_exits_1_before_the_conditions_gate(self, tmp_path,
                                                             capsys, task):
@@ -288,18 +323,6 @@ class TestPalphaTask:
         want = ref.reshape(4, -1).T
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_failed_conditions_gate_and_force(self, tmp_path):
-        cfg = base_1d("palpha", n=15, alpha=0.5, coeff="0.01+x^2",
-                      length=10.0)
-        path = write_cfg(tmp_path, cfg)
-        out = tmp_path / "out"
-        assert main([path, "--out", str(out)]) == 2
-        assert not (out / "fields.csv").exists()
-        out2 = tmp_path / "out_forced"
-        assert main([path, "--out", str(out2), "--force"]) == 0
-        assert (out2 / "fields.csv").exists()
-        assert read_json(out2, "run_meta.json")["force"] is True
-
     def test_forced_run_with_non_positive_coefficient(self, tmp_path):
         # L has no spectral factorization here, so the node engine on dense
         # LU serves the run
@@ -342,6 +365,34 @@ class TestPalphaTask:
         text = (out / "verify.json").read_text()
         rep = json.loads(text, parse_constant=pytest.fail)
         assert rep["checks"]["quadrature_doubling"]["pass"] is False
+
+
+class TestConditionsGate:
+    """The CLI checks the hypothesis conditions once per task that needs
+    them; the library routes it calls do not check them again."""
+
+    @pytest.mark.parametrize("task", ["palpha", "evolve", "verify"])
+    def test_failed_conditions_gate_and_force(self, tmp_path, monkeypatch,
+                                              task):
+        from sfrac import cli
+        artifact = {"palpha": "fields.csv", "evolve": "trace.csv",
+                    "verify": "verify.json"}[task]
+        calls = []
+        check = cli.check_conditions
+        monkeypatch.setattr(cli, "check_conditions",
+                            lambda *a: calls.append(a) or check(*a))
+        cfg = base_1d(task, n=15, alpha=0.5, coeff="0.01+x^2", length=10.0)
+        if task == "evolve":
+            cfg["time"] = {"dt": 0.1, "t_end": 0.3}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([path, "--out", str(out)]) == 2
+        assert not (out / artifact).exists()
+        out2 = tmp_path / "out_forced"
+        assert main([path, "--out", str(out2), "--force"]) == 0
+        assert (out2 / artifact).exists()
+        assert read_json(out2, "run_meta.json")["force"] is True
+        assert len(calls) == 2  # one report per run
 
 
 class TestEvolveTask:
@@ -405,6 +456,15 @@ class TestEvolveTask:
         assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
         assert calls == []
         assert os.listdir(out) == []
+
+    def test_above_dense_cap_exits_1(self, tmp_path, capsys):
+        # the one dense cap of the package, with its one message
+        cfg = dict(CONSTANT_72, task="evolve", alpha=0.5,
+                   time={"dt": 0.1, "t_end": 0.3})
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: dense materialization capped at N <= 5000\n")
 
     def test_missing_time_block_exits_1(self, tmp_path):
         cfg = base_1d("evolve", n=15, alpha=0.6)

@@ -7,8 +7,7 @@ from scipy.special import roots_jacobi
 
 from sfrac import frac
 from sfrac.cli import main
-from sfrac.coeff import make_profile
-from sfrac.errors import ConditionsFailed
+from sfrac.coeff import check_conditions, make_profile
 from sfrac.frac import (QuadratureSpec, apply_P_alpha, build_matrix,
                         gauss_jacobi, integrand_form_gap, quad_nodes,
                         quadrature_certificate, reference_P_alpha)
@@ -45,6 +44,16 @@ class TestQuadratureSpec:
             QuadratureSpec(0.5, n_sing=3)
         with pytest.raises(ValueError):
             QuadratureSpec(0.5, n_tail=2)
+
+    # alpha = 1e-17 rounds alpha - 1 to -1; at 1 - 2^-53 the recurrence
+    # divides by 0; at 1e-12 the 64-node rules hold but the 128-node rule
+    # of the near panel puts a node below -1
+    @pytest.mark.parametrize("alpha, n", [(1e-17, 64), (1.0 - 2.0 ** -53, 64),
+                                          (1e-12, 128)])
+    def test_alpha_beyond_the_rule_raises(self, alpha, n):
+        with pytest.raises(ValueError, match="too close to 0 or 1"):
+            QuadratureSpec(alpha, n_sing=n, n_tail=n)
+        QuadratureSpec(1e-12)
 
 
 class TestNodes:
@@ -200,20 +209,23 @@ class TestApply:
         ops = variable_ops_2d()
         rng = np.random.default_rng(2)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
-        base = apply_P_alpha(QuadratureSpec(0.4), ops, v).full.components
-        for j in (J_E2, unit_from_components(1.0, 1.0, 1.0)):
-            spec = QuadratureSpec(0.4, j=j)
-            for form, route in (("right", dense_route(ops)), ("left", ops)):
-                out = apply_P_alpha(spec, route, v, form=form)
-                assert rel_gap(out.full.components, base) <= 1e-10
+        spec = QuadratureSpec(0.4)
+        base = apply_P_alpha(spec, ops, v).full.components
+        units = (J_E2, unit_from_components(1.0, 1.0, 1.0))
+        rights = frac._node_engine(spec, dense_route(ops), v.components,
+                                   units, "right")
+        lefts = reference_P_alpha(spec, ops, v, units)
+        for (right, _), left in zip(rights, lefts):
+            assert rel_gap(right, base) <= 1e-10
+            assert rel_gap(left.full.components, base) <= 1e-10
 
     def test_left_right_agreement(self):
         ops = variable_ops_2d()
         rng = np.random.default_rng(3)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
         spec = QuadratureSpec(0.7)
-        r = apply_P_alpha(spec, ops, v, form="right")
-        l = apply_P_alpha(spec, ops, v, form="left")
+        r = apply_P_alpha(spec, ops, v)
+        [l] = reference_P_alpha(spec, ops, v, (J_E1,))
         assert rel_gap(r.full.components, l.full.components) <= 1e-10
 
     def test_j_leak_small(self):
@@ -222,7 +234,7 @@ class TestApply:
         ops = variable_ops_2d()
         v = QuatField.from_real(RealField.from_function(
             ops.grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y / 1.3)))
-        out = apply_P_alpha(QuadratureSpec(0.5), ops, v, form="left")
+        [out] = reference_P_alpha(QuadratureSpec(0.5), ops, v, (J_E1,))
         scale = max(np.max(np.abs(out.full.components)), 1e-300)
         assert out.j_leak / scale <= 1e-9
 
@@ -257,8 +269,8 @@ class TestApply:
             spec = QuadratureSpec(alpha)
             got = apply_P_alpha(spec, ops, v)
             assert got.j_leak == 0.0
-            for form, route in (("left", ops), ("right", dense)):
-                ref = apply_P_alpha(spec, route, v, form=form)
+            [left] = reference_P_alpha(spec, ops, v, (J_E1,))
+            for ref in (left, apply_P_alpha(spec, dense, v)):
                 assert rel_gap(got.full.components,
                                ref.full.components) <= 1e-12
 
@@ -281,21 +293,19 @@ class TestApply:
         assert np.array_equal(first.full.components, again.full.components)
         assert first.j_leak == again.j_leak
 
-    def test_form_validation(self):
-        ops = constant_operators(grid1d(8))
-        with pytest.raises(ValueError):
-            apply_P_alpha(QuadratureSpec(0.5), ops,
-                          QuatField.zeros(ops.grid), form="middle")
-
-    def test_failing_conditions_gate(self):
+    def test_no_conditions_gate_in_the_library(self):
+        # the CLI gates the hypothesis conditions (exit 2 unless --force);
+        # the library computes on a set that fails them
         g = Grid(BoxDomain((10.0,)), (9,))
         ops = Operators(g, (make_profile(1, "0.01+x^2", 10.0),))
+        assert not check_conditions(ops.profiles, g.domain.lengths).pass_
         v = QuatField.from_real(RealField.from_function(
             g, lambda x: np.sin(np.pi * x / 10.0)))
-        with pytest.raises(ConditionsFailed):
-            apply_P_alpha(QuadratureSpec(0.5), ops, v)
-        out = apply_P_alpha(QuadratureSpec(0.5), ops, v, force=True)
-        assert np.all(np.isfinite(out.full.components))
+        spec = QuadratureSpec(0.5)
+        [left] = reference_P_alpha(spec, ops, v, (J_E1,))
+        for out in (apply_P_alpha(spec, ops, v), left):
+            assert np.all(np.isfinite(out.full.components))
+        assert np.all(np.isfinite(build_matrix(spec, ops)))
 
     def test_staggered_matches_closed_form_variable_2d(self):
         g = Grid(BoxDomain((1.0, 1.3)), (12, 15))
@@ -316,13 +326,13 @@ class TestApply:
                                                     q2=v.values))
 
 
-def node_by_node(spec, ops, comps, form):
-    """The node engine's quadrature one node at a time, each node with its
-    own workspace: u1 = Q_t^{-1} T v, T u1 and the naive pair of the form,
-    added in ascending t; returns (result, j_leak)."""
+def node_by_node(spec, ops, comps, form, j):
+    """The node engine's quadrature at the imaginary unit j one node at a
+    time, each node with its own workspace: u1 = Q_t^{-1} T v, T u1 and
+    the naive pair of the form, added in ascending t; returns (result,
+    j_leak)."""
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    j = spec.j
     tv = ops.apply_T(comps).reshape(4, -1)
     acc = np.zeros_like(comps)
     leak = np.zeros_like(comps)
@@ -390,27 +400,32 @@ class TestNodeEngine:
     def test_each_unit_matches_node_by_node(self, name, alpha):
         ops, v = engine_case(name)
         spec = QuadratureSpec(alpha)
-        refs = reference_P_alpha(spec, ops, v, UNITS, force=True)
+        refs = reference_P_alpha(spec, ops, v, UNITS)
         assert len(refs) == len(UNITS)
         for j, got in zip(UNITS, refs):
-            spec_j = QuadratureSpec(alpha, j=j)
-            want, want_leak = node_by_node(spec_j, ops, v.components, "left")
+            want, want_leak = node_by_node(spec, ops, v.components, "left", j)
             scale = np.max(np.abs(want))
             assert rel_gap(got.full.components, want) <= 1e-13, j
             assert abs(got.j_leak - want_leak) <= 1e-13 * scale, j
-            # a single unit through apply_P_alpha is the same pass
-            one = apply_P_alpha(spec_j, ops, v, form="left", force=True)
+            # a pass for a single unit gives the same bits
+            [one] = reference_P_alpha(spec, ops, v, (j,))
             assert np.array_equal(one.full.components, got.full.components)
             assert one.j_leak == got.j_leak
 
     @pytest.mark.parametrize("j", UNITS)
     def test_right_form_on_the_dense_route(self, j):
         ops, v = engine_case("dense")
-        spec = QuadratureSpec(0.6, j=j)
-        got = apply_P_alpha(spec, ops, v, force=True)
-        want, want_leak = node_by_node(spec, ops, v.components, "right")
-        assert rel_gap(got.full.components, want) <= 1e-13
-        assert abs(got.j_leak - want_leak) <= 1e-13 * np.max(np.abs(want))
+        spec = QuadratureSpec(0.6)
+        [(got, leak)] = frac._node_engine(spec, ops, v.components, (j,),
+                                          "right")
+        want, want_leak = node_by_node(spec, ops, v.components, "right", j)
+        assert rel_gap(got, want) <= 1e-13
+        assert abs(leak - want_leak) <= 1e-13 * np.max(np.abs(want))
+        if j is J_E1:
+            # apply_P_alpha runs this form at e1 on a set with a sample <= 0
+            out = apply_P_alpha(spec, ops, v)
+            assert np.array_equal(out.full.components, got)
+            assert out.j_leak == leak
 
     @pytest.mark.parametrize("name", ENGINE_CASES)
     @pytest.mark.parametrize("nodes_per_block", [1, 5])
@@ -419,10 +434,10 @@ class TestNodeEngine:
         # 128 nodes in blocks of 1, and of 5 (a partial block of 3 last)
         ops, v = engine_case(name)
         spec = QuadratureSpec(0.6)
-        base = reference_P_alpha(spec, ops, v, UNITS, force=True)
+        base = reference_P_alpha(spec, ops, v, UNITS)
         monkeypatch.setattr(frac, "_BLOCK_ELEMS",
                             nodes_per_block * 4 * ops.grid.N)
-        small = reference_P_alpha(spec, ops, v, UNITS, force=True)
+        small = reference_P_alpha(spec, ops, v, UNITS)
         for a, b in zip(base, small):
             assert rel_gap(a.full.components, b.full.components) <= 1e-14
             assert abs(a.j_leak - b.j_leak) <= 1e-14 * np.max(
@@ -468,9 +483,8 @@ class TestMatrixBuild:
             F = build_matrix(spec, ops)
             assert F.shape == (g.N, g.N)
             for w in rng.standard_normal((3, g.N)):
-                ref = apply_P_alpha(spec, ops,
-                                    QuatField.from_real(RealField(g, w)),
-                                    form="left")
+                [ref] = reference_P_alpha(
+                    spec, ops, QuatField.from_real(RealField(g, w)), (J_E1,))
                 for ax in range(g.dims):
                     vec = F @ ops.apply_A(ax, w.reshape(g.n)).reshape(-1)
                     assert rel_gap(vec, ref.vec[ax].values.reshape(-1)) \
@@ -522,5 +536,5 @@ class TestMatrixBuild:
 
     def test_dense_cap(self):
         g = Grid(BoxDomain((1.0, 1.0)), (80, 80))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dense materialization capped"):
             build_matrix(QuadratureSpec(0.5), constant_operators(g))

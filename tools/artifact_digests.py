@@ -2,13 +2,15 @@
 
 Runs each `sfrac` task (check, spectrum, palpha, evolve, verify) on a fixed
 list of configs: 1D/2D/3D grids, odd and even sizes, constant and variable
-coefficients, a fine 1D verify, a verify on a field of amplitude 1e9, forced
-sets with a sample <= 0 (one of them exactly 0 on the parity null mode, which
-exits 1), Crank-Nicolson on a 6x5 and on an all-odd 7x9 grid, RK4 with
-`beta_mode`, a blocked Crank-Nicolson run on the 2D 16^2 shape of the
-`evolve-2d` benchmark and an evolve on a box of side 1e-6.  It prints one `path sha256` line per artifact, plus one `case exit N` line per
-run, so that a diff of the output of two source trees shows every byte that
-changed:
+coefficients, custom node counts, a fine 1D verify, a verify on a field of
+amplitude 1e9, two configs rejected with exit 1 (a `quadrature.j` key, an
+alpha of 1 - 2^-53), forced sets with a sample <= 0 (one of them exactly 0
+on the parity null mode, which exits 1), Crank-Nicolson on a 6x5 and on an
+all-odd 7x9 grid, RK4 with `beta_mode`, a blocked Crank-Nicolson run on the
+2D 16^2 shape of the `evolve-2d` benchmark and an evolve on a box of side
+1e-6.  It prints one `path sha256` line per artifact, plus one `case exit N`
+line per run, so that a diff of the output of two source trees shows every
+byte that changed:
 
     python tools/artifact_digests.py > change.txt
     python tools/artifact_digests.py --src OTHER_TREE/src > parent.txt
@@ -60,12 +62,18 @@ def cases():
                 out.append((f"{task}/{name}", _box(task, n, coeffs), False))
             out.append((f"palpha/{name}",
                         _box("palpha", n, coeffs, alpha=0.4), False))
-    out.append(("palpha/1d-j", _box("palpha", (12,), VARIABLE[:1], alpha=0.7,
-                                    quadrature={"j": [1.0, 2.0, 2.0],
-                                                "n_sing": 16,
-                                                "n_tail": 24}), False))
-    out.append(("verify/1d-j", _box("verify", (11,), VARIABLE[:1], alpha=0.3,
-                                    quadrature={"j": "e3"}), False))
+    out.append(("palpha/1d-nodes",
+                _box("palpha", (12,), VARIABLE[:1], alpha=0.7,
+                     quadrature={"n_sing": 16, "n_tail": 24}), False))
+    out.append(("verify/1d-alpha", _box("verify", (11,), VARIABLE[:1],
+                                        alpha=0.3), False))
+    # rejected before any work (exit 1): a key naming the imaginary unit,
+    # and an alpha whose quadrature rule double precision cannot hold
+    out.append(("verify/1d-j-key", _box("verify", (11,), VARIABLE[:1],
+                                        quadrature={"j": "e3"}), False))
+    out.append(("verify/1d-alpha-near-1",
+                _box("verify", (15,), VARIABLE[:1],
+                     alpha=0.9999999999999999), False))
     out.append(("verify/1d-fine", _box("verify", (1023,), VARIABLE[:1]),
                 False))
     out.append(("verify/1d-amplitude", _box("verify", (31,), VARIABLE[:1],
