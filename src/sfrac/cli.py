@@ -9,10 +9,10 @@ Q_t factorization and the spectrum of L the quadrature split (see the
 resolvent and frac modules), and no result depends on the imaginary unit of
 the path, so no config key chooses any of them.
 
-Determinism contract: identical config produces bit-identical output files
-— fixed quadrature reduction order, seeded estimators, no timestamps in any
-artifact, sorted JSON keys, shortest round-trip decimals.  `--threads` is
-recorded in run_meta.json and changes nothing else.
+Determinism contract: at a fixed BLAS thread count, identical config
+produces bit-identical output files — fixed quadrature reduction order,
+seeded estimators, no timestamps in any artifact, sorted JSON keys, shortest
+round-trip decimals.  `--threads` goes to run_meta.json and changes nothing.
 """
 
 from __future__ import annotations
@@ -78,8 +78,9 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_sing": {"type": "integer", "minimum": 4},
-                "n_tail": {"type": "integer", "minimum": 4},
+                # each rule is a dense n x n eigh; verify doubles n
+                "n_sing": {"type": "integer", "minimum": 4, "maximum": 512},
+                "n_tail": {"type": "integer", "minimum": 4, "maximum": 512},
             },
         },
         "task": {"enum": ["check", "spectrum", "palpha", "evolve", "verify"]},

@@ -416,16 +416,18 @@ def make_profile(axis: int, text: str, length: float) -> CoefficientProfile:
     """Parse a coefficient expression and attach its symbolic derivative.
 
     The derivative is spot-checked against central finite differences at a
-    few interior points (|diff| <= 1e-6*(1+|value|)) so a bad rule cannot
-    slip into the hypothesis constants silently.
+    few interior points so a bad rule cannot slip into the hypothesis
+    constants silently.  It runs in y = x/length, so it means the same on
+    any box: |L a' - (difference quotient in y)| <= 1e-6*(1+|L a'|).
     """
     expr = parse_expr(text)
     dexpr = differentiate(expr)
     xs = np.linspace(0.12 * length, 0.93 * length, 17)
-    fd_step = 1e-6 * max(1.0, length)
-    sym = np.asarray(evaluate(dexpr, x=xs), dtype=float) + np.zeros_like(xs)
-    fd = (np.asarray(evaluate(expr, x=xs + fd_step), dtype=float)
-          - np.asarray(evaluate(expr, x=xs - fd_step), dtype=float)) / (2 * fd_step)
+    h = 1e-6 * length  # a step of 1e-6 in y
+    sym = length * (np.asarray(evaluate(dexpr, x=xs), dtype=float)
+                    + np.zeros_like(xs))
+    fd = (np.asarray(evaluate(expr, x=xs + h), dtype=float)
+          - np.asarray(evaluate(expr, x=xs - h), dtype=float)) / 2e-6
     if np.max(np.abs(sym - fd) / (1.0 + np.abs(sym))) > 1e-6:
         raise EvalError(f"symbolic derivative of {text!r} disagrees with "
                         "finite differences")
@@ -443,11 +445,7 @@ def poincare_constant(lengths) -> float:
     return max(lengths) / math.pi
 
 
-def _chebyshev_points(length: float, samples: int) -> np.ndarray:
-    # Chebyshev-Lobatto points on [0, L]: includes both endpoints, since the
-    # sup/inf run over the closed box.
-    k = np.arange(samples)
-    return 0.5 * length * (1.0 - np.cos(np.pi * k / (samples - 1)))
+_CONDITION_SAMPLES = 1024  # per axis, in check_conditions
 
 
 @dataclass(frozen=True)
@@ -496,15 +494,13 @@ class ConditionReport:
         return d
 
 
-def check_conditions(profiles, lengths, samples: int = 1024) -> ConditionReport:
+def check_conditions(profiles, lengths) -> ConditionReport:
     """Evaluate every hypothesis constant by dense sampling.
 
-    sup/inf over the closed box are estimated at `samples` Chebyshev-Lobatto
-    points per axis (the coefficients are C^1 in one variable each, so dense
-    1-D sampling is adequate; raise `samples` for paranoia).
+    sup/inf over the closed box are estimated at `_CONDITION_SAMPLES`
+    Chebyshev-Lobatto points per axis (the coefficients are C^1 in one
+    variable each, so dense 1-D sampling is adequate).
     """
-    if samples < 64:
-        raise ValueError("samples must be >= 64")
     lengths = getattr(lengths, "lengths", lengths)  # BoxDomain or plain tuple
     c_omega = poincare_constant(lengths)
     sqrt_co = math.sqrt(c_omega)
@@ -512,10 +508,14 @@ def check_conditions(profiles, lengths, samples: int = 1024) -> ConditionReport:
     inf_a = []
     margins = []
     dsup_sq = []
+    # Chebyshev-Lobatto points on [0, L]: includes both endpoints, since the
+    # sup/inf run over the closed box.
+    cheb = 0.5 * (1.0 - np.cos(np.pi * np.arange(_CONDITION_SAMPLES)
+                               / (_CONDITION_SAMPLES - 1)))
     for p, length in zip(profiles, lengths):
-        xs = _chebyshev_points(length, samples)
-        a = np.asarray(p.a(xs), dtype=float) + np.zeros(samples)
-        da = np.asarray(p.da(xs), dtype=float) + np.zeros(samples)
+        xs = length * cheb
+        a = np.asarray(p.a(xs), dtype=float) + np.zeros_like(xs)
+        da = np.asarray(p.da(xs), dtype=float) + np.zeros_like(xs)
         inf_a.append(float(np.min(a)))
         # d/dx (a^2) = 2 a a'
         d_a2_sup = float(np.max(np.abs(2.0 * a * da)))

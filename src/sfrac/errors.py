@@ -1,11 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of the function (e.g. log of a
-    nonpositive real quaternion)."""
-
-
 class ExprSyntaxError(ValueError):
     """Coefficient-expression parse failure.  Carries the byte offset of the
     first offending character in ``offset``."""

@@ -114,11 +114,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
-    def node_coordinates(self) -> np.ndarray:
-        """(N, dims) array in lexicographic (C-order) node order."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
     @cached_property
     def has_parity_null(self) -> bool:
         """True iff the composed second difference annihilates the alternating
@@ -136,13 +131,6 @@ class Grid:
             axis[::2] = 1.0
             zeta = np.multiply.outer(zeta, axis)
         return np.asarray(zeta)
-
-    def __eq__(self, other):
-        return (isinstance(other, Grid) and self.n == other.n
-                and self.domain.lengths == other.domain.lengths)
-
-    def __hash__(self):
-        return hash((self.n, self.domain.lengths))
 
     def __repr__(self):
         return f"Grid(n={self.n}, lengths={self.domain.lengths})"
@@ -256,13 +244,6 @@ class FaceField:
 
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
-
-
-def lincomb(coeffs, fields) -> QuatField:
-    acc = np.zeros_like(fields[0].components)
-    for c, f in zip(coeffs, fields):
-        acc += c * f.components
-    return QuatField(fields[0].grid, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -121,22 +121,11 @@ class SpectrumProbe:
     max_imag: largest imaginary residue of the raw eigenvalues of the dense
     L (nonsymmetric L can round off the real axis); 0.0 on positive sets,
     whose factorization gives a real spectrum.
-
-    Iterates like the plain list of real points.
     """
 
     points: tuple
     sphere_radii: tuple
     max_imag: float
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
 
 
 def s_spectrum_probe(ops: Operators) -> SpectrumProbe:

@@ -1,9 +1,7 @@
-"""Quaternion arithmetic and the intrinsic slice functions (log, real powers).
+"""Quaternion arithmetic, imaginary units and the left-multiplication table.
 
 Conventions: Hamilton multiplication table (e1*e2 = e3, e2*e3 = e1,
 e3*e1 = e2), components stored as (w, x, y, z) = scalar + e1,e2,e3 parts.
-The argument of a quaternion is arccos(w/|q|) in [0, pi], taken in the slice
-plane spanned by 1 and the normalized imaginary part.
 """
 
 from __future__ import annotations
@@ -12,10 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DomainError
-
-_REAL_AXIS_EPS = 0.0  # imaginary part exactly zero -> treated as real
 
 
 @dataclass(frozen=True)
@@ -55,12 +49,6 @@ class Quaternion:
             return self * other
         return qmul(_coerce(other), self)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        raise TypeError("quaternion division by quaternion is ambiguous; "
-                        "multiply by inverse() explicitly")
-
     # -- structure -------------------------------------------------------
     @property
     def conj(self) -> "Quaternion":
@@ -74,16 +62,6 @@ class Quaternion:
     @property
     def imag_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    @property
-    def is_real(self) -> bool:
-        return self.imag_norm == _REAL_AXIS_EPS
-
-    def inverse(self) -> "Quaternion":
-        m2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-        if m2 == 0.0:
-            raise ZeroDivisionError("inverse of zero quaternion")
-        return Quaternion(self.w / m2, -self.x / m2, -self.y / m2, -self.z / m2)
 
     def components(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -133,10 +111,6 @@ class ImaginaryUnit:
             object.__setattr__(self, "direction",
                                Quaternion(0.0, d.x / n, d.y / n, d.z / n))
 
-    @property
-    def quaternion(self) -> Quaternion:
-        return self.direction
-
     def scale(self, t: float) -> Quaternion:
         d = self.direction
         return Quaternion(0.0, d.x * t, d.y * t, d.z * t)
@@ -144,7 +118,6 @@ class ImaginaryUnit:
 
 J_E1 = ImaginaryUnit(E1)
 J_E2 = ImaginaryUnit(E2)
-J_E3 = ImaginaryUnit(E3)
 
 
 def unit_from_components(x: float, y: float, z: float) -> ImaginaryUnit:
@@ -152,64 +125,6 @@ def unit_from_components(x: float, y: float, z: float) -> ImaginaryUnit:
     if n == 0.0:
         raise ValueError("zero vector cannot define an imaginary unit")
     return ImaginaryUnit(Quaternion(0.0, x / n, y / n, z / n))
-
-
-@dataclass(frozen=True)
-class SliceDecomposition:
-    """p = p0 + axis*p1 with p1 >= 0."""
-
-    p0: float
-    p1: float
-    axis: ImaginaryUnit
-
-    def recompose(self) -> Quaternion:
-        return Quaternion(self.p0) + self.axis.scale(self.p1)
-
-
-def slice_decompose(p: Quaternion) -> SliceDecomposition:
-    """Split p into real part and modulus/axis of the imaginary part.
-
-    Real quaternions get the default axis e1 (any unit works; a fixed one
-    keeps results reproducible).
-    """
-    p1 = p.imag_norm
-    if p1 == 0.0:
-        return SliceDecomposition(p.w, 0.0, J_E1)
-    axis = ImaginaryUnit(Quaternion(0.0, p.x / p1, p.y / p1, p.z / p1))
-    return SliceDecomposition(p.w, p1, axis)
-
-
-def qexp(q: Quaternion) -> Quaternion:
-    """exp(q) = e^{q0} (cos|q_im| + unit(q_im) sin|q_im|)."""
-    r = math.exp(q.w)
-    v = q.imag_norm
-    if v == 0.0:
-        return Quaternion(r)
-    s = r * math.sin(v) / v
-    return Quaternion(r * math.cos(v), s * q.x, s * q.y, s * q.z)
-
-
-def qlog(s: Quaternion) -> Quaternion:
-    """Principal slice logarithm ln|s| + j_s * arccos(s0/|s|).
-
-    Defined on H minus the closed negative real half-line; on each slice
-    plane it restricts to the principal complex logarithm.
-    """
-    m = s.modulus
-    if m == 0.0:
-        raise DomainError("log undefined at 0")
-    d = slice_decompose(s)
-    if d.p1 == 0.0:
-        if s.w < 0.0:
-            raise DomainError("log undefined on the negative real half-line")
-        return Quaternion(math.log(s.w))
-    arg = math.acos(min(1.0, max(-1.0, s.w / m)))  # clamp absorbs rounding
-    return Quaternion(math.log(m)) + d.axis.scale(arg)
-
-
-def qpow(s: Quaternion, alpha: float) -> Quaternion:
-    """s**alpha = exp(alpha * log s) for real alpha; stays in the slice of s."""
-    return qexp(qlog(s) * alpha)
 
 
 def left_mult_table(u) -> np.ndarray:

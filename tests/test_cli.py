@@ -151,6 +151,17 @@ class TestSchemaRejection:
         assert "'j' was unexpected" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["n_sing", "n_tail"])
+    def test_node_count_above_512_exits_1(self, tmp_path, capsys, key):
+        # each node count costs a dense n x n eigh, doubled by verify
+        cfg = base_1d("palpha", alpha=0.5, quadrature={key: 513})
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: 513 is greater")
+        assert not out.exists()
+        cfg["quadrature"][key] = 512
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+
     # alpha = 1e-17 rounds alpha - 1 to -1; the rules at 1 - 2^-53, and the
     # doubled rule of verify at 1e-12, are out of double precision
     @pytest.mark.parametrize("task, alpha", [
@@ -255,6 +266,15 @@ class TestSpectrumTask:
 
     def test_reruns_above_dense_cap_are_bit_identical(self, tmp_path):
         assert_reruns_bit_identical(tmp_path, CONSTANT_72, "spectrum.json")
+
+    @pytest.mark.parametrize("coeff", ["exp(0.2*x/1e-06)",
+                                       "1+0.2*sin(x/1e-06)"])
+    def test_micrometre_box_coefficients_are_accepted(self, tmp_path, coeff):
+        # the derivative spot check runs in x/L, so a law written for a
+        # box of side 1e-6 passes it as its unit-box form does
+        cfg = base_1d("spectrum", n=15, length=1e-6, coeff=coeff)
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")]) == 0
 
 
 class TestPalphaTask:

@@ -231,11 +231,6 @@ class TestConditionReport:
         assert r.kappa_at(0.25) == 0.25
         assert r.kappa_at(4.0) == 1.0
 
-    def test_samples_floor(self):
-        with pytest.raises(ValueError):
-            check_conditions([constant_profile(1, 1.0, 1.0)], (1.0,),
-                             samples=32)
-
     def test_flat_dict_keys(self):
         r = check_conditions([constant_profile(1, 1.0, 1.0)], (1.0,))
         d = r.as_flat_dict()

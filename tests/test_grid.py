@@ -5,7 +5,7 @@ import pytest
 
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators, diff_axis,
-                        lincomb, norms)
+                        norms)
 from sfrac.coeff import constant_profile, make_profile
 from sfrac.quat import E1, E2, E3, Quaternion, left_mult_table
 from sfrac.resolvent import ResolventWorkspace
@@ -43,15 +43,6 @@ class TestDomainAndGrid:
         with pytest.raises(ValueError):
             Grid(BoxDomain((1.0, 1.0, 1.0)), (25, 25, 25))
 
-    def test_node_coordinates_c_order(self):
-        g = Grid(BoxDomain((1.0, 1.0)), (2, 3))
-        xy = g.node_coordinates()
-        assert xy.shape == (6, 2)
-        # last axis varies fastest
-        assert np.allclose(xy[0], (1 / 3, 1 / 4))
-        assert np.allclose(xy[1], (1 / 3, 2 / 4))
-        assert np.allclose(xy[3], (2 / 3, 1 / 4))
-
     def test_parity_null_flag(self):
         assert grid1d(9).has_parity_null
         assert not grid1d(10).has_parity_null
@@ -87,9 +78,9 @@ class TestFields:
         g = grid1d(7)
         a = QuatField.from_real(RealField.from_function(g, np.sin))
         b = QuatField.from_real(RealField.from_function(g, np.cos))
-        c = lincomb((2.0, -1.0), (a, b))
         d = 2.0 * a - b
-        assert np.array_equal(c.components, d.components)
+        assert np.array_equal(d.components,
+                              2.0 * a.components - b.components)
 
     def test_left_mul_pointwise(self):
         g = grid1d(4)

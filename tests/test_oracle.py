@@ -175,7 +175,7 @@ class TestProbe:
         probe = s_spectrum_probe(constant_operators(g))
         r = math.sqrt(0.5) / h
         expect = sorted([-r, -r, 0.0, 0.0, r, r])
-        assert len(probe) == 6
+        assert len(probe.points) == 6
         assert np.allclose(sorted(probe.points), expect, atol=1e-12)
         assert probe.sphere_radii == ()
         assert probe.max_imag == 0.0

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sfrac.errors import DomainError
 from sfrac.quat import (E1, E2, E3, ImaginaryUnit, J_E1, ONE, Quaternion,
-                        left_mul, left_mult_table, qexp, qlog, qmul, qpow,
-                        slice_decompose, unit_from_components)
+                        left_mul, left_mult_table, qmul, unit_from_components)
 
 
 def assert_close(a: Quaternion, b: Quaternion, tol=1e-12):
@@ -31,7 +29,7 @@ class TestAlgebra:
         assert p == Quaternion(2.0)
 
     def test_unit_imaginary_squares_to_minus_one(self):
-        j = unit_from_components(1.0, 1.0, 1.0).quaternion
+        j = unit_from_components(1.0, 1.0, 1.0).direction
         assert_close(qmul(j, j), Quaternion(-1.0), tol=1e-15)
 
     def test_modulus_multiplicative(self):
@@ -52,42 +50,6 @@ class TestAlgebra:
         q = Quaternion(1.0, -2.0, 3.0, 0.5)
         assert_close(qmul(q.conj, q), Quaternion(q.modulus ** 2), tol=1e-15)
 
-    def test_inverse(self):
-        q = Quaternion(2.0, 1.0, -1.0, 0.5)
-        assert_close(qmul(q, q.inverse()), ONE, tol=1e-15)
-        with pytest.raises(ZeroDivisionError):
-            Quaternion().inverse()
-
-    def test_quaternion_division_ambiguous(self):
-        with pytest.raises(TypeError):
-            E1 / E2
-        assert (E1 / 2.0) == Quaternion(0, 0.5, 0, 0)
-
-
-class TestSliceDecomposition:
-    def test_real_gets_default_axis(self):
-        d = slice_decompose(Quaternion(3.0))
-        assert (d.p0, d.p1) == (3.0, 0.0)
-        assert d.axis.quaternion == E1
-
-    def test_plain(self):
-        d = slice_decompose(Quaternion(1.0, 0.0, 2.0, 0.0))
-        assert (d.p0, d.p1) == (1.0, 2.0)
-        assert d.axis.quaternion == E2
-
-    def test_normalization(self):
-        d = slice_decompose(E1 + E3)
-        assert d.p0 == 0.0
-        assert math.isclose(d.p1, math.sqrt(2.0), rel_tol=1e-15)
-        assert_close(d.axis.quaternion, (E1 + E3) * (1 / math.sqrt(2)),
-                     tol=1e-15)
-
-    def test_recompose_exact(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            q = Quaternion(*rng.standard_normal(4))
-            assert_close(slice_decompose(q).recompose(), q, tol=1e-15)
-
 
 class TestImaginaryUnit:
     def test_rejects_scalar_part(self):
@@ -100,60 +62,11 @@ class TestImaginaryUnit:
 
     def test_renormalizes_subulp_residue(self):
         j = unit_from_components(1.0, 1.0, 1.0)
-        sq = qmul(j.quaternion, j.quaternion)
+        sq = qmul(j.direction, j.direction)
         assert abs(sq.w + 1.0) < 5e-16 and sq.imag_norm < 5e-16
 
     def test_scale(self):
         assert J_E1.scale(-2.5) == Quaternion(0, -2.5, 0, 0)
-
-
-class TestLogPow:
-    def test_log_of_one(self):
-        assert qlog(ONE) == Quaternion()
-
-    def test_log_of_e1(self):
-        assert_close(qlog(E1), E1 * (math.pi / 2), tol=1e-15)
-
-    def test_log_domain(self):
-        with pytest.raises(DomainError):
-            qlog(Quaternion(-2.0))
-        with pytest.raises(DomainError):
-            qlog(Quaternion())
-
-    def test_positive_reals_accepted(self):
-        assert_close(qlog(Quaternion(math.e)), ONE, tol=1e-15)
-
-    def test_exp_log_roundtrip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            s = Quaternion(*rng.standard_normal(4))
-            if s.is_real and s.w <= 0:
-                continue
-            assert_close(qexp(qlog(s)), s, tol=1e-12)
-
-    def test_pow_examples(self):
-        assert_close(qpow(Quaternion(4.0), 0.5), Quaternion(2.0))
-        assert_close(qpow(E1, 0.5), (ONE + E1) * (1 / math.sqrt(2)))
-        c = math.cos(math.pi / 4)
-        assert_close(qpow(-E2, 0.5), Quaternion(c, 0, -c, 0))
-
-    def test_pow_identity_exponent(self):
-        s = Quaternion(0.3, -0.4, 1.1, 0.2)
-        assert_close(qpow(s, 1.0), s, tol=1e-14)
-
-    def test_pow_additivity(self):
-        s = Quaternion(0.5, 1.0, -2.0, 0.25)
-        lhs = qmul(qpow(s, 0.3), qpow(s, 0.45))
-        assert_close(lhs, qpow(s, 0.75), tol=1e-12)
-
-    def test_axial_symmetry(self):
-        # same (p0, p1) but rotated axis -> same (p0, p1) after any power
-        base = slice_decompose(qpow(Quaternion(0.2, 1.5, 0, 0), 0.6))
-        for axis in (E2, E3, (E1 + E2) * (1 / math.sqrt(2))):
-            s = Quaternion(0.2) + axis * 1.5
-            d = slice_decompose(qpow(s, 0.6))
-            assert math.isclose(d.p0, base.p0, rel_tol=1e-14)
-            assert math.isclose(d.p1, base.p1, rel_tol=1e-14)
 
 
 class TestLeftMultTable:

@@ -7,10 +7,12 @@ amplitude 1e9, two configs rejected with exit 1 (a `quadrature.j` key, an
 alpha of 1 - 2^-53), forced sets with a sample <= 0 (one of them exactly 0
 on the parity null mode, which exits 1), Crank-Nicolson on a 6x5 and on an
 all-odd 7x9 grid, RK4 with `beta_mode`, a blocked Crank-Nicolson run on the
-2D 16^2 shape of the `evolve-2d` benchmark and an evolve on a box of side
-1e-6.  It prints one `path sha256` line per artifact, plus one `case exit N`
-line per run, so that a diff of the output of two source trees shows every
-byte that changed:
+2D 16^2 shape of the `evolve-2d` benchmark, an evolve and a spectrum on a
+box of side 1e-6 (the spectrum with a coefficient written in units of that
+side) and a palpha with more quadrature nodes than the schema allows
+(exit 1).  It prints one `path sha256` line per artifact, plus one
+`case exit N` line per run, so that a diff of the output of two source
+trees shows every byte that changed:
 
     python tools/artifact_digests.py > change.txt
     python tools/artifact_digests.py --src OTHER_TREE/src > parent.txt
@@ -119,6 +121,12 @@ def cases():
                 _box("evolve", (15,), None, lengths=(1e-6,), alpha=0.5,
                      time={"dt": 1e-12, "t_end": 1e-11,
                            "snapshot_every": 5}), False))
+    out.append(("spectrum/1d-micrometre-exp",
+                _box("spectrum", (15,), ("exp(0.2*x/1e-06)",),
+                     lengths=(1e-6,)), False))
+    out.append(("palpha/1d-n-sing-513",
+                _box("palpha", (12,), VARIABLE[:1], alpha=0.7,
+                     quadrature={"n_sing": 513}), False))
     return out
 
 
