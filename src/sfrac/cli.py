@@ -1,13 +1,13 @@
 """Command-line front end: JSON config in, CSV/JSON artifacts out.
 
-Exit codes: 0 success; 1 config/schema/expression error or an alpha too
-close to 0 or 1 for the quadrature rule (both before any numerical work), or
-an unusable output directory; 2 hypothesis conditions failed (unless
---force), checked by `gate_conditions` once in each task that needs them and
-nowhere in the library; 4 verification failure.  The coefficients pick the
-Q_t factorization and the spectrum of L the quadrature split (see the
-resolvent and frac modules), and no result depends on the imaginary unit of
-the path, so no config key chooses any of them.
+Exit codes: 0 success; 1 config/schema/expression error (64.0 for an integer
+key, a non-finite number, over 10^6 evolve steps, an alpha too close to 0 or 1
+for the rule: all before any numerical work) or an unusable output directory;
+2 hypothesis conditions failed (unless --force), checked by `gate_conditions`
+once in each task that needs them and nowhere in the library; 4 verification
+failure.  The coefficients pick the Q_t factorization and the spectrum of L
+the quadrature split (see the resolvent and frac modules), and no result
+depends on the imaginary unit of the path, so no config key chooses them.
 
 Determinism contract: at a fixed BLAS thread count, identical config
 produces bit-identical output files — fixed quadrature reduction order,
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import logging
@@ -28,7 +27,6 @@ import os
 import sys
 import time
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -105,25 +103,47 @@ SCHEMA = {
 }
 
 
-@functools.cache
-def _config_validator():
-    """The validator of SCHEMA, built and meta-checked once per process on
-    first use (jsonschema.validate repeats both on every call)."""
-    cls = jsonschema.validators.validator_for(SCHEMA)
-    cls.check_schema(SCHEMA)
-    return cls(SCHEMA)
-
-
-def _validate_config(cfg: dict):
-    """jsonschema.validate(cfg, SCHEMA): raises the same best-match error."""
-    error = jsonschema.exceptions.best_match(
-        _config_validator().iter_errors(cfg))
-    if error is not None:
-        raise error
-
-
 class ConfigError(ValueError):
     """Config is syntactically valid JSON but semantically unusable."""
+
+
+# JSON Schema's types, but a number is finite and an integer an int (not 64.0)
+_TYPES = {"number": ((int, float), "a finite number"),
+          "integer": (int, "an integer"), "string": (str, "a string"),
+          "boolean": (bool, "a boolean"), "array": (list, "an array"),
+          "object": (dict, "an object")}
+_RULES = {"enum": (lambda v, b: v not in b, "is not one of"),
+          "minimum": (lambda v, b: v < b, "is below the minimum"),
+          "maximum": (lambda v, b: v > b, "is above the maximum"),
+          "exclusiveMinimum": (lambda v, b: v <= b, "is not above"),
+          "exclusiveMaximum": (lambda v, b: v >= b, "is not below"),
+          "minItems": (lambda v, b: len(v) < b, "has fewer items than"),
+          "maxItems": (lambda v, b: len(v) > b, "has more items than")}
+
+
+def _validate_config(value, schema=SCHEMA, where="config"):
+    """Raise ConfigError at value's first break of schema, in document
+    order, naming the key path and the rule.  Reads only the keywords
+    SCHEMA uses (with the types of _TYPES), and every object is closed."""
+    def broken(rule):
+        return ConfigError(f"{where}: {json.dumps(value)} {rule}")
+    kind = schema.get("type")
+    if kind and not (isinstance(value, _TYPES[kind][0])
+                     and isinstance(value, bool) == (kind == "boolean")
+                     and (kind != "number" or abs(value) < math.inf)):
+        raise broken(f"is not {_TYPES[kind][1]}")
+    for key, (breaks, rule) in _RULES.items():
+        if key in schema and breaks(value, schema[key]):
+            raise broken(f"{rule} {schema[key]}")
+    for i, item in enumerate(value if "items" in schema else ()):
+        _validate_config(item, schema["items"], f"{where}[{i}]")
+    for key, item in (value.items() if kind == "object" else ()):
+        if key not in schema["properties"]:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        _validate_config(item, schema["properties"][key], f"{where}.{key}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise ConfigError(f"{where}: missing required key {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +420,7 @@ def _run(args) -> tuple[str | None, int]:
         with open(args.config) as fh:
             cfg = json.load(fh)
         _validate_config(cfg)
-    except (OSError, json.JSONDecodeError,
-            jsonschema.ValidationError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8; ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
 

@@ -415,8 +415,8 @@ def _is_constant(e: Expr) -> bool:
 def make_profile(axis: int, text: str, length: float) -> CoefficientProfile:
     """Parse a coefficient expression and attach its symbolic derivative.
 
-    The derivative is spot-checked against central finite differences at a
-    few interior points so a bad rule cannot slip into the hypothesis
+    The derivative is spot-checked against a five-point central difference
+    at a few interior points so a bad rule cannot slip into the hypothesis
     constants silently.  It runs in y = x/length, so it means the same on
     any box: |L a' - (difference quotient in y)| <= 1e-6*(1+|L a'|).
     """
@@ -426,8 +426,9 @@ def make_profile(axis: int, text: str, length: float) -> CoefficientProfile:
     h = 1e-6 * length  # a step of 1e-6 in y
     sym = length * (np.asarray(evaluate(dexpr, x=xs), dtype=float)
                     + np.zeros_like(xs))
-    fd = (np.asarray(evaluate(expr, x=xs + h), dtype=float)
-          - np.asarray(evaluate(expr, x=xs - h), dtype=float)) / 2e-6
+    f = {k: np.asarray(evaluate(expr, x=xs + k * h), dtype=float)
+         for k in (-2, -1, 1, 2)}
+    fd = (8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / 12e-6
     if np.max(np.abs(sym - fd) / (1.0 + np.abs(sym))) > 1e-6:
         raise EvalError(f"symbolic derivative of {text!r} disagrees with "
                         "finite differences")

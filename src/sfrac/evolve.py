@@ -47,6 +47,8 @@ _RK4_REAL_LIMIT = 2.785
 # magnitude: ~1000x the rounding of the parity null mode (<= 1.3e-15)
 _DISSIPATIVITY_TOL = 1e-12
 _MAX_BLOCK_LOG2 = 6
+# the trace holds ~115 bytes per step, so 10^6 steps take ~115 MB
+_MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,9 @@ class EvolutionConfig:
             raise ValueError("dt and t_end must be positive")
         if self.dt >= self.t_end:
             raise ValueError("dt must be smaller than t_end")
+        if self.t_end / self.dt > _MAX_STEPS:
+            raise ValueError(f"t_end / dt = {self.t_end / self.dt:.6g} "
+                             f"steps, above the cap of {_MAX_STEPS}")
         if self.scheme not in ("explicit-rk4", "crank-nicolson"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.snapshot_every < 0:

@@ -147,8 +147,8 @@ class ResolventWorkspace:
     def _solve_spectral(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
         # one forward transform of the K rows, the M symbols, one inverse
         # transform of the M K products; an all-zero row maps to exact
-        # zeros, so only the others are transformed (basis right-hand sides
-        # are mostly zero rows)
+        # zeros, so only the others are transformed (the zero components of
+        # T v for a real v)
         live = rhs.any(axis=1)
         m = len(self._t2)
         out = np.zeros((m, *rhs.shape))

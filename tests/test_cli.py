@@ -6,11 +6,14 @@ contracts (CSV headers, shortest round-trip decimals, flat JSON reports,
 bit-identical reruns).
 """
 
+import copy
 import io
 import json
 import logging
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,7 +23,8 @@ import numpy as np
 import pytest
 
 import sfrac
-from sfrac.cli import SCHEMA, _write_fields_csv, main
+from sfrac.cli import (SCHEMA, ConfigError, _validate_config,
+                       _write_fields_csv, main)
 from sfrac.coeff import make_profile
 from sfrac.frac import QuadratureSpec, apply_P_alpha
 from sfrac.grid import BoxDomain, Grid, Operators, QuatField, RealField
@@ -94,10 +98,15 @@ class TestSchemaRejection:
     def test_unknown_task_exits_1(self, tmp_path):
         assert main([write_cfg(tmp_path, base_1d("frobnicate"))]) == 1
 
-    def test_malformed_json_exits_1(self, tmp_path):
+    def test_malformed_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main([str(path)]) == 1
+        # not UTF-8: this ended in a UnicodeDecodeError traceback
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line[:7] for line in lines] == ["error: "] * 2
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main([str(tmp_path / "absent.json")]) == 1
@@ -108,22 +117,23 @@ class TestSchemaRejection:
         cfg["domain"]["lengths"] = [1.0, 2.0]
         assert main([write_cfg(tmp_path, cfg)]) == 1
 
-    @pytest.mark.parametrize("bad", [
-        {"grid": {"n": [0]}},
-        {"alpha": 1.5},
-        {"solver": {"method": "magic"}},
-        # two errors: the best match is not the first one found
-        {"domain": {"dims": 5, "lengths": [1.0]}, "alpha": 1.5},
-    ])
-    def test_message_is_that_of_jsonschema_validate(self, tmp_path, capsys,
-                                                    bad):
+    @pytest.mark.parametrize("bad, message", [
+        ({"grid": {"n": [0]}}, "config.grid.n[0]: 0 is below the minimum 1"),
+        ({"alpha": 1.5}, "config.alpha: 1.5 is not below 1"),
+        ({"solver": {"method": "magic"}}, "config: unknown key 'solver'"),
+        # two errors: the first in document order is reported
+        ({"domain": {"dims": 5, "lengths": [1.0]}, "alpha": 1.5},
+         "config.domain.dims: 5 is above the maximum 3"),
+    ], ids=["n-zero", "alpha-above-1", "unknown-key", "two-errors"])
+    def test_message_names_the_key_and_the_rule(self, tmp_path, capsys, bad,
+                                                message):
         cfg = base_1d("palpha")
         cfg.update(bad)
-        with pytest.raises(jsonschema.ValidationError) as exc:
-            jsonschema.validate(cfg, SCHEMA)
-        for _ in range(2):  # the cached validator answers the same twice
-            assert main([write_cfg(tmp_path, cfg)]) == 1
-            assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert not jsonschema.Draft202012Validator(SCHEMA).is_valid(cfg)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_threads_below_one_exits_1(self, tmp_path):
         cfg = base_1d("check")
@@ -133,14 +143,16 @@ class TestSchemaRejection:
         # the coefficients pick the Q_t factorization; no key chooses it
         cfg = base_1d("palpha", alpha=0.5, solver={"method": "dense"})
         assert main([write_cfg(tmp_path, cfg)]) == 1
-        assert "'solver' was unexpected" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: config: unknown key "
+                                           "'solver'\n")
 
     def test_t_split_key_exits_1(self, tmp_path, capsys):
         # the quadrature split follows the spectrum of L; no key sets it
         cfg = base_1d("verify", quadrature={"t_split": 0.5})
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
-        assert "'t_split' was unexpected" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: config.quadrature: "
+                                           "unknown key 't_split'\n")
         assert not out.exists()
 
     def test_j_key_exits_1(self, tmp_path, capsys):
@@ -148,7 +160,8 @@ class TestSchemaRejection:
         cfg = base_1d("verify", quadrature={"j": "e3"})
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
-        assert "'j' was unexpected" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: config.quadrature: "
+                                           "unknown key 'j'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["n_sing", "n_tail"])
@@ -157,10 +170,53 @@ class TestSchemaRejection:
         cfg = base_1d("palpha", alpha=0.5, quadrature={key: 513})
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: 513 is greater")
+        assert capsys.readouterr().err == (
+            f"error: config.quadrature.{key}: 513 is above the maximum 512\n")
         assert not out.exists()
         cfg["quadrature"][key] = 512
         assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+
+    # JSON Schema counts 64.0 as an integer; the node counts then crashed in
+    # gauss_jacobi and snapshot_every in evolve, with a traceback
+    @pytest.mark.parametrize("block, key, value, where", [
+        ("domain", "dims", 1.0, "domain.dims"),
+        ("grid", "n", [15.0], "grid.n[0]"),
+        ("quadrature", "n_sing", 64.0, "quadrature.n_sing"),
+        ("quadrature", "n_tail", 64.0, "quadrature.n_tail"),
+        ("time", "snapshot_every", 2.0, "time.snapshot_every"),
+    ], ids=["dims", "n", "n_sing", "n_tail", "snapshot_every"])
+    def test_integral_float_for_an_integer_key_exits_1(self, tmp_path,
+                                                       capsys, block, key,
+                                                       value, where):
+        cfg = base_1d("evolve", alpha=0.5, quadrature={},
+                      time={"dt": 0.1, "t_end": 0.3})
+        cfg[block][key] = value
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        shown = 15.0 if key == "n" else value
+        assert capsys.readouterr().err == (
+            f"error: config.{where}: {shown} is not an integer\n")
+        assert not out.exists()
+
+    # json.load reads NaN and +-Infinity; JSON Schema lets them through
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("path", ["domain.lengths", "alpha", "time.dt",
+                                      "time.t_end"])
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, path, text):
+        cfg = base_1d("evolve", alpha=0.5, time={"dt": 0.1, "t_end": 0.3})
+        value = float(text.replace("Infinity", "inf"))
+        if path == "alpha":
+            cfg["alpha"] = value
+        elif path == "domain.lengths":
+            cfg["domain"]["lengths"] = [value]
+        else:
+            cfg["time"][path[5:]] = value
+        where = "config." + path + ("[0]" if path == "domain.lengths" else "")
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where}: {text} is not a finite number\n")
+        assert not out.exists()
 
     # alpha = 1e-17 rounds alpha - 1 to -1; the rules at 1 - 2^-53, and the
     # doubled rule of verify at 1e-12, are out of double precision
@@ -202,6 +258,103 @@ class TestSchemaRejection:
         assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
         assert "conditions" not in capsys.readouterr().err
         assert os.listdir(out) == []
+
+
+# every key of SCHEMA, each with a valid value
+FULL_CONFIG = {
+    "domain": {"dims": 3, "lengths": [1.0, 1.3, 0.8]},
+    "grid": {"n": [8, 6, 4]},
+    "coefficients": ["1", "1+0.1*x", "exp(0.2*x)"],
+    "alpha": 0.5,
+    "quadrature": {"n_sing": 64, "n_tail": 4},
+    "task": "evolve",
+    "initial": "x",
+    "time": {"dt": 0.1, "t_end": 1.0, "scheme": "crank-nicolson",
+             "snapshot_every": 2, "beta_mode": False},
+    "output": {"dir": "out"},
+}
+# replacement values, half of them numbers: the bounds of SCHEMA and either
+# side of them, integral and non-finite floats; and every other JSON type
+NUMBERS = [-1, 0, 1, 2, 3, 4, 512, 513, 10 ** 400, -0.5, 0.0, 0.5, 1.0, 1.5,
+           64.0, 1e-300, math.nan, math.inf, -math.inf]
+OTHERS = [True, False, None, "check", "palpha", "explicit-rk4", "x", "", [],
+          [1], [0.5], [1.0, 2.0, 3.0, 4.0], ["1"], {}, {"dir": "x"},
+          {"n": [4]}]
+
+
+def mutate(cfg, rng):
+    """cfg after one random edit at a random node: a value replaced, a key
+    deleted or added, a list item appended or removed, or a list or an
+    object emptied."""
+    nodes = [(None, None)]  # (container, key); (None, None) is the root
+    stack = [cfg] if isinstance(cfg, (dict, list)) else []
+    while stack:
+        box = stack.pop()
+        for key in (box if isinstance(box, dict) else range(len(box))):
+            nodes.append((box, key))
+            if isinstance(box[key], (dict, list)):
+                stack.append(box[key])
+    box, key = rng.choice(nodes)
+    value = copy.deepcopy(rng.choice(rng.choice([NUMBERS, OTHERS])))
+    edit = rng.randrange(4)
+    if box is None:
+        return value if edit == 0 else cfg
+    if edit == 3 and isinstance(box[key], (dict, list)):
+        box[key].clear()
+    elif edit in (0, 3):
+        box[key] = value
+    elif edit == 1:
+        del box[key]
+    elif isinstance(box, dict):
+        box[rng.choice(["surprise", "solver", "j", "dir", "n"])] = value
+    else:
+        box.append(value)
+    return cfg
+
+
+def has_integral_or_non_finite_float(value):
+    if isinstance(value, (dict, list)):
+        items = value.values() if isinstance(value, dict) else value
+        return any(has_integral_or_non_finite_float(v) for v in items)
+    return isinstance(value, float) and (value.is_integer()
+                                         or not math.isfinite(value))
+
+
+class TestConfigChecker:
+    def test_agrees_with_jsonschema_on_mutated_configs(self):
+        # the checker against jsonschema on SCHEMA: the same verdict once
+        # its types are the checker's (a finite number, an int integer),
+        # and a different one only where the config holds an integral or a
+        # non-finite float
+        strict_types = jsonschema.Draft202012Validator.TYPE_CHECKER \
+            .redefine_many({
+                "integer": lambda _, v: (isinstance(v, int)
+                                         and not isinstance(v, bool)),
+                "number": lambda _, v: (isinstance(v, (int, float))
+                                        and not isinstance(v, bool)
+                                        and abs(v) < math.inf)})
+        strict = jsonschema.validators.extend(
+            jsonschema.Draft202012Validator, type_checker=strict_types)(SCHEMA)
+        plain = jsonschema.Draft202012Validator(SCHEMA)
+        verdicts = []
+        for seed in range(2000):
+            rng = random.Random(seed)
+            cfg = copy.deepcopy(FULL_CONFIG)
+            for _ in range(rng.randint(1, 2)):
+                cfg = mutate(cfg, rng)
+            try:
+                _validate_config(cfg)
+                ok = True
+            except ConfigError as exc:
+                ok = False
+                assert re.fullmatch(r"config[^:\n]*: [^\n]+", str(exc))
+            assert ok == strict.is_valid(cfg), (seed, cfg)
+            if ok != plain.is_valid(cfg):
+                assert has_integral_or_non_finite_float(cfg), (seed, cfg)
+            verdicts.append((ok, plain.is_valid(cfg)))
+        # both verdicts are common, and the stricter types do bite
+        assert 200 < sum(ok for ok, _ in verdicts) < 1800
+        assert (False, True) in verdicts
 
 
 class TestCheckTask:
@@ -273,6 +426,17 @@ class TestSpectrumTask:
         # the derivative spot check runs in x/L, so a law written for a
         # box of side 1e-6 passes it as its unit-box form does
         cfg = base_1d("spectrum", n=15, length=1e-6, coeff=coeff)
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("coeff, length", [("1+0.2*sin(3000*x)", 1.0),
+                                               ("1+0.2*sin(3*x)", 1e3)])
+    def test_fast_coefficient_derivative_is_accepted(self, tmp_path, coeff,
+                                                     length):
+        # kL = 3000: the derivative spot check's gap is 1.5e-6 with a
+        # two-point difference, above its 1e-6 limit, and at most 1.3e-10
+        # with the five-point one
+        cfg = base_1d("spectrum", n=15, length=length, coeff=coeff)
         assert main([write_cfg(tmp_path, cfg), "--out",
                      str(tmp_path / "out")]) == 0
 
@@ -464,7 +628,10 @@ class TestEvolveTask:
 
     @pytest.mark.parametrize("bad", [
         {"time": {"dt": 0.3, "t_end": 0.3}},
-        {"time": {"dt": 0.1, "t_end": 0.3}, "initial": "sin("}])
+        {"time": {"dt": 0.1, "t_end": 0.3}, "initial": "sin("},
+        # 2e6 steps, above the cap: ~115 bytes a step held 235 MB and wrote
+        # a 78 MB trace.csv
+        {"time": {"dt": 5e-7, "t_end": 1.0}}])
     def test_config_errors_exit_1_before_the_generator(self, tmp_path,
                                                        monkeypatch, bad):
         from sfrac import cli
@@ -723,3 +890,13 @@ class TestImports:
              *paths], env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+    def test_cli_import_loads_no_jsonschema(self):
+        src = os.path.dirname(os.path.dirname(sfrac.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sfrac.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

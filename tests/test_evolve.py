@@ -128,6 +128,10 @@ class TestEvolutionConfig:
             EvolutionConfig(dt=0.01, t_end=1.0, scheme="euler")
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.01, t_end=1.0, snapshot_every=-1)
+        # at most 10^6 steps (both ratios are exact in binary)
+        EvolutionConfig(dt=0.5, t_end=5e5)
+        with pytest.raises(ValueError, match="above the cap of 1000000"):
+            EvolutionConfig(dt=0.5, t_end=500000.5)
 
 
 class TestEvolve:

@@ -9,10 +9,12 @@ on the parity null mode, which exits 1), Crank-Nicolson on a 6x5 and on an
 all-odd 7x9 grid, RK4 with `beta_mode`, a blocked Crank-Nicolson run on the
 2D 16^2 shape of the `evolve-2d` benchmark, an evolve and a spectrum on a
 box of side 1e-6 (the spectrum with a coefficient written in units of that
-side) and a palpha with more quadrature nodes than the schema allows
-(exit 1).  It prints one `path sha256` line per artifact, plus one
-`case exit N` line per run, so that a diff of the output of two source
-trees shows every byte that changed:
+side), a palpha with more quadrature nodes than the schema allows, one with
+a node count of 64.0 and one with a NaN length, an evolve of 2e6 steps (all
+four exit 1), and a spectrum on `1+0.2*sin(3000*x)`.  It prints one `path
+sha256` line per artifact, plus one `case exit N` line per run (`case raised
+ERROR` when the run ends in an exception), so that a diff of the output of
+two source trees shows every byte that changed:
 
     python tools/artifact_digests.py > change.txt
     python tools/artifact_digests.py --src OTHER_TREE/src > parent.txt
@@ -127,6 +129,21 @@ def cases():
     out.append(("palpha/1d-n-sing-513",
                 _box("palpha", (12,), VARIABLE[:1], alpha=0.7,
                      quadrature={"n_sing": 513}), False))
+    # rejected by the config checker (exit 1): an integral float for an
+    # integer key and a NaN length
+    out.append(("palpha/1d-n-sing-float",
+                _box("palpha", (12,), VARIABLE[:1], alpha=0.7,
+                     quadrature={"n_sing": 64.0}), False))
+    out.append(("palpha/1d-nan-length",
+                _box("palpha", (12,), None, lengths=(float("nan"),),
+                     alpha=0.7), False))
+    # 2e6 steps, above the 10^6 step cap (exit 1)
+    out.append(("evolve/1d-2e6-steps",
+                _box("evolve", (4,), None, alpha=0.5,
+                     time={"dt": 5e-7, "t_end": 1.0}), False))
+    # kL = 3000: the derivative spot check needs its five-point difference
+    out.append(("spectrum/1d-fast-sine",
+                _box("spectrum", (15,), ("1+0.2*sin(3000*x)",)), False))
     return out
 
 
@@ -151,9 +168,12 @@ def main(argv=None) -> int:
                 json.dump(cfg, fh)
             argv = [cfg_path, "--out", out_dir] + (["--force"] if forced
                                                      else [])
-            with contextlib.redirect_stderr(io.StringIO()):
-                code = sfrac_main(argv)
-            print(f"{name} exit {code}")
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = f"exit {sfrac_main(argv)}"
+            except Exception as exc:  # a traceback, not an exit code
+                code = f"raised {type(exc).__name__}"
+            print(f"{name} {code}")
             for fname in sorted(os.listdir(out_dir)):
                 if fname == "config.json.in":
                     continue
