@@ -107,7 +107,8 @@ class ConfigError(ValueError):
     """Config is syntactically valid JSON but semantically unusable."""
 
 
-# JSON Schema's types, but a number is finite and an integer an int (not 64.0)
+# JSON Schema's types, but a number is finite as a float (so no NaN, infinity
+# or int beyond the largest float) and an integer an int (not 64.0)
 _TYPES = {"number": ((int, float), "a finite number"),
           "integer": (int, "an integer"), "string": (str, "a string"),
           "boolean": (bool, "a boolean"), "array": (list, "an array"),
@@ -130,7 +131,8 @@ def _validate_config(value, schema=SCHEMA, where="config"):
     kind = schema.get("type")
     if kind and not (isinstance(value, _TYPES[kind][0])
                      and isinstance(value, bool) == (kind == "boolean")
-                     and (kind != "number" or abs(value) < math.inf)):
+                     and (kind != "number"
+                          or abs(value) <= sys.float_info.max)):
         raise broken(f"is not {_TYPES[kind][1]}")
     for key, (breaks, rule) in _RULES.items():
         if key in schema and breaks(value, schema[key]):
@@ -336,9 +338,9 @@ def _task_verify(cfg, out_dir, force):
     record("known_integral", abs(acc - math.pi / math.sqrt(2.0)), 1e-10)
 
     # base: the production route (the symbol route unless a coefficient
-    # sample <= 0 sends it to the node engine), its symbols computed once
-    # for it and the certificate; references: the left-form node engine at
-    # three imaginary units, one pass over the nodes
+    # sample <= 0 sends it to the node engine's reduced sum), its symbols
+    # computed once for it and the certificate; references: the left-form
+    # node engine at three imaginary units, one pass over the nodes
     syms = (symbols(spec, ops.spectral.eigenvalues()) if ops.is_positive
             else None)
     base = apply_P_alpha(spec, ops, v0, syms=syms)
@@ -346,14 +348,14 @@ def _task_verify(cfg, out_dir, force):
     lefts = reference_P_alpha(
         spec, ops, v0, (J_E1, J_E2, unit_from_components(1.0, 1.0, 1.0)))
     gaps = [(left.full - base.full).l2() / denom for left in lefts]
-    leaks = [base.j_leak] + [left.j_leak for left in lefts]
+    leaks = [left.j_leak for left in lefts]
     record("left_right_gap", gaps[0], 1e-10)
     record("j_independence", max(gaps[1:]), 1e-10)
 
     r2 = apply_P_alpha(doubled, ops, v0)
     record("quadrature_doubling", (r2.full - base.full).l2() / denom, 1e-8)
 
-    # the engines' absolute max-norm gaps, relative to the result's max-norm
+    # the left passes' max-norm leaks, relative to the result's max-norm
     record("j_leak",
            max(leaks) / max(np.max(np.abs(base.full.components)), 1e-300),
            1e-9)

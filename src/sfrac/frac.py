@@ -21,25 +21,25 @@ symbols of L (`symbols`):
     f_1(lambda) = -(sin(theta)/pi) sum_i c_i t_i / (t_i^2 + lambda),
     f_2(lambda) =  (cos(theta)/pi) sum_i c_i lambda / (t_i^2 + lambda).
 
-That is the production route of `apply_P_alpha` (right form, every
-coefficient sample positive): one pass over the eigenvalue array and two
-applications of the per-axis factorization of L, whatever the node count.
-Its result is the reduced form, so it cannot leak off the j-free span.
+That is the production route of `apply_P_alpha` (every coefficient sample
+positive): one pass over the eigenvalue array and two applications of the
+per-axis factorization of L, whatever the node count.  Its result is the
+reduced form, so it cannot leak off the j-free span.
 `build_matrix` gives the evolution its one dense matrix, F = f_1(L), from
 one application of f_1 to the identity; on a real v the flux channel is
 vec[l] = F A_l v, and `evolve.generator` applies the stencils to F.
 
-The quaternionic node engine (`_node_engine`) is the reference: one pass
-over the same nodes (`_nodes`, the rule `symbols` sums) in blocks, each
-block one resolvent solve u1 = Q_t^{-1} T v for all its nodes and one T u1.
-Since neither depends on j, one pass serves several imaginary units: per
-unit it accumulates the naive quaternionic pair sum of the right or left
-form node by node, and reports its gap to the reduced form as the j_leak
-diagnostic instead of projecting it away.  Its right form at e1 serves
-`apply_P_alpha` on a coefficient set with a sample <= 0 (where L has no
-spectral factorization and each Q_t gets a dense LU); its left form is
-`reference_P_alpha`, which `verify` compares, at three units from one
-pass, with the production route.
+The quaternionic node engine (`_node_engine`) evaluates the integrand node
+by node: one pass over the same nodes (`_nodes`, the rule `symbols` sums)
+in blocks, each block one resolvent solve u1 = Q_t^{-1} T v for all its
+nodes, one T u1 and the reduced pair, summed over the nodes.  That sum is
+`apply_P_alpha` on a coefficient set with a sample <= 0, where L has no
+spectral factorization and each Q_t gets a dense LU.  Since u1 and T u1 do
+not depend on j, the same pass serves several imaginary units: per unit it
+accumulates the naive quaternionic pair sum of the left form node by node,
+and reports its gap to the reduced form as the j_leak diagnostic instead
+of projecting it away.  That is `reference_P_alpha`, which `verify`
+compares, at three units from one pass, with the production route.
 Its work is array-wide: the stacks of a block are flat, (nodes, 4, N),
 allocated once per pass and reused by every block and unit; each
 quaternion product is a scaling plus one matmul of a 4x4 left table over
@@ -68,12 +68,10 @@ nodes are within 4.5e-16 and the weights within 4.4e-13 (n = 64) and
 1.5e-12 (n = 128) relative; the moments sum w (1+x)^k, k < 2n, are exact
 to 5e-14 relative for n <= 128.
 
-The right-resolvent integrand is evaluated at every node as
-
-    s^{alpha-1} ( conj(s) Q_t^{-1}(T v) - T Q_t^{-1}(T v) ),
-
-which near t = 0 equals the bounded form s^{alpha-1}(-Q_t^{-1}(T^2 v) -
-s Q_t^{-1}(T v)) of the splitting identity s^{alpha-1}(s S_R^{-1}(s,T) v -
+Every route builds its integrand from u1 = Q_t^{-1}(T v) and T u1.  The
+right-resolvent integrand s^{alpha-1}(conj(s) u1 - T u1), whose pair the
+reduction sums, equals near t = 0 the bounded form s^{alpha-1}(-Q_t^{-1}
+(T^2 v) - s u1) of the splitting identity s^{alpha-1}(s S_R^{-1}(s,T) v -
 v), since conj(s) = -s and T commutes with Q_t (`integrand_form_gap`
 measures the two against each other).  The raw identity would feed Q^{-1}
 the unfiltered v, whose parity-null component is amplified by 1/t^2 on
@@ -130,11 +128,11 @@ class FracApplyResult:
     With the collocated `Operators` (the default): full = scal + sum_l
     vec[l] e_l componentwise by construction, with three vec entries; j_leak
     is the node engine's accumulated max-norm gap between the naive
-    quaternionic pair sum and its analytic j-free reduction (thresholded by
-    callers, not here), and 0.0 on the symbol route, which is that
-    reduction.  That scheme reproduces the discrete identities exactly but
-    does not converge to the continuum channels on real inputs (see the grid
-    module).
+    quaternionic left pair sum and its analytic j-free reduction
+    (`reference_P_alpha`; thresholded by callers, not here), and 0.0 from
+    `apply_P_alpha`, which sums that reduction on every route.  That scheme
+    reproduces the discrete identities exactly but does not converge to the
+    continuum channels on real inputs (see the grid module).
 
     With `StaggeredOperators`: scal lives on the nodes and vec holds one
     `FaceField` per grid axis, on the faces normal to it, so full is None
@@ -277,27 +275,25 @@ def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
 
 
 # ---------------------------------------------------------------------------
-# Reference node engine.  Fields travel as arrays shaped (4, *grid.n), a
+# Quaternionic node engine.  Fields travel as arrays shaped (4, *grid.n), a
 # block of nodes as stacks shaped (nodes, 4, *grid.n).
 
 def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
-                 units, form: str):
-    """Per-node quaternionic quadrature of comps (4,*n) at each imaginary
-    unit j of units, in the right or left form: the route of apply_P_alpha
-    on a coefficient sample <= 0 (right form at e1) and of
-    reference_P_alpha (left form).  Returns one (result (4,*n), j_leak
-    float) per unit.
+                 units):
+    """Per-node quaternionic quadrature of comps (4,*n): the route of
+    apply_P_alpha on a coefficient sample <= 0 (units empty) and of
+    reference_P_alpha.  Returns (reduced (4,*n), [(left (4,*n), j_leak
+    float) per imaginary unit j of units]).
 
     Each node solves u1 = Q_t^{-1} T v once (T v lies in the range of the
     A_l, so its parity-mode coefficient is exactly zero; Q_t depends on
     |s| = t alone, so the solve serves every unit) and forms T u1 and the
-    j-free reduction 2 sin(theta) t u1 - 2 cos(theta) T u1.  With s_+- =
-    -+ j t and s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- = cos(theta) -+ j
-    sin(theta), the naive pair sum of each unit (t^{alpha-1} left to the
-    node weight c) is
-      right: sum_{+-} e_+- (conj(s_+-) u1 - T u1),
-      left:  sum_{+-} conj(s_+-) e_+- u1 - T(e_+- u1),
-    evaluated quaternionically at every node; both reduce to the j-free form
+    j-free reduction 2 sin(theta) t u1 - 2 cos(theta) T u1, whose sum over
+    the nodes is `reduced`.  With s_+- = -+ j t and s_+-^{alpha-1} =
+    t^{alpha-1} e_+-, e_+- = cos(theta) -+ j sin(theta), the naive left pair
+    sum of each unit (t^{alpha-1} left to the node weight c) is
+      sum_{+-} conj(s_+-) e_+- u1 - T(e_+- u1),
+    evaluated quaternionically at every node; it reduces to the j-free form
     and j_leak is the gap between the two.
 
     The nodes of `symbols` on L go in ascending t, in blocks (see
@@ -311,8 +307,8 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     part over the component axis (w the scalar part of q).  Each entry is
     then rounded as in the 4x4 product with the table of q wherever it
     meets one nonzero vector term: at an axis unit (e1, e2, e3, up to
-    sign) on any input, and in the left form at any unit on a
-    single-component u1 (a real v in 1D)."""
+    sign) on any input, and at any unit on a single-component u1 (a real v
+    in 1D)."""
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     shape = comps.shape
@@ -324,16 +320,14 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     def split(q):
         return q.w, left_mult_table(Quaternion(0.0, q.x, q.y, q.z))
 
-    # per unit: j's table, and per half line (s_+, then s_-) its sign and
-    # the split e_+- = cos(theta) -+ j sin(theta) and j e_+-
-    tables = []
-    for j in units:
-        halves = ((1.0, Quaternion(cos_t) + j.scale(-sin_t)),
-                  (-1.0, Quaternion(cos_t) + j.scale(sin_t)))
-        tables.append((left_mult_table(j),
-                       [(sign, split(e), split(qmul(j.direction, e)))
-                        for sign, e in halves]))
+    # per unit and half line (s_+, then s_-): the sign of conj(s_+-) = +-t j
+    # and the splits of e_+- = cos(theta) -+ j sin(theta) and j e_+-
+    pairs = [[(sign, split(e), split(qmul(j.direction, e)))
+              for sign, e in ((1.0, Quaternion(cos_t) + j.scale(-sin_t)),
+                              (-1.0, Quaternion(cos_t) + j.scale(sin_t)))]
+             for j in units]
     stacks = np.empty((6, min(per_block, len(ts)), *tv.shape))
+    reduced = np.zeros(tv.shape)
     acc = np.zeros((len(units), *tv.shape))
     leak = np.zeros_like(acc)
 
@@ -349,41 +343,34 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
         tu1 = apply_T(u1)
         t, c = t[:, None, None], c[:, None, None]
         # the pair of the s_+ half line goes to nv, that of s_- to hv
-        red, nv, hv, x, prod, shared = stacks[:, :k]
+        red, nv, hv, x, prod, cu = stacks[:, :k]
         # red = c (2 sin(theta) t u1 - 2 cos(theta) T u1)
         np.multiply(2.0 * sin_t * t, u1, out=red)
         red -= np.multiply(2.0 * cos_t, tu1, out=prod)
         red *= c
-        if form == "left":
-            cu = np.multiply(cos_t, u1, out=shared)
-        for i, (j_table, pairs) in enumerate(tables):
-            if form == "right":
-                ju = np.matmul(j_table, u1, out=shared)
-            for dst, (sign, (e_w, e_vec), (je_w, je_vec)) in zip((nv, hv),
-                                                                  pairs):
-                if form == "right":
-                    # e_+- x, x = conj(s_+-) u1 - T u1 = +-t j u1 - T u1
-                    np.multiply(sign * t, ju, out=x)
-                    x -= tu1
-                    np.multiply(e_w, x, out=dst)
-                    dst += np.matmul(e_vec, x, out=prod)
-                else:
-                    # conj(s_+-) e_+- u1 - T(e_+- u1), conj(s_+-) = +-t j
-                    np.matmul(je_vec, u1, out=dst)
-                    dst += np.multiply(je_w, u1, out=prod)
-                    dst *= sign * t
-                    np.matmul(e_vec, u1, out=x)
-                    x += cu
-                    dst -= apply_T(x)
+        reduced += np.add.reduce(red, axis=0)
+        np.multiply(cos_t, u1, out=cu)
+        for i, unit_pairs in enumerate(pairs):
+            for dst, (sign, (_, e_vec), (je_w, je_vec)) in zip(
+                    (nv, hv), unit_pairs):
+                # conj(s_+-) e_+- u1 - T(e_+- u1), conj(s_+-) = +-t j, with
+                # the scalar part cos(theta) of e_+- in cu
+                np.matmul(je_vec, u1, out=dst)
+                dst += np.multiply(je_w, u1, out=prod)
+                dst *= sign * t
+                np.matmul(e_vec, u1, out=x)
+                x += cu
+                dst -= apply_T(x)
             nv += hv
             nv *= c
             acc[i] += np.add.reduce(nv, axis=0)
             nv -= red
             leak[i] += np.add.reduce(nv, axis=0)
-    acc *= -1.0 / TWO_PI
-    leak *= -1.0 / TWO_PI
-    return [(a.reshape(shape), float(np.max(np.abs(g))))
-            for a, g in zip(acc, leak)]
+    for a in (reduced, acc, leak):
+        a *= -1.0 / TWO_PI
+    return reduced.reshape(shape), [(a.reshape(shape),
+                                     float(np.max(np.abs(g))))
+                                    for a, g in zip(acc, leak)]
 
 
 def _require_collocated(ops, what: str):
@@ -396,16 +383,17 @@ def _require_collocated(ops, what: str):
 def apply_P_alpha(spec: QuadratureSpec,
                   ops: Operators | StaggeredOperators, v: QuatField, *,
                   syms=None) -> FracApplyResult:
-    """P_alpha(T) v by quadrature of the right Balakrishnan form.  The
-    reduction order is fixed ascending in t, so results are bitwise
-    reproducible.  The hypothesis conditions are not checked here: a caller
-    that needs them reads `coeff.check_conditions` (the CLI gates on it).
+    """P_alpha(T) v by quadrature of the right Balakrishnan form, summed as
+    its j-free reduction, so j_leak is 0.0 on every route.  The reduction
+    order is fixed ascending in t, so results are bitwise reproducible.  The
+    hypothesis conditions are not checked here: a caller that needs them
+    reads `coeff.check_conditions` (the CLI gates on it).
 
     Positive coefficients (`ops.is_positive`) take the symbol route, f_1(L)
     T v + f_2(L) v, with syms = (f_1, f_2) of `symbols` on
     ops.spectral.eigenvalues() when the caller has them already; a
-    coefficient sample <= 0 runs the quaternionic node engine at e1.  The
-    left form is `reference_P_alpha`.
+    coefficient sample <= 0 sums the same reduction node by node in the
+    quaternionic node engine.  The naive left form is `reference_P_alpha`.
 
     With `StaggeredOperators`, v must be real (its vector components zero)
     and the symbols are applied through the per-axis factorization of that
@@ -419,11 +407,9 @@ def apply_P_alpha(spec: QuadratureSpec,
                                                         sp.eigenvalues())
         comps = (sp.apply_symbol(f1, ops.apply_T(v.components))
                  + sp.apply_symbol(f2, v.components))
-        leak = 0.0
     else:
-        [(comps, leak)] = _node_engine(spec, ops, v.components, (J_E1,),
-                                       "right")
-    return _collocated_result(QuatField(v.grid, comps), leak)
+        comps, _ = _node_engine(spec, ops, v.components, ())
+    return _collocated_result(QuatField(v.grid, comps), 0.0)
 
 
 def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
@@ -434,9 +420,9 @@ def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
     `verify` holds the production route against.  Like apply_P_alpha, it
     does not check the hypothesis conditions."""
     _require_collocated(ops, "reference_P_alpha")
+    _, lefts = _node_engine(spec, ops, v.components, units)
     return tuple(_collocated_result(QuatField(v.grid, comps), leak)
-                 for comps, leak in _node_engine(spec, ops, v.components,
-                                                 units, "left"))
+                 for comps, leak in lefts)
 
 
 def _collocated_result(full: QuatField, leak: float) -> FracApplyResult:
@@ -465,9 +451,9 @@ def _apply_P_alpha_staggered(spec: QuadratureSpec, ops: StaggeredOperators,
 def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
                        t: float) -> float:
     """Relative gap at one +-t pair between the splitting-identity form and
-    the Tv form of the right integrand, the one the node engine evaluates
-    (they are equal in exact arithmetic; the gap is the rounding of the Q_t
-    solve)."""
+    the Tv form of the right integrand, the one whose reduced pair every
+    route sums (they are equal in exact arithmetic; the gap is the rounding
+    of the Q_t solve)."""
     _require_collocated(ops, "integrand_form_gap")
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     tv = ops.apply_T(v.components)

@@ -19,12 +19,13 @@ factorization: each application forms the dense Q_s = |s|^2 I + dense_L()
 (N <= DENSE_CAP) of each point in turn and solves it by LU
 (`numpy.linalg.solve`).
 
-The production P_alpha and its matrix do not come through here: summed over
-the nodes, the resolvents collapse onto two scalar symbols of L (see the
-frac module).  The workspaces serve the quaternionic node engine that
-`verify` and the tests use as the reference (`frac._node_engine`: one
-workspace per block of nodes, applied once, to the stacked components of
-T v), and the resolvent identity and norm checks.
+On a positive set the production P_alpha and its matrix do not come
+through here: summed over the nodes, the resolvents collapse onto two scalar
+symbols of L (see the frac module).  The workspaces serve the quaternionic
+node engine (`frac._node_engine`: one workspace per block of nodes, applied
+once, to the stacked components of T v), whose reduced sum is P_alpha on a
+set with a sample <= 0 and whose left form is the reference that `verify`
+and the tests use, and the resolvent identity and norm checks.
 
 On all-odd grids the composed difference operator has the exact parity null
 mode zeta (see grid module); Q_s is then nonsingular but has the isolated

@@ -198,13 +198,17 @@ class TestSchemaRejection:
             f"error: config.{where}: {shown} is not an integer\n")
         assert not out.exists()
 
-    # json.load reads NaN and +-Infinity; JSON Schema lets them through
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    # json.load reads NaN and +-Infinity; JSON Schema lets them through, and
+    # an int beyond the largest float, which overflowed in BoxDomain with a
+    # traceback
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity",
+                                      "1" + "0" * 400],
+                             ids=["NaN", "Infinity", "-Infinity", "1e400-int"])
     @pytest.mark.parametrize("path", ["domain.lengths", "alpha", "time.dt",
                                       "time.t_end"])
     def test_non_finite_number_exits_1(self, tmp_path, capsys, path, text):
         cfg = base_1d("evolve", alpha=0.5, time={"dt": 0.1, "t_end": 0.3})
-        value = float(text.replace("Infinity", "inf"))
+        value = json.loads(text)
         if path == "alpha":
             cfg["alpha"] = value
         elif path == "domain.lengths":
@@ -312,10 +316,12 @@ def mutate(cfg, rng):
     return cfg
 
 
-def has_integral_or_non_finite_float(value):
+def has_integral_float_or_non_finite_number(value):
     if isinstance(value, (dict, list)):
         items = value.values() if isinstance(value, dict) else value
-        return any(has_integral_or_non_finite_float(v) for v in items)
+        return any(has_integral_float_or_non_finite_number(v) for v in items)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) > sys.float_info.max
     return isinstance(value, float) and (value.is_integer()
                                          or not math.isfinite(value))
 
@@ -323,9 +329,11 @@ def has_integral_or_non_finite_float(value):
 class TestConfigChecker:
     def test_agrees_with_jsonschema_on_mutated_configs(self):
         # the checker against jsonschema on SCHEMA: the same verdict once
-        # its types are the checker's (a finite number, an int integer),
-        # and a different one only where the config holds an integral or a
-        # non-finite float
+        # its types are the checker's (a number finite as a float, an int
+        # integer), and a different one only where the config holds an
+        # integral float or a non-finite number (an int beyond the largest
+        # float included).  That int fails the `type` keyword only: the
+        # bounds of jsonschema skip an instance that is not a "number"
         strict_types = jsonschema.Draft202012Validator.TYPE_CHECKER \
             .redefine_many({
                 "integer": lambda _, v: (isinstance(v, int)
@@ -333,8 +341,17 @@ class TestConfigChecker:
                 "number": lambda _, v: (isinstance(v, (int, float))
                                         and not isinstance(v, bool)
                                         and abs(v) < math.inf)})
+        plain_type = jsonschema.Draft202012Validator.VALIDATORS["type"]
+
+        def finite_type(validator, types, instance, schema):
+            yield from plain_type(validator, types, instance, schema)
+            if (types == "number" and validator.is_type(instance, "number")
+                    and abs(instance) > sys.float_info.max):
+                yield jsonschema.ValidationError("not a finite number")
+
         strict = jsonschema.validators.extend(
-            jsonschema.Draft202012Validator, type_checker=strict_types)(SCHEMA)
+            jsonschema.Draft202012Validator, validators={"type": finite_type},
+            type_checker=strict_types)(SCHEMA)
         plain = jsonschema.Draft202012Validator(SCHEMA)
         verdicts = []
         for seed in range(2000):
@@ -350,7 +367,8 @@ class TestConfigChecker:
                 assert re.fullmatch(r"config[^:\n]*: [^\n]+", str(exc))
             assert ok == strict.is_valid(cfg), (seed, cfg)
             if ok != plain.is_valid(cfg):
-                assert has_integral_or_non_finite_float(cfg), (seed, cfg)
+                assert has_integral_float_or_non_finite_number(cfg), (seed,
+                                                                   cfg)
             verdicts.append((ok, plain.is_valid(cfg)))
         # both verdicts are common, and the stricter types do bite
         assert 200 < sum(ok for ok, _ in verdicts) < 1800
@@ -734,7 +752,7 @@ class TestVerifyTask:
         assert max(rep["quadrature_certificate"].values()) <= 1e-12
 
     def test_j_leak_is_relative_to_the_field(self, tmp_path):
-        # j_leak is the node engine's max-norm gap over the result's
+        # j_leak is the left passes' max-norm gap over the result's
         # max-norm, so scaling the field by 1e9 leaves the verdict alone
         cfg = base_1d("verify", n=31, length=1.0, coeff="1+0.1*x",
                       initial="1e9*x*(1-x)")

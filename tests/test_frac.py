@@ -203,20 +203,16 @@ class TestApply:
         assert np.max(np.abs(out.vec[1].values)) <= 1e-12
         assert np.max(np.abs(out.vec[2].values)) <= 1e-12
 
-    def test_j_independence(self, dense_route):
-        # the symbol route never reads j, so the other units run the node
-        # engine: the right form through dense LU, and the left form
+    def test_j_independence(self):
+        # the symbol route never reads j, so the other units run the left
+        # form of the node engine
         ops = variable_ops_2d()
         rng = np.random.default_rng(2)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
         spec = QuadratureSpec(0.4)
         base = apply_P_alpha(spec, ops, v).full.components
         units = (J_E2, unit_from_components(1.0, 1.0, 1.0))
-        rights = frac._node_engine(spec, dense_route(ops), v.components,
-                                   units, "right")
-        lefts = reference_P_alpha(spec, ops, v, units)
-        for (right, _), left in zip(rights, lefts):
-            assert rel_gap(right, base) <= 1e-10
+        for left in reference_P_alpha(spec, ops, v, units):
             assert rel_gap(left.full.components, base) <= 1e-10
 
     def test_left_right_agreement(self):
@@ -229,8 +225,8 @@ class TestApply:
         assert rel_gap(r.full.components, l.full.components) <= 1e-10
 
     def test_j_leak_small(self):
-        # the leak is a diagnostic of the node engine; the symbol route of
-        # the right form is the j-free reduction itself
+        # the leak is a diagnostic of the node engine's left form;
+        # apply_P_alpha sums the j-free reduction itself
         ops = variable_ops_2d()
         v = QuatField.from_real(RealField.from_function(
             ops.grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y / 1.3)))
@@ -250,10 +246,10 @@ class TestApply:
     @pytest.mark.parametrize("n", [(17,), (18,), (7, 9), (8, 9), (5, 7, 9),
                                    (5, 6, 7)])
     def test_symbol_route_matches_node_engine(self, n, dense_route):
-        # the production route (right form, positive coefficients: two
-        # symbols of L)
-        # against the quaternionic node engine, on odd (parity null mode)
-        # and even grids with variable coefficients and vector components
+        # the production route (positive coefficients: two symbols of L)
+        # against the quaternionic node engine, its left form and its
+        # reduced sum on the dense route, on odd (parity null mode) and
+        # even grids with variable coefficients and vector components
         lengths = (1.0, 1.3, 0.8)[: len(n)]
         texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
         ops = Operators(Grid(BoxDomain(lengths), n),
@@ -326,14 +322,15 @@ class TestApply:
                                                     q2=v.values))
 
 
-def node_by_node(spec, ops, comps, form, j):
+def node_by_node(spec, ops, comps, j):
     """The node engine's quadrature at the imaginary unit j one node at a
-    time, each node with its own workspace: u1 = Q_t^{-1} T v, T u1 and
-    the naive pair of the form, added in ascending t; returns (result,
-    j_leak)."""
+    time, each node with its own workspace: u1 = Q_t^{-1} T v, T u1, the
+    reduced pair and the naive left pair, added in ascending t; returns
+    (reduced, left, j_leak)."""
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     tv = ops.apply_T(comps).reshape(4, -1)
+    reduced = np.zeros_like(comps)
     acc = np.zeros_like(comps)
     leak = np.zeros_like(comps)
     lam = ops.spectral.eigenvalues() if ops.is_positive else None
@@ -344,14 +341,14 @@ def node_by_node(spec, ops, comps, form, j):
         naive = np.zeros_like(comps)
         for e, sb in ((Quaternion(cos_t) + j.scale(-sin_t), j.scale(t)),
                       (Quaternion(cos_t) + j.scale(sin_t), j.scale(-t))):
-            if form == "right":
-                naive += left_mul(e, left_mul(sb, u1) - tu1)
-            else:
-                naive += (left_mul(qmul(sb, e), u1)
-                          - ops.apply_T(left_mul(e, u1)))
+            naive += (left_mul(qmul(sb, e), u1)
+                      - ops.apply_T(left_mul(e, u1)))
+        red = c * (2.0 * sin_t * t * u1 - 2.0 * cos_t * tu1)
+        reduced += red
         acc += c * naive
-        leak += c * naive - c * (2.0 * sin_t * t * u1 - 2.0 * cos_t * tu1)
-    return -acc / (2.0 * math.pi), float(np.max(np.abs(leak))) / (2 * math.pi)
+        leak += c * naive - red
+    return (-reduced / (2.0 * math.pi), -acc / (2.0 * math.pi),
+            float(np.max(np.abs(leak))) / (2 * math.pi))
 
 
 def engine_case(name):
@@ -403,7 +400,7 @@ class TestNodeEngine:
         refs = reference_P_alpha(spec, ops, v, UNITS)
         assert len(refs) == len(UNITS)
         for j, got in zip(UNITS, refs):
-            want, want_leak = node_by_node(spec, ops, v.components, "left", j)
+            _, want, want_leak = node_by_node(spec, ops, v.components, j)
             scale = np.max(np.abs(want))
             assert rel_gap(got.full.components, want) <= 1e-13, j
             assert abs(got.j_leak - want_leak) <= 1e-13 * scale, j
@@ -414,30 +411,34 @@ class TestNodeEngine:
 
     @pytest.mark.parametrize("j", UNITS)
     def test_right_form_on_the_dense_route(self, j):
+        # on a set with a sample <= 0, apply_P_alpha sums the j-free
+        # reduction of the right form in the node engine, as the symbol
+        # route does, so it reports no leak; the left form at j sits its
+        # j_leak away from it
         ops, v = engine_case("dense")
         spec = QuadratureSpec(0.6)
-        [(got, leak)] = frac._node_engine(spec, ops, v.components, (j,),
-                                          "right")
-        want, want_leak = node_by_node(spec, ops, v.components, "right", j)
-        assert rel_gap(got, want) <= 1e-13
-        assert abs(leak - want_leak) <= 1e-13 * np.max(np.abs(want))
-        if j is J_E1:
-            # apply_P_alpha runs this form at e1 on a set with a sample <= 0
-            out = apply_P_alpha(spec, ops, v)
-            assert np.array_equal(out.full.components, got)
-            assert out.j_leak == leak
+        out = apply_P_alpha(spec, ops, v)
+        want, left, _ = node_by_node(spec, ops, v.components, j)
+        assert rel_gap(out.full.components, want) <= 1e-13
+        assert out.j_leak == 0.0
+        [ref] = reference_P_alpha(spec, ops, v, (j,))
+        gap = np.max(np.abs(ref.full.components - out.full.components))
+        assert abs(gap - ref.j_leak) <= 1e-13 * np.max(np.abs(left))
 
     @pytest.mark.parametrize("name", ENGINE_CASES)
     @pytest.mark.parametrize("nodes_per_block", [1, 5])
     def test_independent_of_the_block_budget(self, name, nodes_per_block,
                                              monkeypatch):
-        # 128 nodes in blocks of 1, and of 5 (a partial block of 3 last)
+        # 128 nodes in blocks of 1, and of 5 (a partial block of 3 last);
+        # apply_P_alpha is the engine's reduced sum on the dense case
         ops, v = engine_case(name)
         spec = QuadratureSpec(0.6)
-        base = reference_P_alpha(spec, ops, v, UNITS)
+        base = (*reference_P_alpha(spec, ops, v, UNITS),
+                apply_P_alpha(spec, ops, v))
         monkeypatch.setattr(frac, "_BLOCK_ELEMS",
                             nodes_per_block * 4 * ops.grid.N)
-        small = reference_P_alpha(spec, ops, v, UNITS)
+        small = (*reference_P_alpha(spec, ops, v, UNITS),
+                 apply_P_alpha(spec, ops, v))
         for a, b in zip(base, small):
             assert rel_gap(a.full.components, b.full.components) <= 1e-14
             assert abs(a.j_leak - b.j_leak) <= 1e-14 * np.max(

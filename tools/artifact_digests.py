@@ -11,10 +11,11 @@ all-odd 7x9 grid, RK4 with `beta_mode`, a blocked Crank-Nicolson run on the
 box of side 1e-6 (the spectrum with a coefficient written in units of that
 side), a palpha with more quadrature nodes than the schema allows, one with
 a node count of 64.0 and one with a NaN length, an evolve of 2e6 steps (all
-four exit 1), and a spectrum on `1+0.2*sin(3000*x)`.  It prints one `path
-sha256` line per artifact, plus one `case exit N` line per run (`case raised
-ERROR` when the run ends in an exception), so that a diff of the output of
-two source trees shows every byte that changed:
+four exit 1), a spectrum on `1+0.2*sin(3000*x)` and a check on a length of
+10^400 (exit 1).  It prints one `path sha256` line per artifact, plus one
+`case exit N` line per run (`case raised ERROR` when the run ends in an
+exception), so that a diff of the output of two source trees shows every
+byte that changed:
 
     python tools/artifact_digests.py > change.txt
     python tools/artifact_digests.py --src OTHER_TREE/src > parent.txt
@@ -144,6 +145,9 @@ def cases():
     # kL = 3000: the derivative spot check needs its five-point difference
     out.append(("spectrum/1d-fast-sine",
                 _box("spectrum", (15,), ("1+0.2*sin(3000*x)",)), False))
+    # a length of 10^400, an int beyond the largest float (exit 1)
+    out.append(("check/1d-huge-int-length",
+                _box("check", (12,), None, lengths=(10 ** 400,)), False))
     return out
 
 
