@@ -33,8 +33,8 @@ The quaternionic node engine (`_node_engine`) evaluates the integrand node
 by node: one pass over the same nodes (`_nodes`, the rule `symbols` sums)
 in blocks, each block one resolvent solve u1 = Q_t^{-1} T v for all its
 nodes, one T u1 and the reduced pair, summed over the nodes.  That sum is
-`apply_P_alpha` on a coefficient set with a sample <= 0, where L has no
-spectral factorization and each Q_t gets a dense LU.  Since u1 and T u1 do
+`apply_P_alpha` on a coefficient set with a sample <= 0, whose L the
+workspaces apply through a general eig per axis.  Since u1 and T u1 do
 not depend on j, the same pass serves several imaginary units: per unit it
 accumulates the naive quaternionic pair sum of the left form node by node,
 and reports its gap to the reduced form as the j_leak diagnostic instead
@@ -260,8 +260,8 @@ def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
     L, against the exact powers: scal max |f_2 / e_2 - 1|, vec max
     |f_1 / e_1 - 1| (`exact_symbols`).  syms: (f_1, f_2) of `symbols` on
     ops.spectral.eigenvalues(), when the caller has them already.  None
-    when a coefficient sample is not positive, for then L has no spectral
-    factorization."""
+    when a coefficient sample is not positive, for then the spectrum of L
+    need not be real and nonnegative."""
     if not ops.is_positive:
         return None
     lam = ops.spectral.eigenvalues()
@@ -485,8 +485,8 @@ def build_matrix(spec: QuadratureSpec, ops: Operators) -> np.ndarray:
     g = ops.grid
     if not ops.is_positive:
         raise ValueError("build_matrix needs coefficients positive at every "
-                         "node: its matrices come from the spectral "
-                         "factorization of L")
+                         "node: its matrix is a symbol of the nonnegative "
+                         "spectrum of L")
     sp = ops.spectral
     f1, _ = symbols(spec, sp.eigenvalues())
     basis = np.eye(g.N).reshape(g.N, *g.n)

@@ -5,7 +5,9 @@ A_l = diag(a_l) D_l, the vector operator T = sum_l e_l A_l and L = T^2 =
 spectrum of the package: the collocated L (`Operators.spectral`), the node
 and face families of the staggered scheme, and the oracle's sine basis.
 Both schemes take every factor from the two families of one SVD per axis
-(`_axis_svd`): nodes and faces, or the collocated parity sublattices.
+(`_axis_svd`): nodes and faces, or the collocated parity sublattices.  A
+collocated set with a sample <= 0 takes the two parity blocks of each axis
+from a general `eig` instead (`_axis_eig`).
 
 A_l^2 always means composing the discrete A_l with itself.  That choice makes
 Q = T^2 + |s|^2 an exact identity of the discrete algebra (T^2 really is the
@@ -49,10 +51,13 @@ _E_TABLES = [left_mult_table(q) for q in
 
 DEFAULT_CAPS = {1: (2048,), 2: (128, 128), 3: (24, 24, 24)}
 # largest N for a dense N x N matrix: f_1(L) from build_matrix and the
-# evolution generator with its step maps, the dense L and LU of Q_s that
-# serve coefficient sets with a sample <= 0, and test references; positive
-# sets take their spectrum from the factorization
+# evolution generator with its step maps, and test references; every other
+# task takes the spectrum of L from its per-axis factorization
 DENSE_CAP = 5000
+# largest 1-norm condition number of the eigenvectors of an axis block on a
+# set with a sample <= 0 (`_eig`): the transforms then lose at most
+# about 6 of the 16 digits; 1D n = 2048 sets reach 2.4e3, a Jordan block 1e16
+EIG_COND_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -312,6 +317,34 @@ def _axis_svd(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
     return (lam, vt, inv), (lam_out, u.T / r_out, r_out[:, None] * u)
 
 
+def _axis_eig(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
+    """The two parity blocks of L_l = -(diag(a) D_l)^2 for samples of any
+    sign, in the order and form of `_axis_svd`: with C = diag(a_out) d and
+    E = -diag(a_in) d^T, the in-points carry -E C and the out-points -C E,
+    each factored by `_eig`."""
+    c = a_out[:, None] * d
+    e = -(a_in[:, None] * d.T)
+    return _eig(-(e @ c)), _eig(-(c @ e))
+
+
+def _eig(block: np.ndarray):
+    """(lambda, V^{-1}, V) with block = V diag(lambda) V^{-1}, from one
+    general `eig`; complex where the block has complex eigenvalues.  A
+    defective block, or eigenvectors whose 1-norm condition number exceeds
+    EIG_COND_MAX, raises ValueError."""
+    lam, v = np.linalg.eig(block)
+    try:
+        v_inv = np.linalg.inv(v)
+        cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
+    except np.linalg.LinAlgError:  # exactly singular V: a Jordan block
+        cond = math.inf
+    if not cond <= EIG_COND_MAX:
+        raise ValueError(
+            f"the eigenvectors of an axis block of L have condition "
+            f"number {cond:.3g}, above the bound {EIG_COND_MAX:g}")
+    return lam, v_inv, v
+
+
 class AxisFactorization:
     """Fast diagonalization of a Kronecker sum (Lynch, Rice and Thomas,
     Numer. Math. 6, 1964): per axis l the factor (lambda_l, fwd_l, inv_l)
@@ -364,12 +397,11 @@ class AxisFactorization:
 
 class Operators:
     """Bundles the per-axis discrete operators for one (grid, coefficients)
-    pair; all applications are matrix-free.  On positive coefficients the
-    per-axis spectral factorization of L (`spectral`) is the one source of
-    its spectrum: the symbols, the resolvent solves, the closed form and the
-    spectrum probe all use it.  Dense materialization
-    (N <= DENSE_CAP) serves a set with a sample <= 0 (the LU of Q_s, the
-    spectrum probe) and test references."""
+    pair; all applications are matrix-free.  The per-axis spectral
+    factorization of L (`spectral`) is the one source of its spectrum on
+    every coefficient set: the symbols, the resolvent solves, the closed
+    form and the spectrum probe all use it.  Dense materialization
+    (N <= DENSE_CAP) serves `build_matrix` and test references."""
 
     def __init__(self, grid: Grid, profiles):
         profiles = tuple(profiles)
@@ -379,8 +411,8 @@ class Operators:
         self.profiles = profiles
         self.a_samples = tuple(_axis_profile_samples(grid, p, i)
                                for i, p in enumerate(profiles))
-        # the per-axis spectral factorization of L exists only then; the
-        # resolvent workspaces pick it, or a dense LU of Q_s, from this flag
+        # the per-axis factorization of L is one SVD per axis then, and a
+        # general eig otherwise; P_alpha takes the symbol route only then
         self.is_positive = all(np.min(a) > 0.0 for a in self.a_samples)
 
     # -- matrix-free applications (arrays shaped (..., *grid.n)) ---------
@@ -468,14 +500,21 @@ class Operators:
         lambda comes once per sublattice, and the null space of B^T gives an
         odd axis lambda = 0, so the eigenvalues are exactly 0 only at the
         parity null mode of all-odd grids.
+
+        A set with a sample <= 0 has no such similarity, but L is still the
+        Kronecker sum of the L_l = -(diag(a_l) D_l)^2, whose parity blocks
+        `_axis_eig` factors by a general eig (complex factors where a block
+        has complex eigenvalues); none of its eigenvalues need be exactly 0.
         """
+        factor = _axis_svd if self.is_positive else _axis_eig
         factors = []
         for ax, n in enumerate(self.grid.n):
             a = self.a_samples[ax].reshape(-1)
-            (lam_o, fwd_o, inv_o), (lam_e, fwd_e, inv_e) = _axis_svd(
+            (lam_o, fwd_o, inv_o), (lam_e, fwd_e, inv_e) = factor(
                 a[0::2], self._axis_D(ax)[0::2, 1::2], a[1::2])
             m = len(lam_o)
-            fwd, inv = np.zeros((n, n)), np.zeros((n, n))
+            dtype = np.result_type(fwd_o, fwd_e)
+            fwd, inv = np.zeros((n, n), dtype), np.zeros((n, n), dtype)
             fwd[:m, 1::2], inv[1::2, :m] = fwd_o, inv_o
             fwd[m:, 0::2], inv[0::2, m:] = fwd_e, inv_e
             factors.append((np.concatenate((lam_o, lam_e)), fwd, inv))

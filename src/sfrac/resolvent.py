@@ -6,18 +6,16 @@ Q_s = |s|^2 I + L, L = -sum_l A_l^2, is a real matrix acting componentwise
 right-hand side is four independent real solves sharing one factorization.
 `ResolventWorkspace` is where Q_s lives: it takes |s|^2 from a purely
 imaginary, nonzero s, or from each point of a block of them, and rejects any
-other.  The coefficients pick the factorization.  When every coefficient
-sample is positive (`Operators.is_positive`) it is the per-axis spectral
-factorization of L, `Operators.spectral` (fast diagonalization, Lynch, Rice
-and Thomas, Numer. Math. 6, 1964): Q_s^{-1} is the diagonal scaling
-1/(|s|^2 + Lambda) between two per-axis tensor transforms, so every
+other.  Its one factorization is the per-axis factorization of L,
+`Operators.spectral` (fast diagonalization, Lynch, Rice and Thomas, Numer.
+Math. 6, 1964), which every coefficient set has: Q_s^{-1} is the diagonal
+scaling 1/(|s|^2 + Lambda) between two per-axis tensor transforms, so every
 quadrature node shares one factorization of L and a workspace costs no
 factorization of its own; a block of M points transforms the right-hand
 sides forward once, scales them by the M stacked symbols and transforms the
-M products back in one pass (a GEMM).  Otherwise L has no such
-factorization: each application forms the dense Q_s = |s|^2 I + dense_L()
-(N <= DENSE_CAP) of each point in turn and solves it by LU
-(`numpy.linalg.solve`).
+M products back in one pass (a GEMM).  On a set with a sample <= 0 the
+factors can be complex (a general `eig` per axis); the solution of the real
+system is then the real part of the product.
 
 On a positive set the production P_alpha and its matrix do not come
 through here: summed over the nodes, the resolvents collapse onto two scalar
@@ -49,8 +47,10 @@ from .errors import SolverDiverged
 from .grid import Operators, QuatField
 from .quat import E1, E2, E3, Quaternion, left_mul
 
-# relative residual above which solve_Q raises SolverDiverged; either
-# factorization of a nonsingular deflated Q_s meets it by orders of magnitude
+# relative residual above which solve_Q raises SolverDiverged; the SVD
+# factors of a positive set meet it by orders of magnitude, while the eig
+# factors of a set with a sample <= 0 can miss it at small |s| on large
+# grids (1.9e-8 on 1D n = 2048 `x-0.45` for |s| <= 1e-2)
 RESIDUAL_GUARD = 1e-8
 
 
@@ -59,7 +59,7 @@ class ResolventWorkspace:
     or Q_s^{-1} at a block of points s (the quadrature nodes of one block).
 
     Immutable after construction; applications only read shared state (the
-    factorization or the dense L) and allocate private scratch.  The
+    factorization of L) and allocate private scratch.  The
     field-level API and the norm estimate need one s.
     """
 
@@ -79,20 +79,15 @@ class ResolventWorkspace:
         self.ops = ops
         self.grid = ops.grid
         self.s = s
-        self._symbol = None
-        if ops.is_positive:
-            # the parity-null coefficient is exactly 0: _deflate owns that
-            # mode; one symbol 1/(|s|^2 + Lambda) per point, shaped (M, *n)
-            lam = ops.spectral.eigenvalues()
-            t2 = self._t2.reshape(-1, *[1] * lam.ndim)
-            self._symbol = np.where(lam > 0.0, 1.0 / (t2 + lam), 0.0)
+        # one symbol 1/(|s|^2 + Lambda) per point, shaped (M, *n); on a
+        # positive set the parity-null coefficient is exactly 0 and _deflate
+        # owns that mode, while on any other set an exact 0 can be a real
+        # kernel mode of L, whose resolvent 1/|s|^2 stays
+        lam = ops.spectral.eigenvalues()
+        t2 = self._t2.reshape(-1, *[1] * lam.ndim)
+        self._symbol = np.where((lam == 0.0) & ops.is_positive, 0.0,
+                                1.0 / (t2 + lam))
         self._null = ops.null_pair  # (zeta, eta) or None
-
-    def _dense_Q(self, t2: float) -> np.ndarray:
-        """Q_s = |s|^2 I + dense_L() (N <= DENSE_CAP), the matrix a set with
-        a sample <= 0 solves by LU; formed per point, never held for a
-        whole block."""
-        return t2 * np.eye(self.grid.N) + self.ops.dense_L()
 
     # -- low level solves --------------------------------------------------
     def _deflate(self, rhs: np.ndarray, transpose: bool):
@@ -128,14 +123,7 @@ class ResolventWorkspace:
         else:
             work, beta, right, left, denom = rhs, None, None, None, None
 
-        if self._symbol is not None:
-            sol = self._solve_spectral(work, transpose)
-        else:
-            sol = np.empty((len(self._t2), *work.shape))
-            for k, t2 in enumerate(self._t2):
-                q = self._dense_Q(t2)
-                sol[k] = np.linalg.solve(q.T if transpose else q, work.T).T
-
+        sol = self._solve_spectral(work, transpose)
         if beta is not None:
             # remove factorization garbage along the deflated direction (the
             # true component is exactly zero), then add the mode back
@@ -147,16 +135,16 @@ class ResolventWorkspace:
 
     def _solve_spectral(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
         # one forward transform of the K rows, the M symbols, one inverse
-        # transform of the M K products; an all-zero row maps to exact
-        # zeros, so only the others are transformed (the zero components of
-        # T v for a real v)
+        # transform of the M K products, whose real part solves the real
+        # system; an all-zero row maps to exact zeros, so only the others
+        # are transformed (the zero components of T v for a real v)
         live = rhs.any(axis=1)
         m = len(self._t2)
         out = np.zeros((m, *rhs.shape))
         vals = rhs[live].reshape(-1, *self.grid.n)
         symbol = self._symbol[:, None]  # (M, 1, *n) against (K, *n)
         sol = self.ops.spectral.apply_symbol(symbol, vals, transpose)
-        out[:, live] = sol.reshape(m, vals.shape[0], self.grid.N)
+        out[:, live] = sol.real.reshape(m, vals.shape[0], self.grid.N)
         return out
 
     # -- field-level API -----------------------------------------------------

@@ -526,8 +526,8 @@ class TestPalphaTask:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_forced_run_with_non_positive_coefficient(self, tmp_path):
-        # L has no spectral factorization here, so the node engine on dense
-        # LU serves the run
+        # the node engine's reduced sum serves the run, its solves through
+        # the per-axis eig of L
         cfg = base_1d("palpha", n=9, length=1.0, coeff="x-0.45", alpha=0.5,
                       initial="x*(1-x)")
         out = tmp_path / "out"
@@ -535,6 +535,19 @@ class TestPalphaTask:
                      "--force"]) == 0
         rows = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
         assert rows.shape == (9, 7) and np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("task", ["spectrum", "palpha"])
+    def test_defective_axis_block_exits_1(self, tmp_path, capsys, task):
+        # samples -1, 1, 1 on n = 3: an axis block of L is a Jordan block,
+        # so the per-axis eig has no basis to offer
+        cfg = base_1d(task, n=3, length=1.0, alpha=0.5,
+                      coeff="4*x-2+16*(x-0.25)*(0.75-x)")
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "condition number" in err
+        assert os.listdir(out) == []
 
     # n = 9 on [0, 1] samples x = 0.5 on the parity null pattern and x = 0.4
     # off it; its left null vector divides by the samples on the pattern
@@ -729,8 +742,8 @@ class TestVerifyTask:
         assert sorted(calls) == [128, 256]
 
     def test_forced_dense_run_with_non_positive_coefficient(self, tmp_path):
-        # L has no spectral factorization here, so the node engine on dense
-        # LU serves the run, and the certificate is null
+        # the node engine's reduced sum serves the run, its solves through
+        # the per-axis eig of L, and the certificate is null
         cfg = base_1d("verify", n=9, length=1.0, coeff="x-0.45")
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out),
@@ -801,6 +814,21 @@ class TestAboveDenseCap:
         assert rep["pass"] is True
         assert rep["checks"]["closed_form_gap"]["pass"] is True
 
+    @pytest.mark.parametrize("task", ["spectrum", "palpha", "verify"])
+    def test_forced_2d_80(self, tmp_path, task):
+        # x - 0.5 changes sign: the per-axis eig of L serves every task
+        cfg = base_box(task, (80, 80), ("x-0.5", "1"), (1.0, 1.0),
+                       alpha=0.5)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--force"]) == 0
+        if task == "spectrum":
+            probe = read_json(out, "spectrum.json")
+            assert len(probe["points"]) // 2 + len(probe["sphere_radii"]) \
+                == 80 * 80
+        elif task == "verify":
+            assert read_json(out, "verify.json")["pass"] is True
+
     @pytest.mark.parametrize("task", ["spectrum", "verify"])
     def test_variable_3d(self, tmp_path, task):
         cfg = dict(VARIABLE_18, task=task)
@@ -815,8 +843,15 @@ class TestAboveDenseCap:
 
 
 class TestNoDenseL:
-    """Every task on a positive coefficient set runs without materializing
-    the dense L."""
+    """Every task but evolve runs without materializing the dense L, on
+    positive coefficient sets and on forced ones."""
+
+    @staticmethod
+    def refuse_dense_L(monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense L materialized")
+
+        monkeypatch.setattr(Operators, "dense_L", refuse)
 
     @pytest.mark.parametrize("coeff,task", [
         ("1+0.1*x", "check"), ("1+0.1*x", "spectrum"), ("1+0.1*x", "palpha"),
@@ -825,14 +860,21 @@ class TestNoDenseL:
     ])
     def test_positive_sets_never_touch_dense_L(self, tmp_path, monkeypatch,
                                                coeff, task):
-        def refuse(self):
-            raise AssertionError("dense L materialized")
-
-        monkeypatch.setattr(Operators, "dense_L", refuse)
+        self.refuse_dense_L(monkeypatch)
         cfg = base_1d(task, n=15, length=1.0, coeff=coeff, alpha=0.6,
                       time={"dt": 0.1, "t_end": 0.3})
         assert main([write_cfg(tmp_path, cfg), "--out",
                      str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("task", ["spectrum", "palpha", "verify"])
+    @pytest.mark.parametrize("n, coeffs", [((9,), ("x-0.45",)),
+                                           ((5, 4), ("x-0.45", "1"))])
+    def test_forced_sets_never_touch_dense_L(self, tmp_path, monkeypatch,
+                                             task, n, coeffs):
+        self.refuse_dense_L(monkeypatch)
+        cfg = base_box(task, n, coeffs, (1.0,) * len(n), alpha=0.5)
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "--force"]) == 0
 
 
 class TestLogging:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
-                        StaggeredOperators, constant_operators, diff_axis,
-                        norms)
+                        StaggeredOperators, _axis_eig, _eig,
+                        constant_operators, diff_axis, norms)
 from sfrac.coeff import constant_profile, make_profile
 from sfrac.quat import E1, E2, E3, Quaternion, left_mult_table
 from sfrac.resolvent import ResolventWorkspace
@@ -394,7 +394,7 @@ class TestLinearSystem:
         ops = Operators(g, (make_profile(1, "1+0.1*x", 1.0),))
         t = 1.3
         ws = ResolventWorkspace(dense_route(ops), Quaternion(0, 0, 0, t))
-        q = ws._dense_Q(ws.t2)
+        q = dense_route.Q(ws.ops, ws.t2)
         assert np.array_equal(q, t * t * np.eye(g.N) + ops.dense_L())
         a = ops.dense_A(0)
         q_c = (-t * t) * np.eye(g.N) + a @ a
@@ -449,15 +449,40 @@ class TestAxisFactorization:
             assert rel_gap(ops.apply_A(ax, lu), la) <= 1e-14
 
     def test_non_positive_set_raises_from_spectral(self):
+        # the staggered scheme's SVD needs positive samples; the collocated
+        # L of the same set is factored by a general eig per parity block
         g, profiles = grid1d(9, 1.0), (make_profile(1, "x-0.45", 1.0),)
         ops = Operators(g, profiles)
         stag = StaggeredOperators(g, profiles)
         assert not ops.is_positive
         for _ in range(2):  # a failed build is not cached
-            for build in (lambda: ops.spectral, lambda: stag.spectral,
+            for build in (lambda: stag.spectral,
                           lambda: stag.face_spectral(0)):
                 with pytest.raises(ValueError, match="positive"):
                     build()
+        u = np.random.default_rng(2).standard_normal(g.n)
+        sp = ops.spectral
+        assert rel_gap(sp.apply_symbol(sp.eigenvalues(), u).real,
+                       ops.apply_L(u)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_jordan_block_raises(self, n):
+        # eig returns parallel eigenvectors: V is singular to rounding at
+        # n = 2 (cond 1e292) and exactly singular at n = 3
+        with pytest.raises(ValueError, match="condition number .* above "
+                                             "the bound 1e\\+06"):
+            _eig(np.diag(np.ones(n - 1), 1))
+
+    def test_defective_axis_block_raises(self):
+        # samples -1, 1, 1 on n = 3: the even parity block of L_l is
+        # proportional to [[-1, 1], [-1, 1]], a Jordan block
+        d = np.array([[1.0], [-1.0]])
+        with pytest.raises(ValueError, match="condition number"):
+            _axis_eig(np.array([-1.0, 1.0]), d, np.array([1.0]))
+        # a diagonalizable block passes, its factors inverse to each other
+        for lam, fwd, inv in _axis_eig(np.array([-1.0, 0.5]), d,
+                                       np.array([1.0])):
+            assert np.allclose(inv @ fwd, np.eye(len(lam)), atol=1e-14)
 
     @pytest.mark.parametrize("n", [(7,), (8,), (31,), (64,), (255,), (1,),
                                    (2,), (9, 10), (5, 6, 7)])

@@ -228,15 +228,30 @@ class TestProbe:
         assert zeros == 2 * np.count_nonzero(lam == 0.0)
         assert np.count_nonzero(lam == 0.0) == all(v % 2 for v in n)
 
+    def test_spheres_do_not_depend_on_the_unit_of_length(self):
+        # the same law on boxes of side 1e-6, 1 and 1e6: mu scales as 1/L^2,
+        # so an absolute floor in the zero tolerance hid both spheres at 1e6
+        radii = []
+        for length in (1e-6, 1.0, 1e6):
+            g = Grid(BoxDomain((length,)), (16,))
+            ops = Operators(g, (make_profile(1, f"x/{length!r}-0.45",
+                                             length),))
+            probe = s_spectrum_probe(ops)
+            assert len(probe.points) == 28
+            radii.append(np.multiply(probe.sphere_radii, length))
+        for r in radii:
+            assert r.shape == (2,)
+            assert np.max(np.abs(r - radii[1])) <= 1e-12 * radii[1][0]
+
     def test_non_positive_set_takes_the_dense_eigenvalues(self):
-        # a sample <= 0 leaves L without the spectral factorization; its
-        # general eigenvalues include mu < 0, each one a spectral sphere
+        # a sample <= 0: the per-axis eig gives the general eigenvalues of
+        # L, which include mu < 0, each one a spectral sphere
         g = Grid(BoxDomain((1.0,)), (10,))
         ops = Operators(g, (make_profile(1, "x-0.3", 1.0),))
         probe = s_spectrum_probe(ops)
-        # reference: one eigenvalue at a time, the same arithmetic
+        # reference: the eigenvalues of the dense L, one at a time
         mu = np.sort(scipy.linalg.eigvals(ops.dense_L()).real)
-        zero_tol = 1e-12 * max(float(np.max(np.abs(mu))), 1.0)
+        zero_tol = 1e-12 * float(np.max(np.abs(mu)))
         points, spheres = [], []
         for m in mu:
             if m >= -zero_tol:
@@ -245,5 +260,9 @@ class TestProbe:
             else:
                 spheres.append(float(np.sqrt(-m)))
         assert len(points) == 2 * 8 and len(spheres) == 2
-        assert probe.points == tuple(sorted(points))
-        assert probe.sphere_radii == tuple(sorted(spheres))
+        assert len(probe.points) == 2 * 8 and len(probe.sphere_radii) == 2
+        scale = max(points)
+        assert np.max(np.abs(np.subtract(probe.points, sorted(points)))) \
+            <= 1e-14 * scale
+        assert np.max(np.abs(np.subtract(probe.sphere_radii,
+                                         sorted(spheres)))) <= 1e-14 * scale

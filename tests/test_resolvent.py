@@ -148,11 +148,13 @@ class TestSpectral:
             s = Quaternion(0, 0, t, 0)
             ws = ResolventWorkspace(ops, s)
             ref = ResolventWorkspace(dense_route(ops), s)
-            assert ws._symbol is not None and ref._symbol is None
             for rhs, null_free in ((generic, False), (in_range, True)):
                 got = ws._solve_stack(rhs, transpose, null_free)
                 want = ref._solve_stack(rhs, transpose, null_free)
                 assert rel_max(got, want) <= 1e-12, (t, null_free)
+            # the reference built the dense L, the production route did not
+            assert "_dense_L_cache" in vars(ref.ops)
+            assert "_dense_L_cache" not in vars(ops)
 
     def test_zero_rows_stay_exact_zeros(self):
         ops = variable_ops((9, 11))
@@ -167,11 +169,12 @@ class TestSpectral:
         g = grid1d(9, length=1.0)
         ops = Operators(g, (make_profile(1, "x-0.45", 1.0),))
         assert not ops.is_positive
-        with pytest.raises(ValueError, match="positive"):
-            ops.spectral
-        # the workspace keeps the dense Q_s for such a set by itself
+        # L of such a set has a general eig per parity block in place of
+        # the SVD, and the workspace applies the same symbol 1/(t^2 +
+        # lambda) through it, with no mode masked
         ws = ResolventWorkspace(ops, S_E1)
-        assert ws._symbol is None
+        lam = ops.spectral.eigenvalues()
+        assert np.array_equal(ws._symbol[0], 1.0 / (1.0 + lam))
         f = random_field(g, seed=2)
         r = q_residual(ws, ws.solve_Q(f), f)
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)

@@ -5,8 +5,9 @@ list of configs: 1D/2D/3D grids, odd and even sizes, constant and variable
 coefficients, custom node counts, a fine 1D verify, a verify on a field of
 amplitude 1e9, two configs rejected with exit 1 (a `quadrature.j` key, an
 alpha of 1 - 2^-53), forced sets with a sample <= 0 (one of them exactly 0
-on the parity null mode, which exits 1), Crank-Nicolson on a 6x5 and on an
-all-odd 7x9 grid, RK4 with `beta_mode`, a blocked Crank-Nicolson run on the
+on the parity null mode, which exits 1, one exactly 0 off it, whose verify
+exits 4, and a spectrum on 2D 80x80, above the dense cap), Crank-Nicolson
+on a 6x5 and on an all-odd 7x9 grid, RK4 with `beta_mode`, a blocked Crank-Nicolson run on the
 2D 16^2 shape of the `evolve-2d` benchmark, an evolve and a spectrum on a
 box of side 1e-6 (the spectrum with a coefficient written in units of that
 side), a palpha with more quadrature nodes than the schema allows, one with
@@ -91,6 +92,15 @@ def cases():
                         True))
     out.append(("palpha/1d-zero-sample",
                 _box("palpha", (9,), ("x-0.5",), alpha=0.5), True))
+    # a sample exactly 0 off the parity null pattern: a kernel mode of L
+    # that the rule cannot integrate, so verify exits 4
+    for task in ("palpha", "verify"):
+        out.append((f"{task}/1d-zero-sample-off",
+                    _box(task, (9,), ("x-0.4",), lengths=(1.0,), alpha=0.5),
+                    True))
+    out.append(("spectrum/2d-forced-80",
+                _box("spectrum", (80, 80), ("x-0.5", "1"),
+                     lengths=(1.0, 1.0)), True))
     out.append(("evolve/2d-cn",
                 _box("evolve", (6, 5), VARIABLE[:2], alpha=0.6,
                      time={"dt": 0.01, "t_end": 0.2, "snapshot_every": 5}),
