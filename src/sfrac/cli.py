@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 config/schema/expression error (64.0 for an integer
 key, a non-finite number, over 10^6 evolve steps, an alpha too close to 0 or 1
-for the rule: all before any numerical work) or an unusable output directory;
+for the rule: all before any numerical work), an unusable output directory
+or a spectrum of L past double precision (`Operators.spectral`, the split);
 2 hypothesis conditions failed (unless --force), checked by `gate_conditions`
 once in each task that needs them and nowhere in the library; 4 verification
 failure.  The coefficients pick the Q_t factorization and the spectrum of L
@@ -181,8 +182,12 @@ def _initial_field(cfg: dict, grid: Grid) -> RealField:
         # default bump: product of x_l (L_l - x_l), vanishes on the boundary
         vals = np.ones(grid.n)
         mesh = np.meshgrid(*grid.axes, indexing="ij")
-        for ax, L in enumerate(grid.domain.lengths):
-            vals = vals * mesh[ax] * (L - mesh[ax])
+        with np.errstate(over="ignore"):
+            for ax, L in enumerate(grid.domain.lengths):
+                vals = vals * mesh[ax] * (L - mesh[ax])
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError("the default initial field overflows on this "
+                              "box; set 'initial'")
         return RealField(grid, vals)
     names = ("x", "y", "z")[: grid.dims]
     expr = parse_expr(text, variables=names)

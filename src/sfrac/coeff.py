@@ -278,101 +278,62 @@ def _eval(e: Expr, values):
 
 
 def differentiate(e: Expr, var: str = "x") -> Expr:
-    """Symbolic derivative; simplification limited to constant folding and
-    0/1 elimination."""
-    return _simplify(_diff(e, var))
-
-
-def _diff(e: Expr, var: str) -> Expr:
+    """Symbolic derivative in one walk: `_add`, `_mul` and `_neg` drop exact
+    0 and 1 operands as it is built, so no term times an exact 0 is ever
+    evaluated.  Constant subtrees of e are left to `evaluate`."""
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0 if e.name == var else 0.0)
     if isinstance(e, Neg):
-        return Neg(_diff(e.arg, var))
-    if isinstance(e, Bin):
-        u, v = e.left, e.right
-        du, dv = _diff(u, var), _diff(v, var)
-        if e.op in "+-":
-            return Bin(e.op, du, dv)
-        if e.op == "*":
-            return Bin("+", Bin("*", du, v), Bin("*", u, dv))
-        if e.op == "/":
-            num = Bin("-", Bin("*", du, v), Bin("*", u, dv))
-            return Bin("/", num, Bin("^", v, Const(2.0)))
-        # u^v: constant exponent gets the power rule; a variable exponent
-        # would need u^v*(dv*log u + v*du/u), which is out of grammar (no
-        # log), so it is rejected at differentiation time.
-        if _is_constant(v):
-            c = float(evaluate(v))
-            return Bin("*", Bin("*", Const(c), Bin("^", u, Const(c - 1.0))), du)
-        raise EvalError("cannot differentiate a variable exponent "
-                        "(grammar has no log)")
+        return _neg(differentiate(e.arg, var))
     if isinstance(e, Call):
-        da = _diff(e.arg, var)
-        if e.func == "sin":
-            outer = Call("cos", e.arg)
-        elif e.func == "cos":
-            outer = Neg(Call("sin", e.arg))
-        elif e.func == "exp":
-            outer = Call("exp", e.arg)
-        else:  # sqrt
-            outer = Bin("/", Const(0.5), Call("sqrt", e.arg))
-        return Bin("*", outer, da)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _simplify(e: Expr) -> Expr:
-    if isinstance(e, Neg):
-        a = _simplify(e.arg)
-        if isinstance(a, Const):
-            return Const(-a.value)
-        return Neg(a)
-    if isinstance(e, Call):
-        a = _simplify(e.arg)
-        if isinstance(a, Const):
-            try:
-                return Const(float(evaluate(Call(e.func, a))))
-            except EvalError:
-                pass
-        return Call(e.func, a)
+        outer = {"sin": Call("cos", e.arg), "cos": Neg(Call("sin", e.arg)),
+                 "exp": e, "sqrt": Bin("/", Const(0.5), e)}[e.func]
+        return _mul(outer, differentiate(e.arg, var))
     if not isinstance(e, Bin):
-        return e
-    a, b = _simplify(e.left), _simplify(e.right)
-    ca, cb = isinstance(a, Const), isinstance(b, Const)
-    if ca and cb:
-        try:
-            return Const(float(evaluate(Bin(e.op, a, b))))
-        except EvalError:
-            return Bin(e.op, a, b)
-    if e.op == "+":
-        if ca and a.value == 0.0:
-            return b
-        if cb and b.value == 0.0:
-            return a
-    elif e.op == "-":
-        if cb and b.value == 0.0:
-            return a
-        if ca and a.value == 0.0:
-            return Neg(b)
-    elif e.op == "*":
-        if (ca and a.value == 0.0) or (cb and b.value == 0.0):
+        raise TypeError(f"not an expression node: {e!r}")
+    u, v = e.left, e.right
+    du = differentiate(u, var)
+    if e.op == "^":
+        if not _is_constant(v):
+            raise EvalError("cannot differentiate a variable exponent "
+                            "(grammar has no log)")
+        c = float(evaluate(v))
+        if c == 0.0 or _is(du, 0.0):
             return Const(0.0)
-        if ca and a.value == 1.0:
-            return b
-        if cb and b.value == 1.0:
-            return a
-    elif e.op == "/":
-        if ca and a.value == 0.0:
-            return Const(0.0)
-        if cb and b.value == 1.0:
-            return a
-    elif e.op == "^":
-        if cb and b.value == 1.0:
-            return a
-        if cb and b.value == 0.0:
-            return Const(1.0)
-    return Bin(e.op, a, b)
+        p = c - 1.0
+        power = {0.0: Const(1.0), 1.0: u}.get(p, Bin("^", u, Const(p)))
+        return _mul(_mul(Const(c), power), du)
+    dv = differentiate(v, var)
+    if e.op in "+-":
+        return _add(e.op, du, dv)
+    if e.op == "*":
+        return _add("+", _mul(du, v), _mul(u, dv))
+    num = _add("-", _mul(du, v), _mul(u, dv))  # '/': the quotient rule
+    return num if _is(num, 0.0) else Bin("/", num, Bin("^", v, Const(2.0)))
+
+
+def _is(e: Expr, value: float) -> bool:
+    return isinstance(e, Const) and e.value == value
+
+
+def _neg(a: Expr) -> Expr:
+    return Const(-a.value) if isinstance(a, Const) else Neg(a)
+
+
+def _add(op: str, a: Expr, b: Expr) -> Expr:
+    if _is(b, 0.0):
+        return a
+    if _is(a, 0.0):
+        return b if op == "+" else _neg(b)
+    return Bin(op, a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is(a, 0.0) or _is(b, 0.0):
+        return Const(0.0)
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else Bin("*", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +348,12 @@ class CoefficientProfile:
     expr: Expr
     dexpr: Expr
     length: float
-    text: str = ""
 
     def a(self, x) -> np.ndarray | float:
         return evaluate(self.expr, x=x)
 
     def da(self, x) -> np.ndarray | float:
         return evaluate(self.dexpr, x=x)
-
-    @property
-    def is_constant(self) -> bool:
-        return _is_constant(self.expr)
 
 
 def _is_constant(e: Expr) -> bool:
@@ -432,12 +388,12 @@ def make_profile(axis: int, text: str, length: float) -> CoefficientProfile:
     if np.max(np.abs(sym - fd) / (1.0 + np.abs(sym))) > 1e-6:
         raise EvalError(f"symbolic derivative of {text!r} disagrees with "
                         "finite differences")
-    return CoefficientProfile(axis, expr, dexpr, float(length), text)
+    return CoefficientProfile(axis, expr, dexpr, float(length))
 
 
 def constant_profile(axis: int, value: float, length: float) -> CoefficientProfile:
     return CoefficientProfile(axis, Const(float(value)), Const(0.0),
-                              float(length), repr(float(value)))
+                              float(length))
 
 
 def poincare_constant(lengths) -> float:
@@ -495,6 +451,20 @@ class ConditionReport:
         return d
 
 
+def _coupling(phi_sup: float, c_omega: float, c_a: float) -> float:
+    """(phi_sup C_Omega C_a)^2 as the product of the three squares: 0 when
+    phi_sup is 0 (a constant set, whatever C_a), inf where a square or the
+    product passes the largest float, or C_a already did (then k_const is
+    -inf, as for a sample <= 0)."""
+    if phi_sup == 0.0:
+        return 0.0
+    try:
+        p = phi_sup ** 2 * c_omega ** 2 * c_a ** 2
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(p) else p  # 0 * inf, C_a = inf
+
+
 def check_conditions(profiles, lengths) -> ConditionReport:
     """Evaluate every hypothesis constant by dense sampling.
 
@@ -528,13 +498,13 @@ def check_conditions(profiles, lengths) -> ConditionReport:
     min_inf_a = min(inf_a)
     if min_inf_a > 0.0:
         c_a = 1.0 / min_inf_a
-        k_const = 0.5 - 0.5 * (phi_sup ** 2) * (c_omega ** 2) * (c_a ** 2)
+        coupling = _coupling(phi_sup, c_omega, c_a)
+        k_const = 0.5 - 0.5 * coupling
     else:
         c_a = math.inf
         k_const = -math.inf
     if k_const > 0.0:
-        tau = 0.5 / (1.0 + 2.0 * (phi_sup ** 2) * (c_omega ** 2)
-                     * (c_a ** 2) / k_const)
+        tau = 0.5 / (1.0 + 2.0 * coupling / k_const)
         # sqrt(1/tau), not 1/sqrt(tau): exact when 1/tau is representable
         theta = 2.0 * max(1.0, math.sqrt(1.0 / tau))
     else:

@@ -184,11 +184,18 @@ def _nodes(spec: QuadratureSpec, lam: np.ndarray | None):
     function of 1/t beyond.  The near panel is the Gauss-Jacobi rule of
     t^{alpha-1} itself; the tail, mapped by t = t_split/u, that of u^{-alpha}.
     t_split = (lambda_min lambda_max)^{1/4} over the positive values of the
-    spectrum lam (no copy of it), 1 when it has none or is None."""
+    spectrum lam (no copy of it), 1 when it has none or is None; a product
+    lambda_min lambda_max that underflows to 0 or overflows raises
+    ValueError."""
     a = spec.alpha
-    top = 0.0 if lam is None else np.max(lam, initial=0.0)
-    ts = (float(np.min(lam, where=lam > 0.0, initial=top) * top) ** 0.25
-          if top > 0.0 else 1.0)
+    top = 0.0 if lam is None else float(np.max(lam, initial=0.0))
+    low = top if lam is None else float(np.min(lam, where=lam > 0.0,
+                                               initial=top))
+    ts = (low * top) ** 0.25 if top > 0.0 else 1.0
+    if not 0.0 < ts < math.inf:
+        raise ValueError(f"the quadrature split (lambda_min lambda_max)^(1/4)"
+                         f" leaves double precision: eigenvalues of L from "
+                         f"{low:.3g} to {top:.3g}")
     x, w = gauss_jacobi(spec.n_sing, a - 1.0)
     t_near = ts * (1.0 + x) / 2.0
     c_near = w * (ts / 2.0) ** a

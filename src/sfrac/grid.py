@@ -301,8 +301,10 @@ def _axis_svd(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
     have the factors (Sigma^2, V^T diag(1/r_in), diag(r_in) V) and (Sigma^2
     zero-padded to len(a_out), U^T diag(1/r_out), diag(r_out) U), returned
     in that order: the extra columns of U span the null space of S^T.  A
-    sample <= 0 raises ValueError.  d is scaled into S and V^T into the
-    forward map in place, sparing the copies beside the caller's d."""
+    sample <= 0, or a Sigma^2 that is 0 or past the largest float (a box
+    too small or too large for double precision), raises ValueError.  d is
+    scaled into S and V^T into the forward map in place, sparing the copies
+    beside the caller's d."""
     if not (np.all(a_out > 0.0) and np.all(a_in > 0.0)):
         raise ValueError("the spectral factorization of L needs "
                          "coefficients positive at every node")
@@ -310,7 +312,12 @@ def _axis_svd(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
     d *= r_out[:, None]
     d *= r_in
     u, sigma, vt = np.linalg.svd(d)
-    lam = sigma ** 2
+    with np.errstate(over="ignore"):
+        lam = sigma ** 2
+    if not np.all((lam > 0.0) & (lam < math.inf)):
+        raise ValueError(f"the eigenvalues of L, sigma^2 for sigma from "
+                         f"{sigma.min():.3g} to {sigma.max():.3g}, underflow "
+                         f"to 0 or overflow in double precision")
     inv = r_in[:, None] * vt.T
     vt /= r_in
     lam_out = np.concatenate((lam, np.zeros(len(r_out) - len(lam))))

@@ -842,6 +842,68 @@ class TestAboveDenseCap:
             assert read_json(out, "verify.json")["pass"] is True
 
 
+TASKS = ("check", "spectrum", "palpha", "evolve", "verify")
+# (coefficient, length) of boxes and magnitudes past double precision, and
+# the exit code of each of TASKS
+EXTREME_SCALES = {
+    # C_a = 1e160 squares past the largest float, phi_sup = 0: K = 1/2;
+    # the eigenvalues are subnormal, their split product underflows
+    "constant-1e-160": (("1e-160", 1.0), (0, 0, 1, 1, 1)),
+    # C_a = exp(500) squares past the largest float: K = -inf; half the
+    # eigenvalues underflow to 0
+    "exp-500": (("exp(-500*x)", 1.0), (2, 1, 2, 2, 2)),
+    # C_Omega^2 passes the largest float; every eigenvalue underflows to 0,
+    # and the default initial field x (L - x) overflows
+    "length-1e200": (("1", 1e200), (0, 1, 1, 1, 1)),
+    # 2 phi_sup^2 passes the largest float; the eigenvalues overflow
+    "sine-1e-155": (("1+0.1*sin(x/1e-155)", 1e-155), (2, 1, 2, 2, 2)),
+    "length-1e-160": (("1", 1e-160), (0, 1, 1, 1, 1)),
+    # the split (lambda_min lambda_max)^(1/4) underflows to 0
+    "length-1e150": (("1", 1e150), (0, 0, 1, 1, 1)),
+}
+
+
+class TestExtremeScales:
+    """Boxes and coefficients past double precision end in a report, or in
+    exit 1 or 2 with an `error:` line: never in a traceback, and never in
+    a non-finite number written with exit 0."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("name", EXTREME_SCALES)
+    def test_exit_code_and_no_non_finite_output(self, tmp_path, capsys,
+                                                name, task):
+        (coeff, length), codes = EXTREME_SCALES[name]
+        cfg = base_1d(task, n=15, length=length, coeff=coeff, alpha=0.5,
+                      time={"dt": 0.01, "t_end": 0.05})
+        out = tmp_path / "out"
+        code = main([write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == codes[TASKS.index(task)]
+        err = capsys.readouterr().err
+        if task == "check":
+            assert (out / "report.json").exists()
+        elif code:
+            assert err.startswith("error: ")
+            assert not (out / "fields.csv").exists()
+        for artifact in ("fields.csv", "spectrum.json", "verify.json",
+                         "trace.csv"):
+            if (out / artifact).exists():
+                text = (out / artifact).read_text()
+                assert not re.search("nan|NaN|Infinity", text)
+
+    @pytest.mark.parametrize("length, initial, cause", [
+        (1e200, "x/1e200", "eigenvalues of L"),
+        (1e-160, None, "eigenvalues of L"),
+        (1e150, None, "quadrature split")])
+    def test_palpha_error_names_the_cause(self, tmp_path, capsys, length,
+                                          initial, cause):
+        cfg = base_1d("palpha", n=15, length=length, alpha=0.5)
+        if initial:
+            cfg["initial"] = initial
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert cause in capsys.readouterr().err
+
+
 class TestNoDenseL:
     """Every task but evolve runs without materializing the dense L, on
     positive coefficient sets and on forced ones."""

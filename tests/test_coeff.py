@@ -146,6 +146,60 @@ class TestDifferentiate:
               - np.asarray(evaluate(e, x=xs - h), dtype=float)) / (2 * h)
         assert np.max(np.abs(sym - fd) / (1.0 + np.abs(sym))) <= 1e-6
 
+    @pytest.mark.parametrize("text", ["1+x^0", "1+0*sqrt(x)"])
+    def test_no_term_times_an_exact_zero_is_evaluated(self, text):
+        # sqrt'(0) is a pole: the derivative must drop the term it sits
+        # in, not evaluate it times 0 (the hypothesis report samples x = 0)
+        d = differentiate(parse_expr(text))
+        assert np.all(evaluate(d, x=np.array([0.0, 0.5])) == 0.0)
+        r = check_conditions([make_profile(1, text, 1.0)], (1.0,))
+        assert r.phi_sup == 0.0 and r.pass_
+
+    def test_random_expressions_against_five_point_differences(self):
+        # seeded draws from the whole grammar; an expression that leaves
+        # the real domain near the points, or grows past 100, is redrawn
+        rng = np.random.default_rng(25)
+        xs = np.linspace(0.3, 1.2, 7)
+        h = 1e-4
+        seen = set()
+        for _ in range(300):
+            while True:
+                kinds = set()
+                e = parse_expr(_random_expr(rng, 4, kinds))
+                try:
+                    f = {k: np.asarray(evaluate(e, x=xs + k * h), dtype=float)
+                         + np.zeros_like(xs) for k in (-2, -1, 0, 1, 2)}
+                except EvalError:
+                    continue
+                if np.max(np.abs(f[0])) <= 100.0:
+                    break
+            sym = (np.asarray(evaluate(differentiate(e), x=xs), dtype=float)
+                   + np.zeros_like(xs))
+            fd = (8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * h)
+            assert np.max(np.abs(sym - fd) / (1.0 + np.abs(sym))) <= 1e-6, e
+            seen |= kinds
+        assert seen == set(_OPERATIONS)
+
+
+_OPERATIONS = ("neg", "sin", "cos", "exp", "sqrt", "^", "+", "-", "*", "/")
+
+
+def _random_expr(rng, depth, kinds) -> str:
+    """A random expression text of at most `depth` nested operations, each
+    drawn from _OPERATIONS and added to the set kinds."""
+    if depth == 0 or rng.random() < 0.25:
+        return str(rng.choice(["x", "x", "0.5", "2", "1.5", "0", "1"]))
+    kind = str(rng.choice(_OPERATIONS))
+    kinds.add(kind)
+    a = _random_expr(rng, depth - 1, kinds)
+    if kind == "neg":
+        return f"(-{a})"
+    if kind == "^":  # a constant exponent, the only kind with a derivative
+        return f"({a})^{rng.choice(['0', '1', '2', '3', '0.5', '(0-1)'])}"
+    if kind in ("+", "-", "*", "/"):
+        return f"({a}{kind}{_random_expr(rng, depth - 1, kinds)})"
+    return f"{kind}({a})"
+
 
 class TestPoincare:
     def test_known_values(self):
@@ -178,11 +232,9 @@ class TestProfiles:
     def test_make_profile_attaches_derivative(self):
         p = make_profile(1, "1+0.1*x", 1.0)
         assert math.isclose(p.da(0.3), 0.1, rel_tol=1e-12)
-        assert not p.is_constant
 
     def test_constant_profile(self):
         p = constant_profile(2, 1.5, 2.0)
-        assert p.is_constant
         assert p.a(0.7) == 1.5 and p.da(0.7) == 0.0
 
 
@@ -224,6 +276,17 @@ class TestConditionReport:
         r = check_conditions(profiles, lengths)
         assert not r.pass_
         assert min(r.margins) < 0.0
+
+    def test_magnitudes_past_the_floats_give_a_report(self):
+        # C_a^2 = 1e320 and C_Omega^2 = 1e399 pass the largest float; a
+        # constant set keeps K = 1/2 (no 0 * inf), exp(-500 x) fails
+        exact = (0.5, 0.5, 2.0 * math.sqrt(2.0))
+        r = check_conditions([constant_profile(1, 1e-160, 1.0)], (1.0,))
+        assert (r.k_const, r.tau, r.theta) == exact
+        r = check_conditions([constant_profile(1, 1.0, 1e200)], (1e200,))
+        assert (r.k_const, r.tau, r.theta) == exact and r.pass_
+        r = check_conditions([make_profile(1, "exp(-500*x)", 1.0)], (1.0,))
+        assert r.k_const == -math.inf and not r.pass_
 
     def test_kappa(self):
         profiles = [constant_profile(1, 1.0, math.pi)]

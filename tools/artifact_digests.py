@@ -13,7 +13,13 @@ box of side 1e-6 (the spectrum with a coefficient written in units of that
 side), a palpha with more quadrature nodes than the schema allows, one with
 a node count of 64.0 and one with a NaN length, an evolve of 2e6 steps (all
 four exit 1), a spectrum on `1+0.2*sin(3000*x)` and a check on a length of
-10^400 (exit 1).  It prints one `path sha256` line per artifact, plus one
+10^400 (exit 1), `check` on coefficients whose derivatives take every rule
+(quotient, power, sqrt, exp, cos, and `1+x^0`, `1+0*sqrt(x)` with a term
+times an exact 0), and runs past double precision: a constant coefficient
+1e-160 (`check` exit 0, `palpha` exit 1), `exp(-500*x)` and
+`1+0.1*sin(x/1e-155)` on a box of 1e-155 (`check` exit 2), boxes of 1e200
+(`check` exit 0, `spectrum` and `palpha` exit 1), 1e-160 (`spectrum` and
+`verify` exit 1) and 1e150 (`palpha` exit 1).  It prints one `path sha256` line per artifact, plus one
 `case exit N` line per run (`case raised ERROR` when the run ends in an
 exception), so that a diff of the output of two source trees shows every
 byte that changed:
@@ -158,6 +164,26 @@ def cases():
     # a length of 10^400, an int beyond the largest float (exit 1)
     out.append(("check/1d-huge-int-length",
                 _box("check", (12,), None, lengths=(10 ** 400,)), False))
+    # derivatives through every rule: quotient, power, sqrt, exp, cos, and
+    # terms times an exact 0 (the report samples x = 0, a pole of sqrt')
+    for name, coeff in (("quotient-power", "(1+0.1*x)^3/(2+cos(3*x))"),
+                        ("sqrt-exp", "sqrt(1+x^2)*exp(-0.5*x)"),
+                        ("x-power-0", "1+x^0"), ("zero-times-sqrt",
+                                                 "1+0*sqrt(x)")):
+        out.append((f"check/1d-{name}", _box("check", (15,), (coeff,)),
+                    False))
+    # magnitudes past double precision: a report, or exit 1 or 2
+    for name, coeff, length, tasks in (
+            ("const-1e-160", "1e-160", 1.0, ("check", "palpha")),
+            ("exp-500", "exp(-500*x)", 1.0, ("check",)),
+            ("length-1e200", "1", 1e200, ("check", "spectrum", "palpha")),
+            ("sine-1e-155", "1+0.1*sin(x/1e-155)", 1e-155, ("check",)),
+            ("length-1e-160", "1", 1e-160, ("spectrum", "verify")),
+            ("length-1e150", "1", 1e150, ("palpha",))):
+        for task in tasks:
+            out.append((f"{task}/1d-{name}",
+                        _box(task, (15,), (coeff,), lengths=(length,),
+                             alpha=0.5), False))
     return out
 
 
