@@ -40,11 +40,13 @@ accumulates the naive quaternionic pair sum of the left form node by node,
 and reports its gap to the reduced form as the j_leak diagnostic instead
 of projecting it away.  That is `reference_P_alpha`, which `verify`
 compares, at three units from one pass, with the production route.
-Its work is array-wide: the stacks of a block are flat, (nodes, 4, N),
-allocated once per pass and reused by every block and unit; each
-quaternion product is a scaling plus one matmul of a 4x4 left table over
-the component axis, and T one such matmul per grid axis (`Operators.
-apply_T`).
+Its work is array-wide.  A block runs one stencil per grid axis, A_l u1
+for all its nodes, and sums T u1 from them as `Operators.apply_T` does
+(`sum_T`).  A_l is real and acts on each component alone, so T(q u1) =
+sum_l (e_l q)(A_l u1) for a constant quaternion q, and each half line of
+each unit is one matmul of a fixed table with the rows [t u1; A_1 u1;
+...] of the block, laid out component first and cut to the components
+where T v is nonzero (one of four for a real v in 1D).
 
 Quadrature: the weight t^{alpha-1} is integrable but singular at 0, so the
 panel [0, t_split] uses Gauss-Jacobi nodes absorbing exactly that weight.
@@ -88,8 +90,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (FaceField, Operators, QuatField, RealField,
-                   StaggeredOperators)
-from .quat import J_E1, Quaternion, left_mult_table, qmul
+                   StaggeredOperators, sum_T)
+from .quat import E1, E2, E3, J_E1, Quaternion, left_mult_table, qmul
 from .resolvent import ResolventWorkspace
 
 TWO_PI = 2.0 * math.pi
@@ -283,7 +285,8 @@ def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
 
 # ---------------------------------------------------------------------------
 # Quaternionic node engine.  Fields travel as arrays shaped (4, *grid.n), a
-# block of nodes as stacks shaped (nodes, 4, *grid.n).
+# block of nodes as stacks shaped (nodes, 4, N), the rows of its tables'
+# matmul component first.
 
 def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
                  units):
@@ -294,85 +297,71 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
 
     Each node solves u1 = Q_t^{-1} T v once (T v lies in the range of the
     A_l, so its parity-mode coefficient is exactly zero; Q_t depends on
-    |s| = t alone, so the solve serves every unit) and forms T u1 and the
-    j-free reduction 2 sin(theta) t u1 - 2 cos(theta) T u1, whose sum over
-    the nodes is `reduced`.  With s_+- = -+ j t and s_+-^{alpha-1} =
-    t^{alpha-1} e_+-, e_+- = cos(theta) -+ j sin(theta), the naive left pair
-    sum of each unit (t^{alpha-1} left to the node weight c) is
+    |s| = t alone, so the solve serves every unit) and forms the A_l u1,
+    T u1 and the j-free reduction 2 sin(theta) t u1 - 2 cos(theta) T u1,
+    whose sum over the nodes is `reduced`.  With s_+- = -+ j t and
+    s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- = cos(theta) -+ j sin(theta),
+    the naive left pair sum of each unit (t^{alpha-1} left to the node
+    weight c) is
       sum_{+-} conj(s_+-) e_+- u1 - T(e_+- u1),
     evaluated quaternionically at every node; it reduces to the j-free form
-    and j_leak is the gap between the two.
+    and j_leak is the gap between the two.  A half line is one matmul of
+    the left tables of +-j e_+- and -e_l e_+- with the rows c [t u1; A_1 u1;
+    ...], on the `live` components only (those where T v is nonzero; u1 and
+    the A_l u1 vanish on the others).
 
     The nodes of `symbols` on L go in ascending t, in blocks (see
-    _BLOCK_ELEMS): one resolvent solve for all nodes of a block, one T u1,
-    one reduction, then per unit the naive pairs of the block, each stack
-    summed node by node (np.add.reduce over its leading axis).  Blocks are
-    added in order, so the result is bitwise reproducible.  The stacks are
-    flat, (nodes, 4, N), allocated once and reused by every block and unit.
-
-    A product q x is w x plus one matmul of the left table of q's vector
-    part over the component axis (w the scalar part of q).  Each entry is
-    then rounded as in the 4x4 product with the table of q wherever it
-    meets one nonzero vector term: at an axis unit (e1, e2, e3, up to
-    sign) on any input, and at any unit on a single-component u1 (a real v
-    in 1D)."""
+    _BLOCK_ELEMS): one resolvent solve and one stencil per grid axis for
+    all nodes of a block, then the reduction and per unit the two half
+    lines, added and summed node by node (np.add.reduce over the node
+    axis).  Blocks are added in order, so the result is bitwise
+    reproducible."""
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    shape = comps.shape
-    tv = ops.apply_T(comps).reshape(4, -1)
+    shape, dims, n = comps.shape, ops.grid.dims, ops.grid.N
+    tv = ops.apply_T(comps).reshape(4, n)
+    live = np.flatnonzero(tv.any(axis=1))
     ts, cs = _nodes(spec, ops.spectral.eigenvalues() if ops.is_positive
                     else None)
-    per_block = max(1, _BLOCK_ELEMS // (4 * ops.grid.N))
+    per_block = max(1, _BLOCK_ELEMS // (4 * n))
 
-    def split(q):
-        return q.w, left_mult_table(Quaternion(0.0, q.x, q.y, q.z))
+    def table(sign, j, e):
+        # conj(s) e u1 - T(e u1) = sign (j e)(t u1) - sum_l (e_l e)(A_l u1)
+        mats = [sign * left_mult_table(qmul(j.direction, e))]
+        mats += [-left_mult_table(qmul(e_l, e)) for e_l in (E1, E2, E3)]
+        return np.concatenate([m[:, live] for m in mats[:1 + dims]], axis=1)
 
-    # per unit and half line (s_+, then s_-): the sign of conj(s_+-) = +-t j
-    # and the splits of e_+- = cos(theta) -+ j sin(theta) and j e_+-
-    pairs = [[(sign, split(e), split(qmul(j.direction, e)))
-              for sign, e in ((1.0, Quaternion(cos_t) + j.scale(-sin_t)),
-                              (-1.0, Quaternion(cos_t) + j.scale(sin_t)))]
-             for j in units]
-    stacks = np.empty((6, min(per_block, len(ts)), *tv.shape))
+    # per unit the s_+ and s_- half lines, conj(s_+-) = +-t j
+    tables = [(table(1.0, j, Quaternion(cos_t) + j.scale(-sin_t)),
+               table(-1.0, j, Quaternion(cos_t) + j.scale(sin_t)))
+              for j in units]
     reduced = np.zeros(tv.shape)
     acc = np.zeros((len(units), *tv.shape))
     leak = np.zeros_like(acc)
-
-    def apply_T(stack):
-        return ops.apply_T(stack.reshape(len(stack), *shape)).reshape(
-            stack.shape)
 
     for lo in range(0, len(ts), per_block):
         t, c = ts[lo:lo + per_block], cs[lo:lo + per_block]
         k = len(t)
         ws = ResolventWorkspace(ops, [J_E1.scale(-tk) for tk in t])
-        u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(k, *tv.shape)
-        tu1 = apply_T(u1)
+        u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(k, *shape)
+        a_u1 = [ops.apply_A(ax, u1).reshape(k, 4, n) for ax in range(dims)]
+        u1 = u1.reshape(k, 4, n)
         t, c = t[:, None, None], c[:, None, None]
-        # the pair of the s_+ half line goes to nv, that of s_- to hv
-        red, nv, hv, x, prod, cu = stacks[:, :k]
-        # red = c (2 sin(theta) t u1 - 2 cos(theta) T u1)
-        np.multiply(2.0 * sin_t * t, u1, out=red)
-        red -= np.multiply(2.0 * cos_t, tu1, out=prod)
-        red *= c
+        red = (2.0 * sin_t * t * u1 - 2.0 * cos_t * sum_T(a_u1)) * c
         reduced += np.add.reduce(red, axis=0)
-        np.multiply(cos_t, u1, out=cu)
-        for i, unit_pairs in enumerate(pairs):
-            for dst, (sign, (_, e_vec), (je_w, je_vec)) in zip(
-                    (nv, hv), unit_pairs):
-                # conj(s_+-) e_+- u1 - T(e_+- u1), conj(s_+-) = +-t j, with
-                # the scalar part cos(theta) of e_+- in cu
-                np.matmul(je_vec, u1, out=dst)
-                dst += np.multiply(je_w, u1, out=prod)
-                dst *= sign * t
-                np.matmul(e_vec, u1, out=x)
-                x += cu
-                dst -= apply_T(x)
-            nv += hv
-            nv *= c
-            acc[i] += np.add.reduce(nv, axis=0)
-            nv -= red
-            leak[i] += np.add.reduce(nv, axis=0)
+        if not units:
+            continue
+        # x = c [t u1; A_1 u1; ...] on the live components, component first
+        x = np.empty((1 + dims, len(live), k, n))
+        np.multiply(c * t, u1[:, live], out=x[0].swapaxes(0, 1))
+        for ax, a in enumerate(a_u1):
+            np.multiply(c, a[:, live], out=x[1 + ax].swapaxes(0, 1))
+        x = x.reshape(-1, k * n)
+        for i, (plus, minus) in enumerate(tables):
+            pairs = (plus @ x + minus @ x).reshape(4, k, n)
+            acc[i] += np.add.reduce(pairs, axis=1)
+            pairs -= red.swapaxes(0, 1)
+            leak[i] += np.add.reduce(pairs, axis=1)
     for a in (reduced, acc, leak):
         a *= -1.0 / TWO_PI
     return reduced.reshape(shape), [(a.reshape(shape),

@@ -445,16 +445,13 @@ class Operators:
         return out
 
     def apply_T(self, values):
-        """T v = sum_l e_l * (A_l v), one matmul of each left table over the
-        components, on quaternion arrays shaped (..., 4, *grid.n); a
-        QuatField maps to a QuatField."""
+        """T v = sum_l e_l * (A_l v) (`sum_T`) on quaternion arrays shaped
+        (..., 4, *grid.n); a QuatField maps to a QuatField."""
         if isinstance(values, QuatField):
             return QuatField(values.grid, self.apply_T(values.components))
         flat = (*values.shape[:values.ndim - self.grid.dims], -1)
-        acc = _E_TABLES[1] @ self.apply_A(0, values).reshape(flat)
-        for ax in range(1, self.grid.dims):
-            acc += _E_TABLES[ax + 1] @ self.apply_A(ax, values).reshape(flat)
-        return acc.reshape(values.shape)
+        return sum_T([self.apply_A(ax, values).reshape(flat)
+                      for ax in range(self.grid.dims)]).reshape(values.shape)
 
     # -- dense materializations ------------------------------------------
     def _axis_D(self, grid_axis: int) -> np.ndarray:
@@ -545,6 +542,16 @@ class Operators:
                              "mode, where its left null vector divides by it")
         return zeta, np.divide(zeta, denom, out=np.zeros_like(zeta),
                                where=denom != 0.0)
+
+
+def sum_T(a_v) -> np.ndarray:
+    """sum_l e_l * (A_l v) from the list a_v of the A_l v, quaternion arrays
+    shaped (..., 4, N): one matmul of each left table over the components,
+    added in axis order."""
+    acc = _E_TABLES[1] @ a_v[0]
+    for table, a in zip(_E_TABLES[2:], a_v[1:]):
+        acc += table @ a
+    return acc
 
 
 def constant_operators(grid: Grid, value: float = 1.0) -> Operators:

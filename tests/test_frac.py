@@ -355,7 +355,9 @@ def engine_case(name):
     """(ops, v) of one node-engine case: odd and even 1D grids (n = 200
     makes blocks of 81 nodes, so 128 nodes end in a partial block), 2D, 3D
     all-odd (the parity null mode), and a set with a sample <= 0 (the dense
-    route)."""
+    route).  A name ending in "-real" keeps the scalar part of v and sets
+    components 1-3 to exactly 0, the only input kind of the CLI."""
+    name, real = name.removesuffix("-real"), name.endswith("-real")
     texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
     n = {"1d-odd": (17,), "1d-even": (18,), "1d-200": (200,), "2d": (7, 8),
          "3d-odd": (5, 7, 3), "dense": (9,)}[name]
@@ -365,9 +367,10 @@ def engine_case(name):
     ops = Operators(Grid(BoxDomain(lengths), n),
                     tuple(make_profile(ax + 1, texts[ax], length)
                           for ax, length in enumerate(lengths)))
-    v = QuatField(ops.grid, np.random.default_rng(9).standard_normal(
-        (4, *ops.grid.n)))
-    return ops, v
+    comps = np.random.default_rng(9).standard_normal((4, *ops.grid.n))
+    if real:
+        comps[1:] = 0.0
+    return ops, QuatField(ops.grid, comps)
 
 
 def count_node_solves(monkeypatch):
@@ -386,13 +389,14 @@ def count_node_solves(monkeypatch):
 
 UNITS = (J_E1, J_E2, unit_from_components(1.0, 1.0, 1.0))
 ENGINE_CASES = ("1d-odd", "1d-even", "1d-200", "2d", "3d-odd", "dense")
+REAL_CASES = tuple(f"{name}-real" for name in ENGINE_CASES)
 
 
 class TestNodeEngine:
     """One pass over the nodes, in blocks, serving several imaginary units:
     against the engine evaluated one node at a time."""
 
-    @pytest.mark.parametrize("name", ENGINE_CASES)
+    @pytest.mark.parametrize("name", ENGINE_CASES + REAL_CASES)
     @pytest.mark.parametrize("alpha", [0.37, 0.93])
     def test_each_unit_matches_node_by_node(self, name, alpha):
         ops, v = engine_case(name)
@@ -425,7 +429,7 @@ class TestNodeEngine:
         gap = np.max(np.abs(ref.full.components - out.full.components))
         assert abs(gap - ref.j_leak) <= 1e-13 * np.max(np.abs(left))
 
-    @pytest.mark.parametrize("name", ENGINE_CASES)
+    @pytest.mark.parametrize("name", ENGINE_CASES + REAL_CASES)
     @pytest.mark.parametrize("nodes_per_block", [1, 5])
     def test_independent_of_the_block_budget(self, name, nodes_per_block,
                                              monkeypatch):
@@ -443,6 +447,43 @@ class TestNodeEngine:
             assert rel_gap(a.full.components, b.full.components) <= 1e-14
             assert abs(a.j_leak - b.j_leak) <= 1e-14 * np.max(
                 np.abs(a.full.components))
+
+    @pytest.mark.parametrize("name", ENGINE_CASES + REAL_CASES)
+    def test_reduced_sum_does_not_depend_on_the_units(self, name):
+        # the reduction is forced apply_P_alpha's result: the naive pairs
+        # of the units ride along without touching its bits
+        ops, v = engine_case(name)
+        spec = QuadratureSpec(0.6)
+        [none, one, three] = [frac._node_engine(spec, ops, v.components,
+                                                units)[0]
+                              for units in ((), UNITS[:1], UNITS)]
+        assert np.array_equal(one, none)
+        assert np.array_equal(three, none)
+
+    @pytest.mark.parametrize("name", ["1d-200", "2d", "3d-odd", "dense"])
+    def test_one_stencil_per_axis_and_block(self, name, monkeypatch):
+        # A_l u1 once per grid axis and block, shared by every unit and
+        # half line, plus one per axis for T v: d (blocks + 1) calls, 3 on
+        # 1D n = 200 (blocks of 81 and 47 nodes)
+        ops, v = engine_case(f"{name}-real")
+        original = Operators.apply_A
+        calls = []
+
+        def counting(self, grid_axis, values):
+            calls.append(grid_axis)
+            return original(self, grid_axis, values)
+
+        monkeypatch.setattr(Operators, "apply_A", counting)
+        counts = []
+        for units in (UNITS[:1], UNITS):
+            calls.clear()
+            reference_P_alpha(QuadratureSpec(0.6), ops, v, units)
+            counts.append(len(calls))
+        per_block = max(1, frac._BLOCK_ELEMS // (4 * ops.grid.N))
+        blocks = -(-128 // per_block)
+        assert counts == [ops.grid.dims * (blocks + 1)] * 2
+        if name == "1d-200":
+            assert counts == [3, 3]
 
     def test_budget_of_one_element_is_one_node(self, monkeypatch):
         ops, v = engine_case("2d")
