@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 config/schema/expression error (64.0 for an integer
 key, a non-finite number, over 10^6 evolve steps, an alpha too close to 0 or 1
-for the rule: all before any numerical work), an unusable output directory
-or a spectrum of L past double precision (`Operators.spectral`, the split);
-2 hypothesis conditions failed (unless --force), checked by `gate_conditions`
+for the rule: all before any numerical work), an unusable output directory,
+a spectrum of L past double precision (`Operators.spectral`, the split) or,
+for P_alpha, with a spectral sphere on the path -jR (even with --force); 2
+hypothesis conditions failed (unless --force), checked by `gate_conditions`
 once in each task that needs them and nowhere in the library; 4 verification
 failure.  The coefficients pick the Q_t factorization and the spectrum of L
 the quadrature split (see the resolvent and frac modules), and no result
@@ -342,12 +343,11 @@ def _task_verify(cfg, out_dir, force):
               for nd in quad_nodes(half))
     record("known_integral", abs(acc - math.pi / math.sqrt(2.0)), 1e-10)
 
-    # base: the production route (the symbol route unless a coefficient
-    # sample <= 0 sends it to the node engine's reduced sum), its symbols
-    # computed once for it and the certificate; references: the left-form
-    # node engine at three imaginary units, one pass over the nodes
-    syms = (symbols(spec, ops.spectral.eigenvalues()) if ops.is_positive
-            else None)
+    # base: the symbol route, its symbols computed once for it and the
+    # certificate; references: the left-form node engine at three
+    # imaginary units, one pass over the nodes
+    sp = ops.spectral
+    syms = symbols(spec, sp.eigenvalues(), sp.null_mask)
     base = apply_P_alpha(spec, ops, v0, syms=syms)
     denom = max(base.full.l2(), 1e-300)
     lefts = reference_P_alpha(
@@ -365,15 +365,13 @@ def _task_verify(cfg, out_dir, force):
            max(leaks) / max(np.max(np.abs(base.full.components)), 1e-300),
            1e-9)
 
-    if ops.is_positive:
-        ref = closed_form_P_alpha(alpha, v0.component(0), ops)
-        record("closed_form_gap",
-               (base.full - ref.full).l2() / max(ref.full.l2(), 1e-300), 1e-6)
+    ref = closed_form_P_alpha(alpha, v0.component(0), ops)
+    record("closed_form_gap",
+           (base.full - ref.full).l2() / max(ref.full.l2(), 1e-300), 1e-6)
 
     ok = all(c["pass"] for c in checks.values())
     # reported, not checked: the worst relative error of the two symbols
-    # over the spectrum of L, against the exact powers (null when a
-    # coefficient sample is not positive and L has no such spectrum)
+    # over the spectrum of L, against the exact powers
     _write_json(os.path.join(out_dir, "verify.json"),
                 {"checks": checks, "pass": ok,
                  "quadrature_certificate": quadrature_certificate(spec, ops,

@@ -488,11 +488,14 @@ def check_conditions(profiles, lengths) -> ConditionReport:
         a = np.asarray(p.a(xs), dtype=float) + np.zeros_like(xs)
         da = np.asarray(p.da(xs), dtype=float) + np.zeros_like(xs)
         inf_a.append(float(np.min(a)))
-        # d/dx (a^2) = 2 a a'
-        d_a2_sup = float(np.max(np.abs(2.0 * a * da)))
-        inf_a2 = float(np.min(a * a))
-        margins.append(inf_a2 - 0.5 * sqrt_co * d_a2_sup)
-        dsup_sq.append(float(np.max(da * da)))
+        with np.errstate(over="ignore"):  # inf where a square passes it
+            # d/dx (a^2) = 2 a a'
+            d_a2_sup = float(np.max(np.abs(2.0 * a * da)))
+            inf_a2 = float(np.min(a * a))
+            dsup_sq.append(float(np.max(da * da)))
+        # both terms inf: -inf (fmax drops the NaN of inf - inf)
+        margins.append(float(np.fmax(inf_a2 - 0.5 * sqrt_co * d_a2_sup,
+                                     -math.inf)))
 
     phi_sup = math.sqrt(sum(dsup_sq))
     min_inf_a = min(inf_a)

@@ -21,32 +21,26 @@ symbols of L (`symbols`):
     f_1(lambda) = -(sin(theta)/pi) sum_i c_i t_i / (t_i^2 + lambda),
     f_2(lambda) =  (cos(theta)/pi) sum_i c_i lambda / (t_i^2 + lambda).
 
-That is the production route of `apply_P_alpha` (every coefficient sample
-positive): one pass over the eigenvalue array and two applications of the
-per-axis factorization of L, whatever the node count.  Its result is the
-reduced form, so it cannot leak off the j-free span.
+That is the one route of the collocated `apply_P_alpha`, on every
+coefficient set: one pass over the eigenvalue array and two applications
+of the per-axis factorization of L, whatever the node count.  Its result is
+the reduced form, so it cannot leak off the j-free span.  Where a sample
+<= 0 makes lambda complex, so are the symbols, and the real part is kept.
 `build_matrix` gives the evolution its one dense matrix, F = f_1(L), from
 one application of f_1 to the identity; on a real v the flux channel is
 vec[l] = F A_l v, and `evolve.generator` applies the stencils to F.
 
-The quaternionic node engine (`_node_engine`) evaluates the integrand node
-by node: one pass over the same nodes (`_nodes`, the rule `symbols` sums)
-in blocks, each block one resolvent solve u1 = Q_t^{-1} T v for all its
-nodes, one T u1 and the reduced pair, summed over the nodes.  That sum is
-`apply_P_alpha` on a coefficient set with a sample <= 0, whose L the
-workspaces apply through a general eig per axis.  Since u1 and T u1 do
-not depend on j, the same pass serves several imaginary units: per unit it
-accumulates the naive quaternionic pair sum of the left form node by node,
-and reports its gap to the reduced form as the j_leak diagnostic instead
-of projecting it away.  That is `reference_P_alpha`, which `verify`
-compares, at three units from one pass, with the production route.
-Its work is array-wide.  A block runs one stencil per grid axis, A_l u1
-for all its nodes, and sums T u1 from them as `Operators.apply_T` does
-(`sum_T`).  A_l is real and acts on each component alone, so T(q u1) =
-sum_l (e_l q)(A_l u1) for a constant quaternion q, and each half line of
-each unit is one matmul of a fixed table with the rows [t u1; A_1 u1;
-...] of the block, laid out component first and cut to the components
-where T v is nonzero (one of four for a real v in 1D).
+The quaternionic node engine (`_node_engine`) is the reference that
+`verify` and the tests hold the symbol route against (`reference_P_alpha`).
+It passes once over the same nodes in blocks: per block one resolvent
+solve u1 = Q_t^{-1} T v, one stencil per grid axis (the A_l u1, summed to
+T u1 by `sum_T`) and the reduced pairs.  u1 and T u1 do not depend on j,
+so the pass serves several imaginary units: per unit it sums the naive
+quaternionic pairs of the left form, and reports their gap to the reduced
+pairs as the j_leak diagnostic.  Since A_l is real and acts on each
+component alone, T(q u1) = sum_l (e_l q)(A_l u1) for a constant quaternion
+q, so each half line is one matmul of a fixed table with the block's rows
+[t u1; A_1 u1; ...], cut to the components where T v is nonzero.
 
 Quadrature: the weight t^{alpha-1} is integrable but singular at 0, so the
 panel [0, t_split] uses Gauss-Jacobi nodes absorbing exactly that weight.
@@ -55,9 +49,11 @@ integrand carries the endpoint weight u^{-alpha} times a smooth factor; a
 Gauss-Jacobi rule with that weight integrates it to near machine precision
 (a plain Gauss-Legendre tail stalls around 1e-7 at 64 nodes because of the
 u^{1-alpha} derivative singularity).  The integrand of an eigenvalue lambda
-turns over at t ~ lambda^{1/2}, so t_split = (lambda_min lambda_max)^{1/4}
-over the positive spectrum of L balances the two panels in log t (Bonito
-and Pasciak, Math. Comp. 84, 2015); `_nodes` derives it for every route.
+turns over at t ~ |lambda|^{1/2}, so t_split = (lambda_min
+lambda_max)^{1/4} over the nonzero |lambda| of L balances the two panels in
+log t (Bonito and Pasciak, Math. Comp. 84, 2015); `_nodes` derives it for
+every route.  It also refuses a real eigenvalue mu < 0: the spectral sphere
+|s| = sqrt(-mu) lies on the path, and the integral does not exist.
 
 Both panels need the rule for the weight (1+x)^b on [-1, 1] only
 (`gauss_jacobi`, b = alpha-1 and b = -alpha).  It is computed in-house by
@@ -71,14 +67,12 @@ nodes are within 4.5e-16 and the weights within 4.4e-13 (n = 64) and
 to 5e-14 relative for n <= 128.
 
 Every route builds its integrand from u1 = Q_t^{-1}(T v) and T u1.  The
-right-resolvent integrand s^{alpha-1}(conj(s) u1 - T u1), whose pair the
-reduction sums, equals near t = 0 the bounded form s^{alpha-1}(-Q_t^{-1}
-(T^2 v) - s u1) of the splitting identity s^{alpha-1}(s S_R^{-1}(s,T) v -
-v), since conj(s) = -s and T commutes with Q_t (`integrand_form_gap`
-measures the two against each other).  The raw identity would feed Q^{-1}
-the unfiltered v, whose parity-null component is amplified by 1/t^2 on
-all-odd grids; T v is exactly orthogonal to that mode and T annihilates it,
-so this form stays clean, and f_1 is set to 0 on that mode.
+right-resolvent integrand s^{alpha-1}(conj(s) u1 - T u1) equals the bounded
+form s^{alpha-1}(-Q_t^{-1}(T^2 v) - s u1) of the splitting identity, since
+conj(s) = -s and T commutes with Q_t (the tests measure the two).  That
+identity would feed Q^{-1} the unfiltered v, whose parity-null component
+1/t^2 amplifies on all-odd grids; T v is exactly orthogonal to that mode,
+so f_1 is 0 on it (the structural 0 of L, `AxisFactorization.null_mask`).
 """
 
 from __future__ import annotations
@@ -132,9 +126,9 @@ class FracApplyResult:
     is the node engine's accumulated max-norm gap between the naive
     quaternionic left pair sum and its analytic j-free reduction
     (`reference_P_alpha`; thresholded by callers, not here), and 0.0 from
-    `apply_P_alpha`, which sums that reduction on every route.  That scheme
-    reproduces the discrete identities exactly but does not converge to the
-    continuum channels on real inputs (see the grid module).
+    `apply_P_alpha`, which sums that reduction.  That scheme reproduces the
+    discrete identities exactly but does not converge to the continuum
+    channels on real inputs (see the grid module).
 
     With `StaggeredOperators`: scal lives on the nodes and vec holds one
     `FaceField` per grid axis, on the faces normal to it, so full is None
@@ -179,25 +173,41 @@ def gauss_jacobi(n: int, b: float):
     return x, w
 
 
+def zero_tol(lam: np.ndarray) -> float:
+    """1e-12 max |lam|: an eigenvalue of L within it of 0 counts as 0, so a
+    spectral sphere does not depend on the unit of length."""
+    return 1e-12 * float(np.max(np.abs(lam), initial=0.0))
+
+
 def _nodes(spec: QuadratureSpec, lam: np.ndarray | None):
     """(t, c): the rule, all nodes ascending in t, with t^{alpha-1} folded
     into the weights c on both panels: sum_i c_i f(t_i) ~ integral_0^inf
     t^{alpha-1} f(t) dt for f smooth on [0, t_split] and 1/t times a smooth
     function of 1/t beyond.  The near panel is the Gauss-Jacobi rule of
     t^{alpha-1} itself; the tail, mapped by t = t_split/u, that of u^{-alpha}.
-    t_split = (lambda_min lambda_max)^{1/4} over the positive values of the
-    spectrum lam (no copy of it), 1 when it has none or is None; a product
-    lambda_min lambda_max that underflows to 0 or overflows raises
-    ValueError."""
+    t_split = (lambda_min lambda_max)^{1/4} over the nonzero |lam| of the
+    spectrum lam, 1 when it has none or is None.  ValueError when that
+    product underflows to 0 or overflows, and when a real eigenvalue lies
+    below -`zero_tol`: its spectral sphere meets the path -jR."""
     a = spec.alpha
-    top = 0.0 if lam is None else float(np.max(lam, initial=0.0))
-    low = top if lam is None else float(np.min(lam, where=lam > 0.0,
-                                               initial=top))
-    ts = (low * top) ** 0.25 if top > 0.0 else 1.0
-    if not 0.0 < ts < math.inf:
-        raise ValueError(f"the quadrature split (lambda_min lambda_max)^(1/4)"
-                         f" leaves double precision: eigenvalues of L from "
-                         f"{low:.3g} to {top:.3g}")
+    ts = 1.0
+    if lam is not None:
+        tol = zero_tol(lam)
+        r = np.sqrt(-lam.real[(lam.real < -tol) & (abs(lam.imag) <= tol)])
+        if r.size:
+            raise ValueError(
+                f"the quadrature path -jR crosses {r.size} spectral sphere(s)"
+                f" of T, radius {r.min():.3g} to {r.max():.3g}: P_alpha is "
+                f"not defined there")
+        mod = np.abs(lam)
+        top = float(np.max(mod, initial=0.0))
+        low = float(np.min(mod, where=mod > 0.0, initial=top))
+        if top > 0.0:
+            ts = (low * top) ** 0.25
+        if not 0.0 < ts < math.inf:
+            raise ValueError(f"the quadrature split (lambda_min lambda_max)"
+                             f"^(1/4) leaves double precision: eigenvalues "
+                             f"of L from {low:.3g} to {top:.3g}")
     x, w = gauss_jacobi(spec.n_sing, a - 1.0)
     t_near = ts * (1.0 + x) / 2.0
     c_near = w * (ts / 2.0) ** a
@@ -221,11 +231,13 @@ def quad_nodes(spec: QuadratureSpec) -> list:
     return [{"t": float(t), "weight": float(w)} for t, w in zip(ts, raw)]
 
 
-def symbols(spec: QuadratureSpec, lam: np.ndarray):
+def symbols(spec: QuadratureSpec, lam: np.ndarray, null: np.ndarray):
     """(f_1, f_2) on the eigenvalues lam of L, with P_alpha v = f_1(L) T v +
     f_2(L) v: the reduced pair integrand summed over the nodes of spec in
     the fixed ascending-t order (split by lam), the factor -1/(2 pi) folded
-    in.  f_1 is 0 where lam is 0, the parity null mode T v never reaches.
+    in; complex where lam is.  f_1 is 0 where the mask null is set, at the
+    structural 0 of L (`AxisFactorization.null_mask`), the parity null mode
+    T v never reaches; any other 0 keeps its sum.
 
     The nodes go in blocks, each one np.add.reduce over the node axis
     whose first row has the sums of the blocks before added in, so every
@@ -238,49 +250,48 @@ def symbols(spec: QuadratureSpec, lam: np.ndarray):
     # a quarter of the engine's bound keeps a block's stacks in cache and
     # the peak memory of a run as it was (2^16 added 1.7 MB on 9^3 grids)
     per_block = max(1, _BLOCK_ELEMS // (8 * flat.size))
-    sums = np.zeros((2, flat.size))
+    sums = np.zeros((2, flat.size), np.result_type(flat, float))
     for lo in range(0, len(ts), per_block):
         t, c = ts[lo:lo + per_block, None], cs[lo:lo + per_block, None]
         r = t * t + flat
         np.divide(c, r, out=r)
-        terms = np.empty((len(t), *sums.shape))
+        terms = np.empty((len(t), *sums.shape), sums.dtype)
         np.multiply(r, t, out=terms[:, 0])
         np.multiply(r, flat, out=terms[:, 1])
         terms[0] += sums
         sums = np.add.reduce(terms, axis=0)
     sum_u1, sum_u2 = sums.reshape(2, *np.shape(lam))
-    f1 = np.where(lam > 0.0, -math.sin(theta) / math.pi * sum_u1, 0.0)
+    f1 = np.where(null, 0.0, -math.sin(theta) / math.pi * sum_u1)
     return f1, math.cos(theta) / math.pi * sum_u2
 
 
-def exact_symbols(alpha: float, lam: np.ndarray):
+def exact_symbols(alpha: float, lam: np.ndarray, null: np.ndarray):
     """(e_1, e_2) = (1/2 lam^{(alpha-1)/2}, 1/2 lam^{alpha/2}) on the
-    eigenvalues lam of L, the exact powers that `symbols` approximates;
-    both are 0 where lam is 0, the parity null mode."""
-    pos = lam > 0.0
-    safe = np.where(pos, lam, 1.0)
-    return (np.where(pos, 0.5 * safe ** ((alpha - 1.0) / 2.0), 0.0),
-            np.where(pos, 0.5 * safe ** (alpha / 2.0), 0.0))
+    eigenvalues lam of L, the exact powers that `symbols` approximates, on
+    the principal branch where lam is complex or below 0 (`np.emath`);
+    both are 0 where the mask null is set (as in `symbols`)."""
+    safe = np.where(null, 1.0, lam)
+    with np.errstate(divide="ignore"):  # an exact 0 off null: e_1 = inf
+        return tuple(np.where(null, 0.0, 0.5 * np.emath.power(safe, p))
+                     for p in ((alpha - 1.0) / 2.0, alpha / 2.0))
 
 
 def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
-                           syms=None) -> dict | None:
-    """Worst relative error of the symbols over the positive eigenvalues of
-    L, against the exact powers: scal max |f_2 / e_2 - 1|, vec max
-    |f_1 / e_1 - 1| (`exact_symbols`).  syms: (f_1, f_2) of `symbols` on
-    ops.spectral.eigenvalues(), when the caller has them already.  None
-    when a coefficient sample is not positive, for then the spectrum of L
-    need not be real and nonnegative."""
-    if not ops.is_positive:
-        return None
-    lam = ops.spectral.eigenvalues()
-    f1, f2 = syms if syms is not None else symbols(spec, lam)
-    pos = lam > 0.0
-    e1, e2 = exact_symbols(spec.alpha, lam[pos])
-    scal = np.abs(f2[pos] / e2 - 1.0)
-    vec = np.abs(f1[pos] / e1 - 1.0)
-    return {"scal": float(np.max(scal, initial=0.0)),
-            "vec": float(np.max(vec, initial=0.0))}
+                           syms=None) -> dict:
+    """Worst relative error of the symbols over the eigenvalues of L but
+    its structural 0, against the exact powers: scal max |f_2 / e_2 - 1|,
+    vec max |f_1 / e_1 - 1| (`exact_symbols`); an exact 0 elsewhere adds 0
+    to scal (both vanish) and 1 to vec (e_1 is infinite).  syms: (f_1,
+    f_2) of `symbols` on ops.spectral, when the caller has them already."""
+    sp = ops.spectral
+    lam, keep = sp.eigenvalues(), ~sp.null_mask
+    syms = syms if syms is not None else symbols(spec, lam, ~keep)
+    worst = []
+    for f, e in zip(syms, exact_symbols(spec.alpha, lam, ~keep)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where(f == e, 0.0, np.abs(f / e - 1.0))[keep]
+        worst.append(float(np.max(err, initial=0.0)))
+    return {"vec": worst[0], "scal": worst[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +301,24 @@ def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
 
 def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
                  units):
-    """Per-node quaternionic quadrature of comps (4,*n): the route of
-    apply_P_alpha on a coefficient sample <= 0 (units empty) and of
-    reference_P_alpha.  Returns (reduced (4,*n), [(left (4,*n), j_leak
-    float) per imaginary unit j of units]).
+    """Per-node quaternionic quadrature of comps (4,*n) in the left form,
+    the route of reference_P_alpha.  Returns [(left (4,*n), j_leak float)
+    per imaginary unit j of units].
 
     Each node solves u1 = Q_t^{-1} T v once (T v lies in the range of the
     A_l, so its parity-mode coefficient is exactly zero; Q_t depends on
     |s| = t alone, so the solve serves every unit) and forms the A_l u1,
     T u1 and the j-free reduction 2 sin(theta) t u1 - 2 cos(theta) T u1,
-    whose sum over the nodes is `reduced`.  With s_+- = -+ j t and
+    the pair that `symbols` sums.  With s_+- = -+ j t and
     s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- = cos(theta) -+ j sin(theta),
     the naive left pair sum of each unit (t^{alpha-1} left to the node
     weight c) is
       sum_{+-} conj(s_+-) e_+- u1 - T(e_+- u1),
     evaluated quaternionically at every node; it reduces to the j-free form
-    and j_leak is the gap between the two.  A half line is one matmul of
-    the left tables of +-j e_+- and -e_l e_+- with the rows c [t u1; A_1 u1;
-    ...], on the `live` components only (those where T v is nonzero; u1 and
-    the A_l u1 vanish on the others).
+    and j_leak is the gap between the two, summed over the nodes.  A half
+    line is one matmul of the left tables of +-j e_+- and -e_l e_+- with the
+    rows c [t u1; A_1 u1; ...], on the `live` components only (those where
+    T v is nonzero; u1 and the A_l u1 vanish on the others).
 
     The nodes of `symbols` on L go in ascending t, in blocks (see
     _BLOCK_ELEMS): one resolvent solve and one stencil per grid axis for
@@ -321,8 +331,7 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     shape, dims, n = comps.shape, ops.grid.dims, ops.grid.N
     tv = ops.apply_T(comps).reshape(4, n)
     live = np.flatnonzero(tv.any(axis=1))
-    ts, cs = _nodes(spec, ops.spectral.eigenvalues() if ops.is_positive
-                    else None)
+    ts, cs = _nodes(spec, ops.spectral.eigenvalues())
     per_block = max(1, _BLOCK_ELEMS // (4 * n))
 
     def table(sign, j, e):
@@ -335,7 +344,6 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     tables = [(table(1.0, j, Quaternion(cos_t) + j.scale(-sin_t)),
                table(-1.0, j, Quaternion(cos_t) + j.scale(sin_t)))
               for j in units]
-    reduced = np.zeros(tv.shape)
     acc = np.zeros((len(units), *tv.shape))
     leak = np.zeros_like(acc)
 
@@ -348,9 +356,6 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
         u1 = u1.reshape(k, 4, n)
         t, c = t[:, None, None], c[:, None, None]
         red = (2.0 * sin_t * t * u1 - 2.0 * cos_t * sum_T(a_u1)) * c
-        reduced += np.add.reduce(red, axis=0)
-        if not units:
-            continue
         # x = c [t u1; A_1 u1; ...] on the live components, component first
         x = np.empty((1 + dims, len(live), k, n))
         np.multiply(c * t, u1[:, live], out=x[0].swapaxes(0, 1))
@@ -362,11 +367,10 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
             acc[i] += np.add.reduce(pairs, axis=1)
             pairs -= red.swapaxes(0, 1)
             leak[i] += np.add.reduce(pairs, axis=1)
-    for a in (reduced, acc, leak):
+    for a in (acc, leak):
         a *= -1.0 / TWO_PI
-    return reduced.reshape(shape), [(a.reshape(shape),
-                                     float(np.max(np.abs(g))))
-                                    for a, g in zip(acc, leak)]
+    return [(a.reshape(shape), float(np.max(np.abs(g))))
+            for a, g in zip(acc, leak)]
 
 
 def _require_collocated(ops, what: str):
@@ -380,16 +384,19 @@ def apply_P_alpha(spec: QuadratureSpec,
                   ops: Operators | StaggeredOperators, v: QuatField, *,
                   syms=None) -> FracApplyResult:
     """P_alpha(T) v by quadrature of the right Balakrishnan form, summed as
-    its j-free reduction, so j_leak is 0.0 on every route.  The reduction
-    order is fixed ascending in t, so results are bitwise reproducible.  The
-    hypothesis conditions are not checked here: a caller that needs them
-    reads `coeff.check_conditions` (the CLI gates on it).
+    its j-free reduction, so j_leak is 0.0.  The reduction order is fixed
+    ascending in t, so results are bitwise reproducible.  The hypothesis
+    conditions are not checked here: a caller that needs them reads
+    `coeff.check_conditions` (the CLI gates on it).
 
-    Positive coefficients (`ops.is_positive`) take the symbol route, f_1(L)
-    T v + f_2(L) v, with syms = (f_1, f_2) of `symbols` on
-    ops.spectral.eigenvalues() when the caller has them already; a
-    coefficient sample <= 0 sums the same reduction node by node in the
-    quaternionic node engine.  The naive left form is `reference_P_alpha`.
+    On every coefficient set it is the symbol route, f_1(L) T v + f_2(L) v
+    through ops.spectral, with syms = (f_1, f_2) of `symbols` there when
+    the caller has them already; the real part is kept (the symbols are
+    complex where the eigenvalues of L are).  ValueError when a spectral
+    sphere meets the path (`_nodes`), and when a sample is 0 on the parity
+    null pattern, which leaves that mode no left null vector
+    (`Operators.null_pair`) to keep T v off it.  The naive left form is
+    `reference_P_alpha`.
 
     With `StaggeredOperators`, v must be real (its vector components zero)
     and the symbols are applied through the per-axis factorization of that
@@ -397,15 +404,13 @@ def apply_P_alpha(spec: QuadratureSpec,
     """
     if isinstance(ops, StaggeredOperators):
         return _apply_P_alpha_staggered(spec, ops, v)
-    if ops.is_positive:
-        sp = ops.spectral
-        f1, f2 = syms if syms is not None else symbols(spec,
-                                                        sp.eigenvalues())
-        comps = (sp.apply_symbol(f1, ops.apply_T(v.components))
-                 + sp.apply_symbol(f2, v.components))
-    else:
-        comps, _ = _node_engine(spec, ops, v.components, ())
-    return _collocated_result(QuatField(v.grid, comps), 0.0)
+    ops.null_pair  # ValueError on a 0 sample on the parity null pattern
+    sp = ops.spectral
+    f1, f2 = (syms if syms is not None
+              else symbols(spec, sp.eigenvalues(), sp.null_mask))
+    comps = (sp.apply_symbol(f1, ops.apply_T(v.components))
+             + sp.apply_symbol(f2, v.components))
+    return _collocated_result(QuatField(v.grid, comps.real), 0.0)
 
 
 def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
@@ -413,12 +418,12 @@ def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
     """The left form of P_alpha(T) v by the node engine at each imaginary
     unit of units, one FracApplyResult per unit, from one pass over the
     nodes (one Q_t solve per node for all units): the reference that
-    `verify` holds the production route against.  Like apply_P_alpha, it
-    does not check the hypothesis conditions."""
+    `verify` holds the symbol route against.  Like apply_P_alpha, it does
+    not check the hypothesis conditions."""
     _require_collocated(ops, "reference_P_alpha")
-    _, lefts = _node_engine(spec, ops, v.components, units)
     return tuple(_collocated_result(QuatField(v.grid, comps), leak)
-                 for comps, leak in lefts)
+                 for comps, leak in _node_engine(spec, ops, v.components,
+                                                 units))
 
 
 def _collocated_result(full: QuatField, leak: float) -> FracApplyResult:
@@ -435,38 +440,13 @@ def _apply_P_alpha_staggered(spec: QuadratureSpec, ops: StaggeredOperators,
         raise ValueError("the staggered scheme serves real inputs only; "
                          "the vector components of v must be zero")
     sp = ops.spectral
-    f1, f2 = symbols(spec, sp.eigenvalues())
+    f1, f2 = symbols(spec, sp.eigenvalues(), sp.null_mask)
     g = ops.grid
     scal = sp.apply_symbol(f2, v.components[0])
     pre = sp.apply_symbol(f1, v.components[0])
     vec = tuple(FaceField(g, ax, ops.apply_A(ax, pre)) for ax in range(g.dims))
     return FracApplyResult(full=None, scal=RealField(g, scal), vec=vec,
                            j_leak=0.0)
-
-
-def integrand_form_gap(spec: QuadratureSpec, ops: Operators, v: QuatField,
-                       t: float) -> float:
-    """Relative gap at one +-t pair between the splitting-identity form and
-    the Tv form of the right integrand, the one whose reduced pair every
-    route sums (they are equal in exact arithmetic; the gap is the rounding
-    of the Q_t solve)."""
-    _require_collocated(ops, "integrand_form_gap")
-    theta = (spec.alpha - 1.0) * math.pi / 2.0
-    tv = ops.apply_T(v.components)
-    # T^2 v: T^2 acts componentwise as L (cross terms cancel by exact
-    # commutation), and apply_L is that scalar route directly
-    lv = ops.apply_L(v.components)
-    ws = ResolventWorkspace(ops, J_E1.scale(-t))
-    sol = ws._solve_stack(np.concatenate([tv, lv]).reshape(8, -1),
-                          null_free_rhs=True)
-    u1, u2 = sol.reshape(2, *tv.shape)
-    tu1 = ops.apply_T(u1)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    # paired forms, common factor t^{alpha-1} dropped
-    split = 2 * sin_t * t * u1 - 2 * cos_t * u2
-    tvf = 2 * sin_t * t * u1 - 2 * cos_t * tu1
-    denom = max(float(np.max(np.abs(split))), 1e-300)
-    return float(np.max(np.abs(split - tvf))) / denom
 
 
 def build_matrix(spec: QuadratureSpec, ops: Operators) -> np.ndarray:
@@ -484,6 +464,6 @@ def build_matrix(spec: QuadratureSpec, ops: Operators) -> np.ndarray:
                          "node: its matrix is a symbol of the nonnegative "
                          "spectrum of L")
     sp = ops.spectral
-    f1, _ = symbols(spec, sp.eigenvalues())
+    f1, _ = symbols(spec, sp.eigenvalues(), sp.null_mask)
     basis = np.eye(g.N).reshape(g.N, *g.n)
     return sp.apply_symbol(f1, basis).reshape(g.N, g.N).T

@@ -328,18 +328,28 @@ def _axis_eig(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
     """The two parity blocks of L_l = -(diag(a) D_l)^2 for samples of any
     sign, in the order and form of `_axis_svd`: with C = diag(a_out) d and
     E = -diag(a_in) d^T, the in-points carry -E C and the out-points -C E,
-    each factored by `_eig`."""
+    each factored by `_eig`.  On an odd axis -C E has one row more, and
+    the structural 0 of the parity null mode: d^T annihilates the constant,
+    its right null vector (`_eig`'s null)."""
     c = a_out[:, None] * d
     e = -(a_in[:, None] * d.T)
-    return _eig(-(e @ c)), _eig(-(c @ e))
+    return _eig(-(e @ c)), _eig(-(c @ e), null=len(a_out) > len(a_in))
 
 
-def _eig(block: np.ndarray):
+def _eig(block: np.ndarray, null: bool = False):
     """(lambda, V^{-1}, V) with block = V diag(lambda) V^{-1}, from one
-    general `eig`; complex where the block has complex eigenvalues.  A
-    defective block, or eigenvectors whose 1-norm condition number exceeds
-    EIG_COND_MAX, raises ValueError."""
+    general `eig`; complex where the block has complex eigenvalues.  null:
+    the block maps the constant to 0, so the eigenvector nearest it is
+    pinned to it, its eigenvalue to exactly 0, and both go last, where
+    `_axis_svd` pads its zero.  A defective block, or eigenvectors whose
+    1-norm condition number exceeds EIG_COND_MAX, raises ValueError."""
     lam, v = np.linalg.eig(block)
+    if null:
+        const = np.full(len(lam), len(lam) ** -0.5)
+        k = int(np.argmax(np.abs(const @ v)))  # eig's columns have norm 1
+        order = np.r_[:k, k + 1:len(lam), k]
+        lam, v = lam[order], v[:, order]
+        lam[-1], v[:, -1] = 0.0, const
     try:
         v_inv = np.linalg.inv(v)
         cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
@@ -358,10 +368,16 @@ class AxisFactorization:
     with inv_l fwd_l = I and inv_l diag(lambda_l) fwd_l the axis operator.
     The sum is then inv diag(Lambda) fwd, the transforms applied one axis
     at a time, so any function f of it is the diagonal scaling f(Lambda)
-    between them."""
+    between them.  null: the last element of Lambda is a structural 0 (the
+    parity null mode of the collocated L on an all-odd grid, the null space
+    of a face family in 1D), True there in `null_mask` (any other exact 0
+    is a mode of its own)."""
 
-    def __init__(self, factors):
+    def __init__(self, factors, null: bool = False):
         self.factors = tuple(factors)
+        self.null_mask = np.zeros([len(mu) for mu, _, _ in self.factors],
+                                  bool)
+        self.null_mask.reshape(-1)[-1] = null
 
     def eigenvalues(self) -> np.ndarray:
         """Lambda = sum_l lambda_l, laid out as the coefficient array that
@@ -419,7 +435,7 @@ class Operators:
         self.a_samples = tuple(_axis_profile_samples(grid, p, i)
                                for i, p in enumerate(profiles))
         # the per-axis factorization of L is one SVD per axis then, and a
-        # general eig otherwise; P_alpha takes the symbol route only then
+        # general eig otherwise
         self.is_positive = all(np.min(a) > 0.0 for a in self.a_samples)
 
     # -- matrix-free applications (arrays shaped (..., *grid.n)) ---------
@@ -508,7 +524,9 @@ class Operators:
         A set with a sample <= 0 has no such similarity, but L is still the
         Kronecker sum of the L_l = -(diag(a_l) D_l)^2, whose parity blocks
         `_axis_eig` factors by a general eig (complex factors where a block
-        has complex eigenvalues); none of its eigenvalues need be exactly 0.
+        has complex eigenvalues).  It pins the structural 0 of an odd axis,
+        so on every set the parity null mode is the last element of Lambda
+        and exactly 0 (`null_mask`); no other eigenvalue need be 0.
         """
         factor = _axis_svd if self.is_positive else _axis_eig
         factors = []
@@ -522,7 +540,7 @@ class Operators:
             fwd[:m, 1::2], inv[1::2, :m] = fwd_o, inv_o
             fwd[m:, 0::2], inv[0::2, m:] = fwd_e, inv_e
             factors.append((np.concatenate((lam_o, lam_e)), fwd, inv))
-        return AxisFactorization(factors)
+        return AxisFactorization(factors, self.grid.has_parity_null)
 
     # -- null-mode data ----------------------------------------------------
     @cached_property
@@ -646,7 +664,7 @@ class StaggeredOperators:
         column of U_l) at eigenvalue 0."""
         factors = list(self.spectral.factors)
         factors[grid_axis] = self._svds[grid_axis][1]
-        return AxisFactorization(factors)
+        return AxisFactorization(factors, self.grid.dims == 1)
 
 
 # ---------------------------------------------------------------------------

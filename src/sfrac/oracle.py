@@ -9,11 +9,12 @@ Two oracles with deliberately different error budgets:
   validates the modeling, not the quadrature.
 * `closed_form_P_alpha` — the exact powers of the *discrete* operator
   L = -sum A_l^2 itself, applied through the per-axis spectral factorization
-  of L (`Operators.spectral`) for every separable coefficient set with
-  positive samples; on `StaggeredOperators`, through that scheme's node
-  (`spectral`) and face (`face_spectral`) families.  It shares the
-  operators with the quadrature path, so disagreement there can only come
-  from quadrature error, never discretization.
+  of L (`Operators.spectral`) for every separable coefficient set (on the
+  principal branch where a sample <= 0 makes the eigenvalues complex); on
+  `StaggeredOperators`, through that scheme's node (`spectral`) and face
+  (`face_spectral`) families.  It shares the operators with the quadrature
+  path, so disagreement there can only come from quadrature error, never
+  discretization.
 
 The two oracles agree only on the staggered scheme.  The collocated default
 does not converge to the continuum on real inputs (its wide stencil pairs
@@ -27,7 +28,8 @@ Plus `s_spectrum_probe`: the eigenvalues mu of L, reported as the points
 `Operators.spectral`.  On positive coefficients mu >= 0, each positive value
 of an axis once per parity sublattice and exactly 0 at the parity null mode.
 A set with a sample <= 0 takes them from a general `eig` per axis; they can
-be complex and fall below 0, each mu < 0 flagging a spectral sphere.
+be complex and fall below 0, each mu < 0 flagging a spectral sphere (which
+`apply_P_alpha` refuses: the path -jR crosses it).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frac import FracApplyResult, exact_symbols
+from .frac import FracApplyResult, exact_symbols, zero_tol
 from .grid import (AxisFactorization, FaceField, Grid, Operators, QuatField,
                    RealField, StaggeredOperators)
 
@@ -70,9 +72,10 @@ def closed_form_P_alpha(alpha: float, v: RealField,
                         ops: Operators | StaggeredOperators) -> FracApplyResult:
     """Reference P_alpha: scal = 1/2 L^{alpha/2} v and vec_l = 1/2
     L^{(alpha-1)/2} (A_l v) (T^2 = L as an operator identity), the powers
-    `exact_symbols` applied through the per-axis factorization of L; the
-    parity null mode goes to zero.  A coefficient sample <= 0 raises
-    ValueError.
+    `exact_symbols` applied through the per-axis factorization of L, real
+    part kept; the parity null mode goes to zero, and so does a kernel mode
+    of L off it (an exact 0 of a set with a sample <= 0), whose power
+    (alpha-1)/2 is infinite.
 
     With `StaggeredOperators`: scal = 1/2 L_D^{alpha/2} v and vec_l = 1/2
     L_l^{(alpha-1)/2} A_l v on the faces, through the face family of the
@@ -82,16 +85,14 @@ def closed_form_P_alpha(alpha: float, v: RealField,
         raise ValueError("alpha must lie in (0, 1)")
     if isinstance(ops, StaggeredOperators):
         return _closed_form_staggered(alpha, v, ops)
-    if not ops.is_positive:
-        raise ValueError("the closed form needs coefficients positive at "
-                         "every node")
     g = ops.grid
     sp = ops.spectral
-    e1, e2 = exact_symbols(alpha, sp.eigenvalues())
+    e1, e2 = exact_symbols(alpha, sp.eigenvalues(), sp.null_mask)
+    e1 = np.where(np.isinf(e1), 0.0, e1)
     comps = np.zeros((4, *g.n))
-    comps[0] = sp.apply_symbol(e2, v.values)
+    comps[0] = sp.apply_symbol(e2, v.values).real
     for ax in range(g.dims):
-        comps[ax + 1] = sp.apply_symbol(e1, ops.apply_A(ax, v.values))
+        comps[ax + 1] = sp.apply_symbol(e1, ops.apply_A(ax, v.values)).real
     return FracApplyResult(full=QuatField(g, comps),
                            scal=RealField(g, comps[0]),
                            vec=tuple(RealField(g, w) for w in comps[1:]),
@@ -101,12 +102,13 @@ def closed_form_P_alpha(alpha: float, v: RealField,
 def _closed_form_staggered(alpha: float, v: RealField,
                            ops: StaggeredOperators) -> FracApplyResult:
     g = ops.grid
-    _, e2 = exact_symbols(alpha, ops.spectral.eigenvalues())
-    scal = ops.spectral.apply_symbol(e2, v.values)
+    sp = ops.spectral
+    _, e2 = exact_symbols(alpha, sp.eigenvalues(), sp.null_mask)
+    scal = sp.apply_symbol(e2, v.values)
     vec = []
     for ax in range(g.dims):
         face = ops.face_spectral(ax)
-        e1, _ = exact_symbols(alpha, face.eigenvalues())
+        e1, _ = exact_symbols(alpha, face.eigenvalues(), face.null_mask)
         w = face.apply_symbol(e1, ops.apply_A(ax, v.values))
         vec.append(FaceField(g, ax, w))
     return FracApplyResult(full=None, scal=RealField(g, scal), vec=tuple(vec),
@@ -136,14 +138,13 @@ def s_spectrum_probe(ops: Operators) -> SpectrumProbe:
     """Eigenvalues mu of L = -sum A_l^2, mapped to the real axis points
     +-sqrt(mu); axially symmetric by construction (s -> -s).  mu comes from
     `Operators.spectral` on every coefficient set; only a set with a sample
-    <= 0 can have mu < 0, and so a spectral sphere.  A mu within 1e-12
-    max|mu| of 0 counts as 0, so the verdict does not depend on the unit of
-    length."""
+    <= 0 can have mu < 0, and so a spectral sphere.  A mu within
+    `zero_tol` of 0 counts as 0, so the verdict does not depend on the unit
+    of length."""
     lam = ops.spectral.eigenvalues()
     max_imag = float(np.max(np.abs(lam.imag)))
     mu = np.sort(lam.real, axis=None)
-    zero_tol = 1e-12 * float(np.max(np.abs(mu)))
-    real = mu >= -zero_tol
+    real = mu >= -zero_tol(lam)
     r = np.sqrt(np.maximum(mu[real], 0.0))
     # pairs (-r, r) in the order of mu, then a stable sort: the order of
     # equal points, -0.0 before 0.0 included, is that of the pairs

@@ -17,13 +17,12 @@ M products back in one pass (a GEMM).  On a set with a sample <= 0 the
 factors can be complex (a general `eig` per axis); the solution of the real
 system is then the real part of the product.
 
-On a positive set the production P_alpha and its matrix do not come
-through here: summed over the nodes, the resolvents collapse onto two scalar
-symbols of L (see the frac module).  The workspaces serve the quaternionic
-node engine (`frac._node_engine`: one workspace per block of nodes, applied
-once, to the stacked components of T v), whose reduced sum is P_alpha on a
-set with a sample <= 0 and whose left form is the reference that `verify`
-and the tests use, and the resolvent identity and norm checks.
+P_alpha and its matrix do not come through here: summed over the nodes,
+the resolvents collapse onto two scalar symbols of L (see the frac module).
+The workspaces serve the quaternionic node engine (`frac._node_engine`: one
+workspace per block of nodes, applied once, to the stacked components of T
+v), the left-form reference that `verify` and the tests use, and the
+resolvent identity and norm checks.
 
 On all-odd grids the composed difference operator has the exact parity null
 mode zeta (see grid module); Q_s is then nonsingular but has the isolated
@@ -79,13 +78,13 @@ class ResolventWorkspace:
         self.ops = ops
         self.grid = ops.grid
         self.s = s
-        # one symbol 1/(|s|^2 + Lambda) per point, shaped (M, *n); on a
-        # positive set the parity-null coefficient is exactly 0 and _deflate
-        # owns that mode, while on any other set an exact 0 can be a real
-        # kernel mode of L, whose resolvent 1/|s|^2 stays
+        # one symbol 1/(|s|^2 + Lambda) per point, shaped (M, *n); it is 0
+        # at the structural 0 of L, the parity null mode that _deflate owns,
+        # while any other exact 0 is a kernel mode of L, whose resolvent
+        # 1/|s|^2 stays
         lam = ops.spectral.eigenvalues()
         t2 = self._t2.reshape(-1, *[1] * lam.ndim)
-        self._symbol = np.where((lam == 0.0) & ops.is_positive, 0.0,
+        self._symbol = np.where(ops.spectral.null_mask, 0.0,
                                 1.0 / (t2 + lam))
         self._null = ops.null_pair  # (zeta, eta) or None
 

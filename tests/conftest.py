@@ -16,10 +16,9 @@ def dense_Q(ops, t2):
 def dense_route(monkeypatch):
     """ops -> a shallow copy whose resolvent workspaces solve each
     Q_t = t^2 I + dense_L() by LU (`numpy.linalg.solve`) instead of applying
-    the per-axis factorization of L, and whose P_alpha sums the reduced pairs
-    in the node engine: an independent factorization that shares the
-    parity-null deflation with the production route.  `dense_route.Q` is
-    `dense_Q`."""
+    the per-axis factorization of L, so `reference_P_alpha` on it is the
+    node engine on an independent factorization that shares the parity-null
+    deflation with the per-axis one.  `dense_route.Q` is `dense_Q`."""
     refs = []
     spectral_solve = ResolventWorkspace._solve_spectral
 
@@ -38,7 +37,6 @@ def dense_route(monkeypatch):
         ref = copy.copy(ops)
         # the workspace still forms its symbol, which this route never reads
         ref.spectral = ops.spectral
-        ref.is_positive = False
         refs.append(ref)
         return ref
     make.Q = dense_Q

@@ -26,8 +26,9 @@ import sfrac
 from sfrac.cli import (SCHEMA, ConfigError, _validate_config,
                        _write_fields_csv, main)
 from sfrac.coeff import make_profile
-from sfrac.frac import QuadratureSpec, apply_P_alpha
+from sfrac.frac import QuadratureSpec, reference_P_alpha
 from sfrac.grid import BoxDomain, Grid, Operators, QuatField, RealField
+from sfrac.quat import J_E1
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -504,7 +505,8 @@ class TestPalphaTask:
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_default_solver_matches_dense(self, tmp_path, n, dense_route):
-        # the CLI's symbol route against the node engine on dense LU
+        # the CLI's symbol route against the left-form node engine on
+        # dense LU
         cfg = {
             "domain": {"dims": 2, "lengths": [1.0, 1.3]},
             "grid": {"n": [n, n - 4]},
@@ -520,14 +522,13 @@ class TestPalphaTask:
                                make_profile(2, "exp(0.2*x)", 1.3)))
         v = RealField.from_function(grid, lambda x, y: x * (1 - x) * y
                                     * (1.3 - y) * (1 + 0.3 * np.sin(3 * x)))
-        ref = apply_P_alpha(QuadratureSpec(0.4), dense_route(ops),
-                            QuatField.from_real(v)).full.components
-        want = ref.reshape(4, -1).T
+        [ref] = reference_P_alpha(QuadratureSpec(0.4), dense_route(ops),
+                                  QuatField.from_real(v), (J_E1,))
+        want = ref.full.components.reshape(4, -1).T
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_forced_run_with_non_positive_coefficient(self, tmp_path):
-        # the node engine's reduced sum serves the run, its solves through
-        # the per-axis eig of L
+        # the symbol route serves the run, through the per-axis eig of L
         cfg = base_1d("palpha", n=9, length=1.0, coeff="x-0.45", alpha=0.5,
                       initial="x*(1-x)")
         out = tmp_path / "out"
@@ -730,9 +731,9 @@ class TestVerifyTask:
         calls = []
         original = frac.symbols
 
-        def counting(spec, lam):
+        def counting(spec, *args):
             calls.append(spec.n_sing + spec.n_tail)
-            return original(spec, lam)
+            return original(spec, *args)
 
         monkeypatch.setattr(frac, "symbols", counting)
         monkeypatch.setattr(cli, "symbols", counting)
@@ -742,15 +743,38 @@ class TestVerifyTask:
         assert sorted(calls) == [128, 256]
 
     def test_forced_dense_run_with_non_positive_coefficient(self, tmp_path):
-        # the node engine's reduced sum serves the run, its solves through
-        # the per-axis eig of L, and the certificate is null
+        # the symbol route serves the run through the per-axis eig of L, and
+        # the certificate and the closed form take its eigenvalues too
         cfg = base_1d("verify", n=9, length=1.0, coeff="x-0.45")
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out),
                      "--force"]) == 0
         rep = read_json(out, "verify.json")
         assert rep["pass"] is True
-        assert rep["quadrature_certificate"] is None
+        assert max(rep["quadrature_certificate"].values()) <= 1e-12
+        assert rep["checks"]["closed_form_gap"]["pass"] is True
+
+    @pytest.mark.parametrize("coeff, radius", [("x-0.45", "0.131"),
+                                               ("x-0.3", "0.152")])
+    def test_spectral_sphere_on_the_path_exits_1(self, tmp_path, capsys,
+                                                 coeff, radius):
+        # 1D 64: L has two real eigenvalues below 0, whose spheres meet the
+        # path -jR; --force does not make P_alpha exist, and spectrum lists
+        # the radii
+        for task in ("palpha", "verify"):
+            cfg = base_1d(task, n=64, length=1.0, coeff=coeff, alpha=0.5)
+            out = tmp_path / task
+            assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                         "--force"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "spectral sphere" in err
+            assert f"radius {radius}" in err
+            assert os.listdir(out) == []
+        cfg = base_1d("spectrum", n=64, length=1.0, coeff=coeff)
+        out = tmp_path / "spectrum"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        radii = read_json(out, "spectrum.json")["sphere_radii"]
+        assert [f"{r:.3g}" for r in radii] == [radius] * 2
 
     @pytest.mark.parametrize("coeff", ["1", "1+0.1*sin(x)"])
     def test_passes_on_a_fine_grid(self, tmp_path, coeff):
@@ -860,6 +884,9 @@ EXTREME_SCALES = {
     "length-1e-160": (("1", 1e-160), (0, 1, 1, 1, 1)),
     # the split (lambda_min lambda_max)^(1/4) underflows to 0
     "length-1e150": (("1", 1e150), (0, 0, 1, 1, 1)),
+    # both terms of the margin overflow (a^2 and 2 a a'): -inf, not NaN;
+    # sigma^2 overflows
+    "margin-1e200": (("1e200*(1+0.1*x)", 1.0), (2, 1, 2, 2, 2)),
 }
 
 
@@ -889,6 +916,9 @@ class TestExtremeScales:
             if (out / artifact).exists():
                 text = (out / artifact).read_text()
                 assert not re.search("nan|NaN|Infinity", text)
+        # the report may hold an infinite constant, never a NaN
+        if (out / "report.json").exists():
+            assert "NaN" not in (out / "report.json").read_text()
 
     @pytest.mark.parametrize("length, initial, cause", [
         (1e200, "x/1e200", "eigenvalues of L"),

@@ -9,8 +9,8 @@ from sfrac import frac
 from sfrac.cli import main
 from sfrac.coeff import check_conditions, make_profile
 from sfrac.frac import (QuadratureSpec, apply_P_alpha, build_matrix,
-                        gauss_jacobi, integrand_form_gap, quad_nodes,
-                        quadrature_certificate, reference_P_alpha)
+                        gauss_jacobi, quad_nodes, quadrature_certificate,
+                        reference_P_alpha)
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import closed_form_P_alpha
@@ -32,6 +32,29 @@ def variable_ops_2d(n1=7, n2=9):
 def rel_gap(a, b):
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return np.max(np.abs(a - b)) / scale
+
+
+def integrand_form_gap(spec, ops, v, t):
+    """Relative gap at one +-t pair between the splitting-identity form and
+    the Tv form of the right integrand, the one whose reduced pair every
+    route sums (they are equal in exact arithmetic; the gap is the rounding
+    of the Q_t solve)."""
+    theta = (spec.alpha - 1.0) * math.pi / 2.0
+    tv = ops.apply_T(v.components)
+    # T^2 v: T^2 acts componentwise as L (cross terms cancel by exact
+    # commutation), and apply_L is that scalar route directly
+    lv = ops.apply_L(v.components)
+    ws = ResolventWorkspace(ops, J_E1.scale(-t))
+    sol = ws._solve_stack(np.concatenate([tv, lv]).reshape(8, -1),
+                          null_free_rhs=True)
+    u1, u2 = sol.reshape(2, *tv.shape)
+    tu1 = ops.apply_T(u1)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    # paired forms, common factor t^{alpha-1} dropped
+    split = 2 * sin_t * t * u1 - 2 * cos_t * u2
+    tvf = 2 * sin_t * t * u1 - 2 * cos_t * tu1
+    denom = max(float(np.max(np.abs(split))), 1e-300)
+    return float(np.max(np.abs(split - tvf))) / denom
 
 
 class TestQuadratureSpec:
@@ -85,7 +108,7 @@ class TestNodes:
         assert all(t > 0 for t in ts)
 
     def test_split_follows_the_positive_spectrum(self):
-        # t_split = (lambda_min lambda_max)^{1/4} over the positive values,
+        # t_split = (lambda_min lambda_max)^{1/4} over the nonzero values,
         # the parity null mode (0) left out; the rule scales with it
         spec = QuadratureSpec(0.4)
         unit_t, unit_c = frac._nodes(spec, None)
@@ -99,8 +122,26 @@ class TestNodes:
             t, c = frac._nodes(spec, lam)
             assert np.array_equal(t, unit_t) and np.array_equal(c, unit_c)
 
+    def test_split_follows_the_moduli(self):
+        # complex eigenvalues split by |lambda|, as their positive
+        # counterparts do, an exact 0 left out
+        spec = QuadratureSpec(0.4)
+        want = frac._nodes(spec, np.array([0.0, 2.0, 8.0 ** 4 / 2.0]))
+        lam = np.array([0.0, 2.0j, 8.0 ** 4 / 2.0 * np.exp(0.3j)])
+        for got, ref in zip(frac._nodes(spec, lam), want):
+            assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
 
-def symbols_node_by_node(spec, lam):
+    @pytest.mark.parametrize("mu", [-0.25, -0.25 + 1e-13j])
+    def test_spectral_sphere_raises(self, mu):
+        # a real eigenvalue below -zero_tol puts a sphere of radius
+        # sqrt(-mu) on the path; one off the real axis does not
+        with pytest.raises(ValueError, match="1 spectral sphere.*radius "
+                                             "0.5 to 0.5"):
+            frac._nodes(QuadratureSpec(0.5), np.array([mu, 1.0, 4.0, 100.0]))
+        frac._nodes(QuadratureSpec(0.5), np.array([-0.25 + 1e-9j, 1.0]))
+
+
+def symbols_node_by_node(spec, lam, null):
     """`symbols` one node at a time: the reduced pair integrand added in
     ascending t."""
     theta = (spec.alpha - 1.0) * math.pi / 2.0
@@ -110,7 +151,7 @@ def symbols_node_by_node(spec, lam):
         r = c / (t * t + lam)
         sum_u1 += r * t
         sum_u2 += r * lam
-    f1 = np.where(lam > 0.0, -math.sin(theta) / math.pi * sum_u1, 0.0)
+    f1 = np.where(null, 0.0, -math.sin(theta) / math.pi * sum_u1)
     return f1, math.cos(theta) / math.pi * sum_u2
 
 
@@ -122,11 +163,31 @@ class TestSymbols:
     def test_bitwise_node_by_node(self, shape, n_nodes):
         rng = np.random.default_rng(8)
         lam = np.exp(rng.uniform(-3.0, 12.0, shape))
-        lam.reshape(-1)[2::5] = 0.0  # the parity null mode
+        # the parity null mode, last, and exact zeros that keep their sums
+        lam.reshape(-1)[2::5] = 0.0
+        lam.reshape(-1)[-1] = 0.0
+        null = np.zeros(shape, bool)
+        null.reshape(-1)[-1] = True
         spec = QuadratureSpec(0.3, n_sing=n_nodes // 2, n_tail=n_nodes // 2)
-        f1, f2 = frac.symbols(spec, lam)
-        r1, r2 = symbols_node_by_node(spec, lam)
+        f1, f2 = frac.symbols(spec, lam, null)
+        r1, r2 = symbols_node_by_node(spec, lam, null)
         assert f1.shape == f2.shape == lam.shape
+        assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
+        assert f1.reshape(-1)[-1] == 0.0
+        assert np.all(f1.reshape(-1)[2:-1:5] != 0.0)
+
+    @pytest.mark.parametrize("shape", [(7,), (191,), (9, 9, 9)])
+    def test_complex_bitwise_node_by_node(self, shape):
+        # the eigenvalues of a set with a sample <= 0: the same sums, in
+        # complex arithmetic
+        rng = np.random.default_rng(9)
+        lam = np.exp(rng.uniform(-3.0, 12.0, shape)
+                     + 1j * rng.uniform(-1.0, 1.0, shape))
+        null = np.zeros(shape, bool)
+        spec = QuadratureSpec(0.3)
+        f1, f2 = frac.symbols(spec, lam, null)
+        r1, r2 = symbols_node_by_node(spec, lam, null)
+        assert f1.dtype == f2.dtype == complex
         assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
 
 
@@ -246,10 +307,10 @@ class TestApply:
     @pytest.mark.parametrize("n", [(17,), (18,), (7, 9), (8, 9), (5, 7, 9),
                                    (5, 6, 7)])
     def test_symbol_route_matches_node_engine(self, n, dense_route):
-        # the production route (positive coefficients: two symbols of L)
-        # against the quaternionic node engine, its left form and its
-        # reduced sum on the dense route, on odd (parity null mode) and
-        # even grids with variable coefficients and vector components
+        # the symbol route against the quaternionic node engine's left form,
+        # on the per-axis factorization and on the dense route, on odd
+        # (parity null mode) and even grids with variable coefficients and
+        # vector components
         lengths = (1.0, 1.3, 0.8)[: len(n)]
         texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
         ops = Operators(Grid(BoxDomain(lengths), n),
@@ -266,9 +327,37 @@ class TestApply:
             got = apply_P_alpha(spec, ops, v)
             assert got.j_leak == 0.0
             [left] = reference_P_alpha(spec, ops, v, (J_E1,))
-            for ref in (left, apply_P_alpha(spec, dense, v)):
+            [dense_left] = reference_P_alpha(spec, dense, v, (J_E1,))
+            for ref in (left, dense_left):
                 assert rel_gap(got.full.components,
                                ref.full.components) <= 1e-12
+
+    def test_forced_split_follows_the_moduli(self):
+        # 1D 200 `x-0.45`: complex eigenvalues, whose split of |lambda|
+        # takes the doubling gap from 8.3e-11 at the unit split to below
+        # 1e-11; the symbol route sits within 1e-10 of the node engine
+        ops = Operators(grid1d(200, 1.0), (make_profile(1, "x-0.45", 1.0),))
+        assert np.iscomplexobj(ops.spectral.eigenvalues())
+        v = QuatField.from_real(RealField.from_function(
+            ops.grid, lambda x: x * (1.0 - x)))
+        got = apply_P_alpha(QuadratureSpec(0.5), ops, v).full
+        [ref] = reference_P_alpha(QuadratureSpec(0.5), ops, v, (J_E1,))
+        assert rel_gap(got.components, ref.full.components) <= 1e-10
+        doubled = apply_P_alpha(QuadratureSpec(0.5, n_sing=128, n_tail=128),
+                                ops, v).full
+        assert (doubled - got).l2() / got.l2() <= 1e-11
+
+    @pytest.mark.parametrize("coeff", ["x-0.45", "x-0.3"])
+    def test_spectral_sphere_on_the_path_raises(self, coeff):
+        # 1D 64: two real eigenvalues of L below 0, so Q_t is singular on
+        # the path; the symbol route and the node engine share the check
+        ops = Operators(grid1d(64, 1.0), (make_profile(1, coeff, 1.0),))
+        v = QuatField.from_real(RealField.from_function(
+            ops.grid, lambda x: x * (1.0 - x)))
+        with pytest.raises(ValueError, match="2 spectral sphere"):
+            apply_P_alpha(QuadratureSpec(0.5), ops, v)
+        with pytest.raises(ValueError, match="2 spectral sphere"):
+            reference_P_alpha(QuadratureSpec(0.5), ops, v, (J_E1,))
 
     def test_doubling_convergence(self):
         ops = variable_ops_2d()
@@ -333,8 +422,7 @@ def node_by_node(spec, ops, comps, j):
     reduced = np.zeros_like(comps)
     acc = np.zeros_like(comps)
     leak = np.zeros_like(comps)
-    lam = ops.spectral.eigenvalues() if ops.is_positive else None
-    for t, c in zip(*frac._nodes(spec, lam)):
+    for t, c in zip(*frac._nodes(spec, ops.spectral.eigenvalues())):
         ws = ResolventWorkspace(ops, j.scale(-t))
         u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(comps.shape)
         tu1 = ops.apply_T(u1)
@@ -354,9 +442,10 @@ def node_by_node(spec, ops, comps, j):
 def engine_case(name):
     """(ops, v) of one node-engine case: odd and even 1D grids (n = 200
     makes blocks of 81 nodes, so 128 nodes end in a partial block), 2D, 3D
-    all-odd (the parity null mode), and a set with a sample <= 0 (the dense
-    route).  A name ending in "-real" keeps the scalar part of v and sets
-    components 1-3 to exactly 0, the only input kind of the CLI."""
+    all-odd (the parity null mode), and, named "dense", an all-odd set with
+    a sample <= 0 (the per-axis eig of L).  A name ending in "-real" keeps
+    the scalar part of v and sets components 1-3 to exactly 0, the only
+    input kind of the CLI."""
     name, real = name.removesuffix("-real"), name.endswith("-real")
     texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
     n = {"1d-odd": (17,), "1d-even": (18,), "1d-200": (200,), "2d": (7, 8),
@@ -416,9 +505,9 @@ class TestNodeEngine:
     @pytest.mark.parametrize("j", UNITS)
     def test_right_form_on_the_dense_route(self, j):
         # on a set with a sample <= 0, apply_P_alpha sums the j-free
-        # reduction of the right form in the node engine, as the symbol
-        # route does, so it reports no leak; the left form at j sits its
-        # j_leak away from it
+        # reduction of the right form through complex symbols, and matches
+        # the engine's reduced pairs summed node by node; it reports no
+        # leak, and the left form at j sits its j_leak away from it
         ops, v = engine_case("dense")
         spec = QuadratureSpec(0.6)
         out = apply_P_alpha(spec, ops, v)
@@ -434,7 +523,7 @@ class TestNodeEngine:
     def test_independent_of_the_block_budget(self, name, nodes_per_block,
                                              monkeypatch):
         # 128 nodes in blocks of 1, and of 5 (a partial block of 3 last);
-        # apply_P_alpha is the engine's reduced sum on the dense case
+        # apply_P_alpha sums its symbols in blocks of the same budget
         ops, v = engine_case(name)
         spec = QuadratureSpec(0.6)
         base = (*reference_P_alpha(spec, ops, v, UNITS),
@@ -450,15 +539,15 @@ class TestNodeEngine:
 
     @pytest.mark.parametrize("name", ENGINE_CASES + REAL_CASES)
     def test_reduced_sum_does_not_depend_on_the_units(self, name):
-        # the reduction is forced apply_P_alpha's result: the naive pairs
-        # of the units ride along without touching its bits
+        # the reduced pairs behind j_leak are formed once per block for all
+        # units: the left form and the leak of a unit keep their bits when
+        # other units ride along
         ops, v = engine_case(name)
         spec = QuadratureSpec(0.6)
-        [none, one, three] = [frac._node_engine(spec, ops, v.components,
-                                                units)[0]
-                              for units in ((), UNITS[:1], UNITS)]
-        assert np.array_equal(one, none)
-        assert np.array_equal(three, none)
+        [one] = frac._node_engine(spec, ops, v.components, UNITS[:1])
+        three = frac._node_engine(spec, ops, v.components, UNITS)
+        assert np.array_equal(three[0][0], one[0])
+        assert three[0][1] == one[1]
 
     @pytest.mark.parametrize("name", ["1d-200", "2d", "3d-odd", "dense"])
     def test_one_stencil_per_axis_and_block(self, name, monkeypatch):
@@ -560,11 +649,8 @@ class TestMatrixBuild:
     def test_staggered_operators_rejected(self):
         g = Grid(BoxDomain((1.0,)), (9,))
         ops = StaggeredOperators(g, (make_profile(1, "1+0.1*x", 1.0),))
-        v = QuatField.from_real(RealField.from_function(g, np.sin))
         with pytest.raises(ValueError, match="collocated"):
             build_matrix(QuadratureSpec(0.5), ops)
-        with pytest.raises(ValueError, match="collocated"):
-            integrand_form_gap(QuadratureSpec(0.5), ops, v, 0.7)
 
     def test_quadrature_certificate(self):
         # the symbols against the exact powers over the spectrum of L: tight

@@ -484,6 +484,29 @@ class TestAxisFactorization:
                                        np.array([1.0])):
             assert np.allclose(inv @ fwd, np.eye(len(lam)), atol=1e-14)
 
+    @pytest.mark.parametrize("n", [(9,), (63,), (10,), (9, 5), (9, 4)])
+    def test_eig_pins_the_parity_zero(self, n):
+        # a sample <= 0: each odd axis has its structural 0 exactly 0 and
+        # last, with the constant as its eigenvector on the out-points, as
+        # the SVD of a positive set has; Lambda is 0 there and only there
+        lengths = (1.0, 1.3)[:len(n)]
+        texts = ("x-0.45", "1+0.1*x")
+        ops = Operators(Grid(BoxDomain(lengths), n), tuple(
+            make_profile(ax + 1, texts[ax], length)
+            for ax, length in enumerate(lengths)))
+        assert not ops.is_positive
+        for (lam, fwd, inv), v in zip(ops.spectral.factors, n):
+            if v % 2:
+                assert lam[-1] == 0.0 and np.all(lam[:-1] != 0.0)
+                assert np.all(inv[0::2, -1] == (v // 2 + 1) ** -0.5)
+                assert not inv[1::2, -1].any()
+            assert np.allclose(fwd @ inv, np.eye(v), atol=1e-12)
+        sp = ops.spectral
+        odd = all(v % 2 for v in n)
+        assert np.array_equal(sp.null_mask, sp.eigenvalues() == 0.0)
+        assert np.count_nonzero(sp.null_mask) == odd
+        assert sp.null_mask.reshape(-1)[-1] == odd
+
     @pytest.mark.parametrize("n", [(7,), (8,), (31,), (64,), (255,), (1,),
                                    (2,), (9, 10), (5, 6, 7)])
     def test_collocated_eigenvalues_pair_exactly(self, n):
@@ -500,6 +523,9 @@ class TestAxisFactorization:
             values, counts = np.unique(lam, return_counts=True)
             assert np.all(counts[values > 0.0] == 2)
             assert np.count_nonzero(lam == 0.0) == v % 2
+        # the mask of the structural 0 is the exact 0 of Lambda
+        sp = ops.spectral
+        assert np.array_equal(sp.null_mask, sp.eigenvalues() == 0.0)
 
 
 class TestNorms:

@@ -120,11 +120,30 @@ class TestClosedForm:
             assert rel_gap(out.vec[ax].flat(), want) <= 1e-13
         assert not np.any(out.vec[2].values)
 
-    def test_non_positive_coefficient_raises(self):
-        g = Grid(BoxDomain((1.0,)), (9,))
-        ops = Operators(g, (make_profile(1, "x-0.45", 1.0),))
-        with pytest.raises(ValueError, match="positive"):
-            closed_form_P_alpha(0.5, RealField.from_function(g, np.sin), ops)
+    def test_non_positive_coefficient_matches_fractional_matrix_powers(
+            self):
+        # a sample <= 0: the per-axis eig of L, complex on 1D 18 (its
+        # eigenvalues reach 6.3e-2 off the real axis), with the powers on
+        # the principal branch; the reference is that of the Schur-Pade
+        # fractional power of the dense L
+        for n, texts in (((18,), ("x-0.45",)), ((6, 8), ("x-0.45",
+                                                        "1+0.1*x"))):
+            lengths = (1.0, 1.3)[:len(n)]
+            g = Grid(BoxDomain(lengths), n)
+            ops = Operators(g, tuple(make_profile(ax + 1, text, length)
+                                     for ax, (text, length)
+                                     in enumerate(zip(texts, lengths))))
+            assert not ops.is_positive
+            v = np.random.default_rng(3).standard_normal(g.n)
+            out = closed_form_P_alpha(0.3, RealField(g, v), ops)
+            dense = ops.dense_L()
+            scal = 0.5 * scipy.linalg.fractional_matrix_power(dense, 0.15)
+            vec = 0.5 * scipy.linalg.fractional_matrix_power(dense, -0.35)
+            assert rel_gap(out.scal.flat(),
+                           np.real(scal) @ v.reshape(-1)) <= 1e-12
+            for ax in range(len(n)):
+                want = np.real(vec) @ ops.apply_A(ax, v).reshape(-1)
+                assert rel_gap(out.vec[ax].flat(), want) <= 1e-12
 
     def test_alpha_domain(self):
         ops = constant_operators(grid1d(8))

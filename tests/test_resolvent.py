@@ -171,10 +171,13 @@ class TestSpectral:
         assert not ops.is_positive
         # L of such a set has a general eig per parity block in place of
         # the SVD, and the workspace applies the same symbol 1/(t^2 +
-        # lambda) through it, with no mode masked
+        # lambda) through it, masked only at the structural 0 of the odd
+        # axis, which the deflation owns
         ws = ResolventWorkspace(ops, S_E1)
         lam = ops.spectral.eigenvalues()
-        assert np.array_equal(ws._symbol[0], 1.0 / (1.0 + lam))
+        assert lam[-1] == 0.0
+        assert np.array_equal(ws._symbol[0][:-1], 1.0 / (1.0 + lam[:-1]))
+        assert ws._symbol[0][-1] == 0.0
         f = random_field(g, seed=2)
         r = q_residual(ws, ws.solve_Q(f), f)
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)

@@ -3,26 +3,27 @@
 Runs each `sfrac` task (check, spectrum, palpha, evolve, verify) on a fixed
 list of configs: 1D/2D/3D grids, odd and even sizes, constant and variable
 coefficients, custom node counts, a fine 1D verify, a verify on a field of
-amplitude 1e9, two configs rejected with exit 1 (a `quadrature.j` key, an
-alpha of 1 - 2^-53), forced sets with a sample <= 0 (one of them exactly 0
-on the parity null mode, which exits 1, one exactly 0 off it, whose verify
-exits 4, and a spectrum on 2D 80x80, above the dense cap), Crank-Nicolson
-on a 6x5 and on an all-odd 7x9 grid, RK4 with `beta_mode`, a blocked Crank-Nicolson run on the
-2D 16^2 shape of the `evolve-2d` benchmark, an evolve and a spectrum on a
-box of side 1e-6 (the spectrum with a coefficient written in units of that
-side), a palpha with more quadrature nodes than the schema allows, one with
-a node count of 64.0 and one with a NaN length, an evolve of 2e6 steps (all
-four exit 1), a spectrum on `1+0.2*sin(3000*x)` and a check on a length of
-10^400 (exit 1), `check` on coefficients whose derivatives take every rule
-(quotient, power, sqrt, exp, cos, and `1+x^0`, `1+0*sqrt(x)` with a term
-times an exact 0), and runs past double precision: a constant coefficient
-1e-160 (`check` exit 0, `palpha` exit 1), `exp(-500*x)` and
+amplitude 1e9, two configs rejected with exit 1 (a `quadrature.j` key, an alpha
+of 1 - 2^-53), forced sets with a sample <= 0 (one of them exactly 0 on the
+parity null mode, which exits 1, one exactly 0 off it, whose verify exits 4, a
+palpha on 1D 64 whose spectral spheres meet the path, exit 1, a verify on 1D
+200 with complex eigenvalues, and a spectrum on 2D 80x80, above the dense cap),
+Crank-Nicolson on a 6x5 and on an all-odd 7x9 grid, RK4 with `beta_mode`, a
+blocked Crank-Nicolson run on the 2D 16^2 shape of the `evolve-2d` benchmark,
+an evolve and a spectrum on a box of side 1e-6 (the spectrum with a coefficient
+written in units of that side), a palpha with more quadrature nodes than the
+schema allows, one with a node count of 64.0 and one with a NaN length, an
+evolve of 2e6 steps (all four exit 1), a spectrum on `1+0.2*sin(3000*x)` and a
+check on a length of 10^400 (exit 1), `check` on coefficients whose derivatives
+take every rule (quotient, power, sqrt, exp, cos, and `1+x^0`, `1+0*sqrt(x)`
+with a term times an exact 0), and runs past double precision: a constant
+coefficient 1e-160 (`check` exit 0, `palpha` exit 1), `exp(-500*x)` and
 `1+0.1*sin(x/1e-155)` on a box of 1e-155 (`check` exit 2), boxes of 1e200
 (`check` exit 0, `spectrum` and `palpha` exit 1), 1e-160 (`spectrum` and
-`verify` exit 1) and 1e150 (`palpha` exit 1).  It prints one `path sha256` line per artifact, plus one
-`case exit N` line per run (`case raised ERROR` when the run ends in an
-exception), so that a diff of the output of two source trees shows every
-byte that changed:
+`verify` exit 1) and 1e150 (`palpha` exit 1). It prints one `path sha256` line
+per artifact, plus one `case exit N` line per run (`case raised ERROR` when the
+run ends in an exception), so that a diff of the output of two source trees
+shows every byte that changed:
 
     python tools/artifact_digests.py > change.txt
     python tools/artifact_digests.py --src OTHER_TREE/src > parent.txt
@@ -104,6 +105,11 @@ def cases():
         out.append((f"{task}/1d-zero-sample-off",
                     _box(task, (9,), ("x-0.4",), lengths=(1.0,), alpha=0.5),
                     True))
+    # two real eigenvalues of L below 0: spectral spheres on the path
+    out.append(("palpha/1d-sphere",
+                _box("palpha", (64,), ("x-0.45",), alpha=0.5), True))
+    out.append(("verify/1d-forced-200", _box("verify", (200,), ("x-0.45",)),
+                True))
     out.append(("spectrum/2d-forced-80",
                 _box("spectrum", (80, 80), ("x-0.5", "1"),
                      lengths=(1.0, 1.0)), True))
