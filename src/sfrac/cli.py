@@ -4,12 +4,13 @@ Exit codes: 0 success; 1 config/schema/expression error (64.0 for an integer
 key, a non-finite number, over 10^6 evolve steps, an alpha too close to 0 or 1
 for the rule: all before any numerical work), an unusable output directory,
 a spectrum of L past double precision (`Operators.spectral`, the split) or,
-for P_alpha, with a spectral sphere on the path -jR (even with --force); 2
-hypothesis conditions failed (unless --force), checked by `gate_conditions`
-once in each task that needs them and nowhere in the library; 4 verification
-failure.  The coefficients pick the Q_t factorization and the spectrum of L
-the quadrature split (see the resolvent and frac modules), and no result
-depends on the imaginary unit of the path, so no config key chooses them.
+for P_alpha, with a spectral sphere on the path -jR or an exact 0 off the
+parity null mode (even with --force); 2 hypothesis conditions failed (unless
+--force), checked by `gate_conditions` once in each task that needs them and
+nowhere in the library; 4 verification failure.  The coefficients pick the
+factorization of L and its spectrum the quadrature split (see the grid and
+frac modules), and no result depends on the imaginary unit of the path, so
+no config key chooses them.
 
 Determinism contract: at a fixed BLAS thread count, identical config
 produces bit-identical output files — fixed quadrature reduction order,

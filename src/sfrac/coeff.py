@@ -310,6 +310,8 @@ def differentiate(e: Expr, var: str = "x") -> Expr:
         return _add(e.op, du, dv)
     if e.op == "*":
         return _add("+", _mul(du, v), _mul(u, dv))
+    if _is(dv, 0.0):  # a constant divisor: du/v, with no v^2 to overflow
+        return du if _is(du, 0.0) else Bin("/", du, v)
     num = _add("-", _mul(du, v), _mul(u, dv))  # '/': the quotient rule
     return num if _is(num, 0.0) else Bin("/", num, Bin("^", v, Const(2.0)))
 

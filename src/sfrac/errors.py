@@ -15,10 +15,6 @@ class EvalError(ArithmeticError):
     zero, sqrt of a negative, ...)."""
 
 
-class SolverDiverged(RuntimeError):
-    """A Q_s solve missed its a-posteriori residual guard."""
-
-
 class ConditionsFailed(RuntimeError):
     """The operator-hypothesis report came back negative and the caller did
     not override."""

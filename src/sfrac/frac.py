@@ -52,8 +52,9 @@ u^{1-alpha} derivative singularity).  The integrand of an eigenvalue lambda
 turns over at t ~ |lambda|^{1/2}, so t_split = (lambda_min
 lambda_max)^{1/4} over the nonzero |lambda| of L balances the two panels in
 log t (Bonito and Pasciak, Math. Comp. 84, 2015); `_nodes` derives it for
-every route.  It also refuses a real eigenvalue mu < 0: the spectral sphere
-|s| = sqrt(-mu) lies on the path, and the integral does not exist.
+every route.  It also refuses a real eigenvalue mu < 0, whose spectral
+sphere |s| = sqrt(-mu) lies on the path, and an exact 0 of L off the parity
+null mode, where f_1 has no limit: the integral does not exist there.
 
 Both panels need the rule for the weight (1+x)^b on [-1, 1] only
 (`gauss_jacobi`, b = alpha-1 and b = -alpha).  It is computed in-house by
@@ -85,7 +86,7 @@ import numpy as np
 
 from .grid import (FaceField, Operators, QuatField, RealField,
                    StaggeredOperators, sum_T)
-from .quat import E1, E2, E3, J_E1, Quaternion, left_mult_table, qmul
+from .quat import E1, E2, E3, Quaternion, left_mult_table, qmul
 from .resolvent import ResolventWorkspace
 
 TWO_PI = 2.0 * math.pi
@@ -179,7 +180,7 @@ def zero_tol(lam: np.ndarray) -> float:
     return 1e-12 * float(np.max(np.abs(lam), initial=0.0))
 
 
-def _nodes(spec: QuadratureSpec, lam: np.ndarray | None):
+def _nodes(spec: QuadratureSpec, lam: np.ndarray | None, null):
     """(t, c): the rule, all nodes ascending in t, with t^{alpha-1} folded
     into the weights c on both panels: sum_i c_i f(t_i) ~ integral_0^inf
     t^{alpha-1} f(t) dt for f smooth on [0, t_split] and 1/t times a smooth
@@ -187,8 +188,9 @@ def _nodes(spec: QuadratureSpec, lam: np.ndarray | None):
     t^{alpha-1} itself; the tail, mapped by t = t_split/u, that of u^{-alpha}.
     t_split = (lambda_min lambda_max)^{1/4} over the nonzero |lam| of the
     spectrum lam, 1 when it has none or is None.  ValueError when that
-    product underflows to 0 or overflows, and when a real eigenvalue lies
-    below -`zero_tol`: its spectral sphere meets the path -jR."""
+    product underflows to 0 or overflows, when a real eigenvalue lies below
+    -`zero_tol` (its spectral sphere meets the path -jR), and on an exact 0
+    of lam off the mask null (the structural 0 of L): a kernel mode."""
     a = spec.alpha
     ts = 1.0
     if lam is not None:
@@ -199,6 +201,11 @@ def _nodes(spec: QuadratureSpec, lam: np.ndarray | None):
                 f"the quadrature path -jR crosses {r.size} spectral sphere(s)"
                 f" of T, radius {r.min():.3g} to {r.max():.3g}: P_alpha is "
                 f"not defined there")
+        kernel = np.count_nonzero((lam == 0.0) & ~null)
+        if kernel:
+            raise ValueError(
+                f"L has {kernel} eigenvalue(s) exactly 0 off the parity null "
+                f"mode: P_alpha is not defined there")
         mod = np.abs(lam)
         top = float(np.max(mod, initial=0.0))
         low = float(np.min(mod, where=mod > 0.0, initial=top))
@@ -226,7 +233,7 @@ def quad_nodes(spec: QuadratureSpec) -> list:
     """All nodes ascending in t with raw weights c_i t_i^{1-alpha}:
     sum_i weight_i g(t_i) approximates integral_0^inf g(t) dt for the
     integrand family of `_nodes` times t^{alpha-1}, at the unit split."""
-    ts, cs = _nodes(spec, None)
+    ts, cs = _nodes(spec, None, None)
     raw = cs * ts ** (1.0 - spec.alpha)
     return [{"t": float(t), "weight": float(w)} for t, w in zip(ts, raw)]
 
@@ -237,14 +244,14 @@ def symbols(spec: QuadratureSpec, lam: np.ndarray, null: np.ndarray):
     the fixed ascending-t order (split by lam), the factor -1/(2 pi) folded
     in; complex where lam is.  f_1 is 0 where the mask null is set, at the
     structural 0 of L (`AxisFactorization.null_mask`), the parity null mode
-    T v never reaches; any other 0 keeps its sum.
+    T v never reaches; `_nodes` refuses any other exact 0.
 
     The nodes go in blocks, each one np.add.reduce over the node axis
     whose first row has the sums of the blocks before added in, so every
     element is summed strictly in ascending t.  Both sums share one stack,
     so the axes after the node axis hold at least two elements: over a
     single one numpy would sum pairwise."""
-    ts, cs = _nodes(spec, lam)
+    ts, cs = _nodes(spec, lam, null)
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     flat = np.reshape(lam, -1)
     # a quarter of the engine's bound keeps a block's stacks in cache and
@@ -280,16 +287,14 @@ def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
                            syms=None) -> dict:
     """Worst relative error of the symbols over the eigenvalues of L but
     its structural 0, against the exact powers: scal max |f_2 / e_2 - 1|,
-    vec max |f_1 / e_1 - 1| (`exact_symbols`); an exact 0 elsewhere adds 0
-    to scal (both vanish) and 1 to vec (e_1 is infinite).  syms: (f_1,
-    f_2) of `symbols` on ops.spectral, when the caller has them already."""
+    vec max |f_1 / e_1 - 1| (`exact_symbols`).  syms: (f_1, f_2) of
+    `symbols` on ops.spectral, when the caller has them already."""
     sp = ops.spectral
     lam, keep = sp.eigenvalues(), ~sp.null_mask
     syms = syms if syms is not None else symbols(spec, lam, ~keep)
     worst = []
     for f, e in zip(syms, exact_symbols(spec.alpha, lam, ~keep)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = np.where(f == e, 0.0, np.abs(f / e - 1.0))[keep]
+        err = np.abs(f[keep] / e[keep] - 1.0)
         worst.append(float(np.max(err, initial=0.0)))
     return {"vec": worst[0], "scal": worst[1]}
 
@@ -331,7 +336,7 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     shape, dims, n = comps.shape, ops.grid.dims, ops.grid.N
     tv = ops.apply_T(comps).reshape(4, n)
     live = np.flatnonzero(tv.any(axis=1))
-    ts, cs = _nodes(spec, ops.spectral.eigenvalues())
+    ts, cs = _nodes(spec, ops.spectral.eigenvalues(), ops.spectral.null_mask)
     per_block = max(1, _BLOCK_ELEMS // (4 * n))
 
     def table(sign, j, e):
@@ -350,8 +355,7 @@ def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
     for lo in range(0, len(ts), per_block):
         t, c = ts[lo:lo + per_block], cs[lo:lo + per_block]
         k = len(t)
-        ws = ResolventWorkspace(ops, [J_E1.scale(-tk) for tk in t])
-        u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(k, *shape)
+        u1 = ResolventWorkspace(ops, t)._solve_stack(tv).reshape(k, *shape)
         a_u1 = [ops.apply_A(ax, u1).reshape(k, 4, n) for ax in range(dims)]
         u1 = u1.reshape(k, 4, n)
         t, c = t[:, None, None], c[:, None, None]

@@ -398,15 +398,12 @@ class AxisFactorization:
         """The coefficients fwd values, values shaped (..., *Lambda.shape)."""
         return self._transform([f for _, f, _ in self.factors], values)
 
-    def apply_symbol(self, symbol: np.ndarray, values: np.ndarray,
-                     transpose: bool = False) -> np.ndarray:
-        """f(L) values (or f(L)^T values), with symbol = f(eigenvalues());
-        values shaped (..., *Lambda.shape)."""
-        fwd = [f for _, f, _ in self.factors]
-        inv = [i for _, _, i in self.factors]
-        if transpose:  # (inv S fwd)^T = fwd^T S inv^T
-            fwd, inv = [m.T for m in inv], [m.T for m in fwd]
-        return self._transform(inv, symbol * self._transform(fwd, values))
+    def apply_symbol(self, symbol: np.ndarray,
+                     values: np.ndarray) -> np.ndarray:
+        """f(L) values, with symbol = f(eigenvalues()); values shaped (...,
+        *Lambda.shape)."""
+        return self._transform([i for _, _, i in self.factors],
+                               symbol * self.forward(values))
 
     @staticmethod
     def _transform(mats, values: np.ndarray) -> np.ndarray:

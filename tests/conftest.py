@@ -18,17 +18,16 @@ def dense_route(monkeypatch):
     Q_t = t^2 I + dense_L() by LU (`numpy.linalg.solve`) instead of applying
     the per-axis factorization of L, so `reference_P_alpha` on it is the
     node engine on an independent factorization that shares the parity-null
-    deflation with the per-axis one.  `dense_route.Q` is `dense_Q`."""
-    refs = []
+    deflation with the per-axis one.  Its copies (`sresolvent.transposed`)
+    keep the route, on their own dense_L().  `dense_route.Q` is `dense_Q`."""
     spectral_solve = ResolventWorkspace._solve_spectral
 
-    def solve(ws, rhs, transpose):
-        if not any(ws.ops is ref for ref in refs):
-            return spectral_solve(ws, rhs, transpose)
+    def solve(ws, rhs):
+        if not getattr(ws.ops, "dense_route", False):
+            return spectral_solve(ws, rhs)
         out = np.empty((len(ws._t2), *rhs.shape))
         for k, t2 in enumerate(ws._t2):
-            q = dense_Q(ws.ops, t2)
-            out[k] = np.linalg.solve(q.T if transpose else q, rhs.T).T
+            out[k] = np.linalg.solve(dense_Q(ws.ops, t2), rhs.T).T
         return out
 
     monkeypatch.setattr(ResolventWorkspace, "_solve_spectral", solve)
@@ -37,7 +36,7 @@ def dense_route(monkeypatch):
         ref = copy.copy(ops)
         # the workspace still forms its symbol, which this route never reads
         ref.spectral = ops.spectral
-        refs.append(ref)
+        ref.dense_route = True
         return ref
     make.Q = dense_Q
     return make

@@ -31,8 +31,8 @@ from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators, norms)
 from sfrac.oracle import closed_form_P_alpha
 from sfrac.quat import J_E1, J_E2, Quaternion, unit_from_components
-from sfrac.resolvent import (ResolventWorkspace,
-                             s_resolvent_equation_residual, splitting_residual)
+from sresolvent import (estimate_norm, s_resolvent_equation_residual,
+                        splitting_residual)
 
 CORPUS_ALPHA = 0.5
 
@@ -147,8 +147,7 @@ def test_05_resolvent_norm_bound_variable_coefficients():
         report = check_conditions(profiles, lengths)
         assert report.pass_, dims
         for t in (0.1, 1.0, 10.0, 100.0):
-            ws = ResolventWorkspace(ops, Quaternion(0, -t, 0, 0))
-            est = ws.estimate_norm(rel_tol=1e-5)
+            est = estimate_norm(ops, Quaternion(0, -t, 0, 0), rel_tol=1e-5)
             assert est * t <= 1.05 * report.theta, (dims, t)
     assert time.monotonic() - start <= 120.0
 
@@ -190,8 +189,8 @@ def test_07_s_resolvent_identities():
     nodes = quad_nodes(QuadratureSpec(alpha=0.5, n_sing=10, n_tail=10))
     assert len(nodes) == 20
     for nd in nodes:
-        ws = ResolventWorkspace(ops, Quaternion(0, -nd["t"], 0, 0))
-        assert splitting_residual(ws, v) <= 10 * tol, nd["t"]
+        s = Quaternion(0, -nd["t"], 0, 0)
+        assert splitting_residual(ops, s, v) <= 10 * tol, nd["t"]
     for _ in range(10):
         while True:
             ts, tp = rng.uniform(0.3, 3.0, size=2)

@@ -565,23 +565,6 @@ class TestPalphaTask:
         assert "parity null mode" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    def test_forced_zero_sample_off_the_null_mode_is_finite(self, tmp_path):
-        cfg = base_1d("palpha", n=9, length=1.0, coeff="x-0.4", alpha=0.5)
-        out = tmp_path / "out"
-        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
-                     "--force"]) == 0
-        rows = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
-        assert rows.shape == (9, 7) and np.all(np.isfinite(rows))
-        # verify reports numbers (no bare NaN in verify.json); the zero
-        # sample makes L singular off the pattern too, so the rule does not
-        # converge and quadrature_doubling fails
-        cfg["task"] = "verify"
-        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
-                     "--force"]) == 4
-        text = (out / "verify.json").read_text()
-        rep = json.loads(text, parse_constant=pytest.fail)
-        assert rep["checks"]["quadrature_doubling"]["pass"] is False
-
 
 class TestConditionsGate:
     """The CLI checks the hypothesis conditions once per task that needs
@@ -775,6 +758,25 @@ class TestVerifyTask:
         assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         radii = read_json(out, "spectrum.json")["sphere_radii"]
         assert [f"{r:.3g}" for r in radii] == [radius] * 2
+
+    def test_exact_zero_of_L_off_the_null_mode_exits_1(self, tmp_path,
+                                                       capsys):
+        # 1D 9 `x-0.4`: the sample 0 at x = 0.4, off the parity null
+        # pattern, gives L two exact zeros off its structural one, kernel
+        # modes where P_alpha is not defined; --force does not make it
+        # exist, and spectrum still runs
+        for task in ("palpha", "verify"):
+            cfg = base_1d(task, n=9, length=1.0, coeff="x-0.4", alpha=0.5)
+            out = tmp_path / task
+            assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                         "--force"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: L has 2 eigenvalue(s) exactly 0 "
+                                  "off the parity null mode")
+            assert os.listdir(out) == []
+        cfg = base_1d("spectrum", n=9, length=1.0, coeff="x-0.4")
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "spectrum")]) == 0
 
     @pytest.mark.parametrize("coeff", ["1", "1+0.1*sin(x)"])
     def test_passes_on_a_fine_grid(self, tmp_path, coeff):

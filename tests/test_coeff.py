@@ -155,6 +155,16 @@ class TestDifferentiate:
         r = check_conditions([make_profile(1, text, 1.0)], (1.0,))
         assert r.phi_sup == 0.0 and r.pass_
 
+    @pytest.mark.parametrize("c", [1e200, 1e-160])
+    def test_constant_divisor_has_no_square(self, c):
+        # d(x/c) = 1/c: the quotient rule's c^2 would overflow at 1e200 and
+        # go subnormal at 1e-160, failing the spot check of make_profile on
+        # a box of side c
+        d = differentiate(parse_expr(f"x/{c!r}"))
+        assert str(d) == str(parse_expr(f"1/{c!r}"))
+        assert str(differentiate(parse_expr(f"2/{c!r}"))) == "0.0"
+        assert make_profile(1, f"x/{c!r}-0.45", c).da(0.5 * c) == 1.0 / c
+
     def test_random_expressions_against_five_point_differences(self):
         # seeded draws from the whole grammar; an expression that leaves
         # the real domain near the points, or grows past 100, is redrawn

@@ -11,15 +11,7 @@ from sfrac.evolve import (_STEP_MAPS, EvolutionConfig, _bendixson_bound,
 from sfrac.frac import QuadratureSpec, apply_P_alpha, build_matrix
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         constant_operators)
-
-
-def grid1d(n, length=math.pi):
-    return Grid(BoxDomain((length,)), (n,))
-
-
-def rel_gap(a, b):
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-    return np.max(np.abs(a - b)) / scale
+from helpers import grid1d, rel_gap
 
 
 def dense_G(alpha, ops):

@@ -17,21 +17,7 @@ from sfrac.oracle import closed_form_P_alpha
 from sfrac.quat import (J_E1, J_E2, Quaternion, left_mul, qmul,
                         unit_from_components)
 from sfrac.resolvent import ResolventWorkspace
-
-
-def grid1d(n, length=math.pi):
-    return Grid(BoxDomain((length,)), (n,))
-
-
-def variable_ops_2d(n1=7, n2=9):
-    g = Grid(BoxDomain((1.0, 1.3)), (n1, n2))
-    return Operators(g, (make_profile(1, "1+0.1*x", 1.0),
-                         make_profile(2, "1+0.2*x", 1.3)))
-
-
-def rel_gap(a, b):
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-    return np.max(np.abs(a - b)) / scale
+from helpers import grid1d, rel_gap, variable_ops_2d
 
 
 def integrand_form_gap(spec, ops, v, t):
@@ -44,9 +30,9 @@ def integrand_form_gap(spec, ops, v, t):
     # T^2 v: T^2 acts componentwise as L (cross terms cancel by exact
     # commutation), and apply_L is that scalar route directly
     lv = ops.apply_L(v.components)
-    ws = ResolventWorkspace(ops, J_E1.scale(-t))
-    sol = ws._solve_stack(np.concatenate([tv, lv]).reshape(8, -1),
-                          null_free_rhs=True)
+    # T^2 v = T (T v) lies in the range of the A_l, as T v does
+    ws = ResolventWorkspace(ops, np.array([t]))
+    sol = ws._solve_stack(np.concatenate([tv, lv]).reshape(8, -1))
     u1, u2 = sol.reshape(2, *tv.shape)
     tu1 = ops.apply_T(u1)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
@@ -111,34 +97,47 @@ class TestNodes:
         # t_split = (lambda_min lambda_max)^{1/4} over the nonzero values,
         # the parity null mode (0) left out; the rule scales with it
         spec = QuadratureSpec(0.4)
-        unit_t, unit_c = frac._nodes(spec, None)
+        unit_t, unit_c = frac._nodes(spec, None, None)
         lam = np.array([[0.0, 16.0], [2.0, 8.0 ** 4 / 2.0]])  # split 8
-        t, c = frac._nodes(spec, lam)
+        t, c = frac._nodes(spec, lam, lam == 0.0)
         assert np.allclose(t, 8.0 * unit_t, rtol=1e-15, atol=0.0)
         assert np.allclose(c, 8.0 ** 0.4 * unit_c, rtol=1e-14, atol=0.0)
         assert t[spec.n_sing - 1] < 8.0 < t[spec.n_sing]
         # no positive spectrum: the unit split
         for lam in (np.zeros(1), np.zeros((0,))):
-            t, c = frac._nodes(spec, lam)
+            t, c = frac._nodes(spec, lam, lam == 0.0)
             assert np.array_equal(t, unit_t) and np.array_equal(c, unit_c)
 
     def test_split_follows_the_moduli(self):
         # complex eigenvalues split by |lambda|, as their positive
         # counterparts do, an exact 0 left out
         spec = QuadratureSpec(0.4)
-        want = frac._nodes(spec, np.array([0.0, 2.0, 8.0 ** 4 / 2.0]))
+        null = np.array([True, False, False])
+        want = frac._nodes(spec, np.array([0.0, 2.0, 8.0 ** 4 / 2.0]), null)
         lam = np.array([0.0, 2.0j, 8.0 ** 4 / 2.0 * np.exp(0.3j)])
-        for got, ref in zip(frac._nodes(spec, lam), want):
+        for got, ref in zip(frac._nodes(spec, lam, null), want):
             assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("mu", [-0.25, -0.25 + 1e-13j])
     def test_spectral_sphere_raises(self, mu):
         # a real eigenvalue below -zero_tol puts a sphere of radius
         # sqrt(-mu) on the path; one off the real axis does not
+        null = np.zeros(4, bool)
         with pytest.raises(ValueError, match="1 spectral sphere.*radius "
                                              "0.5 to 0.5"):
-            frac._nodes(QuadratureSpec(0.5), np.array([mu, 1.0, 4.0, 100.0]))
-        frac._nodes(QuadratureSpec(0.5), np.array([-0.25 + 1e-9j, 1.0]))
+            frac._nodes(QuadratureSpec(0.5), np.array([mu, 1.0, 4.0, 100.0]),
+                        null)
+        frac._nodes(QuadratureSpec(0.5), np.array([-0.25 + 1e-9j, 1.0]),
+                    null[:2])
+
+    def test_exact_zero_off_the_mask_raises(self):
+        # an exact 0 of L off its structural 0 (the parity null mode, set
+        # in the mask) is a kernel mode, where f_1 has no limit
+        lam, null = np.array([0.0, 1.0, 0.0, 4.0, 0.0]), np.arange(5) == 4
+        with pytest.raises(ValueError, match="2 eigenvalue.*exactly 0 off"):
+            frac._nodes(QuadratureSpec(0.5), lam, null)
+        frac._nodes(QuadratureSpec(0.5), lam[3:], null[3:])
+        frac._nodes(QuadratureSpec(0.5), lam + 1e-300, null)
 
 
 def symbols_node_by_node(spec, lam, null):
@@ -147,7 +146,7 @@ def symbols_node_by_node(spec, lam, null):
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     sum_u1 = np.zeros_like(lam)
     sum_u2 = np.zeros_like(lam)
-    for t, c in zip(*frac._nodes(spec, lam)):
+    for t, c in zip(*frac._nodes(spec, lam, null)):
         r = c / (t * t + lam)
         sum_u1 += r * t
         sum_u2 += r * lam
@@ -163,8 +162,9 @@ class TestSymbols:
     def test_bitwise_node_by_node(self, shape, n_nodes):
         rng = np.random.default_rng(8)
         lam = np.exp(rng.uniform(-3.0, 12.0, shape))
-        # the parity null mode, last, and exact zeros that keep their sums
-        lam.reshape(-1)[2::5] = 0.0
+        # the parity null mode, last, and tiny values off it that keep
+        # their sums (`_nodes` refuses an exact 0 there)
+        lam.reshape(-1)[2::5] = 1e-30
         lam.reshape(-1)[-1] = 0.0
         null = np.zeros(shape, bool)
         null.reshape(-1)[-1] = True
@@ -422,9 +422,10 @@ def node_by_node(spec, ops, comps, j):
     reduced = np.zeros_like(comps)
     acc = np.zeros_like(comps)
     leak = np.zeros_like(comps)
-    for t, c in zip(*frac._nodes(spec, ops.spectral.eigenvalues())):
-        ws = ResolventWorkspace(ops, j.scale(-t))
-        u1 = ws._solve_stack(tv, null_free_rhs=True).reshape(comps.shape)
+    sp = ops.spectral
+    for t, c in zip(*frac._nodes(spec, sp.eigenvalues(), sp.null_mask)):
+        ws = ResolventWorkspace(ops, np.array([t]))
+        u1 = ws._solve_stack(tv).reshape(comps.shape)
         tu1 = ops.apply_T(u1)
         naive = np.zeros_like(comps)
         for e, sb in ((Quaternion(cos_t) + j.scale(-sin_t), j.scale(t)),
@@ -463,13 +464,13 @@ def engine_case(name):
 
 
 def count_node_solves(monkeypatch):
-    """A list that receives, per resolvent solve, the number of points s it
-    solves at (1 for a one-s workspace, the block size for a block)."""
+    """A list that receives, per resolvent solve, the number of nodes t it
+    solves at (the block size)."""
     solved = []
     original = ResolventWorkspace._solve_stack
 
     def counting(self, *args, **kwargs):
-        solved.append(int(np.size(self.t2)))
+        solved.append(len(self._t2))
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(ResolventWorkspace, "_solve_stack", counting)

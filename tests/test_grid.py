@@ -7,12 +7,9 @@ from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, _axis_eig, _eig,
                         constant_operators, diff_axis, norms)
 from sfrac.coeff import constant_profile, make_profile
-from sfrac.quat import E1, E2, E3, Quaternion, left_mult_table
+from sfrac.quat import E1, E2, E3, left_mult_table
 from sfrac.resolvent import ResolventWorkspace
-
-
-def grid1d(n, length=math.pi):
-    return Grid(BoxDomain((length,)), (n,))
+from helpers import grid1d, rel_gap
 
 
 class TestDomainAndGrid:
@@ -383,40 +380,36 @@ class TestLinearSystem:
 
     def test_zero_field(self):
         g = grid1d(8)
-        ws = ResolventWorkspace(constant_operators(g),
-                                Quaternion(0, 0, 1.0, 0))
+        ws = ResolventWorkspace(constant_operators(g), np.array([1.0]))
         zero = np.zeros(g.n)
-        assert np.array_equal(ws.t2 * zero + ws.ops.apply_L(zero), zero)
+        assert np.array_equal(ws._t2[0] * zero + ws.ops.apply_L(zero), zero)
 
     def test_commutative_polynomial_is_negation(self, dense_route):
         # s^2 I + sum A_l^2  ==  -(|s|^2 I - sum A_l^2) for Re s = 0, exactly
         g = grid1d(14, 1.0)
         ops = Operators(g, (make_profile(1, "1+0.1*x", 1.0),))
         t = 1.3
-        ws = ResolventWorkspace(dense_route(ops), Quaternion(0, 0, 0, t))
-        q = dense_route.Q(ws.ops, ws.t2)
+        ws = ResolventWorkspace(dense_route(ops), np.array([t]))
+        q = dense_route.Q(ws.ops, ws._t2[0])
         assert np.array_equal(q, t * t * np.eye(g.N) + ops.dense_L())
         a = ops.dense_A(0)
         q_c = (-t * t) * np.eye(g.N) + a @ a
         assert np.array_equal(q_c, -q)
 
-    def test_assembly_rejects_bad_s(self):
+    def test_assembly_rejects_bad_t(self):
+        # node magnitudes: a 1-D array of finite values > 0
         ops = constant_operators(grid1d(4))
-        with pytest.raises(ValueError, match="imaginary"):
-            ResolventWorkspace(ops, Quaternion(1.0, 1.0, 0, 0))
-        with pytest.raises(ValueError, match="nonzero"):
-            ResolventWorkspace(ops, Quaternion(0, 0, 0, 0))
+        for t in ([0.0], [1.0, -1.0], [math.inf], [1.0, math.nan], 1.0,
+                  [[1.0]]):
+            with pytest.raises(ValueError, match="finite values > 0"):
+                ResolventWorkspace(ops, np.array(t))
+        ResolventWorkspace(ops, np.array([1e-3, 1e3]))
 
 
 def staggered_ops_2d():
     g = Grid(BoxDomain((1.0, 1.3)), (12, 15))
     return StaggeredOperators(g, (make_profile(1, "1+0.2*sin(x)", 1.0),
                                   make_profile(2, "exp(0.1*x)", 1.3)))
-
-
-def rel_gap(a, b):
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-    return np.max(np.abs(a - b)) / scale
 
 
 class TestAxisFactorization:

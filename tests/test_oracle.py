@@ -10,15 +10,7 @@ from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import (closed_form_P_alpha, fractional_laplacian_spectral,
                           s_spectrum_probe, sine_basis)
-
-
-def grid1d(n, length=math.pi):
-    return Grid(BoxDomain((length,)), (n,))
-
-
-def rel_gap(a, b):
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-    return np.max(np.abs(a - b)) / scale
+from helpers import grid1d, rel_gap
 
 
 class TestSineBasis:

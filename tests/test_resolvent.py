@@ -4,23 +4,20 @@ import numpy as np
 import pytest
 
 from sfrac.coeff import make_profile
-from sfrac.errors import SolverDiverged
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         constant_operators)
 from sfrac.quat import Quaternion
-from sfrac.resolvent import (ResolventWorkspace,
-                             s_resolvent_equation_residual, splitting_residual)
+from sfrac.resolvent import ResolventWorkspace
+from helpers import grid1d, variable_ops_2d
+import sresolvent as sr
 
 S_E1 = Quaternion(0, 1.0, 0, 0)
 
 
-def grid1d(n, length=math.pi):
-    return Grid(BoxDomain((length,)), (n,))
-
-
-def q_residual(ws, w, f):
+def q_residual(ops, s, w, f):
     """Q_s w - f, with Q_s = |s|^2 I + L."""
-    return ws.t2 * w.components + ws.ops.apply_L(w.components) - f.components
+    return (s.modulus ** 2 * w.components + ops.apply_L(w.components)
+            - f.components)
 
 
 def random_field(grid, seed=0):
@@ -28,30 +25,24 @@ def random_field(grid, seed=0):
     return QuatField(grid, rng.standard_normal((4, *grid.n)))
 
 
-def variable_ops_2d(n1=7, n2=9):
-    g = Grid(BoxDomain((1.0, 1.3)), (n1, n2))
-    return Operators(g, (make_profile(1, "1+0.1*x", 1.0),
-                         make_profile(2, "1+0.2*x", 1.3)))
-
-
 class TestSolveQ:
     def test_zero_rhs(self):
-        ws = ResolventWorkspace(constant_operators(grid1d(12)), S_E1)
-        w = ws.solve_Q(QuatField.zeros(ws.grid))
+        ops = constant_operators(grid1d(12))
+        w = sr.solve_Q(ops, S_E1, QuatField.zeros(ops.grid))
         assert np.array_equal(w.components, np.zeros((4, 12)))
 
     @pytest.mark.parametrize("n", [14, 15])  # even and odd (deflated) grids
     def test_residual(self, n):
-        ws = ResolventWorkspace(constant_operators(grid1d(n)), S_E1)
-        f = random_field(ws.grid, seed=n)
-        r = q_residual(ws, ws.solve_Q(f), f)
+        ops = constant_operators(grid1d(n))
+        f = random_field(ops.grid, seed=n)
+        r = q_residual(ops, S_E1, sr.solve_Q(ops, S_E1, f), f)
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)
 
     def test_variable_coefficients_residual(self):
         ops = variable_ops_2d()
-        ws = ResolventWorkspace(ops, Quaternion(0, 0, 0.8, 0))
-        f = random_field(ws.grid, seed=3)
-        r = q_residual(ws, ws.solve_Q(f), f)
+        s = Quaternion(0, 0, 0.8, 0)
+        f = random_field(ops.grid, seed=3)
+        r = q_residual(ops, s, sr.solve_Q(ops, s, f), f)
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)
 
     def test_eigenvector_closed_form(self):
@@ -62,47 +53,47 @@ class TestSolveQ:
         k = 7
         phi = vecs[:, k]
         t = 0.9
-        ws = ResolventWorkspace(ops, Quaternion(0, 0, t, 0))
-        w = ws.solve_Q(QuatField.from_real(RealField(g, phi)))
+        w = sr.solve_Q(ops, Quaternion(0, 0, t, 0),
+                       QuatField.from_real(RealField(g, phi)))
         expect = phi / (t * t + lam[k])
         assert np.max(np.abs(w.components[0].reshape(-1) - expect)) <= 1e-12
 
     def test_odd_grid_parity_mode_coefficient(self):
-        # generic rhs keeps the analytically-known mode amplitude; a rhs
-        # declared to lie in range(A) gets exactly zero
+        # the reference's general solve keeps the analytically-known mode
+        # amplitude; the engine's solve, whose right-hand sides lie in
+        # range(A), gives it exactly zero
         g = grid1d(15)
         ops = constant_operators(g)
         t = 1e-3
-        ws = ResolventWorkspace(ops, Quaternion(0, t, 0, 0))
         zeta, eta = ops.null_pair
         denom = float(eta.reshape(-1) @ zeta.reshape(-1))
 
         rng = np.random.default_rng(7)
         f = rng.standard_normal(15)
-        u = ws._solve_stack(f)
+        u = sr.solve(ops, t, f)
         coeff = float(eta.reshape(-1) @ u) / denom
         beta = float(eta.reshape(-1) @ f) / denom
         assert math.isclose(coeff, beta / t ** 2, rel_tol=1e-12)
 
-        in_range = ops.apply_A(0, rng.standard_normal(15)).reshape(-1)
-        u2 = ws._solve_stack(in_range, null_free_rhs=True)
+        in_range = ops.apply_A(0, rng.standard_normal(15)).reshape(1, -1)
+        [[u2]] = ResolventWorkspace(ops, np.array([t]))._solve_stack(in_range)
         coeff2 = float(eta.reshape(-1) @ u2) / denom
         assert abs(coeff2) <= 1e-12 * np.max(np.abs(u2))
 
     def test_solve_Q_real_shapes(self):
         ops = variable_ops_2d()
-        ws = ResolventWorkspace(ops, S_E1)
         rng = np.random.default_rng(11)
-        stack = rng.standard_normal((2, 3, *ws.grid.n))
-        out = ws.solve_Q_real(stack)
+        stack = rng.standard_normal((2, 3, *ops.grid.n))
+        out = sr.solve(ops, 1.0, stack)
         assert out.shape == stack.shape
-        single = ws.solve_Q_real(stack[1, 2])
+        single = sr.solve(ops, 1.0, stack[1, 2])
         assert np.allclose(out[1, 2], single, atol=1e-13)
 
     def test_requires_imaginary_s(self):
         ops = constant_operators(grid1d(8))
         with pytest.raises(ValueError):
-            ResolventWorkspace(ops, Quaternion(1.0, 1.0, 0, 0))
+            sr.solve_Q(ops, Quaternion(1.0, 1.0, 0, 0),
+                       QuatField.zeros(ops.grid))
 
     def test_residual_guard_raises(self):
         # x - 0.3 gives L a negative eigenvalue mu on this grid, so Q_t is
@@ -111,9 +102,9 @@ class TestSolveQ:
         ops = Operators(g, (make_profile(1, "x-0.3", 1.0),))
         mu = np.min(np.linalg.eigvals(ops.dense_L()).real)
         assert mu < 0.0
-        ws = ResolventWorkspace(ops, Quaternion(0, math.sqrt(-mu), 0, 0))
-        with pytest.raises(SolverDiverged):
-            ws.solve_Q(random_field(g, seed=6))
+        with pytest.raises(sr.SolverDiverged):
+            sr.solve_Q(ops, Quaternion(0, math.sqrt(-mu), 0, 0),
+                       random_field(g, seed=6))
 
 
 def rel_max(a, b):
@@ -129,8 +120,7 @@ def variable_ops(n):
 
 
 class TestSpectral:
-    """The spectral path against dense LU, the independent reference that
-    non-positive coefficient sets take."""
+    """The spectral path against dense LU, an independent factorization."""
 
     @pytest.mark.parametrize("n", [(31,), (32,), (9, 11), (10, 8),
                                    (7, 9, 5), (6, 8, 4)])
@@ -144,26 +134,32 @@ class TestSpectral:
         # the left null vector of that orientation annihilates
         to_range = ops.apply_A_transpose if transpose else ops.apply_A
         in_range = to_range(0, rng.standard_normal((3, *n))).reshape(3, -1)
+        ref = dense_route(ops)
+        pair = (ops, ref)
+        if transpose:  # Q_t^{-T}: the same solves on the operators of L^T
+            pair = tuple(sr.transposed(o) for o in pair)
         for t in (1e-3, 0.7, 40.0):
-            s = Quaternion(0, 0, t, 0)
-            ws = ResolventWorkspace(ops, s)
-            ref = ResolventWorkspace(dense_route(ops), s)
-            for rhs, null_free in ((generic, False), (in_range, True)):
-                got = ws._solve_stack(rhs, transpose, null_free)
-                want = ref._solve_stack(rhs, transpose, null_free)
-                assert rel_max(got, want) <= 1e-12, (t, null_free)
+            # the reference's general solve, the engine's null-free one
+            (gen, free), (gen_ref, free_ref) = (
+                (sr.solve(o, t, generic),
+                 ResolventWorkspace(o, np.array([t]))._solve_stack(in_range))
+                for o in pair)
+            assert rel_max(gen, gen_ref) <= 1e-12, t
+            assert rel_max(free, free_ref) <= 1e-12, t
             # the reference built the dense L, the production route did not
-            assert "_dense_L_cache" in vars(ref.ops)
+            assert "_dense_L_cache" in vars(ref)
             assert "_dense_L_cache" not in vars(ops)
 
     def test_zero_rows_stay_exact_zeros(self):
         ops = variable_ops((9, 11))
-        ws = ResolventWorkspace(ops, S_E1)
+        ws = ResolventWorkspace(ops, np.array([1.0]))
         rhs = np.zeros((3, ops.grid.N))
         rhs[1] = np.random.default_rng(4).standard_normal(ops.grid.N)
-        sol = ws._solve_stack(rhs)
+        [sol] = ws._solve_stack(rhs)
         assert not sol[0].any() and not sol[2].any()
-        assert rel_max(sol[1], ws._solve_stack(rhs[1])) <= 1e-14
+        # a block of nodes solves each node as a workspace of its own does
+        block = ResolventWorkspace(ops, np.array([0.5, 1.0, 2.0]))
+        assert np.array_equal(block._solve_stack(rhs)[1], sol)
 
     def test_needs_positive_coefficients(self):
         g = grid1d(9, length=1.0)
@@ -173,13 +169,13 @@ class TestSpectral:
         # the SVD, and the workspace applies the same symbol 1/(t^2 +
         # lambda) through it, masked only at the structural 0 of the odd
         # axis, which the deflation owns
-        ws = ResolventWorkspace(ops, S_E1)
+        ws = ResolventWorkspace(ops, np.array([1.0]))
         lam = ops.spectral.eigenvalues()
         assert lam[-1] == 0.0
         assert np.array_equal(ws._symbol[0][:-1], 1.0 / (1.0 + lam[:-1]))
         assert ws._symbol[0][-1] == 0.0
         f = random_field(g, seed=2)
-        r = q_residual(ws, ws.solve_Q(f), f)
+        r = q_residual(ops, S_E1, sr.solve_Q(ops, S_E1, f), f)
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f.components)
 
     @pytest.mark.parametrize("n", [(7, 8), (9, 15), (1,), (2,), (1, 2, 3)])
@@ -198,10 +194,11 @@ class TestSpectral:
 
 class TestSResolvents:
     def test_zero_field(self):
-        ws = ResolventWorkspace(constant_operators(grid1d(9)), S_E1)
-        assert np.array_equal(ws.apply_SR(QuatField.zeros(ws.grid)).components,
+        ops = constant_operators(grid1d(9))
+        zero = QuatField.zeros(ops.grid)
+        assert np.array_equal(sr.apply_SR(ops, S_E1, zero).components,
                               np.zeros((4, 9)))
-        assert np.array_equal(ws.apply_SL(QuatField.zeros(ws.grid)).components,
+        assert np.array_equal(sr.apply_SL(ops, S_E1, zero).components,
                               np.zeros((4, 9)))
 
     @pytest.mark.parametrize("n", [14, 15])
@@ -212,10 +209,9 @@ class TestSResolvents:
         ops = constant_operators(g)
         t = 0.8
         s = Quaternion(0, -t, 0, 0)
-        ws = ResolventWorkspace(ops, s)
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n)
-        w = ws.apply_SR(QuatField.from_real(RealField(g, v)))
+        w = sr.apply_SR(ops, s, QuatField.from_real(RealField(g, v)))
 
         d = ops.dense_D(0)
         m = (-1j * t) * np.eye(n) - 1j * d
@@ -226,18 +222,19 @@ class TestSResolvents:
 
     def test_left_equals_right_on_real_slice(self):
         ops = variable_ops_2d()
-        ws = ResolventWorkspace(ops, Quaternion(0, 0.6, 0, 0))
+        s = Quaternion(0, 0.6, 0, 0)
         v = random_field(ops.grid, seed=9)
-        wl = ws.apply_SL(v)
-        wr = ws.apply_SR(v)
+        wl = sr.apply_SL(ops, s, v)
+        wr = sr.apply_SR(ops, s, v)
         assert np.array_equal(wl.components, wr.components)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_splitting_identity(self, seed):
         ops = variable_ops_2d()
         tol = 1e-10
-        ws = ResolventWorkspace(ops, Quaternion(0, 0.4, 0.3, 0))
-        assert splitting_residual(ws, random_field(ops.grid, seed)) <= 10 * tol
+        s = Quaternion(0, 0.4, 0.3, 0)
+        v = random_field(ops.grid, seed)
+        assert sr.splitting_residual(ops, s, v) <= 10 * tol
 
     def test_s_resolvent_equation(self):
         ops = constant_operators(grid1d(15))
@@ -248,7 +245,7 @@ class TestSResolvents:
             s = Quaternion(0, *(0.7 * xs[:3]))
             p = Quaternion(0, *(1.9 * xs[3:]))
             v = QuatField(ops.grid, rng.standard_normal((4, 15)))
-            assert s_resolvent_equation_residual(ops, s, p, v) <= 100 * tol
+            assert sr.s_resolvent_equation_residual(ops, s, p, v) <= 100 * tol
 
 
 class TestNormEstimate:
@@ -256,18 +253,18 @@ class TestNormEstimate:
         ops = constant_operators(grid1d(31))
         theta = 2.0 * math.sqrt(2.0)
         for t in (0.1, 1.0, 10.0):
-            ws = ResolventWorkspace(ops, Quaternion(0, t, 0, 0))
-            assert ws.estimate_norm() * t <= theta * 1.0001
+            s = Quaternion(0, t, 0, 0)
+            assert sr.estimate_norm(ops, s) * t <= theta * 1.0001
 
     def test_large_s_asymptote(self):
         ops = constant_operators(grid1d(31))
         t = 1e4
-        ws = ResolventWorkspace(ops, Quaternion(0, 0, t, 0))
-        assert abs(ws.estimate_norm() * t - 1.0) <= 0.05
+        s = Quaternion(0, 0, t, 0)
+        assert abs(sr.estimate_norm(ops, s) * t - 1.0) <= 0.05
 
     def test_axial_symmetry(self):
         ops = variable_ops_2d()
         t = 0.7
-        up, dn = (ResolventWorkspace(ops, Quaternion(0, 0, y, 0))
-                  .estimate_norm() for y in (t, -t))
+        up, dn = (sr.estimate_norm(ops, Quaternion(0, 0, y, 0))
+                  for y in (t, -t))
         assert abs(up - dn) <= 1e-6 * up

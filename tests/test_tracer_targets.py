@@ -1,17 +1,21 @@
 """The benchmark tracer wraps `sfrac` functions by name (`TARGETS` in
 perfbench/tracer.py) and silently skips a name it cannot resolve, which
 would drop that layer's metrics to 0.  Renaming a traced function must
-therefore fail here, at the rename."""
+therefore fail here, at the rename; and since its hooks read attributes and
+arguments of the calls they wrap, a traced run must still complete."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import sys
+
+from sfrac.cli import main
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look themselves up
@@ -19,11 +23,11 @@ def load_targets():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.TARGETS
+    return module
 
 
 def test_every_traced_target_resolves():
-    targets = load_targets()
+    targets = load_tracer().TARGETS
     assert len(targets) >= 23
     missing = []
     for module_name, target, _, _ in targets:
@@ -36,3 +40,18 @@ def test_every_traced_target_resolves():
         if owner is None or not callable(vars(owner).get(attr)):
             missing.append(f"{module_name}.{target}")
     assert missing == []
+
+
+def test_traced_verify_and_palpha_run_every_hook(tmp_path):
+    # verify runs the node engine's workspaces and solves, palpha P_alpha
+    tracer = load_tracer().Tracer()
+    with tracer:
+        for task in ("verify", "palpha"):
+            path = tmp_path / f"{task}.json"
+            path.write_text(json.dumps({
+                "domain": {"dims": 1, "lengths": [1.0]}, "grid": {"n": [15]},
+                "coefficients": ["1+0.1*x"], "task": task, "alpha": 0.5}))
+            assert main([str(path), "--out", str(tmp_path / task)]) == 0
+    assert tracer.missing == []
+    names = {span.name for span in tracer.spans}
+    assert {"resolvent.factor", "resolvent.solve", "frac.apply"} <= names
