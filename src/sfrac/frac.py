@@ -397,9 +397,7 @@ def apply_P_alpha(spec: QuadratureSpec,
     through ops.spectral, with syms = (f_1, f_2) of `symbols` there when
     the caller has them already; the real part is kept (the symbols are
     complex where the eigenvalues of L are).  ValueError when a spectral
-    sphere meets the path (`_nodes`), and when a sample is 0 on the parity
-    null pattern, which leaves that mode no left null vector
-    (`Operators.null_pair`) to keep T v off it.  The naive left form is
+    sphere meets the path (`_nodes`).  The naive left form is
     `reference_P_alpha`.
 
     With `StaggeredOperators`, v must be real (its vector components zero)
@@ -408,7 +406,6 @@ def apply_P_alpha(spec: QuadratureSpec,
     """
     if isinstance(ops, StaggeredOperators):
         return _apply_P_alpha_staggered(spec, ops, v)
-    ops.null_pair  # ValueError on a 0 sample on the parity null pattern
     sp = ops.spectral
     f1, f2 = (syms if syms is not None
               else symbols(spec, sp.eigenvalues(), sp.null_mask))

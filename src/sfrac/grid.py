@@ -16,8 +16,9 @@ commutation), so every resolvent identity downstream is exact rather than
 O(h^2).  The price: the composed second difference is wide (stride 2h).  On
 grids with every n_l odd it has an exact null vector — the alternating
 tensor pattern zeta = (1,0,1,...) ⊗ ... — because the centered stencil never
-couples the two index parities.  Both facts are load-bearing for the solver
-layer, which deflates that mode analytically.
+couples the two index parities.  Both facts are load-bearing: the per-axis
+factorization pins that mode's eigenvalue to exactly 0, and its mask
+(`AxisFactorization.null_mask`) is the one place that knows the mode.
 
 The collocated scheme does not converge to the continuum operator on real
 inputs.  The wide stencil splits into two parity sublattices (with Neumann
@@ -84,19 +85,17 @@ class Grid:
     outside read zeros.
     """
 
-    def __init__(self, domain: BoxDomain, n, enforce_caps: bool = True):
+    def __init__(self, domain: BoxDomain, n):
         self.domain = domain
         self.n = tuple(int(v) for v in (n if hasattr(n, "__len__") else (n,)))
         if len(self.n) != domain.dims:
             raise ValueError("one interior count per axis required")
         if any(v < 1 for v in self.n):
             raise ValueError("interior counts must be >= 1")
-        if enforce_caps:
-            caps = DEFAULT_CAPS[domain.dims]
-            if any(v > c for v, c in zip(self.n, caps)):
-                raise ValueError(
-                    f"grid {self.n} exceeds the desk-scale cap {caps}; "
-                    "pass enforce_caps=False to override")
+        caps = DEFAULT_CAPS[domain.dims]
+        if any(v > c for v, c in zip(self.n, caps)):
+            raise ValueError(f"grid {self.n} exceeds the desk-scale cap "
+                             f"{caps}")
         self.h = tuple(L / (v + 1) for L, v in zip(domain.lengths, self.n))
         self.N = int(np.prod(self.n))
 
@@ -124,18 +123,6 @@ class Grid:
         """True iff the composed second difference annihilates the alternating
         tensor pattern exactly — happens exactly when every n_l is odd."""
         return all(v % 2 == 1 for v in self.n)
-
-    @cached_property
-    def parity_null_vector(self) -> np.ndarray | None:
-        """The exact null pattern zeta (unnormalized), or None."""
-        if not self.has_parity_null:
-            return None
-        zeta = 1.0
-        for v in self.n:
-            axis = np.zeros(v)
-            axis[::2] = 1.0
-            zeta = np.multiply.outer(zeta, axis)
-        return np.asarray(zeta)
 
     def __repr__(self):
         return f"Grid(n={self.n}, lengths={self.domain.lengths})"
@@ -538,25 +525,6 @@ class Operators:
             fwd[m:, 0::2], inv[0::2, m:] = fwd_e, inv_e
             factors.append((np.concatenate((lam_o, lam_e)), fwd, inv))
         return AxisFactorization(factors, self.grid.has_parity_null)
-
-    # -- null-mode data ----------------------------------------------------
-    @cached_property
-    def null_pair(self):
-        """(zeta, eta): exact right/left null vectors of every A_l on all-odd
-        grids (A_l zeta = 0 and eta^T A_l = 0 in exact arithmetic, eta =
-        zeta / prod_l a_l, 0 off the support of zeta, where a sample may be
-        0), or None.  Q_s maps zeta to |s|^2 zeta exactly."""
-        zeta = self.grid.parity_null_vector
-        if zeta is None:
-            return None
-        denom = np.ones(self.grid.n)
-        for ax in range(self.grid.dims):
-            denom = denom * self.a_samples[ax]
-        if np.any((denom == 0.0) & (zeta != 0.0)):
-            raise ValueError("a coefficient sample is 0 on the parity null "
-                             "mode, where its left null vector divides by it")
-        return zeta, np.divide(zeta, denom, out=np.zeros_like(zeta),
-                               where=denom != 0.0)
 
 
 def sum_T(a_v) -> np.ndarray:

@@ -15,13 +15,10 @@ a set with a sample <= 0 the factors can be complex (a general `eig` per
 axis); the solution of the real system is then the real part.
 
 The engine solves for the components of T v, which lie in the range of the
-A_l.  On all-odd grids L has the exact parity null mode zeta (see the grid
-module), whose left null vector eta annihilates that range, so the solution
-has no zeta component.  Q_t maps zeta to t^2 zeta, which for the smallest
-nodes sits ~1e7 below the rest of the spectrum, so factorization rounding
-would deposit O(eps * cond) garbage along it: the solve subtracts the
-measured (rounding) zeta component of the right-hand side, applies the
-symbol, which is 0 there, and projects the rounding off zeta again.
+A_l and so have no component along the parity null mode of L on all-odd
+grids.  The symbol is 0 there (`AxisFactorization.null_mask`), so whatever
+rounding the forward transform leaves along that mode is dropped rather
+than amplified by 1/t^2.
 """
 
 from __future__ import annotations
@@ -48,35 +45,21 @@ class ResolventWorkspace:
         self.ops = ops
         self.grid = ops.grid
         # one symbol 1/(t^2 + Lambda) per node, shaped (M, *n), 0 at the
-        # structural 0 of L: the parity null mode, which the deflation owns
+        # structural 0 of L: the parity null mode, off the range of the A_l
         lam = ops.spectral.eigenvalues()
         t2 = self._t2.reshape(-1, *[1] * lam.ndim)
         self._symbol = np.where(ops.spectral.null_mask, 0.0,
                                 1.0 / (t2 + lam))
-        self._null = ops.null_pair  # (zeta, eta) or None
 
     def _solve_stack(self, rhs: np.ndarray) -> np.ndarray:
         """Solve Q_t w = f at every node for K stacked right-hand sides in
         the range of the A_l, rhs shaped (K, N) flat; returns (M, K, N).
 
-        The parity-mode coefficient of such an f is zero by identity, so
-        its measured value is rounding, which 1/t^2 would amplify: it is
-        subtracted rather than solved for."""
+        One forward transform of the K rows, the M symbols, one inverse
+        transform of the M K products, whose real part solves the real
+        system.  An all-zero row maps to exact zeros, so only the others
+        are transformed (the zero components of T v for a real v)."""
         rhs = np.asarray(rhs, dtype=float)
-        if self._null is None:
-            return self._solve_spectral(rhs)
-        zeta, eta = (v.reshape(-1) for v in self._null)
-        denom = float(eta @ zeta)
-        sol = self._solve_spectral(rhs - np.outer(rhs @ eta / denom, zeta))
-        # remove factorization garbage along the deflated direction (the
-        # true component is exactly zero)
-        return sol - (sol @ eta / denom)[..., None] * zeta
-
-    def _solve_spectral(self, rhs: np.ndarray) -> np.ndarray:
-        # one forward transform of the K rows, the M symbols, one inverse
-        # transform of the M K products, whose real part solves the real
-        # system; an all-zero row maps to exact zeros, so only the others
-        # are transformed (the zero components of T v for a real v)
         live = rhs.any(axis=1)
         m = len(self._t2)
         out = np.zeros((m, *rhs.shape))

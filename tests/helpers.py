@@ -18,7 +18,33 @@ def rel_gap(a, b):
     return np.max(np.abs(a - b)) / scale
 
 
+def box_ops(n, texts=("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)"),
+            lengths=(1.0, 1.3, 0.8)):
+    """Operators on the grid n of the box of the first len(n) lengths, with
+    the coefficient texts[l] on axis l."""
+    lengths = lengths[:len(n)]
+    return Operators(Grid(BoxDomain(lengths), n), tuple(
+        make_profile(ax + 1, text, length)
+        for ax, (text, length) in enumerate(zip(texts, lengths))))
+
+
 def variable_ops_2d(n1=7, n2=9):
-    g = Grid(BoxDomain((1.0, 1.3)), (n1, n2))
-    return Operators(g, (make_profile(1, "1+0.1*x", 1.0),
-                         make_profile(2, "1+0.2*x", 1.3)))
+    return box_ops((n1, n2), ("1+0.1*x", "1+0.2*x"))
+
+
+def null_pair(ops):
+    """(zeta, eta), the exact right and left null vectors of every A_l on
+    all-odd grids, or None: zeta the pattern (1, 0, 1, ...) per axis,
+    eta = zeta / prod_l a_l (0 off the support of zeta).  Q_t zeta = t^2
+    zeta.  ValueError on a 0 sample on the pattern; swapped on the
+    operators of L^T (`sresolvent.transposed` sets `is_transposed`)."""
+    if not ops.grid.has_parity_null:
+        return None
+    zeta = np.zeros(ops.grid.n)
+    zeta[(slice(None, None, 2),) * ops.grid.dims] = 1.0
+    denom = np.broadcast_to(math.prod(ops.a_samples), zeta.shape)
+    if np.any((denom == 0.0) & (zeta != 0.0)):
+        raise ValueError("a coefficient sample is 0 on the parity null "
+                         "mode, where its left null vector divides by it")
+    eta = np.divide(zeta, denom, out=np.zeros_like(zeta), where=denom != 0)
+    return (eta, zeta) if getattr(ops, "is_transposed", False) else (zeta, eta)

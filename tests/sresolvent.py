@@ -3,9 +3,10 @@ the norm estimate at one purely imaginary s, on the node engine's solve.
 
 That solve (`ResolventWorkspace._solve_stack`) takes right-hand sides in
 the range of the A_l.  A general f keeps its parity-mode coefficient beta
-(its eta component, on all-odd grids): Q_s zeta = |s|^2 zeta exactly, so
-Q_s^{-1} f is beta/|s|^2 zeta plus the engine solve of f - beta zeta.
-Q_s^{-T} is the same solve on the operators of L^T (`transposed`).
+(its eta component, on all-odd grids; `helpers.null_pair`): Q_s zeta =
+|s|^2 zeta exactly, so Q_s^{-1} f is beta/|s|^2 zeta plus the engine solve
+of f - beta zeta.  Q_s^{-T} is the same solve on the operators of L^T
+(`transposed`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from sfrac.grid import AxisFactorization, QuatField
 from sfrac.quat import E1, E2, E3, left_mul
 from sfrac.resolvent import ResolventWorkspace
+from helpers import null_pair
 
 # relative residual above which solve_Q raises SolverDiverged; the SVD
 # factors of a positive set meet it by orders of magnitude, while the eig
@@ -39,8 +41,7 @@ def transposed(ops):
     ref.spectral = AxisFactorization(
         [(lam, inv.T, fwd.T) for lam, fwd, inv in sp.factors],
         bool(sp.null_mask.reshape(-1)[-1]))
-    if ops.null_pair is not None:
-        ref.null_pair = ops.null_pair[::-1]
+    ref.is_transposed = True
     return ref
 
 
@@ -49,9 +50,10 @@ def solve(ops, t: float, values: np.ndarray):
     right-hand side."""
     flat = values.reshape(-1, ops.grid.N)
     ws = ResolventWorkspace(ops, np.array([t]))
-    if ops.null_pair is None:
+    pair = null_pair(ops)
+    if pair is None:
         return ws._solve_stack(flat)[0].reshape(values.shape)
-    zeta, eta = (v.reshape(-1) for v in ops.null_pair)
+    zeta, eta = (v.reshape(-1) for v in pair)
     beta = flat @ eta / float(eta @ zeta)
     sol = (ws._solve_stack(flat - np.outer(beta, zeta))[0]
            + np.outer(beta / (t * t), zeta))

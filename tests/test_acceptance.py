@@ -46,8 +46,8 @@ def bump_field(grid):
 
 
 def corpus_entries():
-    """Standard corpus: constant 1-D (odd n exercises the parity-null
-    deflation), passing variable 1-D, passing variable 2-D."""
+    """Standard corpus: constant 1-D (odd n exercises the parity null
+    mode), passing variable 1-D, passing variable 2-D."""
     out = []
     g1 = Grid(BoxDomain((math.pi,)), (63,))
     out.append(("const-1d", constant_operators(g1)))

@@ -550,19 +550,41 @@ class TestPalphaTask:
         assert err.startswith("error: ") and "condition number" in err
         assert os.listdir(out) == []
 
-    # n = 9 on [0, 1] samples x = 0.5 on the parity null pattern and x = 0.4
-    # off it; its left null vector divides by the samples on the pattern
+    # n = 9 on [0, 1] samples x = 0.5 on the parity null pattern: a sample
+    # there leaves that mode no left null vector, but the symbol of the
+    # factorization is 0 on it all the same, so the run is well defined
     @pytest.mark.parametrize("task", ["palpha", "verify"])
     @pytest.mark.parametrize("n, coeffs", [
-        ((9,), ("x-0.5",)), ((9,), ("0",)), ((9, 5), ("x-0.5", "1"))])
-    def test_forced_zero_sample_on_the_null_mode_exits_1(self, tmp_path,
-                                                         capsys, task, n,
-                                                         coeffs):
+        ((9,), ("x-0.5",)), ((9, 5), ("x-0.5", "1"))])
+    def test_forced_zero_sample_on_the_null_mode_computes(self, tmp_path,
+                                                          task, n, coeffs):
         cfg = base_box(task, n, coeffs, (1.0,) * len(n), alpha=0.5)
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--force"]) == 0
+        if task == "palpha":
+            rows = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+            assert len(rows) == np.prod(n) and np.all(np.isfinite(rows))
+        else:
+            checks = read_json(out, "verify.json")["checks"].values()
+            assert all(c["pass"] and c["value"] <= c["tol"] for c in checks)
+
+    @pytest.mark.parametrize("task", ["palpha", "verify"])
+    def test_zero_coefficient_exits_1(self, tmp_path, capsys, task):
+        # L = 0: every eigenvalue but the parity null mode is a kernel mode
+        cfg = base_1d(task, n=9, length=1.0, coeff="0", alpha=0.5)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out),
                      "--force"]) == 1
-        assert "parity null mode" in capsys.readouterr().err
+        assert "exactly 0 off the parity null mode" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_grid_above_the_cap_exits_1(self, tmp_path, capsys):
+        cfg = base_1d("palpha", n=2049, alpha=0.5)
+        out = tmp_path / "out"
+        assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid (2049,) exceeds the desk-scale cap (2048,)\n")
         assert os.listdir(out) == []
 
 

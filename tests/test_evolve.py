@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sfrac.coeff import make_profile
 from sfrac.errors import StabilityError
 from sfrac.evolve import (_STEP_MAPS, EvolutionConfig, _bendixson_bound,
                           _rk4_map, divergence, evolve, generator)
 from sfrac.frac import QuadratureSpec, apply_P_alpha, build_matrix
-from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
+from sfrac.grid import (BoxDomain, Grid, QuatField, RealField,
                         constant_operators)
-from helpers import grid1d, rel_gap
+from helpers import box_ops, grid1d, rel_gap
 
 
 def dense_G(alpha, ops):
@@ -73,7 +72,7 @@ class TestGenerator:
         lambda: constant_operators(grid1d(15)),
         lambda: constant_operators(grid1d(16)),
         lambda: variable_2d((7, 9)), lambda: variable_2d((8, 6)),
-        lambda: variable_3d((5, 4, 3))],
+        lambda: box_ops((5, 4, 3))],
         ids=["1d-odd", "1d-even", "2d-odd-var", "2d-even-var", "3d-var"])
     def test_matches_the_dense_products(self, make_ops):
         # G = sum_l D_l A_l F by stencils against the dense products
@@ -255,16 +254,7 @@ class TestEvolve:
 
 
 def variable_2d(n, lengths=(1.5, 1.2)):
-    grid = Grid(BoxDomain(lengths), n)
-    return Operators(grid, (make_profile(1, "1+0.2*sin(x)", lengths[0]),
-                            make_profile(2, "exp(0.1*x)", lengths[1])))
-
-
-def variable_3d(n, lengths=(1.0, 1.3, 0.8)):
-    grid = Grid(BoxDomain(lengths), n)
-    return Operators(grid, tuple(
-        make_profile(ax + 1, text, length) for ax, (text, length) in
-        enumerate(zip(("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)"), lengths))))
+    return box_ops(n, ("1+0.2*sin(x)", "exp(0.1*x)"), lengths)
 
 
 def plain_loop(G, v0, dt, n_full, rem, scheme, every):

@@ -17,7 +17,7 @@ from sfrac.oracle import closed_form_P_alpha
 from sfrac.quat import (J_E1, J_E2, Quaternion, left_mul, qmul,
                         unit_from_components)
 from sfrac.resolvent import ResolventWorkspace
-from helpers import grid1d, rel_gap, variable_ops_2d
+from helpers import box_ops, grid1d, rel_gap, variable_ops_2d
 
 
 def integrand_form_gap(spec, ops, v, t):
@@ -448,15 +448,9 @@ def engine_case(name):
     the scalar part of v and sets components 1-3 to exactly 0, the only
     input kind of the CLI."""
     name, real = name.removesuffix("-real"), name.endswith("-real")
-    texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
     n = {"1d-odd": (17,), "1d-even": (18,), "1d-200": (200,), "2d": (7, 8),
          "3d-odd": (5, 7, 3), "dense": (9,)}[name]
-    lengths = (1.0, 1.3, 0.8)[:len(n)]
-    if name == "dense":
-        texts = ("x-0.45",)
-    ops = Operators(Grid(BoxDomain(lengths), n),
-                    tuple(make_profile(ax + 1, texts[ax], length)
-                          for ax, length in enumerate(lengths)))
+    ops = box_ops(n, ("x-0.45",)) if name == "dense" else box_ops(n)
     comps = np.random.default_rng(9).standard_normal((4, *ops.grid.n))
     if real:
         comps[1:] = 0.0

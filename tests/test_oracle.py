@@ -10,7 +10,7 @@ from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import (closed_form_P_alpha, fractional_laplacian_spectral,
                           s_spectrum_probe, sine_basis)
-from helpers import grid1d, rel_gap
+from helpers import grid1d, null_pair, rel_gap
 
 
 class TestSineBasis:
@@ -146,7 +146,7 @@ class TestClosedForm:
     def test_parity_mode_sent_to_zero_by_both_routes(self):
         g = grid1d(15)
         ops = constant_operators(g)
-        zeta = g.parity_null_vector
+        zeta, _ = null_pair(ops)
         cf = closed_form_P_alpha(0.5, RealField(g, zeta), ops)
         assert np.max(np.abs(cf.full.components)) <= 1e-12
         quad = apply_P_alpha(QuadratureSpec(0.5), ops,

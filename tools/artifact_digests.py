@@ -5,10 +5,11 @@ list of configs: 1D/2D/3D grids, odd and even sizes, constant and variable
 coefficients, custom node counts, a fine 1D verify, a verify on a field of
 amplitude 1e9, two configs rejected with exit 1 (a `quadrature.j` key, an alpha
 of 1 - 2^-53), forced sets with a sample <= 0 (one of them exactly 0 on the
-parity null mode, and one exactly 0 off it, which gives L exact zeros off its
-structural one: palpha and verify exit 1 on both; a palpha on 1D 64 whose
-spectral spheres meet the path, exit 1, a verify on 1D 200 with complex
-eigenvalues, and a spectrum on 2D 80x80, above the dense cap),
+parity null mode, where palpha and verify exit 0, and one exactly 0 off it,
+which gives L exact zeros off its structural one: palpha and verify exit 1; a
+palpha on 1D 64 whose spectral spheres meet the path, exit 1, a verify on 1D
+200 with complex eigenvalues, and a spectrum on 2D 80x80, above the dense
+cap),
 Crank-Nicolson on a 6x5 and on an all-odd 7x9 grid, RK4 with `beta_mode`, a
 blocked Crank-Nicolson run on the 2D 16^2 shape of the `evolve-2d` benchmark,
 an evolve and a spectrum on a box of side 1e-6 (the spectrum with a coefficient
@@ -98,8 +99,11 @@ def cases():
                             ("palpha", {"alpha": 0.5}), ("verify", {})):
             out.append((f"{task}/{name}", _box(task, n, forced, **extra),
                         True))
-    out.append(("palpha/1d-zero-sample",
-                _box("palpha", (9,), ("x-0.5",), alpha=0.5), True))
+    # a sample exactly 0 on the parity null pattern: the symbols are 0 on
+    # that mode all the same, so palpha and verify exit 0
+    for task in ("palpha", "verify"):
+        out.append((f"{task}/1d-zero-sample",
+                    _box(task, (9,), ("x-0.5",), alpha=0.5), True))
     # a sample exactly 0 off the parity null pattern: two exact zeros of L
     # off its structural one, kernel modes where P_alpha is not defined, so
     # palpha and verify exit 1
