@@ -345,8 +345,8 @@ def _task_verify(cfg, out_dir, force):
     record("known_integral", abs(acc - math.pi / math.sqrt(2.0)), 1e-10)
 
     # base: the symbol route, its symbols computed once for it and the
-    # certificate; references: the left-form node engine at three
-    # imaginary units, one pass over the nodes
+    # certificate; references: the naive quaternionic left form at three
+    # imaginary units, from its two node-summed symbols
     sp = ops.spectral
     syms = symbols(spec, sp.eigenvalues(), sp.null_mask)
     base = apply_P_alpha(spec, ops, v0, syms=syms)

@@ -30,17 +30,18 @@ the reduced form, so it cannot leak off the j-free span.  Where a sample
 one application of f_1 to the identity; on a real v the flux channel is
 vec[l] = F A_l v, and `evolve.generator` applies the stencils to F.
 
-The quaternionic node engine (`_node_engine`) is the reference that
-`verify` and the tests hold the symbol route against (`reference_P_alpha`).
-It passes once over the same nodes in blocks: per block one resolvent
-solve u1 = Q_t^{-1} T v, one stencil per grid axis (the A_l u1, summed to
-T u1 by `sum_T`) and the reduced pairs.  u1 and T u1 do not depend on j,
-so the pass serves several imaginary units: per unit it sums the naive
-quaternionic pairs of the left form, and reports their gap to the reduced
-pairs as the j_leak diagnostic.  Since A_l is real and acts on each
-component alone, T(q u1) = sum_l (e_l q)(A_l u1) for a constant quaternion
-q, so each half line is one matmul of a fixed table with the block's rows
-[t u1; A_1 u1; ...], cut to the components where T v is nonzero.
+The naive quaternionic left form (`reference_P_alpha`) is the reference
+that `verify` holds the symbol route against, at several imaginary units.
+Since A_l is real and acts on each component alone, T(q u) = sum_l (e_l
+q)(A_l u) for a constant quaternion q, so the half line of a node is one
+matmul of a node-independent table of j with the rows c [t u1; A_1 u1;
+...], cut to the components where T v is nonzero.  With u1 = r(L) T v, r =
+1/(t^2 + lambda), the node sum of those rows is [g_1(L) T v; A_1 w; ...],
+w = g_2(L) T v, g_1 = sum_i c_i t_i r_i and g_2 = sum_i c_i r_i: two more
+symbols of L, one pass of the factorization and one stencil per grid axis
+whatever the node count.  T w against the lambda g_2 that f_2 applies
+checks the stencils against the factorization (T^2 = L), and the gap of
+the pairs to their j-free reduction is the j_leak diagnostic.
 
 Quadrature: the weight t^{alpha-1} is integrable but singular at 0, so the
 panel [0, t_split] uses Gauss-Jacobi nodes absorbing exactly that weight.
@@ -87,13 +88,12 @@ import numpy as np
 from .grid import (FaceField, Operators, QuatField, RealField,
                    StaggeredOperators, sum_T)
 from .quat import E1, E2, E3, Quaternion, left_mult_table, qmul
-from .resolvent import ResolventWorkspace
 
 TWO_PI = 2.0 * math.pi
 
-# elements of one stack over a block of nodes: the node engine's (nodes, 4,
-# N) stacks hold max(1, _BLOCK_ELEMS // (4 N)) nodes, which bounds its
-# memory on the largest grids; `symbols` takes a quarter of it
+# bounds a block of nodes in the node sums of `symbols`: max(1,
+# _BLOCK_ELEMS // (8 N)) nodes per block keeps its stacks in cache and the
+# peak memory of a run as it was (2^16 per block added 1.7 MB on 9^3 grids)
 _BLOCK_ELEMS = 2 ** 16
 
 
@@ -124,12 +124,12 @@ class FracApplyResult:
 
     With the collocated `Operators` (the default): full = scal + sum_l
     vec[l] e_l componentwise by construction, with three vec entries; j_leak
-    is the node engine's accumulated max-norm gap between the naive
-    quaternionic left pair sum and its analytic j-free reduction
-    (`reference_P_alpha`; thresholded by callers, not here), and 0.0 from
-    `apply_P_alpha`, which sums that reduction.  That scheme reproduces the
-    discrete identities exactly but does not converge to the continuum
-    channels on real inputs (see the grid module).
+    is the max-norm gap between the naive quaternionic left pair sum and
+    its analytic j-free reduction (`reference_P_alpha`; thresholded by
+    callers, not here), and 0.0 from `apply_P_alpha`, which sums that
+    reduction.  That scheme reproduces the discrete identities exactly but
+    does not converge to the continuum channels on real inputs (see the
+    grid module).
 
     With `StaggeredOperators`: scal lives on the nodes and vec holds one
     `FaceField` per grid axis, on the faces normal to it, so full is None
@@ -244,7 +244,17 @@ def symbols(spec: QuadratureSpec, lam: np.ndarray, null: np.ndarray):
     the fixed ascending-t order (split by lam), the factor -1/(2 pi) folded
     in; complex where lam is.  f_1 is 0 where the mask null is set, at the
     structural 0 of L (`AxisFactorization.null_mask`), the parity null mode
-    T v never reaches; `_nodes` refuses any other exact 0.
+    T v never reaches; `_nodes` refuses any other exact 0."""
+    theta = (spec.alpha - 1.0) * math.pi / 2.0
+    sum_u1, sum_u2 = _node_sums(spec, lam, null, np.reshape(lam, -1))
+    f1 = np.where(null, 0.0, -math.sin(theta) / math.pi * sum_u1)
+    return f1, math.cos(theta) / math.pi * sum_u2
+
+
+def _node_sums(spec: QuadratureSpec, lam: np.ndarray, null, second):
+    """(sum_i c_i t_i r_i, sum_i c_i second r_i), r_i = 1/(t_i^2 + lam), on
+    the eigenvalues lam of L over the nodes of spec (`_nodes`), shaped (2,
+    *lam.shape); second is lam flattened (`symbols`) or 1.0.
 
     The nodes go in blocks, each one np.add.reduce over the node axis
     whose first row has the sums of the blocks before added in, so every
@@ -252,10 +262,7 @@ def symbols(spec: QuadratureSpec, lam: np.ndarray, null: np.ndarray):
     so the axes after the node axis hold at least two elements: over a
     single one numpy would sum pairwise."""
     ts, cs = _nodes(spec, lam, null)
-    theta = (spec.alpha - 1.0) * math.pi / 2.0
     flat = np.reshape(lam, -1)
-    # a quarter of the engine's bound keeps a block's stacks in cache and
-    # the peak memory of a run as it was (2^16 added 1.7 MB on 9^3 grids)
     per_block = max(1, _BLOCK_ELEMS // (8 * flat.size))
     sums = np.zeros((2, flat.size), np.result_type(flat, float))
     for lo in range(0, len(ts), per_block):
@@ -264,12 +271,10 @@ def symbols(spec: QuadratureSpec, lam: np.ndarray, null: np.ndarray):
         np.divide(c, r, out=r)
         terms = np.empty((len(t), *sums.shape), sums.dtype)
         np.multiply(r, t, out=terms[:, 0])
-        np.multiply(r, flat, out=terms[:, 1])
+        np.multiply(r, second, out=terms[:, 1])
         terms[0] += sums
         sums = np.add.reduce(terms, axis=0)
-    sum_u1, sum_u2 = sums.reshape(2, *np.shape(lam))
-    f1 = np.where(null, 0.0, -math.sin(theta) / math.pi * sum_u1)
-    return f1, math.cos(theta) / math.pi * sum_u2
+    return sums.reshape(2, *np.shape(lam))
 
 
 def exact_symbols(alpha: float, lam: np.ndarray, null: np.ndarray):
@@ -297,84 +302,6 @@ def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
         err = np.abs(f[keep] / e[keep] - 1.0)
         worst.append(float(np.max(err, initial=0.0)))
     return {"vec": worst[0], "scal": worst[1]}
-
-
-# ---------------------------------------------------------------------------
-# Quaternionic node engine.  Fields travel as arrays shaped (4, *grid.n), a
-# block of nodes as stacks shaped (nodes, 4, N), the rows of its tables'
-# matmul component first.
-
-def _node_engine(spec: QuadratureSpec, ops: Operators, comps: np.ndarray,
-                 units):
-    """Per-node quaternionic quadrature of comps (4,*n) in the left form,
-    the route of reference_P_alpha.  Returns [(left (4,*n), j_leak float)
-    per imaginary unit j of units].
-
-    Each node solves u1 = Q_t^{-1} T v once (T v lies in the range of the
-    A_l, so its parity-mode coefficient is exactly zero; Q_t depends on
-    |s| = t alone, so the solve serves every unit) and forms the A_l u1,
-    T u1 and the j-free reduction 2 sin(theta) t u1 - 2 cos(theta) T u1,
-    the pair that `symbols` sums.  With s_+- = -+ j t and
-    s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- = cos(theta) -+ j sin(theta),
-    the naive left pair sum of each unit (t^{alpha-1} left to the node
-    weight c) is
-      sum_{+-} conj(s_+-) e_+- u1 - T(e_+- u1),
-    evaluated quaternionically at every node; it reduces to the j-free form
-    and j_leak is the gap between the two, summed over the nodes.  A half
-    line is one matmul of the left tables of +-j e_+- and -e_l e_+- with the
-    rows c [t u1; A_1 u1; ...], on the `live` components only (those where
-    T v is nonzero; u1 and the A_l u1 vanish on the others).
-
-    The nodes of `symbols` on L go in ascending t, in blocks (see
-    _BLOCK_ELEMS): one resolvent solve and one stencil per grid axis for
-    all nodes of a block, then the reduction and per unit the two half
-    lines, added and summed node by node (np.add.reduce over the node
-    axis).  Blocks are added in order, so the result is bitwise
-    reproducible."""
-    theta = (spec.alpha - 1.0) * math.pi / 2.0
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    shape, dims, n = comps.shape, ops.grid.dims, ops.grid.N
-    tv = ops.apply_T(comps).reshape(4, n)
-    live = np.flatnonzero(tv.any(axis=1))
-    ts, cs = _nodes(spec, ops.spectral.eigenvalues(), ops.spectral.null_mask)
-    per_block = max(1, _BLOCK_ELEMS // (4 * n))
-
-    def table(sign, j, e):
-        # conj(s) e u1 - T(e u1) = sign (j e)(t u1) - sum_l (e_l e)(A_l u1)
-        mats = [sign * left_mult_table(qmul(j.direction, e))]
-        mats += [-left_mult_table(qmul(e_l, e)) for e_l in (E1, E2, E3)]
-        return np.concatenate([m[:, live] for m in mats[:1 + dims]], axis=1)
-
-    # per unit the s_+ and s_- half lines, conj(s_+-) = +-t j
-    tables = [(table(1.0, j, Quaternion(cos_t) + j.scale(-sin_t)),
-               table(-1.0, j, Quaternion(cos_t) + j.scale(sin_t)))
-              for j in units]
-    acc = np.zeros((len(units), *tv.shape))
-    leak = np.zeros_like(acc)
-
-    for lo in range(0, len(ts), per_block):
-        t, c = ts[lo:lo + per_block], cs[lo:lo + per_block]
-        k = len(t)
-        u1 = ResolventWorkspace(ops, t)._solve_stack(tv).reshape(k, *shape)
-        a_u1 = [ops.apply_A(ax, u1).reshape(k, 4, n) for ax in range(dims)]
-        u1 = u1.reshape(k, 4, n)
-        t, c = t[:, None, None], c[:, None, None]
-        red = (2.0 * sin_t * t * u1 - 2.0 * cos_t * sum_T(a_u1)) * c
-        # x = c [t u1; A_1 u1; ...] on the live components, component first
-        x = np.empty((1 + dims, len(live), k, n))
-        np.multiply(c * t, u1[:, live], out=x[0].swapaxes(0, 1))
-        for ax, a in enumerate(a_u1):
-            np.multiply(c, a[:, live], out=x[1 + ax].swapaxes(0, 1))
-        x = x.reshape(-1, k * n)
-        for i, (plus, minus) in enumerate(tables):
-            pairs = (plus @ x + minus @ x).reshape(4, k, n)
-            acc[i] += np.add.reduce(pairs, axis=1)
-            pairs -= red.swapaxes(0, 1)
-            leak[i] += np.add.reduce(pairs, axis=1)
-    for a in (acc, leak):
-        a *= -1.0 / TWO_PI
-    return [(a.reshape(shape), float(np.max(np.abs(g))))
-            for a, g in zip(acc, leak)]
 
 
 def _require_collocated(ops, what: str):
@@ -416,15 +343,54 @@ def apply_P_alpha(spec: QuadratureSpec,
 
 def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
                       units) -> tuple:
-    """The left form of P_alpha(T) v by the node engine at each imaginary
-    unit of units, one FracApplyResult per unit, from one pass over the
-    nodes (one Q_t solve per node for all units): the reference that
+    """The naive quaternionic left form of P_alpha(T) v at each imaginary
+    unit j of units, one FracApplyResult per unit: the reference that
     `verify` holds the symbol route against.  Like apply_P_alpha, it does
-    not check the hypothesis conditions."""
+    not check the hypothesis conditions.
+
+    With s_+- = -+ j t and s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- =
+    cos(theta) -+ j sin(theta), the left pair of a node is
+      sum_{+-} conj(s_+-) e_+- u1 - T(e_+- u1),   u1 = r(L) T v,
+    evaluated quaternionically: per unit one matmul of the left tables of
+    +-j e_+- and -e_l e_+- with the node sum of the rows c [t u1; A_1 u1;
+    ...], which is X = [g_1(L) T v; A_1 w; ...], w = g_2(L) T v, on the
+    `live` components (those where T v is nonzero).  g_1 and g_2 are summed
+    over the nodes of `symbols` in the same ascending-t order
+    (`_node_sums`), and both are 0 on the parity null mode T v never
+    reaches.  j_leak is the max-norm gap of the pairs to their j-free
+    reduction 2 sin(theta) g_1(L) T v - 2 cos(theta) T w.  The real part is
+    kept, as in apply_P_alpha."""
     _require_collocated(ops, "reference_P_alpha")
-    return tuple(_collocated_result(QuatField(v.grid, comps), leak)
-                 for comps, leak in _node_engine(spec, ops, v.components,
-                                                 units))
+    theta = (spec.alpha - 1.0) * math.pi / 2.0
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    sp, dims, n = ops.spectral, ops.grid.dims, ops.grid.N
+    tv = ops.apply_T(v.components)
+    live = np.flatnonzero(tv.reshape(4, -1).any(axis=1))
+    lam, null = sp.eigenvalues(), sp.null_mask
+    syms = np.where(null, 0.0, _node_sums(spec, lam, null, 1.0))
+    # g_1(L) T v and w = g_2(L) T v from one pass of the factorization
+    gtv, w = np.zeros((2, *tv.shape))
+    gtv[live], w[live] = sp.apply_symbol(syms[:, None], tv[live]).real
+    a_w = [ops.apply_A(ax, w).reshape(4, n) for ax in range(dims)]
+    gtv = gtv.reshape(4, n)
+    red = 2.0 * sin_t * gtv - 2.0 * cos_t * sum_T(a_w)
+    x = np.concatenate([gtv[live], *(a[live] for a in a_w)])
+
+    def table(sign, j, e):
+        # conj(s) e u1 - T(e u1) = sign (j e)(t u1) - sum_l (e_l e)(A_l u1)
+        mats = [sign * left_mult_table(qmul(j.direction, e))]
+        mats += [-left_mult_table(qmul(e_l, e)) for e_l in (E1, E2, E3)]
+        return np.concatenate([m[:, live] for m in mats[:1 + dims]], axis=1)
+
+    out = []
+    for j in units:
+        # the s_+ and s_- half lines, conj(s_+-) = +-t j
+        pairs = (table(1.0, j, Quaternion(cos_t) + j.scale(-sin_t)) @ x
+                 + table(-1.0, j, Quaternion(cos_t) + j.scale(sin_t)) @ x)
+        leak = float(np.max(np.abs(pairs - red))) / TWO_PI
+        full = QuatField(v.grid, (-1.0 / TWO_PI * pairs).reshape(tv.shape))
+        out.append(_collocated_result(full, leak))
+    return tuple(out)
 
 
 def _collocated_result(full: QuatField, leak: float) -> FracApplyResult:

@@ -1,6 +1,7 @@
 """Pseudo-resolvent solves Q_t w = f at a block of quadrature nodes: the
-per-node solve of the node engine (`frac._node_engine`), the reference that
-`verify` and the tests hold the symbol route of P_alpha against.
+per-node solve of the tests' node engine (`tests/engine.py`) and of their
+S-resolvent reference (`tests/sresolvent.py`).  No task of the package
+solves here: `P_alpha` and its left-form reference apply symbols of L.
 
 Q_t = t^2 I + L, L = -sum_l A_l^2, is a real matrix acting componentwise
 (the discrete T^2 + |s|^2 at s = -jt, exactly; see the grid module), so the

@@ -17,8 +17,9 @@ def dense_Q(ops, t2):
 def dense_route(monkeypatch):
     """ops -> a shallow copy whose resolvent workspaces solve each
     Q_t = t^2 I + dense_L() by LU (`numpy.linalg.solve`) instead of applying
-    the per-axis factorization of L, so `reference_P_alpha` on it is the
-    node engine on an independent factorization.  The LU would amplify the
+    the per-axis factorization of L, so the test's node engine
+    (`engine.node_engine`) on it solves every node by an independent
+    factorization.  The LU would amplify the
     rounding along the parity null mode by 1/t^2, where the spectral
     symbol is 0, so this route deflates that mode (`helpers.null_pair`):
     it subtracts the measured zeta component of the right-hand sides (in

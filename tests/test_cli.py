@@ -26,9 +26,10 @@ import sfrac
 from sfrac.cli import (SCHEMA, ConfigError, _validate_config,
                        _write_fields_csv, main)
 from sfrac.coeff import make_profile
-from sfrac.frac import QuadratureSpec, reference_P_alpha
+from sfrac.frac import QuadratureSpec
 from sfrac.grid import BoxDomain, Grid, Operators, QuatField, RealField
 from sfrac.quat import J_E1
+from engine import node_engine
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -505,8 +506,8 @@ class TestPalphaTask:
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_default_solver_matches_dense(self, tmp_path, n, dense_route):
-        # the CLI's symbol route against the left-form node engine on
-        # dense LU
+        # the CLI's symbol route against the test's left-form node engine
+        # on dense LU
         cfg = {
             "domain": {"dims": 2, "lengths": [1.0, 1.3]},
             "grid": {"n": [n, n - 4]},
@@ -522,9 +523,9 @@ class TestPalphaTask:
                                make_profile(2, "exp(0.2*x)", 1.3)))
         v = RealField.from_function(grid, lambda x, y: x * (1 - x) * y
                                     * (1.3 - y) * (1 + 0.3 * np.sin(3 * x)))
-        [ref] = reference_P_alpha(QuadratureSpec(0.4), dense_route(ops),
-                                  QuatField.from_real(v), (J_E1,))
-        want = ref.full.components.reshape(4, -1).T
+        [(ref, _)] = node_engine(QuadratureSpec(0.4), dense_route(ops),
+                                 QuatField.from_real(v).components, (J_E1,))
+        want = ref.reshape(4, -1).T
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_forced_run_with_non_positive_coefficient(self, tmp_path):
@@ -719,7 +720,7 @@ class TestVerifyTask:
             entry = rep["checks"][name]
             assert entry["pass"] is True
             assert entry["value"] <= entry["tol"]
-        # these compare the symbol route with the node engine, two routes
+        # these compare the symbol route with the left form, two routes
         # that agree to rounding, not bit for bit
         for name in ("left_right_gap", "j_independence", "j_leak"):
             assert rep["checks"][name]["value"] > 0.0

@@ -11,12 +11,15 @@ from sfrac.coeff import check_conditions, make_profile
 from sfrac.frac import (QuadratureSpec, apply_P_alpha, build_matrix,
                         gauss_jacobi, quad_nodes, quadrature_certificate,
                         reference_P_alpha)
-from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
-                        StaggeredOperators, constant_operators)
+from sfrac.grid import (AxisFactorization, BoxDomain, Grid, Operators,
+                        QuatField, RealField, StaggeredOperators,
+                        constant_operators)
 from sfrac.oracle import closed_form_P_alpha
 from sfrac.quat import (J_E1, J_E2, Quaternion, left_mul, qmul,
                         unit_from_components)
 from sfrac.resolvent import ResolventWorkspace
+import engine
+from engine import node_engine
 from helpers import box_ops, grid1d, rel_gap, variable_ops_2d
 
 
@@ -266,7 +269,7 @@ class TestApply:
 
     def test_j_independence(self):
         # the symbol route never reads j, so the other units run the left
-        # form of the node engine
+        # form of reference_P_alpha
         ops = variable_ops_2d()
         rng = np.random.default_rng(2)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
@@ -286,7 +289,7 @@ class TestApply:
         assert rel_gap(r.full.components, l.full.components) <= 1e-10
 
     def test_j_leak_small(self):
-        # the leak is a diagnostic of the node engine's left form;
+        # the leak is a diagnostic of the left form of reference_P_alpha;
         # apply_P_alpha sums the j-free reduction itself
         ops = variable_ops_2d()
         v = QuatField.from_real(RealField.from_function(
@@ -307,10 +310,10 @@ class TestApply:
     @pytest.mark.parametrize("n", [(17,), (18,), (7, 9), (8, 9), (5, 7, 9),
                                    (5, 6, 7)])
     def test_symbol_route_matches_node_engine(self, n, dense_route):
-        # the symbol route against the quaternionic node engine's left form,
-        # on the per-axis factorization and on the dense route, on odd
-        # (parity null mode) and even grids with variable coefficients and
-        # vector components
+        # the symbol route against the left form of reference_P_alpha and
+        # of the test's node engine, on the per-axis factorization and on
+        # the dense route, on odd (parity null mode) and even grids with
+        # variable coefficients and vector components
         lengths = (1.0, 1.3, 0.8)[: len(n)]
         texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
         ops = Operators(Grid(BoxDomain(lengths), n),
@@ -327,15 +330,16 @@ class TestApply:
             got = apply_P_alpha(spec, ops, v)
             assert got.j_leak == 0.0
             [left] = reference_P_alpha(spec, ops, v, (J_E1,))
-            [dense_left] = reference_P_alpha(spec, dense, v, (J_E1,))
-            for ref in (left, dense_left):
-                assert rel_gap(got.full.components,
-                               ref.full.components) <= 1e-12
+            [(engine_left, _)] = node_engine(spec, ops, v.components, (J_E1,))
+            [(dense_left, _)] = node_engine(spec, dense, v.components,
+                                            (J_E1,))
+            for ref in (left.full.components, engine_left, dense_left):
+                assert rel_gap(got.full.components, ref) <= 1e-12
 
     def test_forced_split_follows_the_moduli(self):
         # 1D 200 `x-0.45`: complex eigenvalues, whose split of |lambda|
         # takes the doubling gap from 8.3e-11 at the unit split to below
-        # 1e-11; the symbol route sits within 1e-10 of the node engine
+        # 1e-11; the symbol route sits within 1e-10 of the left form
         ops = Operators(grid1d(200, 1.0), (make_profile(1, "x-0.45", 1.0),))
         assert np.iscomplexobj(ops.spectral.eigenvalues())
         v = QuatField.from_real(RealField.from_function(
@@ -350,7 +354,7 @@ class TestApply:
     @pytest.mark.parametrize("coeff", ["x-0.45", "x-0.3"])
     def test_spectral_sphere_on_the_path_raises(self, coeff):
         # 1D 64: two real eigenvalues of L below 0, so Q_t is singular on
-        # the path; the symbol route and the node engine share the check
+        # the path; the symbol route and the left form share the check
         ops = Operators(grid1d(64, 1.0), (make_profile(1, coeff, 1.0),))
         v = QuatField.from_real(RealField.from_function(
             ops.grid, lambda x: x * (1.0 - x)))
@@ -477,25 +481,26 @@ REAL_CASES = tuple(f"{name}-real" for name in ENGINE_CASES)
 
 
 class TestNodeEngine:
-    """One pass over the nodes, in blocks, serving several imaginary units:
-    against the engine evaluated one node at a time."""
+    """The test's node engine: one pass over the nodes, in blocks, serving
+    several imaginary units, against the engine evaluated one node at a
+    time."""
 
     @pytest.mark.parametrize("name", ENGINE_CASES + REAL_CASES)
     @pytest.mark.parametrize("alpha", [0.37, 0.93])
     def test_each_unit_matches_node_by_node(self, name, alpha):
         ops, v = engine_case(name)
         spec = QuadratureSpec(alpha)
-        refs = reference_P_alpha(spec, ops, v, UNITS)
+        refs = node_engine(spec, ops, v.components, UNITS)
         assert len(refs) == len(UNITS)
-        for j, got in zip(UNITS, refs):
+        for j, (got, got_leak) in zip(UNITS, refs):
             _, want, want_leak = node_by_node(spec, ops, v.components, j)
             scale = np.max(np.abs(want))
-            assert rel_gap(got.full.components, want) <= 1e-13, j
-            assert abs(got.j_leak - want_leak) <= 1e-13 * scale, j
+            assert rel_gap(got, want) <= 1e-13, j
+            assert abs(got_leak - want_leak) <= 1e-13 * scale, j
             # a pass for a single unit gives the same bits
-            [one] = reference_P_alpha(spec, ops, v, (j,))
-            assert np.array_equal(one.full.components, got.full.components)
-            assert one.j_leak == got.j_leak
+            [(one, one_leak)] = node_engine(spec, ops, v.components, (j,))
+            assert np.array_equal(one, got)
+            assert one_leak == got_leak
 
     @pytest.mark.parametrize("j", UNITS)
     def test_right_form_on_the_dense_route(self, j):
@@ -509,40 +514,48 @@ class TestNodeEngine:
         want, left, _ = node_by_node(spec, ops, v.components, j)
         assert rel_gap(out.full.components, want) <= 1e-13
         assert out.j_leak == 0.0
-        [ref] = reference_P_alpha(spec, ops, v, (j,))
-        gap = np.max(np.abs(ref.full.components - out.full.components))
-        assert abs(gap - ref.j_leak) <= 1e-13 * np.max(np.abs(left))
+        [(ref, ref_leak)] = node_engine(spec, ops, v.components, (j,))
+        gap = np.max(np.abs(ref - out.full.components))
+        assert abs(gap - ref_leak) <= 1e-13 * np.max(np.abs(left))
 
     @pytest.mark.parametrize("name", ENGINE_CASES + REAL_CASES)
     @pytest.mark.parametrize("nodes_per_block", [1, 5])
     def test_independent_of_the_block_budget(self, name, nodes_per_block,
                                              monkeypatch):
         # 128 nodes in blocks of 1, and of 5 (a partial block of 3 last);
-        # apply_P_alpha sums its symbols in blocks of the same budget
+        # the node sums of the symbols (apply_P_alpha, reference_P_alpha)
+        # go in blocks of half that count, at least 1
         ops, v = engine_case(name)
         spec = QuadratureSpec(0.6)
-        base = (*reference_P_alpha(spec, ops, v, UNITS),
-                apply_P_alpha(spec, ops, v))
-        monkeypatch.setattr(frac, "_BLOCK_ELEMS",
-                            nodes_per_block * 4 * ops.grid.N)
-        small = (*reference_P_alpha(spec, ops, v, UNITS),
-                 apply_P_alpha(spec, ops, v))
-        for a, b in zip(base, small):
-            assert rel_gap(a.full.components, b.full.components) <= 1e-14
-            assert abs(a.j_leak - b.j_leak) <= 1e-14 * np.max(
-                np.abs(a.full.components))
+
+        def run():
+            return (*node_engine(spec, ops, v.components, UNITS),
+                    *((r.full.components, r.j_leak) for r in (
+                        *reference_P_alpha(spec, ops, v, UNITS),
+                        apply_P_alpha(spec, ops, v))))
+        base = run()
+        budget = nodes_per_block * 4 * ops.grid.N
+        monkeypatch.setattr(engine, "BLOCK_ELEMS", budget)
+        monkeypatch.setattr(frac, "_BLOCK_ELEMS", budget)
+        for (a, a_leak), (b, b_leak) in zip(base, run()):
+            assert rel_gap(a, b) <= 1e-14
+            assert abs(a_leak - b_leak) <= 1e-14 * np.max(np.abs(a))
 
     @pytest.mark.parametrize("name", ENGINE_CASES + REAL_CASES)
     def test_reduced_sum_does_not_depend_on_the_units(self, name):
-        # the reduced pairs behind j_leak are formed once per block for all
-        # units: the left form and the leak of a unit keep their bits when
-        # other units ride along
+        # the reduced pairs behind j_leak are formed once for all units, in
+        # the engine per block and in reference_P_alpha once: the left form
+        # and the leak of a unit keep their bits when other units ride along
         ops, v = engine_case(name)
         spec = QuadratureSpec(0.6)
-        [one] = frac._node_engine(spec, ops, v.components, UNITS[:1])
-        three = frac._node_engine(spec, ops, v.components, UNITS)
+        [one] = node_engine(spec, ops, v.components, UNITS[:1])
+        three = node_engine(spec, ops, v.components, UNITS)
         assert np.array_equal(three[0][0], one[0])
         assert three[0][1] == one[1]
+        [one] = reference_P_alpha(spec, ops, v, UNITS[:1])
+        three = reference_P_alpha(spec, ops, v, UNITS)
+        assert np.array_equal(three[0].full.components, one.full.components)
+        assert three[0].j_leak == one.j_leak
 
     @pytest.mark.parametrize("name", ["1d-200", "2d", "3d-odd", "dense"])
     def test_one_stencil_per_axis_and_block(self, name, monkeypatch):
@@ -550,20 +563,13 @@ class TestNodeEngine:
         # half line, plus one per axis for T v: d (blocks + 1) calls, 3 on
         # 1D n = 200 (blocks of 81 and 47 nodes)
         ops, v = engine_case(f"{name}-real")
-        original = Operators.apply_A
-        calls = []
-
-        def counting(self, grid_axis, values):
-            calls.append(grid_axis)
-            return original(self, grid_axis, values)
-
-        monkeypatch.setattr(Operators, "apply_A", counting)
+        calls = count_stencils(monkeypatch)
         counts = []
         for units in (UNITS[:1], UNITS):
             calls.clear()
-            reference_P_alpha(QuadratureSpec(0.6), ops, v, units)
+            node_engine(QuadratureSpec(0.6), ops, v.components, units)
             counts.append(len(calls))
-        per_block = max(1, frac._BLOCK_ELEMS // (4 * ops.grid.N))
+        per_block = max(1, engine.BLOCK_ELEMS // (4 * ops.grid.N))
         blocks = -(-128 // per_block)
         assert counts == [ops.grid.dims * (blocks + 1)] * 2
         if name == "1d-200":
@@ -571,13 +577,89 @@ class TestNodeEngine:
 
     def test_budget_of_one_element_is_one_node(self, monkeypatch):
         ops, v = engine_case("2d")
-        monkeypatch.setattr(frac, "_BLOCK_ELEMS", 1)
+        monkeypatch.setattr(engine, "BLOCK_ELEMS", 1)
         solved = count_node_solves(monkeypatch)
-        reference_P_alpha(QuadratureSpec(0.6), ops, v, UNITS)
+        node_engine(QuadratureSpec(0.6), ops, v.components, UNITS)
         assert solved == [1] * 128
 
-    def test_verify_solves_each_node_once(self, tmp_path, monkeypatch):
-        # three units, one Q_t solve per node: 128 node solves, not 384
+
+def count_stencils(monkeypatch):
+    """A list that receives the grid axis of every `Operators.apply_A`."""
+    original = Operators.apply_A
+    calls = []
+
+    def counting(self, grid_axis, values):
+        calls.append(grid_axis)
+        return original(self, grid_axis, values)
+
+    monkeypatch.setattr(Operators, "apply_A", counting)
+    return calls
+
+
+def engine_set(name):
+    """(ops, v) of one set on which `reference_P_alpha` meets the node
+    engine: v is the bump prod_l x_l (L_l - x_l) as a real field, the CLI's
+    input kind."""
+    n, texts, lengths = {
+        "1d-31": ((31,), ("1+0.1*sin(x)",), (math.pi,)),
+        "1d-201": ((201,), ("1+0.1*sin(x)",), (math.pi,)),
+        "1d-2048": ((2048,), ("1+0.1*sin(x)",), (math.pi,)),
+        "2d-9x11": ((9, 11), ("1+0.2*sin(x)", "exp(0.1*x)"), (1.0, 1.3)),
+        "2d-128": ((128, 128), ("1+0.2*sin(x)", "exp(0.1*x)"), (1.0, 1.3)),
+        "3d-24": ((24, 24, 24), ("1+0.1*x", "1", "exp(0.1*x)"),
+                  (1.0, 1.3, 0.8)),
+        "forced-1d-201": ((201,), ("x-0.45",), (1.0,)),
+    }[name]
+    ops = box_ops(n, texts, lengths)
+    mesh = np.meshgrid(*ops.grid.axes, indexing="ij")
+    bump = math.prod(x * (length - x) for x, length in zip(mesh, lengths))
+    return ops, QuatField.from_real(RealField(ops.grid, bump))
+
+
+class TestTwoSymbolLeftForm:
+    """reference_P_alpha sums the left pairs over the nodes first, onto the
+    two symbols g_1 and g_2 of L."""
+
+    # measured: at most 3.6e-14 (1D 2048), 9.8e-15 on the forced set and
+    # 2.4e-15 or less elsewhere
+    @pytest.mark.parametrize("name", ["1d-31", "1d-201", "1d-2048",
+                                      "2d-9x11", "2d-128", "3d-24",
+                                      "forced-1d-201"])
+    def test_matches_the_node_engine(self, name):
+        ops, v = engine_set(name)
+        spec = QuadratureSpec(0.5)
+        lefts = reference_P_alpha(spec, ops, v, UNITS)
+        refs = node_engine(spec, ops, v.components, UNITS)
+        for j, got, (want, want_leak) in zip(UNITS, lefts, refs):
+            gap = np.linalg.norm(got.full.components - want)
+            assert gap <= 1e-13 * np.linalg.norm(want), j
+            scale = np.max(np.abs(want))
+            assert max(got.j_leak, want_leak) <= 1e-14 * scale, j
+
+    def test_work_does_not_grow_with_the_nodes(self, monkeypatch):
+        # one pass of the factorization for both symbols and 2 d stencils,
+        # the A_l v of T v and the A_l w, at 16+16 nodes as at 256+256
+        ops, v = engine_set("2d-9x11")
+        calls = count_stencils(monkeypatch)
+        passes = []
+        original = AxisFactorization.apply_symbol
+
+        def counting(self, *args):
+            passes.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(AxisFactorization, "apply_symbol", counting)
+        counts = []
+        for nodes in (16, 256):
+            calls.clear()
+            passes.clear()
+            reference_P_alpha(QuadratureSpec(0.5, nodes, nodes), ops, v,
+                              UNITS)
+            counts.append((len(passes), len(calls)))
+        assert counts == [(1, 2 * ops.grid.dims)] * 2
+
+    def test_verify_solves_no_node(self, tmp_path, monkeypatch):
+        # three units, 128 nodes and not one Q_t solve
         solved = count_node_solves(monkeypatch)
         cfg = {"domain": {"dims": 1, "lengths": [math.pi]},
                "grid": {"n": [200]}, "coefficients": ["1"],
@@ -585,8 +667,38 @@ class TestNodeEngine:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main([str(path), "--out", str(tmp_path / "out")]) == 0
-        assert sum(solved) == 128
-        assert len(solved) == 2  # blocks of 81 and 47 nodes
+        assert solved == []
+
+    @pytest.mark.parametrize("fault", ["scale", "roll"])
+    def test_a_faulty_factorization_fails_left_right_gap(
+            self, fault, tmp_path, monkeypatch):
+        # the left form applies T g_2(L) T v where the symbol route applies
+        # lambda g_2(L) v, so a Lambda off the stencils (scaled by 1 + 1e-6,
+        # or one parity family rolled by one index) fails left_right_gap
+        # (7.1e-7 and 0.26 on this set, at every unit); closed_form_gap
+        # reads the same factorization and still passes (1.6e-15, 1.4e-15)
+        original = AxisFactorization._eigenvalues.func
+
+        def faulty(self):
+            lam = np.array(original(self))
+            if fault == "scale":
+                return lam * (1.0 + 1e-6)
+            m = len(lam) // 2  # the odd family first, then the even
+            lam[:m] = np.roll(lam[:m], 1)
+            return lam
+
+        monkeypatch.setattr(AxisFactorization, "_eigenvalues",
+                            property(faulty))
+        cfg = {"domain": {"dims": 1, "lengths": [math.pi]},
+               "grid": {"n": [201]}, "coefficients": ["1+0.1*sin(x)"],
+               "task": "verify", "alpha": 0.5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([str(path), "--out", str(out)]) == 4
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        failed = {name for name, c in checks.items() if not c["pass"]}
+        assert failed == {"left_right_gap", "j_independence"}
 
     def test_staggered_operators_rejected(self):
         g = Grid(BoxDomain((1.0,)), (8,))
@@ -599,8 +711,9 @@ class TestNodeEngine:
 class TestMatrixBuild:
     def test_matches_direct_apply(self):
         # F = f_1(L) comes from the symbols, and F A_l w is the flux
-        # channel; the reference is the quaternionic node engine (left
-        # form), not the symbol route
+        # channel; the reference is the quaternionic left form of
+        # reference_P_alpha (from g_1, g_2 and the stencils), not the
+        # symbol route
         spec = QuadratureSpec(0.6)
         rng = np.random.default_rng(7)
         for ops in (constant_operators(grid1d(24)), variable_ops_2d(7, 9),

@@ -10,7 +10,11 @@ import json
 import pathlib
 import sys
 
+import numpy as np
+
 from sfrac.cli import main
+from sfrac.resolvent import ResolventWorkspace
+from helpers import box_ops
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,7 +47,8 @@ def test_every_traced_target_resolves():
 
 
 def test_traced_verify_and_palpha_run_every_hook(tmp_path):
-    # verify runs the node engine's workspaces and solves, palpha P_alpha
+    # verify and palpha apply symbols of L and solve no node, so no
+    # resolvent span opens there; a direct block solve runs those hooks
     tracer = load_tracer().Tracer()
     with tracer:
         for task in ("verify", "palpha"):
@@ -52,6 +57,12 @@ def test_traced_verify_and_palpha_run_every_hook(tmp_path):
                 "domain": {"dims": 1, "lengths": [1.0]}, "grid": {"n": [15]},
                 "coefficients": ["1+0.1*x"], "task": task, "alpha": 0.5}))
             assert main([str(path), "--out", str(tmp_path / task)]) == 0
+        names = {span.name for span in tracer.spans}
+        assert "frac.apply" in names
+        assert not any(name.startswith("resolvent.") for name in names)
+        ops = box_ops((15,), ("1+0.1*x",))
+        rhs = np.random.default_rng(0).standard_normal((4, ops.grid.N))
+        ResolventWorkspace(ops, np.array([0.5, 2.0]))._solve_stack(rhs)
     assert tracer.missing == []
     names = {span.name for span in tracer.spans}
-    assert {"resolvent.factor", "resolvent.solve", "frac.apply"} <= names
+    assert {"resolvent.factor", "resolvent.solve"} <= names
