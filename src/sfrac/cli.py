@@ -3,14 +3,17 @@
 Exit codes: 0 success; 1 config/schema/expression error (64.0 for an integer
 key, a non-finite number, over 10^6 evolve steps, an alpha too close to 0 or 1
 for the rule: all before any numerical work), an unusable output directory,
-a spectrum of L past double precision (`Operators.spectral`, the split) or,
-for P_alpha, with a spectral sphere on the path -jR or an exact 0 off the
-parity null mode (even with --force); 2 hypothesis conditions failed (unless
---force), checked by `gate_conditions` once in each task that needs them and
-nowhere in the library; 4 verification failure.  The coefficients pick the
-factorization of L and its spectrum the quadrature split (see the grid and
-frac modules), and no result depends on the imaginary unit of the path, so
-no config key chooses them.
+a spectrum of L past double precision (`Operators.spectral`: an eigenvalue 0,
+subnormal or past the largest float; verify's quadrature split), an evolve
+whose l2 norm leaves double precision or, for P_alpha, a spectral sphere on
+the path -jR or an exact 0 off the parity null mode (even with --force); 2
+hypothesis conditions failed (unless --force), checked by `gate_conditions`
+once in each task that needs them and nowhere in the library; 4 verification
+failure.  palpha and evolve apply the exact powers of L; verify holds the
+quadrature of the paper's integral against them, and the quadrature keys set
+its rule alone.  The coefficients pick the factorization of L and its
+spectrum the split (see the grid and frac modules), and no result depends
+on the imaginary unit of the path, so no config key chooses them.
 
 Determinism contract: at a fixed BLAS thread count, identical config
 produces bit-identical output files — fixed quadrature reduction order,
@@ -37,10 +40,11 @@ from .coeff import check_conditions, make_profile, parse_expr, evaluate
 from .errors import (ConditionsFailed, EvalError, ExprSyntaxError,
                      StabilityError)
 from .evolve import EvolutionConfig, evolve, generator
-from .frac import (QuadratureSpec, apply_P_alpha, build_matrix, quad_nodes,
-                   quadrature_certificate, reference_P_alpha, symbols)
+from .frac import (QuadratureSpec, apply_P_alpha, apply_symbols, build_matrix,
+                   quad_nodes, quadrature_certificate, reference_P_alpha,
+                   symbols)
 from .grid import BoxDomain, Grid, Operators, QuatField, RealField
-from .oracle import closed_form_P_alpha, s_spectrum_probe
+from .oracle import s_spectrum_probe
 from .quat import J_E1, J_E2, unit_from_components
 
 log = logging.getLogger(__name__)
@@ -344,31 +348,35 @@ def _task_verify(cfg, out_dir, force):
               for nd in quad_nodes(half))
     record("known_integral", abs(acc - math.pi / math.sqrt(2.0)), 1e-10)
 
-    # base: the symbol route, its symbols computed once for it and the
-    # certificate; references: the naive quaternionic left form at three
-    # imaginary units, from its two node-summed symbols
+    # the paper's integral by quadrature: its right form, the node-summed
+    # symbols applied as apply_P_alpha applies the exact powers (computed
+    # once for it and the certificate), and the naive quaternionic left
+    # form at three imaginary units, from its own two node-summed symbols
     sp = ops.spectral
-    syms = symbols(spec, sp.eigenvalues(), sp.null_mask)
-    base = apply_P_alpha(spec, ops, v0, syms=syms)
-    denom = max(base.full.l2(), 1e-300)
+    lam, null = sp.eigenvalues(), sp.null_mask
+    exact = apply_P_alpha(spec, ops, v0)
+    syms = symbols(spec, lam, null)
+    right = apply_symbols(ops, v0, syms)
+    denom = max(right.full.l2(), 1e-300)
     lefts = reference_P_alpha(
         spec, ops, v0, (J_E1, J_E2, unit_from_components(1.0, 1.0, 1.0)))
-    gaps = [(left.full - base.full).l2() / denom for left in lefts]
+    gaps = [(left.full - right.full).l2() / denom for left in lefts]
     leaks = [left.j_leak for left in lefts]
     record("left_right_gap", gaps[0], 1e-10)
     record("j_independence", max(gaps[1:]), 1e-10)
 
-    r2 = apply_P_alpha(doubled, ops, v0)
-    record("quadrature_doubling", (r2.full - base.full).l2() / denom, 1e-8)
+    r2 = apply_symbols(ops, v0, symbols(doubled, lam, null))
+    record("quadrature_doubling", (r2.full - right.full).l2() / denom, 1e-8)
 
     # the left passes' max-norm leaks, relative to the result's max-norm
     record("j_leak",
-           max(leaks) / max(np.max(np.abs(base.full.components)), 1e-300),
+           max(leaks) / max(np.max(np.abs(right.full.components)), 1e-300),
            1e-9)
 
-    ref = closed_form_P_alpha(alpha, v0.component(0), ops)
+    # the quadrature against the exact powers that palpha writes
     record("closed_form_gap",
-           (base.full - ref.full).l2() / max(ref.full.l2(), 1e-300), 1e-6)
+           (right.full - exact.full).l2() / max(exact.full.l2(), 1e-300),
+           1e-6)
 
     ok = all(c["pass"] for c in checks.values())
     # reported, not checked: the worst relative error of the two symbols

@@ -1,6 +1,7 @@
 """Divergence of the vector channel and time integration of the evolution
-equation dv/dt = G v with G = sum_l D_l F A_l (divergence form), F = f_1(L)
-the dense matrix of `frac.build_matrix`.
+equation dv/dt = G v with G = sum_l D_l F A_l (divergence form), F = e_1(L)
+= 1/2 L^{(alpha-1)/2} the dense matrix of `frac.build_matrix`, the exact
+power of L (the flux channel of P_alpha on a real field is F A_l v).
 
 With separable coefficients A_l commutes with L, hence with F, so G = sum_l
 D_l A_l F: `generator` applies those stencils to the columns of the one
@@ -111,7 +112,7 @@ def divergence(fields, grid: Grid | None = None) -> RealField:
 
 
 def generator(F: np.ndarray, ops: Operators) -> np.ndarray:
-    """Dense G = sum_l D_l A_l F, F = f_1(L) from `build_matrix`: the
+    """Dense G = sum_l D_l A_l F, F = e_1(L) from `build_matrix`: the
     stencils of ops applied to the columns of F as one (N, *n) stack."""
     g = ops.grid
     cols = F.T.reshape(g.N, *g.n)
@@ -169,7 +170,9 @@ def evolve(G: np.ndarray, v0: RealField,
     matrix M (a shorter final step gets its own); RK4 validates dt against
     the 2-norm of G first.  States advance in blocks of B (see the module
     docstring); only the current block is held, and each is reduced to its
-    l2 values and snapshots.
+    l2 values and snapshots.  Raises ValueError when an l2 value is not
+    finite (a state or its squared norm past the largest float), so no
+    trace holds inf or NaN.
     """
     N = G.shape[0]
     top, scale = _bendixson_bound(G)
@@ -231,5 +234,9 @@ def evolve(G: np.ndarray, v0: RealField,
         block = block[:n_full + 1 - first] @ power
     if rem:
         record(last, (step_map(G, rem) @ block[-1])[None])
-    l2s = np.sqrt(grid.cell_volume * sq_norms).tolist()
-    return EvolutionTrace(times=times, l2_series=l2s, snapshots=snaps)
+    l2s = np.sqrt(grid.cell_volume * sq_norms)
+    bad = np.flatnonzero(~np.isfinite(l2s))
+    if bad.size:
+        raise ValueError(f"the l2 norm of the state at t = {times[bad[0]]!r} "
+                         f"is {l2s[bad[0]]!r}: it leaves double precision")
+    return EvolutionTrace(times=times, l2_series=l2s.tolist(), snapshots=snaps)

@@ -1,37 +1,39 @@
-"""Fractional power P_alpha(T) by quadrature of the S-resolvents along the
-imaginary axis.
+"""Fractional power P_alpha(T) of the quaternionic gradient operator T, and
+the quadrature of the paper's integral that `verify` holds it against.
 
-The line -jR is traversed once (t from -inf to +inf, s = -jt), and with
-ds_j := ds (-j) that parameterization gives ds_j = -dt, hence the global
-factor -1/(2pi).  Nodes at +-t are evaluated together; for each pair the
+The paper defines P_alpha(T) by a Balakrishnan integral of the
+S-resolvents along the imaginary axis.  For separable coefficients the A_l
+commute with L = T^2 = -sum A_l^2 and Q_t^{-1} is the symbol 1/(t^2 +
+lambda) of L, so the integral is exactly
+
+    P_alpha v = e_1(L) T v + e_2(L) v,
+    e_1(lambda) = 1/2 lambda^{(alpha-1)/2}, e_2(lambda) = 1/2 lambda^{alpha/2}.
+
+`apply_P_alpha` applies these powers (`exact_symbols`) through the per-axis
+factorization of L (`apply_symbols`), on the principal branch where a
+sample <= 0 makes lambda complex, real part kept; `build_matrix` gives the
+evolution F = e_1(L), whose flux channel on a real v is F A_l v.  The
+integral does not exist where a real eigenvalue mu < 0 puts the sphere |s|
+= sqrt(-mu) on the path, nor at an exact 0 of L off the parity null mode:
+`require_defined` refuses both, for the powers and the quadrature alike.
+
+The quadrature traverses -jR once (t from -inf to +inf, s = -jt; ds_j :=
+ds (-j) = -dt gives the factor -1/(2pi)).  For each node pair +-t the
 quaternionic integrand reduces analytically to the j-free combination
 
     t^{alpha-1} [ 2 sin(theta) t u1  -  2 cos(theta) T u1 ],
     theta = (alpha-1) pi/2,   u1 = Q_t^{-1} T v,
 
-which is how one sees that the result neither depends on the chosen j nor
-leaves the scalar+vector structure for real inputs.
+so the result neither depends on j nor leaves the scalar+vector structure
+for real inputs.  Summed over the nodes (weights c_i, t^{alpha-1}
+included) the pairs collapse onto the rule's approximations of e_1 and e_2
+(`symbols`), which `verify`'s right form applies by `apply_symbols`:
 
-For separable coefficients T commutes with L = T^2 = -sum A_l^2, and
-Q_t^{-1} is the symbol 1/(t^2 + lambda) of L, so the reduced pair sum over
-all nodes (weights c_i, t^{alpha-1} included) collapses onto two scalar
-symbols of L (`symbols`):
-
-    P_alpha v = f_1(L) T v + f_2(L) v,
     f_1(lambda) = -(sin(theta)/pi) sum_i c_i t_i / (t_i^2 + lambda),
     f_2(lambda) =  (cos(theta)/pi) sum_i c_i lambda / (t_i^2 + lambda).
 
-That is the one route of the collocated `apply_P_alpha`, on every
-coefficient set: one pass over the eigenvalue array and two applications
-of the per-axis factorization of L, whatever the node count.  Its result is
-the reduced form, so it cannot leak off the j-free span.  Where a sample
-<= 0 makes lambda complex, so are the symbols, and the real part is kept.
-`build_matrix` gives the evolution its one dense matrix, F = f_1(L), from
-one application of f_1 to the identity; on a real v the flux channel is
-vec[l] = F A_l v, and `evolve.generator` applies the stencils to F.
-
 The naive quaternionic left form (`reference_P_alpha`) is the reference
-that `verify` holds the symbol route against, at several imaginary units.
+that `verify` holds the right form against, at several imaginary units.
 Since A_l is real and acts on each component alone, T(q u) = sum_l (e_l
 q)(A_l u) for a constant quaternion q, so the half line of a node is one
 matmul of a node-independent table of j with the rows c [t u1; A_1 u1;
@@ -53,9 +55,7 @@ u^{1-alpha} derivative singularity).  The integrand of an eigenvalue lambda
 turns over at t ~ |lambda|^{1/2}, so t_split = (lambda_min
 lambda_max)^{1/4} over the nonzero |lambda| of L balances the two panels in
 log t (Bonito and Pasciak, Math. Comp. 84, 2015); `_nodes` derives it for
-every route.  It also refuses a real eigenvalue mu < 0, whose spectral
-sphere |s| = sqrt(-mu) lies on the path, and an exact 0 of L off the parity
-null mode, where f_1 has no limit: the integral does not exist there.
+both forms, after `require_defined`.
 
 Both panels need the rule for the weight (1+x)^b on [-1, 1] only
 (`gauss_jacobi`, b = alpha-1 and b = -alpha).  It is computed in-house by
@@ -68,13 +68,13 @@ nodes are within 4.5e-16 and the weights within 4.4e-13 (n = 64) and
 1.5e-12 (n = 128) relative; the moments sum w (1+x)^k, k < 2n, are exact
 to 5e-14 relative for n <= 128.
 
-Every route builds its integrand from u1 = Q_t^{-1}(T v) and T u1.  The
+Both forms build the integrand from u1 = Q_t^{-1}(T v) and T u1.  The
 right-resolvent integrand s^{alpha-1}(conj(s) u1 - T u1) equals the bounded
 form s^{alpha-1}(-Q_t^{-1}(T^2 v) - s u1) of the splitting identity, since
 conj(s) = -s and T commutes with Q_t (the tests measure the two).  That
 identity would feed Q^{-1} the unfiltered v, whose parity-null component
 1/t^2 amplifies on all-odd grids; T v is exactly orthogonal to that mode,
-so f_1 is 0 on it (the structural 0 of L, `AxisFactorization.null_mask`).
+so f_1, like e_1, is 0 on it (`AxisFactorization.null_mask`).
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ _BLOCK_ELEMS = 2 ** 16
 class QuadratureSpec:
     """Parameters of the Balakrishnan quadrature: alpha and the node counts
     of the two panels (the split follows the spectrum, and the result does
-    not depend on the imaginary unit of the path -jR).  It builds the rules
-    of both panels, so an alpha too close to 0 or 1 for them raises
-    ValueError here."""
+    not depend on the imaginary unit of the path -jR).  `apply_P_alpha`
+    and `build_matrix` read alpha alone.  It builds the rules of both
+    panels, so an alpha too close to 0 or 1 for them raises ValueError
+    here."""
 
     alpha: float
     n_sing: int = 64
@@ -126,16 +127,16 @@ class FracApplyResult:
     vec[l] e_l componentwise by construction, with three vec entries; j_leak
     is the max-norm gap between the naive quaternionic left pair sum and
     its analytic j-free reduction (`reference_P_alpha`; thresholded by
-    callers, not here), and 0.0 from `apply_P_alpha`, which sums that
-    reduction.  That scheme reproduces the discrete identities exactly but
-    does not converge to the continuum channels on real inputs (see the
-    grid module).
+    callers, not here), and 0.0 from `apply_symbols`, which forms no pair.
+    That scheme reproduces the discrete identities exactly but does not
+    converge to the continuum channels on real inputs (see the grid
+    module).
 
     With `StaggeredOperators`: scal lives on the nodes and vec holds one
     `FaceField` per grid axis, on the faces normal to it, so full is None
-    (the channels live on different points).  It takes the symbol route, so
-    j_leak is 0.0.  Both channels converge to the continuum law: scal to
-    1/2 L_D^{alpha/2} v and vec[l] to the flux 1/2 L_N^{(alpha-1)/2} d_l v.
+    (the channels live on different points), and j_leak is 0.0.  Both
+    channels converge to the continuum law: scal to 1/2 L_D^{alpha/2} v and
+    vec[l] to the flux 1/2 L_N^{(alpha-1)/2} d_l v.
     """
 
     full: QuatField | None
@@ -180,6 +181,26 @@ def zero_tol(lam: np.ndarray) -> float:
     return 1e-12 * float(np.max(np.abs(lam), initial=0.0))
 
 
+def require_defined(lam: np.ndarray, null: np.ndarray):
+    """ValueError where P_alpha(T) is not defined on the spectrum lam of L:
+    a real eigenvalue below -`zero_tol`, whose spectral sphere meets the
+    path -jR, or an exact 0 of lam off the mask null (the structural 0 of
+    L), a kernel mode where e_1 and f_1 have no limit.  The exact powers
+    (`exact_symbols`) and the quadrature (`_nodes`) both call it."""
+    tol = zero_tol(lam)
+    r = np.sqrt(-lam.real[(lam.real < -tol) & (abs(lam.imag) <= tol)])
+    if r.size:
+        raise ValueError(
+            f"the integral's path -jR crosses {r.size} spectral sphere(s) of "
+            f"T, radius {r.min():.3g} to {r.max():.3g}: P_alpha is not "
+            f"defined there")
+    kernel = np.count_nonzero((lam == 0.0) & ~null)
+    if kernel:
+        raise ValueError(
+            f"L has {kernel} eigenvalue(s) exactly 0 off the parity null "
+            f"mode: P_alpha is not defined there")
+
+
 def _nodes(spec: QuadratureSpec, lam: np.ndarray | None, null):
     """(t, c): the rule, all nodes ascending in t, with t^{alpha-1} folded
     into the weights c on both panels: sum_i c_i f(t_i) ~ integral_0^inf
@@ -187,25 +208,14 @@ def _nodes(spec: QuadratureSpec, lam: np.ndarray | None, null):
     function of 1/t beyond.  The near panel is the Gauss-Jacobi rule of
     t^{alpha-1} itself; the tail, mapped by t = t_split/u, that of u^{-alpha}.
     t_split = (lambda_min lambda_max)^{1/4} over the nonzero |lam| of the
-    spectrum lam, 1 when it has none or is None.  ValueError when that
-    product underflows to 0 or overflows, when a real eigenvalue lies below
-    -`zero_tol` (its spectral sphere meets the path -jR), and on an exact 0
-    of lam off the mask null (the structural 0 of L): a kernel mode."""
+    spectrum lam, 1 when it has none or is None.  ValueError where P_alpha
+    is not defined on lam (`require_defined`, with the mask null of the
+    structural 0 of L), and when that product underflows to 0 or
+    overflows."""
     a = spec.alpha
     ts = 1.0
     if lam is not None:
-        tol = zero_tol(lam)
-        r = np.sqrt(-lam.real[(lam.real < -tol) & (abs(lam.imag) <= tol)])
-        if r.size:
-            raise ValueError(
-                f"the quadrature path -jR crosses {r.size} spectral sphere(s)"
-                f" of T, radius {r.min():.3g} to {r.max():.3g}: P_alpha is "
-                f"not defined there")
-        kernel = np.count_nonzero((lam == 0.0) & ~null)
-        if kernel:
-            raise ValueError(
-                f"L has {kernel} eigenvalue(s) exactly 0 off the parity null "
-                f"mode: P_alpha is not defined there")
+        require_defined(lam, null)
         mod = np.abs(lam)
         top = float(np.max(mod, initial=0.0))
         low = float(np.min(mod, where=mod > 0.0, initial=top))
@@ -239,12 +249,13 @@ def quad_nodes(spec: QuadratureSpec) -> list:
 
 
 def symbols(spec: QuadratureSpec, lam: np.ndarray, null: np.ndarray):
-    """(f_1, f_2) on the eigenvalues lam of L, with P_alpha v = f_1(L) T v +
-    f_2(L) v: the reduced pair integrand summed over the nodes of spec in
-    the fixed ascending-t order (split by lam), the factor -1/(2 pi) folded
-    in; complex where lam is.  f_1 is 0 where the mask null is set, at the
-    structural 0 of L (`AxisFactorization.null_mask`), the parity null mode
-    T v never reaches; `_nodes` refuses any other exact 0."""
+    """(f_1, f_2) on the eigenvalues lam of L, the quadrature's P_alpha v =
+    f_1(L) T v + f_2(L) v: the reduced pair integrand summed over the nodes
+    of spec in the fixed ascending-t order (split by lam), the factor
+    -1/(2 pi) folded in; complex where lam is.  f_1 is 0 where the mask
+    null is set, at the structural 0 of L (`AxisFactorization.null_mask`),
+    the parity null mode T v never reaches; `_nodes` refuses any other
+    exact 0."""
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     sum_u1, sum_u2 = _node_sums(spec, lam, null, np.reshape(lam, -1))
     f1 = np.where(null, 0.0, -math.sin(theta) / math.pi * sum_u1)
@@ -281,11 +292,12 @@ def exact_symbols(alpha: float, lam: np.ndarray, null: np.ndarray):
     """(e_1, e_2) = (1/2 lam^{(alpha-1)/2}, 1/2 lam^{alpha/2}) on the
     eigenvalues lam of L, the exact powers that `symbols` approximates, on
     the principal branch where lam is complex or below 0 (`np.emath`);
-    both are 0 where the mask null is set (as in `symbols`)."""
+    both are 0 where the mask null is set (as in `symbols`).  ValueError
+    where P_alpha is not defined (`require_defined`), so e_1 is finite."""
+    require_defined(lam, null)
     safe = np.where(null, 1.0, lam)
-    with np.errstate(divide="ignore"):  # an exact 0 off null: e_1 = inf
-        return tuple(np.where(null, 0.0, 0.5 * np.emath.power(safe, p))
-                     for p in ((alpha - 1.0) / 2.0, alpha / 2.0))
+    return tuple(np.where(null, 0.0, 0.5 * np.emath.power(safe, p))
+                 for p in ((alpha - 1.0) / 2.0, alpha / 2.0))
 
 
 def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
@@ -307,35 +319,49 @@ def quadrature_certificate(spec: QuadratureSpec, ops: Operators,
 def _require_collocated(ops, what: str):
     if isinstance(ops, StaggeredOperators):
         raise ValueError(f"{what} needs the collocated Operators; the "
-                         "staggered scheme serves apply_P_alpha and the "
-                         "closed form only")
+                         "staggered scheme serves apply_P_alpha only")
 
 
 def apply_P_alpha(spec: QuadratureSpec,
-                  ops: Operators | StaggeredOperators, v: QuatField, *,
-                  syms=None) -> FracApplyResult:
-    """P_alpha(T) v by quadrature of the right Balakrishnan form, summed as
-    its j-free reduction, so j_leak is 0.0.  The reduction order is fixed
-    ascending in t, so results are bitwise reproducible.  The hypothesis
-    conditions are not checked here: a caller that needs them reads
-    `coeff.check_conditions` (the CLI gates on it).
-
-    On every coefficient set it is the symbol route, f_1(L) T v + f_2(L) v
-    through ops.spectral, with syms = (f_1, f_2) of `symbols` there when
-    the caller has them already; the real part is kept (the symbols are
-    complex where the eigenvalues of L are).  ValueError when a spectral
-    sphere meets the path (`_nodes`).  The naive left form is
-    `reference_P_alpha`.
-
-    With `StaggeredOperators`, v must be real (its vector components zero)
-    and the symbols are applied through the per-axis factorization of that
-    scheme, where both forms coincide.
-    """
-    if isinstance(ops, StaggeredOperators):
-        return _apply_P_alpha_staggered(spec, ops, v)
+                  ops: Operators | StaggeredOperators,
+                  v: QuatField) -> FracApplyResult:
+    """P_alpha(T) v = e_1(L) T v + e_2(L) v: the exact powers of
+    `exact_symbols` on the spectrum of ops.spectral, applied by
+    `apply_symbols`; spec gives alpha alone.  ValueError where P_alpha is
+    not defined (`require_defined`).  The hypothesis conditions are not
+    checked here: a caller that needs them reads `coeff.check_conditions`
+    (the CLI gates on it).  The quadrature of the paper's integral is
+    `symbols` through the same `apply_symbols`, and its naive left form
+    `reference_P_alpha`: `verify`'s references."""
     sp = ops.spectral
-    f1, f2 = (syms if syms is not None
-              else symbols(spec, sp.eigenvalues(), sp.null_mask))
+    return apply_symbols(ops, v, exact_symbols(spec.alpha, sp.eigenvalues(),
+                                               sp.null_mask))
+
+
+def apply_symbols(ops: Operators | StaggeredOperators, v: QuatField,
+                  syms) -> FracApplyResult:
+    """f_1(L) T v + f_2(L) v for syms = (f_1, f_2) on the eigenvalues of
+    ops.spectral: the exact powers (`apply_P_alpha`) or the quadrature's
+    node sums (`symbols`, `verify`'s right form).  The real part is kept
+    (the symbols are complex where the eigenvalues of L are), and j_leak
+    is 0.0.
+
+    With `StaggeredOperators`, v must be real (its vector components zero):
+    scal = f_2(L_D) v on the nodes and vec[l] = A_l f_1(L_D) v on the
+    faces, which is f_1(L_l) A_l v there because A_l L_D = L_l A_l."""
+    f1, f2 = syms
+    sp = ops.spectral
+    if isinstance(ops, StaggeredOperators):
+        if np.any(v.components[1:]):
+            raise ValueError("the staggered scheme serves real inputs only; "
+                             "the vector components of v must be zero")
+        g = ops.grid
+        pre = sp.apply_symbol(f1, v.components[0])
+        return FracApplyResult(
+            full=None, scal=RealField(g, sp.apply_symbol(f2, v.components[0])),
+            vec=tuple(FaceField(g, ax, ops.apply_A(ax, pre))
+                      for ax in range(g.dims)),
+            j_leak=0.0)
     comps = (sp.apply_symbol(f1, ops.apply_T(v.components))
              + sp.apply_symbol(f2, v.components))
     return _collocated_result(QuatField(v.grid, comps.real), 0.0)
@@ -345,8 +371,9 @@ def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
                       units) -> tuple:
     """The naive quaternionic left form of P_alpha(T) v at each imaginary
     unit j of units, one FracApplyResult per unit: the reference that
-    `verify` holds the symbol route against.  Like apply_P_alpha, it does
-    not check the hypothesis conditions.
+    `verify` holds the quadrature's right form (`apply_symbols` of
+    `symbols`) against.  Like apply_P_alpha, it does not check the
+    hypothesis conditions.
 
     With s_+- = -+ j t and s_+-^{alpha-1} = t^{alpha-1} e_+-, e_+- =
     cos(theta) -+ j sin(theta), the left pair of a node is
@@ -359,7 +386,7 @@ def reference_P_alpha(spec: QuadratureSpec, ops: Operators, v: QuatField,
     (`_node_sums`), and both are 0 on the parity null mode T v never
     reaches.  j_leak is the max-norm gap of the pairs to their j-free
     reduction 2 sin(theta) g_1(L) T v - 2 cos(theta) T w.  The real part is
-    kept, as in apply_P_alpha."""
+    kept, as in apply_symbols."""
     _require_collocated(ops, "reference_P_alpha")
     theta = (spec.alpha - 1.0) * math.pi / 2.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -399,30 +426,14 @@ def _collocated_result(full: QuatField, leak: float) -> FracApplyResult:
                            j_leak=leak)
 
 
-def _apply_P_alpha_staggered(spec: QuadratureSpec, ops: StaggeredOperators,
-                             v: QuatField) -> FracApplyResult:
-    """scal = f_2(L_D) v on the nodes and vec[l] = A_l f_1(L_D) v on the
-    faces, which is f_1(L_l) A_l v there because A_l L_D = L_l A_l."""
-    if np.any(v.components[1:]):
-        raise ValueError("the staggered scheme serves real inputs only; "
-                         "the vector components of v must be zero")
-    sp = ops.spectral
-    f1, f2 = symbols(spec, sp.eigenvalues(), sp.null_mask)
-    g = ops.grid
-    scal = sp.apply_symbol(f2, v.components[0])
-    pre = sp.apply_symbol(f1, v.components[0])
-    vec = tuple(FaceField(g, ax, ops.apply_A(ax, pre)) for ax in range(g.dims))
-    return FracApplyResult(full=None, scal=RealField(g, scal), vec=vec,
-                           j_leak=0.0)
-
-
 def build_matrix(spec: QuadratureSpec, ops: Operators) -> np.ndarray:
-    """The dense F = f_1(L), the vector symbol of `symbols`, as an (N, N)
-    array: f_1 applied once to the identity (its rows are the basis fields,
-    so the result is the transposed matrix).  The flux channel of P_alpha
-    on a real v is then vec[l] = F A_l v.  It needs the collocated scheme,
-    N within the dense cap of `Operators` and a positive coefficient set;
-    it does not check the hypothesis conditions."""
+    """The dense F = e_1(L), the vector power of `exact_symbols`, as an
+    (N, N) array: e_1 applied once to the identity (its rows are the basis
+    fields, so the result is the transposed matrix); spec gives alpha
+    alone.  The flux channel of P_alpha on a real v is then vec[l] = F A_l
+    v.  It needs the collocated scheme, N within the dense cap of
+    `Operators` and a positive coefficient set; it does not check the
+    hypothesis conditions."""
     _require_collocated(ops, "build_matrix")
     ops._check_dense()
     g = ops.grid
@@ -431,6 +442,6 @@ def build_matrix(spec: QuadratureSpec, ops: Operators) -> np.ndarray:
                          "node: its matrix is a symbol of the nonnegative "
                          "spectrum of L")
     sp = ops.spectral
-    f1, _ = symbols(spec, sp.eigenvalues(), sp.null_mask)
+    e1, _ = exact_symbols(spec.alpha, sp.eigenvalues(), sp.null_mask)
     basis = np.eye(g.N).reshape(g.N, *g.n)
-    return sp.apply_symbol(f1, basis).reshape(g.N, g.N).T
+    return sp.apply_symbol(e1, basis).reshape(g.N, g.N).T

@@ -32,7 +32,7 @@ the grid.  `StaggeredOperators` is the scheme that converges: a mimetic
 the compact 3-point operator (no parity null mode) and A_l L_D = L_l A_l holds
 exactly.  It serves real inputs only; `Operators` stays the default for
 everything else (quaternion inputs, the resolvent workspaces, the dense
-f_1(L) of `build_matrix`, the evolution generator and the CLI).
+e_1(L) of `build_matrix`, the evolution generator and the CLI).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ _E_TABLES = [left_mult_table(q) for q in
                Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))]
 
 DEFAULT_CAPS = {1: (2048,), 2: (128, 128), 3: (24, 24, 24)}
-# largest N for a dense N x N matrix: f_1(L) from build_matrix and the
+# largest N for a dense N x N matrix: e_1(L) from build_matrix and the
 # evolution generator with its step maps, and test references; every other
 # task takes the spectrum of L from its per-axis factorization
 DENSE_CAP = 5000
@@ -289,7 +289,8 @@ def _axis_svd(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
     zero-padded to len(a_out), U^T diag(1/r_out), diag(r_out) U), returned
     in that order: the extra columns of U span the null space of S^T.  A
     sample <= 0, or a Sigma^2 that is 0 or past the largest float (a box
-    too small or too large for double precision), raises ValueError.  d is
+    too small or too large for double precision), raises ValueError, and
+    so does a subnormal one (`_require_normal`).  d is
     scaled into S and V^T into the forward map in place, sparing the copies
     beside the caller's d."""
     if not (np.all(a_out > 0.0) and np.all(a_in > 0.0)):
@@ -305,10 +306,23 @@ def _axis_svd(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
         raise ValueError(f"the eigenvalues of L, sigma^2 for sigma from "
                          f"{sigma.min():.3g} to {sigma.max():.3g}, underflow "
                          f"to 0 or overflow in double precision")
+    _require_normal(lam)
     inv = r_in[:, None] * vt.T
     vt /= r_in
     lam_out = np.concatenate((lam, np.zeros(len(r_out) - len(lam))))
     return (lam, vt, inv), (lam_out, u.T / r_out, r_out[:, None] * u)
+
+
+def _require_normal(lam: np.ndarray):
+    """ValueError on a subnormal |lambda| of an axis factor (`_axis_svd`,
+    `_eig`): too few bits (coefficient 1e-160 on 1D 15 gave eigenvalues
+    near 1e-319 and spectrum points 2.5e-6 off relative)."""
+    mod = np.abs(lam)
+    low = mod[(mod > 0.0) & (mod < np.finfo(float).tiny)]
+    if low.size:
+        raise ValueError(f"{low.size} eigenvalue(s) of L are subnormal in "
+                         f"double precision, down to {low.min():.3g} in "
+                         f"modulus")
 
 
 def _axis_eig(a_out: np.ndarray, d: np.ndarray, a_in: np.ndarray):
@@ -328,8 +342,9 @@ def _eig(block: np.ndarray, null: bool = False):
     general `eig`; complex where the block has complex eigenvalues.  null:
     the block maps the constant to 0, so the eigenvector nearest it is
     pinned to it, its eigenvalue to exactly 0, and both go last, where
-    `_axis_svd` pads its zero.  A defective block, or eigenvectors whose
-    1-norm condition number exceeds EIG_COND_MAX, raises ValueError."""
+    `_axis_svd` pads its zero.  A defective block, eigenvectors whose 1-norm
+    condition number exceeds EIG_COND_MAX, or a subnormal eigenvalue
+    (`_require_normal`) raises ValueError."""
     lam, v = np.linalg.eig(block)
     if null:
         const = np.full(len(lam), len(lam) ** -0.5)
@@ -337,6 +352,7 @@ def _eig(block: np.ndarray, null: bool = False):
         order = np.r_[:k, k + 1:len(lam), k]
         lam, v = lam[order], v[:, order]
         lam[-1], v[:, -1] = 0.0, const
+    _require_normal(lam)
     try:
         v_inv = np.linalg.inv(v)
         cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
@@ -406,8 +422,8 @@ class Operators:
     """Bundles the per-axis discrete operators for one (grid, coefficients)
     pair; all applications are matrix-free.  The per-axis spectral
     factorization of L (`spectral`) is the one source of its spectrum on
-    every coefficient set: the symbols, the resolvent solves, the closed
-    form and the spectrum probe all use it.  Dense materialization
+    every coefficient set: the exact powers, the quadrature's symbols, the
+    resolvent solves and the spectrum probe all use it.  Dense materialization
     (N <= DENSE_CAP) serves `build_matrix` and test references."""
 
     def __init__(self, grid: Grid, profiles):

@@ -1,27 +1,19 @@
 """Independent reference computations.
 
-Two oracles with deliberately different error budgets:
+`fractional_laplacian_spectral` runs sine modes with the *continuous*
+eigenvalues (k pi / L)^2 (`sine_basis`, the same per-axis factorization type
+as the discrete spectra, `grid.AxisFactorization`).  Its gap to the discrete
+operator is O(h^2) plus the wide-stencil boundary effect, so it validates
+the modeling, not the fractional power.  It agrees with P_alpha only on the
+staggered scheme.  The collocated default does not converge to the continuum
+on real inputs (its wide stencil pairs each smooth mode with a grid-parity
+partner, and its vector channel carries a Dirichlet-type operator where the
+continuum has the Neumann one), so a sampled sine mode is off by O(1) there;
+on the staggered scheme the same mode is an exact eigenvector and the gap
+is O(h^2).
 
-* `fractional_laplacian_spectral` — sine modes with the *continuous*
-  eigenvalues (k pi / L)^2 (`sine_basis`, the same per-axis factorization
-  type as the discrete spectra, `grid.AxisFactorization`).  Gap to the
-  discrete operator is O(h^2) plus the wide-stencil boundary effect; it
-  validates the modeling, not the quadrature.
-* `closed_form_P_alpha` — the exact powers of the *discrete* operator
-  L = -sum A_l^2 itself, applied through the per-axis spectral factorization
-  of L (`Operators.spectral`) for every separable coefficient set (on the
-  principal branch where a sample <= 0 makes the eigenvalues complex); on
-  `StaggeredOperators`, through that scheme's node (`spectral`) and face
-  (`face_spectral`) families.  It shares the operators with the quadrature
-  path, so disagreement there can only come from quadrature error, never
-  discretization.
-
-The two oracles agree only on the staggered scheme.  The collocated default
-does not converge to the continuum on real inputs (its wide stencil pairs
-each smooth mode with a grid-parity partner, and its vector channel carries
-a Dirichlet-type operator where the continuum has the Neumann one), so a
-sampled sine mode is off by O(1) there; on the staggered scheme the same mode
-is an exact eigenvector and the gap is O(h^2).
+`closed_form_P_alpha` is no second route: it is `frac.apply_P_alpha` on a
+real field, kept under its name for the benchmark's tracer.
 
 Plus `s_spectrum_probe`: the eigenvalues mu of L, reported as the points
 +-sqrt(mu) on the real axis, read from the same per-axis factorization,
@@ -38,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frac import FracApplyResult, exact_symbols, zero_tol
-from .grid import (AxisFactorization, FaceField, Grid, Operators, QuatField,
-                   RealField, StaggeredOperators)
+from .frac import FracApplyResult, QuadratureSpec, apply_P_alpha, zero_tol
+from .grid import (AxisFactorization, Grid, Operators, QuatField, RealField,
+                   StaggeredOperators)
 
 
 def sine_basis(grid: Grid) -> AxisFactorization:
@@ -70,49 +62,13 @@ def fractional_laplacian_spectral(beta: float, v: RealField) -> RealField:
 
 def closed_form_P_alpha(alpha: float, v: RealField,
                         ops: Operators | StaggeredOperators) -> FracApplyResult:
-    """Reference P_alpha: scal = 1/2 L^{alpha/2} v and vec_l = 1/2
-    L^{(alpha-1)/2} (A_l v) (T^2 = L as an operator identity), the powers
-    `exact_symbols` applied through the per-axis factorization of L, real
-    part kept; the parity null mode goes to zero, and so does a kernel mode
-    of L off it (an exact 0 of a set with a sample <= 0), whose power
-    (alpha-1)/2 is infinite.
-
-    With `StaggeredOperators`: scal = 1/2 L_D^{alpha/2} v and vec_l = 1/2
-    L_l^{(alpha-1)/2} A_l v on the faces, through the face family of the
-    factorization (its null mode, present in 1D only, is orthogonal to the
-    range of A_l and sent to zero)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if isinstance(ops, StaggeredOperators):
-        return _closed_form_staggered(alpha, v, ops)
-    g = ops.grid
-    sp = ops.spectral
-    e1, e2 = exact_symbols(alpha, sp.eigenvalues(), sp.null_mask)
-    e1 = np.where(np.isinf(e1), 0.0, e1)
-    comps = np.zeros((4, *g.n))
-    comps[0] = sp.apply_symbol(e2, v.values).real
-    for ax in range(g.dims):
-        comps[ax + 1] = sp.apply_symbol(e1, ops.apply_A(ax, v.values)).real
-    return FracApplyResult(full=QuatField(g, comps),
-                           scal=RealField(g, comps[0]),
-                           vec=tuple(RealField(g, w) for w in comps[1:]),
-                           j_leak=0.0)
-
-
-def _closed_form_staggered(alpha: float, v: RealField,
-                           ops: StaggeredOperators) -> FracApplyResult:
-    g = ops.grid
-    sp = ops.spectral
-    _, e2 = exact_symbols(alpha, sp.eigenvalues(), sp.null_mask)
-    scal = sp.apply_symbol(e2, v.values)
-    vec = []
-    for ax in range(g.dims):
-        face = ops.face_spectral(ax)
-        e1, _ = exact_symbols(alpha, face.eigenvalues(), face.null_mask)
-        w = face.apply_symbol(e1, ops.apply_A(ax, v.values))
-        vec.append(FaceField(g, ax, w))
-    return FracApplyResult(full=None, scal=RealField(g, scal), vec=tuple(vec),
-                           j_leak=0.0)
+    """P_alpha(T) v for a real v: `frac.apply_P_alpha` on
+    QuatField.from_real(v), the exact powers of L.  Kept under this name
+    while the benchmark's tracer (perfbench/tracer.py) wraps it by name,
+    until the program reports its own phases (ROADMAP item 18).  ValueError
+    for an alpha outside (0, 1) or too close to its ends for the rule of
+    `QuadratureSpec`."""
+    return apply_P_alpha(QuadratureSpec(alpha), ops, QuatField.from_real(v))
 
 
 @dataclass(frozen=True)

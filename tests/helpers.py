@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from sfrac.coeff import make_profile
+from sfrac.frac import apply_symbols, symbols
 from sfrac.grid import BoxDomain, Grid, Operators
 
 
@@ -26,6 +27,15 @@ def box_ops(n, texts=("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)"),
     return Operators(Grid(BoxDomain(lengths), n), tuple(
         make_profile(ax + 1, text, length)
         for ax, (text, length) in enumerate(zip(texts, lengths))))
+
+
+def quadrature_P_alpha(spec, ops, v):
+    """The quadrature's right form of P_alpha(T) v, as `verify` computes
+    it: the node-summed symbols of spec (`frac.symbols`) applied by
+    `frac.apply_symbols`, where `apply_P_alpha` applies the exact powers."""
+    sp = ops.spectral
+    return apply_symbols(ops, v, symbols(spec, sp.eigenvalues(),
+                                         sp.null_mask))
 
 
 def variable_ops_2d(n1=7, n2=9):

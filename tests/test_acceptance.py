@@ -32,6 +32,7 @@ from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
 from sfrac.oracle import closed_form_P_alpha
 from sfrac.quat import J_E1, J_E2, Quaternion, unit_from_components
 from engine import node_engine
+from helpers import quadrature_P_alpha
 from sresolvent import (estimate_norm, s_resolvent_equation_residual,
                         splitting_residual)
 
@@ -62,10 +63,12 @@ def corpus_entries():
 
 @pytest.fixture(scope="module")
 def corpus():
+    """(name, ops, v, base) per entry: base is the quadrature of the paper's
+    integral in its right form, the node-summed symbols of L."""
     rows = []
     for name, ops in corpus_entries():
         v = QuatField.from_real(bump_field(ops.grid))
-        base = apply_P_alpha(QuadratureSpec(alpha=CORPUS_ALPHA), ops, v)
+        base = quadrature_P_alpha(QuadratureSpec(alpha=CORPUS_ALPHA), ops, v)
         rows.append((name, ops, v, base))
     return rows
 
@@ -75,14 +78,16 @@ def rel_gap(field, reference):
 
 
 def test_01_quadrature_matches_closed_form_constant_coefficients():
+    # the quadrature of the paper's integral against the exact powers of L
+    # that palpha applies
     start = time.monotonic()
     grid = Grid(BoxDomain((math.pi,)), (255,))
     ops = constant_operators(grid)
     x = grid.axes[0]
     v = RealField(grid, x * (math.pi - x) ** 2)
     for alpha in (0.25, 0.5, 0.75):
-        got = apply_P_alpha(QuadratureSpec(alpha=alpha), ops,
-                            QuatField.from_real(v))
+        got = quadrature_P_alpha(QuadratureSpec(alpha=alpha), ops,
+                                 QuatField.from_real(v))
         ref = closed_form_P_alpha(alpha, v, ops)
         scal_gap = (np.linalg.norm(got.scal.flat() - ref.scal.flat())
                     / np.linalg.norm(ref.scal.flat()))
@@ -119,7 +124,7 @@ def test_02_continuum_model_on_sampled_sine():
 
 
 def test_03_imaginary_unit_independence(corpus):
-    # base takes the symbol route, which never reads j; the other units run
+    # base applies two symbols of L and never reads j; the other units run
     # the test's quaternionic node engine (left form), where j enters every
     # node
     units = (J_E2, unit_from_components(1.0, 1.0, 1.0))
@@ -235,7 +240,7 @@ def test_09_heat_flux_exponent_correspondence():
 
 def test_10_quadrature_self_convergence(corpus):
     for name, ops, v, base in corpus:
-        doubled = apply_P_alpha(
+        doubled = quadrature_P_alpha(
             QuadratureSpec(alpha=CORPUS_ALPHA, n_sing=128, n_tail=128),
             ops, v)
         assert rel_gap(doubled.full, base.full) <= 1e-8, name

@@ -506,8 +506,8 @@ class TestPalphaTask:
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_default_solver_matches_dense(self, tmp_path, n, dense_route):
-        # the CLI's symbol route against the test's left-form node engine
-        # on dense LU
+        # the CLI's exact powers against the quadrature's left form, by the
+        # test's node engine on dense LU
         cfg = {
             "domain": {"dims": 2, "lengths": [1.0, 1.3]},
             "grid": {"n": [n, n - 4]},
@@ -529,7 +529,7 @@ class TestPalphaTask:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_forced_run_with_non_positive_coefficient(self, tmp_path):
-        # the symbol route serves the run, through the per-axis eig of L
+        # the exact powers serve the run, through the per-axis eig of L
         cfg = base_1d("palpha", n=9, length=1.0, coeff="x-0.45", alpha=0.5,
                       initial="x*(1-x)")
         out = tmp_path / "out"
@@ -720,8 +720,8 @@ class TestVerifyTask:
             entry = rep["checks"][name]
             assert entry["pass"] is True
             assert entry["value"] <= entry["tol"]
-        # these compare the symbol route with the left form, two routes
-        # that agree to rounding, not bit for bit
+        # these compare the quadrature's right form with the left form, two
+        # forms that agree to rounding, not bit for bit
         for name in ("left_right_gap", "j_independence", "j_leak"):
             assert rep["checks"][name]["value"] > 0.0
         # the certificate is reported beside the checks, not among them
@@ -731,7 +731,7 @@ class TestVerifyTask:
         assert 0.0 < cert["scal"] <= 1e-12 and 0.0 < cert["vec"] <= 1e-12
 
     def test_symbols_once_per_rule(self, tmp_path, monkeypatch):
-        # the base rule's symbols serve the symbol route and the
+        # the base rule's symbols serve the quadrature's right form and the
         # certificate; the doubled rule's serve quadrature_doubling
         from sfrac import cli, frac
         calls = []
@@ -749,8 +749,8 @@ class TestVerifyTask:
         assert sorted(calls) == [128, 256]
 
     def test_forced_dense_run_with_non_positive_coefficient(self, tmp_path):
-        # the symbol route serves the run through the per-axis eig of L, and
-        # the certificate and the closed form take its eigenvalues too
+        # the exact powers and the quadrature serve the run through the
+        # per-axis eig of L, and the certificate takes its eigenvalues too
         cfg = base_1d("verify", n=9, length=1.0, coeff="x-0.45")
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out),
@@ -809,7 +809,7 @@ class TestVerifyTask:
         out = tmp_path / "out"
         assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         rep = read_json(out, "verify.json")
-        # the closed form is checked on every positive set
+        # the quadrature against the exact powers, on every positive set
         assert rep["checks"]["closed_form_gap"]["value"] <= 1e-12
         assert max(rep["quadrature_certificate"].values()) <= 1e-12
 
@@ -836,8 +836,8 @@ class TestVerifyTask:
 
 class TestAboveDenseCap:
     """spectrum and verify on grids with N > DENSE_CAP inside the caps:
-    the spectrum and the closed form come from the per-axis factorization
-    of L, so no dense N x N matrix is needed."""
+    the spectrum and the exact powers come from the per-axis
+    factorization of L, so no dense N x N matrix is needed."""
 
     def test_constant_2d_spectrum_matches_the_analytic_oracle(self,
                                                               tmp_path):
@@ -896,8 +896,9 @@ TASKS = ("check", "spectrum", "palpha", "evolve", "verify")
 # the exit code of each of TASKS
 EXTREME_SCALES = {
     # C_a = 1e160 squares past the largest float, phi_sup = 0: K = 1/2;
-    # the eigenvalues are subnormal, their split product underflows
-    "constant-1e-160": (("1e-160", 1.0), (0, 0, 1, 1, 1)),
+    # the eigenvalues are subnormal (about 1e-319), which the factorization
+    # refuses: spectrum wrote points 2.5e-6 off relative when it took them
+    "constant-1e-160": (("1e-160", 1.0), (0, 1, 1, 1, 1)),
     # C_a = exp(500) squares past the largest float: K = -inf; half the
     # eigenvalues underflow to 0
     "exp-500": (("exp(-500*x)", 1.0), (2, 1, 2, 2, 2)),
@@ -907,8 +908,10 @@ EXTREME_SCALES = {
     # 2 phi_sup^2 passes the largest float; the eigenvalues overflow
     "sine-1e-155": (("1+0.1*sin(x/1e-155)", 1e-155), (2, 1, 2, 2, 2)),
     "length-1e-160": (("1", 1e-160), (0, 1, 1, 1, 1)),
-    # the split (lambda_min lambda_max)^(1/4) underflows to 0
-    "length-1e150": (("1", 1e150), (0, 0, 1, 1, 1)),
+    # palpha's exact powers need no split; evolve's true l2 norm is about
+    # 1e375; verify's quadrature split (lambda_min lambda_max)^(1/4)
+    # underflows to 0
+    "length-1e150": (("1", 1e150), (0, 0, 0, 1, 1)),
     # both terms of the margin overflow (a^2 and 2 a a'): -inf, not NaN;
     # sigma^2 overflows
     "margin-1e200": (("1e200*(1+0.1*x)", 1.0), (2, 1, 2, 2, 2)),
@@ -940,15 +943,14 @@ class TestExtremeScales:
                          "trace.csv"):
             if (out / artifact).exists():
                 text = (out / artifact).read_text()
-                assert not re.search("nan|NaN|Infinity", text)
+                assert not re.search("nan|NaN|inf|Infinity", text)
         # the report may hold an infinite constant, never a NaN
         if (out / "report.json").exists():
             assert "NaN" not in (out / "report.json").read_text()
 
     @pytest.mark.parametrize("length, initial, cause", [
         (1e200, "x/1e200", "eigenvalues of L"),
-        (1e-160, None, "eigenvalues of L"),
-        (1e150, None, "quadrature split")])
+        (1e-160, None, "eigenvalues of L")])
     def test_palpha_error_names_the_cause(self, tmp_path, capsys, length,
                                           initial, cause):
         cfg = base_1d("palpha", n=15, length=length, alpha=0.5)
@@ -957,6 +959,34 @@ class TestExtremeScales:
         assert main([write_cfg(tmp_path, cfg), "--out",
                      str(tmp_path / "out")]) == 1
         assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, name, cause", [
+        ("verify", "length-1e150", "quadrature split"),
+        ("evolve", "length-1e150", "l2 norm of the state"),
+        ("spectrum", "constant-1e-160", "subnormal")])
+    def test_error_names_the_cause(self, tmp_path, capsys, task, name,
+                                   cause):
+        (coeff, length), _ = EXTREME_SCALES[name]
+        cfg = base_1d(task, n=15, length=length, coeff=coeff, alpha=0.5,
+                      time={"dt": 0.01, "t_end": 0.05})
+        assert main([write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert cause in capsys.readouterr().err
+
+    def test_palpha_at_length_1e150_scales_the_unit_box(self, tmp_path):
+        # P_alpha is homogeneous of degree alpha in 1/length and the default
+        # field x (L - x) of degree 2 in the length, so the fields at L =
+        # 1e150 are those of the unit box times L^{2 - alpha} (measured
+        # 2.6e-16 off)
+        fields = []
+        for length in (1.0, 1e150):
+            cfg = base_1d("palpha", n=15, length=length, alpha=0.5)
+            out = tmp_path / f"out-{length!r}"
+            assert main([write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+            fields.append(np.loadtxt(out / "fields.csv", delimiter=",",
+                                     skiprows=1)[:, 3:])
+        want = fields[0] * 1e150 ** 1.5
+        assert np.max(np.abs(fields[1] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestNoDenseL:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import roots_jacobi
 
 from sfrac import frac
@@ -20,7 +21,8 @@ from sfrac.quat import (J_E1, J_E2, Quaternion, left_mul, qmul,
 from sfrac.resolvent import ResolventWorkspace
 import engine
 from engine import node_engine
-from helpers import box_ops, grid1d, rel_gap, variable_ops_2d
+from helpers import (box_ops, grid1d, quadrature_P_alpha, rel_gap,
+                     variable_ops_2d)
 
 
 def integrand_form_gap(spec, ops, v, t):
@@ -268,13 +270,13 @@ class TestApply:
         assert np.max(np.abs(out.vec[2].values)) <= 1e-12
 
     def test_j_independence(self):
-        # the symbol route never reads j, so the other units run the left
-        # form of reference_P_alpha
+        # the quadrature's right form never reads j, so the other units run
+        # the left form of reference_P_alpha
         ops = variable_ops_2d()
         rng = np.random.default_rng(2)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
         spec = QuadratureSpec(0.4)
-        base = apply_P_alpha(spec, ops, v).full.components
+        base = quadrature_P_alpha(spec, ops, v).full.components
         units = (J_E2, unit_from_components(1.0, 1.0, 1.0))
         for left in reference_P_alpha(spec, ops, v, units):
             assert rel_gap(left.full.components, base) <= 1e-10
@@ -284,13 +286,13 @@ class TestApply:
         rng = np.random.default_rng(3)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
         spec = QuadratureSpec(0.7)
-        r = apply_P_alpha(spec, ops, v)
+        r = quadrature_P_alpha(spec, ops, v)
         [l] = reference_P_alpha(spec, ops, v, (J_E1,))
         assert rel_gap(r.full.components, l.full.components) <= 1e-10
 
     def test_j_leak_small(self):
         # the leak is a diagnostic of the left form of reference_P_alpha;
-        # apply_P_alpha sums the j-free reduction itself
+        # the right form applies the j-free reduction's symbols
         ops = variable_ops_2d()
         v = QuatField.from_real(RealField.from_function(
             ops.grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y / 1.3)))
@@ -310,10 +312,11 @@ class TestApply:
     @pytest.mark.parametrize("n", [(17,), (18,), (7, 9), (8, 9), (5, 7, 9),
                                    (5, 6, 7)])
     def test_symbol_route_matches_node_engine(self, n, dense_route):
-        # the symbol route against the left form of reference_P_alpha and
-        # of the test's node engine, on the per-axis factorization and on
-        # the dense route, on odd (parity null mode) and even grids with
-        # variable coefficients and vector components
+        # the quadrature's right form (two node-summed symbols) against the
+        # left form of reference_P_alpha and of the test's node engine, on
+        # the per-axis factorization and on the dense route, on odd (parity
+        # null mode) and even grids with variable coefficients and vector
+        # components
         lengths = (1.0, 1.3, 0.8)[: len(n)]
         texts = ("1+0.1*x", "exp(0.2*x)", "1+0.2*sin(x)")
         ops = Operators(Grid(BoxDomain(lengths), n),
@@ -327,7 +330,7 @@ class TestApply:
         # alpha = 0.93: the tail dominates the node sum
         for alpha in (0.1, 0.37, 0.93):
             spec = QuadratureSpec(alpha)
-            got = apply_P_alpha(spec, ops, v)
+            got = quadrature_P_alpha(spec, ops, v)
             assert got.j_leak == 0.0
             [left] = reference_P_alpha(spec, ops, v, (J_E1,))
             [(engine_left, _)] = node_engine(spec, ops, v.components, (J_E1,))
@@ -339,22 +342,22 @@ class TestApply:
     def test_forced_split_follows_the_moduli(self):
         # 1D 200 `x-0.45`: complex eigenvalues, whose split of |lambda|
         # takes the doubling gap from 8.3e-11 at the unit split to below
-        # 1e-11; the symbol route sits within 1e-10 of the left form
+        # 1e-11; the right form sits within 1e-10 of the left form
         ops = Operators(grid1d(200, 1.0), (make_profile(1, "x-0.45", 1.0),))
         assert np.iscomplexobj(ops.spectral.eigenvalues())
         v = QuatField.from_real(RealField.from_function(
             ops.grid, lambda x: x * (1.0 - x)))
-        got = apply_P_alpha(QuadratureSpec(0.5), ops, v).full
+        got = quadrature_P_alpha(QuadratureSpec(0.5), ops, v).full
         [ref] = reference_P_alpha(QuadratureSpec(0.5), ops, v, (J_E1,))
         assert rel_gap(got.components, ref.full.components) <= 1e-10
-        doubled = apply_P_alpha(QuadratureSpec(0.5, n_sing=128, n_tail=128),
-                                ops, v).full
+        doubled = quadrature_P_alpha(
+            QuadratureSpec(0.5, n_sing=128, n_tail=128), ops, v).full
         assert (doubled - got).l2() / got.l2() <= 1e-11
 
     @pytest.mark.parametrize("coeff", ["x-0.45", "x-0.3"])
     def test_spectral_sphere_on_the_path_raises(self, coeff):
         # 1D 64: two real eigenvalues of L below 0, so Q_t is singular on
-        # the path; the symbol route and the left form share the check
+        # the path; the exact powers and the quadrature share the check
         ops = Operators(grid1d(64, 1.0), (make_profile(1, coeff, 1.0),))
         v = QuatField.from_real(RealField.from_function(
             ops.grid, lambda x: x * (1.0 - x)))
@@ -367,8 +370,9 @@ class TestApply:
         ops = variable_ops_2d()
         rng = np.random.default_rng(5)
         v = QuatField(ops.grid, rng.standard_normal((4, *ops.grid.n)))
-        a = apply_P_alpha(QuadratureSpec(0.5), ops, v)
-        b = apply_P_alpha(QuadratureSpec(0.5, n_sing=128, n_tail=128), ops, v)
+        a = quadrature_P_alpha(QuadratureSpec(0.5), ops, v)
+        b = quadrature_P_alpha(QuadratureSpec(0.5, n_sing=128, n_tail=128),
+                               ops, v)
         assert rel_gap(a.full.components, b.full.components) <= 1e-8
 
     def test_threads_bitwise_deterministic(self):
@@ -397,22 +401,109 @@ class TestApply:
         assert np.all(np.isfinite(build_matrix(spec, ops)))
 
     def test_staggered_matches_closed_form_variable_2d(self):
+        # the reference: Schur-Pade fractional powers of the dense L_D and
+        # of the face operators L_l, each materialized column by column
+        # from StaggeredOperators.apply_L, so the flux takes the face family
+        # where apply_P_alpha takes A_l e_1(L_D)
         g = Grid(BoxDomain((1.0, 1.3)), (12, 15))
         ops = StaggeredOperators(g, (make_profile(1, "1+0.2*sin(x)", 1.0),
                                      make_profile(2, "exp(0.1*x)", 1.3)))
         x1, x2 = np.meshgrid(*g.axes, indexing="ij")
         v = RealField(g, x1 * (1.0 - x1) * x2 * (1.3 - x2))
-        quad = apply_P_alpha(QuadratureSpec(0.5), ops, QuatField.from_real(v))
-        ref = closed_form_P_alpha(0.5, v, ops)
-        assert quad.full is None
-        assert rel_gap(quad.scal.values, ref.scal.values) <= 1e-10
+        out = apply_P_alpha(QuadratureSpec(0.5), ops, QuatField.from_real(v))
+
+        def power(shape, p, x, face_axis=None):
+            n = math.prod(shape)
+            cols = ops.apply_L(np.eye(n).reshape(n, *shape), face_axis)
+            dense = cols.reshape(n, n).T
+            m = np.real(scipy.linalg.fractional_matrix_power(dense, p))
+            return 0.5 * (m @ x.reshape(-1)).reshape(shape)
+
+        assert out.full is None
+        assert rel_gap(out.scal.values, power(g.n, 0.25, v.values)) <= 1e-10
         for ax in range(2):
-            assert quad.vec[ax].values.shape == ref.vec[ax].values.shape
-            assert rel_gap(quad.vec[ax].values, ref.vec[ax].values) <= 1e-10
+            av = ops.apply_A(ax, v.values)
+            want = power(av.shape, -0.25, av, face_axis=ax)
+            assert out.vec[ax].values.shape == want.shape
+            assert rel_gap(out.vec[ax].values, want) <= 1e-10
         with pytest.raises(ValueError):
             apply_P_alpha(QuadratureSpec(0.5), ops,
                           QuatField.from_components(g, q0=v.values,
                                                     q2=v.values))
+
+
+def run_cli(tmp_path, cfg):
+    """main on cfg; the parsed rows of fields.csv for palpha, else None."""
+    path = tmp_path / f"{cfg['task']}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"out-{cfg['task']}-{cfg['alpha']!r}"
+    assert main([str(path), "--out", str(out)]) == 0
+    if cfg["task"] == "palpha":
+        return np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+
+
+class TestExactPowers:
+    """palpha and evolve apply the exact powers e_1 and e_2 of L; the
+    quadrature of the paper's integral serves verify only."""
+
+    # measured on 1D 64 `1+0.1*x`: 1.6e-13 (alpha = 1e-9) and 6.9e-14
+    # (1 - 1e-9) against the Schur-Pade powers, whose own error is of that
+    # size (1.9e-13 at alpha = 0.5); the 128-node rule was 1.8e-6 and
+    # 7.3e-7 off there
+    @pytest.mark.parametrize("alpha", [1e-9, 1.0 - 1e-9])
+    def test_palpha_near_the_ends_of_alpha(self, tmp_path, alpha):
+        cfg = {"domain": {"dims": 1, "lengths": [1.0]}, "grid": {"n": [64]},
+               "coefficients": ["1+0.1*x"], "task": "palpha",
+               "alpha": alpha, "initial": "x*(1-x)"}
+        got = run_cli(tmp_path, cfg)[:, 3:]
+        ops = Operators(grid1d(64, 1.0), (make_profile(1, "1+0.1*x", 1.0),))
+        x = ops.grid.axes[0]
+        v = x * (1.0 - x)
+
+        def power(p, w):
+            m = scipy.linalg.fractional_matrix_power(ops.dense_L(), p)
+            return 0.5 * np.real(m) @ w
+
+        want = np.zeros_like(got)
+        want[:, 0] = power(alpha / 2.0, v)
+        want[:, 1] = power((alpha - 1.0) / 2.0, ops.apply_A(0, v))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_palpha_and_evolve_sum_no_node(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a quadrature node sum ran")
+
+        monkeypatch.setattr(frac, "_node_sums", refuse)
+        base = {"domain": {"dims": 2, "lengths": [1.0, 1.3]},
+                "grid": {"n": [7, 6]},
+                "coefficients": ["1+0.1*x", "exp(0.2*x)"], "alpha": 0.6}
+        run_cli(tmp_path, dict(base, task="palpha"))
+        run_cli(tmp_path, dict(base, task="evolve",
+                               time={"dt": 0.01, "t_end": 0.05}))
+        with pytest.raises(AssertionError, match="node sum"):
+            run_cli(tmp_path, dict(base, task="verify"))
+
+    def test_refusals_are_those_of_the_quadrature(self):
+        # a spectral sphere on the path, and an exact 0 off the mask: the
+        # exact powers raise where _nodes does, instead of an infinite e_1
+        null = np.zeros(4, bool)
+        with pytest.raises(ValueError, match="1 spectral sphere"):
+            frac.exact_symbols(0.5, np.array([-0.25, 1.0, 4.0, 100.0]), null)
+        lam, null = np.array([0.0, 1.0, 0.0, 4.0, 0.0]), np.arange(5) == 4
+        with pytest.raises(ValueError, match="2 eigenvalue.*exactly 0 off"):
+            frac.exact_symbols(0.5, lam, null)
+        e1, e2 = frac.exact_symbols(0.5, lam[3:], null[3:])
+        assert e1.tolist() == [0.5 * 4.0 ** -0.25, 0.0]
+        assert e2.tolist() == [0.5 * 4.0 ** 0.25, 0.0]
+
+    def test_closed_form_is_apply_P_alpha(self):
+        ops = variable_ops_2d()
+        v = RealField(ops.grid,
+                      np.random.default_rng(1).standard_normal(ops.grid.n))
+        got = closed_form_P_alpha(0.4, v, ops).full.components
+        want = apply_P_alpha(QuadratureSpec(0.4), ops,
+                             QuatField.from_real(v)).full.components
+        assert np.array_equal(got, want)
 
 
 def node_by_node(spec, ops, comps, j):
@@ -504,13 +595,13 @@ class TestNodeEngine:
 
     @pytest.mark.parametrize("j", UNITS)
     def test_right_form_on_the_dense_route(self, j):
-        # on a set with a sample <= 0, apply_P_alpha sums the j-free
-        # reduction of the right form through complex symbols, and matches
-        # the engine's reduced pairs summed node by node; it reports no
-        # leak, and the left form at j sits its j_leak away from it
+        # on a set with a sample <= 0, the quadrature's right form sums the
+        # j-free reduction through complex symbols, and matches the engine's
+        # reduced pairs summed node by node; it reports no leak, and the
+        # left form at j sits its j_leak away from it
         ops, v = engine_case("dense")
         spec = QuadratureSpec(0.6)
-        out = apply_P_alpha(spec, ops, v)
+        out = quadrature_P_alpha(spec, ops, v)
         want, left, _ = node_by_node(spec, ops, v.components, j)
         assert rel_gap(out.full.components, want) <= 1e-13
         assert out.j_leak == 0.0
@@ -523,7 +614,7 @@ class TestNodeEngine:
     def test_independent_of_the_block_budget(self, name, nodes_per_block,
                                              monkeypatch):
         # 128 nodes in blocks of 1, and of 5 (a partial block of 3 last);
-        # the node sums of the symbols (apply_P_alpha, reference_P_alpha)
+        # the node sums of the symbols (the right form, reference_P_alpha)
         # go in blocks of half that count, at least 1
         ops, v = engine_case(name)
         spec = QuadratureSpec(0.6)
@@ -532,7 +623,7 @@ class TestNodeEngine:
             return (*node_engine(spec, ops, v.components, UNITS),
                     *((r.full.components, r.j_leak) for r in (
                         *reference_P_alpha(spec, ops, v, UNITS),
-                        apply_P_alpha(spec, ops, v))))
+                        quadrature_P_alpha(spec, ops, v))))
         base = run()
         budget = nodes_per_block * 4 * ops.grid.N
         monkeypatch.setattr(engine, "BLOCK_ELEMS", budget)
@@ -672,11 +763,12 @@ class TestTwoSymbolLeftForm:
     @pytest.mark.parametrize("fault", ["scale", "roll"])
     def test_a_faulty_factorization_fails_left_right_gap(
             self, fault, tmp_path, monkeypatch):
-        # the left form applies T g_2(L) T v where the symbol route applies
+        # the left form applies T g_2(L) T v where the right form applies
         # lambda g_2(L) v, so a Lambda off the stencils (scaled by 1 + 1e-6,
         # or one parity family rolled by one index) fails left_right_gap
         # (7.1e-7 and 0.26 on this set, at every unit); closed_form_gap
-        # reads the same factorization and still passes (1.6e-15, 1.4e-15)
+        # holds the quadrature against the exact powers on the same
+        # factorization and still passes (6.8e-16, 9.5e-16)
         original = AxisFactorization._eigenvalues.func
 
         def faulty(self):
@@ -710,10 +802,11 @@ class TestTwoSymbolLeftForm:
 
 class TestMatrixBuild:
     def test_matches_direct_apply(self):
-        # F = f_1(L) comes from the symbols, and F A_l w is the flux
-        # channel; the reference is the quaternionic left form of
-        # reference_P_alpha (from g_1, g_2 and the stencils), not the
-        # symbol route
+        # F = e_1(L) comes from the exact powers, and F A_l w is the flux
+        # channel; the references are the quadrature of the paper's
+        # integral, in its right form (the node-summed symbols) and in the
+        # quaternionic left form of reference_P_alpha (from g_1, g_2 and
+        # the stencils)
         spec = QuadratureSpec(0.6)
         rng = np.random.default_rng(7)
         for ops in (constant_operators(grid1d(24)), variable_ops_2d(7, 9),
@@ -722,12 +815,14 @@ class TestMatrixBuild:
             F = build_matrix(spec, ops)
             assert F.shape == (g.N, g.N)
             for w in rng.standard_normal((3, g.N)):
-                [ref] = reference_P_alpha(
-                    spec, ops, QuatField.from_real(RealField(g, w)), (J_E1,))
+                v = QuatField.from_real(RealField(g, w))
+                [left] = reference_P_alpha(spec, ops, v, (J_E1,))
+                right = quadrature_P_alpha(spec, ops, v)
                 for ax in range(g.dims):
                     vec = F @ ops.apply_A(ax, w.reshape(g.n)).reshape(-1)
-                    assert rel_gap(vec, ref.vec[ax].values.reshape(-1)) \
-                        <= 1e-11
+                    for ref in (left, right):
+                        assert rel_gap(vec, ref.vec[ax].values.reshape(-1)) \
+                            <= 1e-11
 
     def test_scal_block_symmetric_for_constant_coefficients(self):
         # f_2(L), column by column from the scal channel

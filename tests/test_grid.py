@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
-                        StaggeredOperators, _axis_eig, _eig,
+                        StaggeredOperators, _axis_eig, _axis_svd, _eig,
                         constant_operators, diff_axis, norms)
 from sfrac.coeff import constant_profile, make_profile
 from sfrac.quat import E1, E2, E3, left_mult_table
@@ -457,6 +457,16 @@ class TestAxisFactorization:
         with pytest.raises(ValueError, match="condition number .* above "
                                              "the bound 1e\\+06"):
             _eig(np.diag(np.ones(n - 1), 1))
+
+    def test_subnormal_eigenvalues_raise(self):
+        # both factors refuse a nonzero eigenvalue below the smallest normal
+        # float, and take a 0 or a normal one
+        with pytest.raises(ValueError, match="1 eigenvalue.*subnormal"):
+            _eig(np.diag([1e-320, 1.0]))
+        with pytest.raises(ValueError, match="2 eigenvalue.*subnormal"):
+            _axis_svd(np.ones(2), 1e-160 * np.eye(2), np.ones(2))
+        _eig(np.diag([0.0, 1e-300, 1.0]))
+        _axis_svd(np.ones(2), 1e-150 * np.eye(2), np.ones(2))
 
     def test_defective_axis_block_raises(self):
         # samples -1, 1, 1 on n = 3: the even parity block of L_l is

@@ -10,7 +10,7 @@ from sfrac.grid import (BoxDomain, Grid, Operators, QuatField, RealField,
                         StaggeredOperators, constant_operators)
 from sfrac.oracle import (closed_form_P_alpha, fractional_laplacian_spectral,
                           s_spectrum_probe, sine_basis)
-from helpers import grid1d, null_pair, rel_gap
+from helpers import grid1d, null_pair, quadrature_P_alpha, rel_gap
 
 
 class TestSineBasis:
@@ -100,7 +100,8 @@ class TestClosedForm:
         ops = Operators(g, (make_profile(1, "1+0.2*sin(2*x)", 1.0),
                             make_profile(2, "exp(0.3*x)", 1.3)))
         v = np.random.default_rng(2).standard_normal(g.n)
-        out = closed_form_P_alpha(alpha, RealField(g, v), ops)
+        out = apply_P_alpha(QuadratureSpec(alpha), ops,
+                            QuatField.from_real(RealField(g, v)))
         dense = ops.dense_L()
         scal = 0.5 * scipy.linalg.fractional_matrix_power(dense, alpha / 2)
         vec = 0.5 * scipy.linalg.fractional_matrix_power(dense,
@@ -127,7 +128,8 @@ class TestClosedForm:
                                      in enumerate(zip(texts, lengths))))
             assert not ops.is_positive
             v = np.random.default_rng(3).standard_normal(g.n)
-            out = closed_form_P_alpha(0.3, RealField(g, v), ops)
+            out = apply_P_alpha(QuadratureSpec(0.3), ops,
+                                QuatField.from_real(RealField(g, v)))
             dense = ops.dense_L()
             scal = 0.5 * scipy.linalg.fractional_matrix_power(dense, 0.15)
             vec = 0.5 * scipy.linalg.fractional_matrix_power(dense, -0.35)
@@ -144,13 +146,14 @@ class TestClosedForm:
             closed_form_P_alpha(1.0, v, ops)
 
     def test_parity_mode_sent_to_zero_by_both_routes(self):
+        # the exact powers and the quadrature's symbols are both 0 there
         g = grid1d(15)
         ops = constant_operators(g)
         zeta, _ = null_pair(ops)
         cf = closed_form_P_alpha(0.5, RealField(g, zeta), ops)
         assert np.max(np.abs(cf.full.components)) <= 1e-12
-        quad = apply_P_alpha(QuadratureSpec(0.5), ops,
-                             QuatField.from_real(RealField(g, zeta)))
+        quad = quadrature_P_alpha(QuadratureSpec(0.5), ops,
+                                  QuatField.from_real(RealField(g, zeta)))
         assert np.max(np.abs(quad.full.components)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
@@ -159,8 +162,8 @@ class TestClosedForm:
         ops = constant_operators(g)
         v = RealField.from_function(g, lambda x: x * (math.pi - x) ** 2)
         cf = closed_form_P_alpha(alpha, v, ops)
-        quad = apply_P_alpha(QuadratureSpec(alpha), ops,
-                             QuatField.from_real(v))
+        quad = quadrature_P_alpha(QuadratureSpec(alpha), ops,
+                                  QuatField.from_real(v))
         assert rel_gap(cf.full.components, quad.full.components) <= 1e-6
 
     def test_spectral_vs_closed_form_sin2x(self):

@@ -19,10 +19,13 @@ evolve of 2e6 steps (all four exit 1), a spectrum on `1+0.2*sin(3000*x)` and a
 check on a length of 10^400 (exit 1), `check` on coefficients whose derivatives
 take every rule (quotient, power, sqrt, exp, cos, and `1+x^0`, `1+0*sqrt(x)`
 with a term times an exact 0), and runs past double precision: a constant
-coefficient 1e-160 (`check` exit 0, `palpha` exit 1), `exp(-500*x)` and
+coefficient 1e-160 (`check` exit 0, `palpha` exit 1 on its subnormal
+eigenvalues), `exp(-500*x)` and
 `1+0.1*sin(x/1e-155)` on a box of 1e-155 (`check` exit 2), boxes of 1e200
 (`check` exit 0, `spectrum` and `palpha` exit 1), 1e-160 (`spectrum` and
-`verify` exit 1) and 1e150 (`palpha` exit 1). It prints one `path sha256` line
+`verify` exit 1) and 1e150 (`palpha` exit 0: its exact powers of L need no
+quadrature split, and its fields are those of the unit box times 1e150^1.5).
+It prints one `path sha256` line
 per artifact, plus one `case exit N` line per run (`case raised ERROR` when the
 run ends in an exception), so that a diff of the output of two source trees
 shows every byte that changed:
@@ -184,7 +187,8 @@ def cases():
                                                  "1+0*sqrt(x)")):
         out.append((f"check/1d-{name}", _box("check", (15,), (coeff,)),
                     False))
-    # magnitudes past double precision: a report, or exit 1 or 2
+    # magnitudes past double precision: a report, exit 1 or 2, or (palpha
+    # at 1e150, which needs no quadrature split) a result
     for name, coeff, length, tasks in (
             ("const-1e-160", "1e-160", 1.0, ("check", "palpha")),
             ("exp-500", "exp(-500*x)", 1.0, ("check",)),
