@@ -1061,7 +1061,7 @@ class TestLogging:
         text = stream.getvalue()
         assert "task evolve: exit 0" in text
         assert "task palpha: exit 0" in text
-        assert "evolve: 50 steps, N=15, B=2" in text
+        assert "evolve: 50 steps, N=15, B=2, blocks 8+7" in text
 
 
 class TestImports:

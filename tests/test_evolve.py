@@ -6,7 +6,8 @@ import scipy.linalg
 
 from sfrac.errors import StabilityError
 from sfrac.evolve import (_STEP_MAPS, EvolutionConfig, _bendixson_bound,
-                          _rk4_map, divergence, evolve, generator)
+                          _parity_blocks, _rk4_map, divergence, evolve,
+                          generator)
 from sfrac.frac import QuadratureSpec, apply_P_alpha, build_matrix
 from sfrac.grid import (BoxDomain, Grid, QuatField, RealField,
                         constant_operators)
@@ -257,11 +258,27 @@ def variable_2d(n, lengths=(1.5, 1.2)):
     return box_ops(n, ("1+0.2*sin(x)", "exp(0.1*x)"), lengths)
 
 
-def plain_loop(G, v0, dt, n_full, rem, scheme, every):
+def parity_classes(grid):
+    """Flat indices of each non-empty parity class of grid: per axis, the
+    parity of each index."""
+    cls = np.zeros(grid.n, dtype=int)
+    for ax, idx in enumerate(np.indices(grid.n)):
+        cls += (idx % 2) << ax
+    return [np.flatnonzero(cls.ravel() == c) for c in np.unique(cls)]
+
+
+def plain_loop(G, v0, dt, n_full, rem, scheme, every, blocks=None):
     """Sequential reference: x = M @ x for each step, the remainder with its
     own map, t += dt; returns (times, l2 series, snapshots) with the
-    snapshot rule of evolve."""
-    M = _STEP_MAPS[scheme](G, dt)
+    snapshot rule of evolve.  With blocks (index sets), a step is one
+    matvec of each diagonal block of M."""
+    blocks = blocks or [np.arange(v0.grid.N)]
+
+    def step_maps(h):
+        M = _STEP_MAPS[scheme](G, h)
+        return [M[np.ix_(idx, idx)] for idx in blocks]
+
+    maps = step_maps(dt)
     steps = [dt] * n_full + ([rem] if rem else [])
     x = v0.flat().copy()
     t = 0.0
@@ -269,7 +286,10 @@ def plain_loop(G, v0, dt, n_full, rem, scheme, every):
     l2s = [math.sqrt(v0.grid.cell_volume * float(x @ x))]
     snaps = [(t, x.copy())]
     for k, h in enumerate(steps, start=1):
-        x = (M if h == dt else _STEP_MAPS[scheme](G, h)) @ x
+        y = np.empty_like(x)
+        for idx, Mb in zip(blocks, maps if h == dt else step_maps(h)):
+            y[idx] = Mb @ x[idx]
+        x = y
         t += h
         times.append(t)
         l2s.append(math.sqrt(v0.grid.cell_volume * float(x @ x)))
@@ -330,7 +350,9 @@ class TestBlockedStepping:
 
     @pytest.mark.parametrize("scheme", ["crank-nicolson", "explicit-rk4"])
     def test_short_run_is_the_plain_loop_bitwise(self, scheme):
-        # fewer than 2N steps: B = 1, one matvec per step
+        # fewer than 2N steps: B = 1, one matvec of each parity block M_b
+        # per step.  A 4-long matvec does not round like the 16-long one
+        # with its exact zeros, so the full-matrix loop is held at 1e-13
         ops = variable_2d((4, 4))
         G = dense_G(0.6, ops)
         v0 = RealField.from_function(ops.grid, lambda x, y: x * y + 0.1)
@@ -340,12 +362,16 @@ class TestBlockedStepping:
         cfg = EvolutionConfig(dt=dt, t_end=n_full * dt + rem,
                               scheme=scheme, snapshot_every=3)
         trace = evolve(G, v0, cfg)
-        times, _, snaps = plain_loop(G, v0, dt, n_full,
-                                     cfg.t_end - n_full * dt, scheme, 3)
+        rem = cfg.t_end - n_full * dt
+        times, _, snaps = plain_loop(G, v0, dt, n_full, rem, scheme, 3,
+                                     parity_classes(ops.grid))
         assert trace.times == times
         assert len(trace.snapshots) == len(snaps)
         for (t, got), (s, want) in zip(trace.snapshots, snaps):
             assert t == s and np.array_equal(got.flat(), want)
+        _, _, full = plain_loop(G, v0, dt, n_full, rem, scheme, 3)
+        for (_, got), (_, want) in zip(trace.snapshots, full):
+            assert rel_gap(got.flat(), want) <= 1e-13
 
     def test_monotone_l2_on_a_benchmark_shaped_run(self):
         # 2D 16^2 (N = 256) with variable coefficients and 4096 equal
@@ -363,3 +389,69 @@ class TestBlockedStepping:
         assert len(l2) == 4097
         for a, b in zip(l2, l2[1:]):
             assert b <= a * (1.0 + 1e-12)
+
+
+class TestParityBlocks:
+    # the centered D_l and A_l flip the parity of axis l only and F is a
+    # function of L, so G is block-diagonal over the parity classes; evolve
+    # steps each class on its own
+
+    @pytest.mark.parametrize("n", [(8,), (9,), (6, 5), (7, 9), (16, 16),
+                                   (3, 4, 3)])
+    @pytest.mark.parametrize("factor", [1.0, 2.0], ids=["plain", "beta"])
+    def test_generator_is_zero_between_classes(self, n, factor):
+        ops = box_ops(n)
+        G = dense_G(0.6, ops)
+        G *= factor  # as the CLI's beta_mode does
+        classes = parity_classes(ops.grid)
+        assert len(classes) == 2 ** len(n)
+        for a in classes:
+            for b in classes:
+                if a is not b:
+                    assert not np.any(G[np.ix_(a, b)])
+        blocks = _parity_blocks(ops.grid, G)
+        assert [list(b) for b in blocks] == [list(c) for c in classes]
+
+    def test_coupled_generator_is_one_block(self):
+        # a skew coupling between indices 0 and 1 leaves the symmetric part,
+        # hence dissipativity, as it is, and joins the two classes
+        g = grid1d(8)
+        G = dense_G(0.5, constant_operators(g))
+        G[0, 1] += 0.3
+        G[1, 0] -= 0.3
+        assert len(_parity_blocks(g, G)) == 1
+        v0 = RealField.from_function(g, lambda x: x * (math.pi - x))
+        dt, n_full = 2e-3, 700
+        cfg = EvolutionConfig(dt=dt, t_end=n_full * dt + 0.37 * dt,
+                              snapshot_every=7)
+        trace = evolve(G, v0, cfg)
+        times, l2s, snaps = plain_loop(G, v0, dt, n_full,
+                                       cfg.t_end - n_full * dt,
+                                       "crank-nicolson", 7)
+        assert trace.times == times
+        assert np.allclose(trace.l2_series, l2s, rtol=1e-11, atol=0.0)
+        assert len(trace.snapshots) == len(snaps)
+        for (_, got), (_, want) in zip(trace.snapshots, snaps):
+            assert rel_gap(got.flat(), want) <= 1e-11
+
+    def test_antidissipation_in_one_class_refused(self):
+        # the odd class holds the non-normal blocks [[-1, 10], [0, -2]]
+        # (eigenvalues -1 and -2, symmetric part's top 3.52); the even
+        # class is the dissipative generator's own block
+        g = grid1d(16)
+        G = dense_G(0.5, constant_operators(g))
+        even, odd = parity_classes(g)
+        G[np.ix_(odd, odd)] = np.kron(np.eye(4), [[-1.0, 10.0], [0.0, -2.0]])
+        assert len(_parity_blocks(g, G)) == 2
+        assert _bendixson_bound(G[np.ix_(even, even)])[0] <= 0.0
+        with pytest.raises(StabilityError, match="symmetric part"):
+            evolve(G, RealField.from_function(g, np.sin),
+                   EvolutionConfig(dt=0.01, t_end=0.1))
+
+    def test_block_norms_give_the_norm(self):
+        # the RK4 bound takes the largest 2-norm over the blocks
+        ops = variable_2d((7, 6))
+        G = dense_G(0.6, ops)
+        blocks = parity_classes(ops.grid)
+        rho = max(np.linalg.norm(G[np.ix_(b, b)], 2) for b in blocks)
+        assert math.isclose(rho, np.linalg.norm(G, 2), rel_tol=1e-13)
